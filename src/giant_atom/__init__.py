@@ -18,6 +18,8 @@ from .core import (
     FieldGrid,
     GiantAtomParams,
     IncompleteSearchError,
+    SearchPlacementError,
+    SolverError,
     StructuralImpossibilityError,
     characteristic_deriv,
     characteristic_fn,
@@ -65,6 +67,8 @@ __all__ = [
     "FieldGrid",
     "GiantAtomParams",
     "IncompleteSearchError",
+    "SearchPlacementError",
+    "SolverError",
     "StructuralImpossibilityError",
     "characteristic_deriv",
     "characteristic_fn",

@@ -5,8 +5,12 @@ endings, 17 significant digits for floats) plus a manifest.json recording the
 input parameters, tool version, creation time, and a sha256 checksum of each
 output, so a result directory is self-describing and re-runnable.
 
-Exit codes: 0 success, 1 I/O failure, 2 usage or validation error,
-3 structural impossibility (e.g. a dark-pair search with two coupling points).
+Exit codes: 0 success, 1 I/O failure, 2 usage or validation error (including
+a trace longer than dde.MAX_TRACE_SAMPLES), 3 structural impossibility (e.g. a
+dark-pair search with two coupling points), 4 solver failure (a root search
+that disagrees with its winding number or cannot place its rectangle, or a
+diverging time integration).  --threads / GIANT_ATOM_THREADS is capped at
+os.cpu_count().
 Frequencies on the command line are given in cycles, i.e. as omega_tau/2pi and
 gamma_tau/2pi, matching the usual parameter-plane axes.
 """
@@ -24,7 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .core import TWO_PI, GiantAtomParams, StructuralImpossibilityError
+from .core import TWO_PI, GiantAtomParams, SolverError, StructuralImpossibilityError
 from . import continuum as continuum_mod
 from . import darkstates, dde, field, spectral
 
@@ -32,45 +36,74 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_STRUCTURAL = 3
+EXIT_SOLVER = 4
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# rows per block of beta.csv; each block is formatted by one string operation
+CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _column(values: np.ndarray) -> tuple[str, list]:
+    """printf spec and Python values of one CSV column, chosen by dtype."""
+    kind = values.dtype.kind
+    if kind == "b":
+        return "%s", ["true" if v else "false" for v in values.tolist()]
+    return ("%d" if kind in "iu" else "%.17g"), values.tolist()
 
 
-def _sha256(path: str) -> str:
+def _write_csv(path: str, header: list[str], blocks) -> str:
+    """Write a CSV from column blocks and return the sha256 of its bytes.
+
+    Each block is a list of equal-length arrays, one per header column; every
+    column's printf spec follows its dtype (bool, integer, else float).
+    """
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    with open(path, "wb") as fh:
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        put(",".join(header) + "\n")
+        width = len(header)
+        for block in blocks:
+            rows = len(block[0])
+            specs, columns = zip(*map(_column, block))
+            flat = [None] * (rows * width)
+            for i, values in enumerate(columns):
+                flat[i::width] = values
+            put((",".join(specs) + "\n") * rows % tuple(flat))
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, params: dict, outputs: list[str],
+def _write_manifest(out_dir: str, command: str, params: dict, outputs: dict[str, str],
                     derived: dict | None = None) -> None:
     manifest = {
         "params": {"command": command, **params},
         "version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "outputs": [{"path": name, "sha256": _sha256(os.path.join(out_dir, name))}
-                    for name in outputs],
+        "outputs": [{"path": name, "sha256": sha} for name, sha in outputs.items()],
     }
     if derived:
         manifest["derived"] = derived
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _beta_blocks(times: np.ndarray, samples: np.ndarray):
+    """beta.csv columns in blocks of CSV_BLOCK_ROWS rows."""
+    for start in range(0, len(samples), CSV_BLOCK_ROWS):
+        b = samples[start:start + CSV_BLOCK_ROWS]
+        # bit for bit what abs(b) ** 2 gives on each complex scalar: hypot, then
+        # libm pow.  np.abs(b) and array ** 2 round differently in the last bit.
+        prob = np.array([h ** 2 for h in np.hypot(b.real, b.imag).tolist()])
+        yield [times[start:start + CSV_BLOCK_ROWS], b.real, b.imag, prob]
+
+
+def _record_columns(records, *names: str) -> list[np.ndarray]:
+    """One array per named attribute, across a sequence of records."""
+    return [np.array([getattr(r, name) for r in records]) for name in names]
 
 
 def _resolve_threads(args) -> int:
@@ -95,12 +128,10 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
 
     stride = max(1, args.stride)
-    times = trace.sample_times[::stride]
-    samples = trace.samples[::stride]
-    _write_csv(os.path.join(args.out_dir, "beta.csv"),
-               ["t", "re_beta", "im_beta", "prob"],
-               ((t, b.real, b.imag, abs(b) ** 2) for t, b in zip(times, samples)))
-    outputs = ["beta.csv"]
+    outputs = {"beta.csv": _write_csv(os.path.join(args.out_dir, "beta.csv"),
+                                      ["t", "re_beta", "im_beta", "prob"],
+                                      _beta_blocks(trace.sample_times[::stride],
+                                                   trace.samples[::stride]))}
 
     if args.pxt:
         x_min = args.pxt_x_min if args.pxt_x_min is not None else -10.0
@@ -109,12 +140,9 @@ def _cmd_simulate(args) -> int:
         grid = field.GridSpec(x_min=x_min, x_max=x_max, dx=args.pxt_dx,
                               times=tuple(float(t) for t in snap_times))
         frames = field.intensity_map(params, trace, grid, threads=threads)
-        def pxt_rows():
-            for frame in frames:
-                for x, p in zip(frame.xs, frame.values):
-                    yield (frame.t, x, p)
-        _write_csv(os.path.join(args.out_dir, "pxt.csv"), ["t", "x", "p"], pxt_rows())
-        outputs.append("pxt.csv")
+        outputs["pxt.csv"] = _write_csv(
+            os.path.join(args.out_dir, "pxt.csv"), ["t", "x", "p"],
+            ([np.full(len(f.values), f.t), f.xs, f.values] for f in frames))
 
     _write_manifest(args.out_dir, "simulate", _public_args(args), outputs)
     final = abs(trace.samples[-1]) ** 2
@@ -132,11 +160,10 @@ def _cmd_poles(args) -> int:
                                 im_halfwidth=TWO_PI * args.im_halfwidth_2pi,
                                 threads=threads)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(os.path.join(args.out_dir, "poles.csv"),
-               ["re_s", "im_s", "re_weight", "im_weight"],
-               ((s.real, s.imag, w.real, w.imag)
-                for s, w in zip(poles.s, poles.weights)))
-    _write_manifest(args.out_dir, "poles", _public_args(args), ["poles.csv"],
+    sha = _write_csv(os.path.join(args.out_dir, "poles.csv"),
+                     ["re_s", "im_s", "re_weight", "im_weight"],
+                     [[poles.s.real, poles.s.imag, poles.weights.real, poles.weights.imag]])
+    _write_manifest(args.out_dir, "poles", _public_args(args), {"poles.csv": sha},
                     derived={"winding_number": poles.winding,
                              "n_poles": len(poles)})
     print(f"poles: found {len(poles)} poles (winding {poles.winding}), "
@@ -147,13 +174,14 @@ def _cmd_poles(args) -> int:
 def _cmd_dark_search(args) -> int:
     pairs = darkstates.find_pairs(args.n_legs, p_max=args.p_max, q_max=args.q_max)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(os.path.join(args.out_dir, "pairs.csv"),
-               ["n1", "n2", "p", "q", "n", "omega_tau_2pi", "gamma_tau_2pi",
-                "beat", "osc_amplitude", "rwa_ok"],
-               ((pr.n1, pr.n2, pr.p, pr.q, pr.n, pr.omega_tau / TWO_PI,
-                 pr.gamma_tau / TWO_PI, pr.beat, pr.osc_amplitude, pr.rwa_ok)
-                for pr in pairs))
-    _write_manifest(args.out_dir, "dark-search", _public_args(args), ["pairs.csv"],
+    n1, n2, p, q, n, omega, gamma, beat, amp, rwa = _record_columns(
+        pairs, "n1", "n2", "p", "q", "n", "omega_tau", "gamma_tau", "beat",
+        "osc_amplitude", "rwa_ok")
+    sha = _write_csv(os.path.join(args.out_dir, "pairs.csv"),
+                     ["n1", "n2", "p", "q", "n", "omega_tau_2pi", "gamma_tau_2pi",
+                      "beat", "osc_amplitude", "rwa_ok"],
+                     [[n1, n2, p, q, n, omega / TWO_PI, gamma / TWO_PI, beat, amp, rwa]])
+    _write_manifest(args.out_dir, "dark-search", _public_args(args), {"pairs.csv": sha},
                     derived={"n_pairs": len(pairs)})
     print(f"dark-search: {len(pairs)} coexisting pairs, wrote pairs.csv to {args.out_dir}")
     return EXIT_OK
@@ -165,17 +193,19 @@ def _cmd_scan(args) -> int:
                                    gamma_tau_max=TWO_PI * args.gamma_tau_2pi_max,
                                    line_samples=args.line_samples)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(os.path.join(args.out_dir, "dots.csv"),
-               ["omega_tau_2pi", "gamma_tau_2pi", "n1", "n2", "osc_amplitude", "rwa_ok"],
-               ((pr.omega_tau / TWO_PI, pr.gamma_tau / TWO_PI, pr.n1, pr.n2,
-                 pr.osc_amplitude, pr.rwa_ok) for pr in scan.dots))
-    def line_rows():
-        for line in scan.lines:
-            for g, w in zip(line.gamma_tau, line.omega_tau):
-                yield (line.n, w / TWO_PI, g / TWO_PI)
-    _write_csv(os.path.join(args.out_dir, "lines.csv"),
-               ["n", "omega_tau_2pi", "gamma_tau_2pi"], line_rows())
-    _write_manifest(args.out_dir, "scan", _public_args(args), ["dots.csv", "lines.csv"],
+    omega, gamma, n1, n2, amp, rwa = _record_columns(
+        scan.dots, "omega_tau", "gamma_tau", "n1", "n2", "osc_amplitude", "rwa_ok")
+    outputs = {
+        "dots.csv": _write_csv(
+            os.path.join(args.out_dir, "dots.csv"),
+            ["omega_tau_2pi", "gamma_tau_2pi", "n1", "n2", "osc_amplitude", "rwa_ok"],
+            [[omega / TWO_PI, gamma / TWO_PI, n1, n2, amp, rwa]]),
+        "lines.csv": _write_csv(
+            os.path.join(args.out_dir, "lines.csv"), ["n", "omega_tau_2pi", "gamma_tau_2pi"],
+            ([np.full(len(line.gamma_tau), line.n), line.omega_tau / TWO_PI,
+              line.gamma_tau / TWO_PI] for line in scan.lines)),
+    }
+    _write_manifest(args.out_dir, "scan", _public_args(args), outputs,
                     derived={"n_dots": len(scan.dots), "n_lines": len(scan.lines)})
     print(f"scan: {len(scan.dots)} pair dots and {len(scan.lines)} condition lines, "
           f"wrote dots.csv and lines.csv to {args.out_dir}")
@@ -195,9 +225,9 @@ def _cmd_field(args) -> int:
     xs = np.arange(0.0, (args.n_legs - 1) + 0.5 * args.x_step, args.x_step)
     profile = field.bound_profile(params, args.dark_n, xs)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(os.path.join(args.out_dir, "profile.csv"), ["x", "p"],
-               zip(xs, profile))
-    _write_manifest(args.out_dir, "field", _public_args(args), ["profile.csv"],
+    sha = _write_csv(os.path.join(args.out_dir, "profile.csv"), ["x", "p"],
+                     [[xs, profile]])
+    _write_manifest(args.out_dir, "field", _public_args(args), {"profile.csv": sha},
                     derived={"omega_tau_2pi": omega_tau / TWO_PI,
                              "amplitude": record.amplitude,
                              "intensity": record.intensity,
@@ -214,9 +244,9 @@ def _cmd_continuum(args) -> int:
     xs = np.arange(0.0, args.length + 0.5 * args.x_step, args.x_step)
     profile = continuum_mod.continuum_profile(gamma_T, args.n, args.length, xs)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(os.path.join(args.out_dir, "profile.csv"), ["x", "p"],
-               zip(xs, profile))
-    _write_manifest(args.out_dir, "continuum", _public_args(args), ["profile.csv"],
+    sha = _write_csv(os.path.join(args.out_dir, "profile.csv"), ["x", "p"],
+                     [[xs, profile]])
+    _write_manifest(args.out_dir, "continuum", _public_args(args), {"profile.csv": sha},
                     derived={"gamma_T": gamma_T, "omega_T": omega_T,
                              "total_intensity":
                                  continuum_mod.continuum_total_intensity(gamma_T, args.n)})
@@ -337,6 +367,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 def run() -> None:

@@ -11,6 +11,7 @@ term switches on exactly at its onset sample.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +24,26 @@ __all__ = [
     "FieldGrid",
     "DarkState",
     "DarkPair",
+    "SolverError",
     "DivergenceError",
     "StructuralImpossibilityError",
     "IncompleteSearchError",
+    "SearchPlacementError",
     "params_from_physical",
     "params_to_physical",
     "characteristic_fn",
     "characteristic_deriv",
+    "worker_count",
 ]
 
 TWO_PI = 2.0 * math.pi
 
 
-class DivergenceError(RuntimeError):
+class SolverError(RuntimeError):
+    """A numerical solver could not produce a result it can vouch for."""
+
+
+class DivergenceError(SolverError):
     """A time integration produced a non-finite sample."""
 
 
@@ -43,7 +51,7 @@ class StructuralImpossibilityError(ValueError):
     """The requested object cannot exist for any parameter values."""
 
 
-class IncompleteSearchError(RuntimeError):
+class IncompleteSearchError(SolverError):
     """A root search disagrees with the argument-principle count."""
 
     def __init__(self, found: int, expected: int):
@@ -53,6 +61,15 @@ class IncompleteSearchError(RuntimeError):
         )
         self.found = found
         self.expected = expected
+
+
+class SearchPlacementError(SolverError):
+    """A root search could not place its rectangle clear of every root."""
+
+
+def worker_count(threads: int) -> int:
+    """Threads a worker pool may start: at least 1, at most os.cpu_count()."""
+    return max(1, min(int(threads), os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,16 @@ import numpy as np
 
 from .core import AmplitudeTrace, DivergenceError, GiantAtomParams
 
-__all__ = ["DEFAULT_STEPS_PER_TAU", "integrate_beta", "beta_at", "beta_at_many"]
+__all__ = ["DEFAULT_STEPS_PER_TAU", "MAX_TRACE_SAMPLES", "integrate_beta", "beta_at",
+           "beta_at_many"]
 
 DEFAULT_STEPS_PER_TAU = 256
+
+# Largest trace integrate_beta will build: 2*t_max*steps_per_tau + 1 samples.
+# The marcher holds one Python complex per sample (~40 bytes, ~670 MB at this
+# budget) before packing them into a 16-byte-per-sample array.  At the default
+# 256 steps per tau it allows t_max up to 32768.
+MAX_TRACE_SAMPLES = 2 ** 24
 
 # half-grid positions within 1e-9 of an integer index are treated as grid hits
 _GRID_SNAP = 1e-9
@@ -39,7 +46,8 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
 
     Returns an AmplitudeTrace sampled every h/2 with h = tau/steps_per_tau.
     beta0 scales the initial excited-state amplitude (default: fully excited);
-    the dynamics is linear, so the trace scales with it.
+    the dynamics is linear, so the trace scales with it.  Raises ValueError,
+    before allocating anything, when the trace would exceed MAX_TRACE_SAMPLES.
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive, got {t_max}")
@@ -50,7 +58,13 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     n = params.n_legs
     gamma = params.gamma_tau
     h = 1.0 / m
-    n_steps = max(1, math.ceil(t_max / h - 1e-12))
+    steps = t_max / h - 1e-12
+    if steps > (MAX_TRACE_SAMPLES - 1) // 2:
+        raise ValueError(
+            f"t_max = {t_max:g} at {m} steps per tau needs about {2.0 * steps:.3g} "
+            f"samples, above the budget of {MAX_TRACE_SAMPLES}"
+        )
+    n_steps = max(1, math.ceil(steps))
     decay = -1j * params.omega_tau - 0.5 * n * gamma
     # (half-index delay, coupling weight, first step index where the term is live)
     terms = [(2 * l * m, gamma * (n - l), l * m) for l in range(1, n)]

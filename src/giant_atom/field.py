@@ -23,7 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams, characteristic_fn
+from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams,
+                   characteristic_fn, worker_count)
 from .darkstates import dark_amplitude, dark_frequency, rwa_check
 from .dde import beta_at_many
 
@@ -102,7 +103,10 @@ def field_amplitude(params: GiantAtomParams, trace: AmplitudeTrace,
 
 def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
                   grid: GridSpec, threads: int = 1) -> list[FieldGrid]:
-    """Sample p(x, t) = |phi|^2 on the grid for every requested instant."""
+    """Sample p(x, t) = |phi|^2 on the grid for every requested instant.
+
+    threads is capped at os.cpu_count().
+    """
     if not grid.times:
         raise ValueError("grid spec lists no sample times")
     for t in grid.times:
@@ -114,6 +118,7 @@ def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
         return FieldGrid(x_min=grid.x_min, x_max=grid.x_max, dx=grid.dx,
                          values=values, t=t)
 
+    threads = worker_count(threads)
     if threads > 1 and len(grid.times) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, grid.times))

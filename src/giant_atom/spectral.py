@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ComplexFreq, GiantAtomParams, IncompleteSearchError,
-                   characteristic_deriv, characteristic_fn)
+                   SearchPlacementError, characteristic_deriv, characteristic_fn,
+                   worker_count)
 
 __all__ = ["DEFAULT_RE_MIN", "PoleSet", "find_poles", "beta_from_poles"]
 
@@ -163,7 +164,9 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
 
     Returns a PoleSet with residue weights; raises IncompleteSearchError if the
     deduplicated root count still disagrees with the boundary winding number
-    after one grid refinement.  Cells whose Newton iteration failed to converge
+    after one grid refinement, and SearchPlacementError if twelve attempts
+    fail to place the boundary clear of every root.  threads is capped at
+    os.cpu_count().  Cells whose Newton iteration failed to converge
     anywhere are reported in flagged_cells.  When the boundary passes within
     1e-9 of a root the rectangle is nudged outward and resampled.
     """
@@ -173,7 +176,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
         im_center = -params.omega_tau
     if not (math.isfinite(im_halfwidth) and im_halfwidth > 0):
         raise ValueError(f"im_halfwidth must be positive, got {im_halfwidth}")
-    threads = max(1, int(threads))
+    threads = worker_count(threads)
     cell = cell_size or (math.pi / (2.0 * params.n_legs))
 
     rect = [re_min, params.gamma_tau, im_center - im_halfwidth, im_center + im_halfwidth]
@@ -230,7 +233,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
             finals = np.concatenate([finals, _polish(params, extra, threads)])
             continue
         raise IncompleteSearchError(found=len(roots), expected=w)
-    raise RuntimeError("could not place the search rectangle clear of all roots")
+    raise SearchPlacementError("could not place the search rectangle clear of all roots")
 
 
 def beta_from_poles(pole_set: PoleSet, t):

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from giant_atom import bound_profile, continuum_profile
-from giant_atom.cli import main
+from giant_atom import (DivergenceError, IncompleteSearchError, SearchPlacementError,
+                        bound_profile, continuum_profile, dde, integrate_beta, spectral)
+from giant_atom.cli import CSV_BLOCK_ROWS, _write_csv, main
 from conftest import single_dark_params
 
 TWO_PI = 2.0 * math.pi
@@ -24,6 +25,71 @@ def read_csv(path):
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def reference_csv(path, header, rows):
+    """Row-at-a-time writer, one value at a time: the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+class TestCsvBytes:
+    """The columnar writer reproduces the reference writer byte for byte."""
+
+    def check(self, tmp_path, header, rows, blocks):
+        reference_csv(tmp_path / "ref.csv", header, rows)
+        sha = _write_csv(str(tmp_path / "new.csv"), header, blocks)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert sha == sha256(tmp_path / "new.csv")
+
+    def test_mixed_python_and_numpy_scalars(self, tmp_path):
+        flags = [True, np.bool_(False), np.bool_(True), False, True, False, True, False]
+        ints = [0, np.int64(-7), 2**40, np.int32(12), -1, np.int64(9), 3, np.uint8(255)]
+        floats = [math.nan, np.float64(math.inf), -math.inf, -0.0, 1e-300,
+                  np.float64(0.1), 1.0 / 3.0, np.float64(-2.5e300)]
+        whole = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        rows = list(zip(flags, ints, floats, whole))
+        columns = [np.array(flags), np.array(ints), np.array(floats), np.array(whole)]
+        self.check(tmp_path, ["flag", "count", "value", "whole"], rows, [columns])
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        header = ["a", "b"]
+        self.check(tmp_path, header, [], [])
+        self.check(tmp_path, header, [], [[np.array([]), np.array([], dtype=bool)]])
+        assert (tmp_path / "new.csv").read_text() == "a,b\n"
+
+    def test_many_uneven_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2 * CSV_BLOCK_ROWS + 17
+        xs = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        ks = rng.integers(-1000, 1000, n)
+        edges = [0, 5, 5, CSV_BLOCK_ROWS + 5, n]
+        blocks = [[xs[a:b], ks[a:b]] for a, b in zip(edges, edges[1:])]
+        self.check(tmp_path, ["x", "k"], list(zip(xs, ks)), blocks)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_simulate_beta_csv(self, tmp_path, stride):
+        # prob is abs(b) ** 2 of each complex scalar; array forms of |b|^2
+        # round differently in the last bit
+        t_max = 20.0
+        assert main(["simulate", *A1_FLAGS, "--t-max", str(t_max), "--stride", str(stride),
+                     "--out-dir", str(tmp_path)]) == 0
+        trace = integrate_beta(single_dark_params(3, 1, 0.018), t_max)
+        times, samples = trace.sample_times[::stride], trace.samples[::stride]
+        assert stride > 1 or len(samples) > 2 * CSV_BLOCK_ROWS
+        reference_csv(tmp_path / "ref.csv", ["t", "re_beta", "im_beta", "prob"],
+                      ((t, b.real, b.imag, abs(b) ** 2) for t, b in zip(times, samples)))
+        assert sha256(tmp_path / "beta.csv") == sha256(tmp_path / "ref.csv")
 
 
 class TestSimulate:
@@ -130,6 +196,17 @@ class TestDarkSearch:
 
 
 class TestScan:
+    def test_empty_window_writes_header_only_files(self, tmp_path):
+        rc = main(["scan", "--n-legs", "3", "--omega-tau-2pi-max", "0.05",
+                   "--gamma-tau-2pi-max", "0.01", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "dots.csv").read_text() == (
+            "omega_tau_2pi,gamma_tau_2pi,n1,n2,osc_amplitude,rwa_ok\n")
+        assert (tmp_path / "lines.csv").read_text() == "n,omega_tau_2pi,gamma_tau_2pi\n"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for out in manifest["outputs"]:
+            assert out["sha256"] == sha256(tmp_path / out["path"])
+
     def test_dot_lattice_periodicity(self, tmp_path):
         rc = main(["scan", "--n-legs", "3", "--omega-tau-2pi-max", "6",
                    "--gamma-tau-2pi-max", "1", "--out-dir", str(tmp_path)])
@@ -177,6 +254,33 @@ class TestContinuumCmd:
         assert np.allclose(ps, continuum_profile(gamma_T, 1, 1.0, xs), atol=1e-15)
         assert ps[0] == 0.0 and ps[-1] == pytest.approx(0.0, abs=1e-15)
         assert ps.argmax() == len(ps) // 2  # single sin^4 hump
+
+
+class TestFailures:
+    @pytest.mark.parametrize("error", [IncompleteSearchError(found=3, expected=4),
+                                       SearchPlacementError("no clear rectangle")])
+    def test_root_search_failure_exits_4(self, tmp_path, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(spectral, "find_poles", fail)
+        rc = main(["poles", *A1_FLAGS, "--out-dir", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == f"error: {error}\n"
+
+    def test_divergence_exits_4(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise DivergenceError("non-finite amplitude at t = 1")
+        monkeypatch.setattr(dde, "integrate_beta", fail)
+        rc = main(["simulate", *A1_FLAGS, "--t-max", "1", "--out-dir", str(tmp_path)])
+        assert rc == 4
+        assert capsys.readouterr().err == "error: non-finite amplitude at t = 1\n"
+
+    @pytest.mark.parametrize("t_max", ["1e12", "1e308"])
+    def test_oversized_trace_exits_2(self, tmp_path, capsys, t_max):
+        rc = main(["simulate", *A1_FLAGS, "--t-max", t_max, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "budget" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

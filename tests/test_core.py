@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from giant_atom import (
     params_from_physical,
     params_to_physical,
 )
+from giant_atom.core import worker_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,3 +143,13 @@ class TestDomainTypes:
     def test_field_grid_axis(self):
         g = FieldGrid(x_min=-1.0, x_max=1.0, dx=0.5, values=np.zeros(5), t=2.0)
         assert np.allclose(g.xs, [-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+class TestWorkerCount:
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert [worker_count(t) for t in (-3, 0, 1, 2, 3, 100_000)] == [1, 1, 1, 2, 2, 2]
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(8) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from giant_atom import dde
 from giant_atom import (
     GiantAtomParams,
     beta_at,
@@ -22,6 +23,19 @@ def test_validation():
         integrate_beta(p, -1.0)
     with pytest.raises(ValueError):
         integrate_beta(p, 5.0, steps_per_tau=8)
+
+
+def test_sample_budget_checked_before_allocation(monkeypatch):
+    p = GiantAtomParams(3, 0.1, 1.0)
+    for t_max in (1e12, 1e308):
+        with pytest.raises(ValueError, match="budget"):
+            integrate_beta(p, t_max)
+    # t_max = 1 at 16 steps per tau needs exactly 33 samples
+    monkeypatch.setattr(dde, "MAX_TRACE_SAMPLES", 33)
+    assert len(integrate_beta(p, 1.0, steps_per_tau=16).samples) == 33
+    monkeypatch.setattr(dde, "MAX_TRACE_SAMPLES", 32)
+    with pytest.raises(ValueError, match="budget"):
+        integrate_beta(p, 1.0, steps_per_tau=16)
 
 
 def test_initial_condition_and_contractivity(dark_n1_trace_200):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from giant_atom import (
     total_probability,
     waveguide_probability,
 )
+from giant_atom import field
 from giant_atom.field import _simpson
 
 TWO_PI = 2.0 * math.pi
@@ -95,6 +97,22 @@ class TestIntensityMap:
         b = intensity_map(dark_n1_params, dark_n1_trace_200, grid, threads=3)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.values, fb.values)
+
+    def test_thread_count_capped_at_cpu_count(self, dark_n1_params, dark_n1_trace_200,
+                                              monkeypatch):
+        seen = []
+        pool = field.ThreadPoolExecutor
+
+        def capped_pool(max_workers):
+            seen.append(max_workers)
+            assert max_workers <= 2  # refuse before starting an oversized pool
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(field, "ThreadPoolExecutor", capped_pool)
+        grid = GridSpec(-1.0, 3.0, 0.5, times=(3.0, 7.0))
+        intensity_map(dark_n1_params, dark_n1_trace_200, grid, threads=100_000)
+        assert seen == [2]
 
 
 class TestBoundProfile:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from giant_atom import (
     dark_frequency,
     find_poles,
     integrate_beta,
+    spectral,
 )
 from conftest import single_dark_params
 
@@ -123,3 +125,17 @@ def test_thread_count_does_not_change_output(dark_n1_params):
     ps4 = find_poles(dark_n1_params, re_min=-9.0, im_halfwidth=30.0, threads=4)
     assert np.array_equal(ps1.s, ps4.s)
     assert np.array_equal(ps1.weights, ps4.weights)
+
+
+def test_thread_count_capped_at_cpu_count(dark_n1_params, monkeypatch):
+    seen = []
+    polish = spectral._polish
+
+    def spy(params, seeds, threads):
+        seen.append(threads)
+        return polish(params, seeds, threads)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(spectral, "_polish", spy)
+    find_poles(dark_n1_params, re_min=-9.0, im_halfwidth=30.0, threads=100_000)
+    assert seen and set(seen) == {2}
