@@ -8,9 +8,12 @@ output, so a result directory is self-describing and re-runnable.
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error (including
 a trace longer than dde.MAX_TRACE_SAMPLES), 3 structural impossibility (e.g. a
 dark-pair search with two coupling points), 4 solver failure (a root search
-that disagrees with its winding number or cannot place its rectangle, or a
-diverging time integration).  --threads / GIANT_ATOM_THREADS is capped at
-os.cpu_count().
+that disagrees with its winding number or cannot place its rectangle, a
+diverging time integration, or a dark-pair lattice point that fails its own
+dark-condition check).  A sampling grid (the x positions of a profile,
+the x-by-t heatmap, or the samples of one scan line) may hold at most
+MAX_GRID_SAMPLES points; larger or empty grids are rejected with exit 2
+before anything is computed or written.
 Frequencies on the command line are given in cycles, i.e. as omega_tau/2pi and
 gamma_tau/2pi, matching the usual parameter-plane axes.
 """
@@ -18,6 +21,7 @@ gamma_tau/2pi, matching the usual parameter-plane axes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -41,6 +45,12 @@ EXIT_SOLVER = 4
 
 # rows per block of beta.csv; each block is formatted by one string operation
 CSV_BLOCK_ROWS = 4096
+
+# Largest sampling grid a command builds in one piece: a profile's x
+# positions, a heatmap's x-by-t points, or the samples of one scan line.  A
+# profile is formatted as one CSV block, about 200 MB per 2**20 rows, so a
+# profile at this budget needs about 0.8 GB.
+MAX_GRID_SAMPLES = 2 ** 22
 
 
 def _column(values: np.ndarray) -> tuple[str, list]:
@@ -106,13 +116,19 @@ def _record_columns(records, *names: str) -> list[np.ndarray]:
     return [np.array([getattr(r, name) for r in records]) for name in names]
 
 
-def _resolve_threads(args) -> int:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = int(os.environ.get("GIANT_ATOM_THREADS", "1") or "1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
+def _check_grid(what: str, count: float) -> None:
+    """Reject a sampling grid of fewer than one or more than MAX_GRID_SAMPLES points."""
+    if not (1 <= count <= MAX_GRID_SAMPLES):
+        raise ValueError(f"{what} needs {count:.3g} samples; the grid must hold "
+                         f"between 1 and {MAX_GRID_SAMPLES}")
+
+
+def _profile_xs(stop: float, step: float) -> np.ndarray:
+    """Positions 0, step, 2*step, ... through stop, within the grid budget."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"x-step must be positive and finite, got {step}")
+    _check_grid("the profile", stop / step + 1)
+    return np.arange(0.0, stop + 0.5 * step, step)
 
 
 def _params_from_args(args) -> GiantAtomParams:
@@ -123,7 +139,11 @@ def _params_from_args(args) -> GiantAtomParams:
 
 def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
-    threads = _resolve_threads(args)
+    if args.pxt:
+        x_min = args.pxt_x_min if args.pxt_x_min is not None else -10.0
+        x_max = args.pxt_x_max if args.pxt_x_max is not None else (params.n_legs - 1) + 10.0
+        grid = field.GridSpec(x_min=x_min, x_max=x_max, dx=args.pxt_dx)
+        _check_grid("the heatmap", ((x_max - x_min) / args.pxt_dx + 1) * args.pxt_t_count)
     trace = dde.integrate_beta(params, args.t_max, steps_per_tau=args.steps_per_tau)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -134,12 +154,9 @@ def _cmd_simulate(args) -> int:
                                                    trace.samples[::stride]))}
 
     if args.pxt:
-        x_min = args.pxt_x_min if args.pxt_x_min is not None else -10.0
-        x_max = args.pxt_x_max if args.pxt_x_max is not None else (params.n_legs - 1) + 10.0
         snap_times = np.linspace(0.0, trace.t_max, args.pxt_t_count)
-        grid = field.GridSpec(x_min=x_min, x_max=x_max, dx=args.pxt_dx,
-                              times=tuple(float(t) for t in snap_times))
-        frames = field.intensity_map(params, trace, grid, threads=threads)
+        frames = field.intensity_map(params, trace, dataclasses.replace(
+            grid, times=tuple(float(t) for t in snap_times)))
         outputs["pxt.csv"] = _write_csv(
             os.path.join(args.out_dir, "pxt.csv"), ["t", "x", "p"],
             ([np.full(len(f.values), f.t), f.xs, f.values] for f in frames))
@@ -153,12 +170,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_poles(args) -> int:
     params = _params_from_args(args)
-    threads = _resolve_threads(args)
     im_center = (TWO_PI * args.im_center_2pi if args.im_center_2pi is not None
                  else -params.omega_tau)
     poles = spectral.find_poles(params, re_min=args.re_min, im_center=im_center,
-                                im_halfwidth=TWO_PI * args.im_halfwidth_2pi,
-                                threads=threads)
+                                im_halfwidth=TWO_PI * args.im_halfwidth_2pi)
     os.makedirs(args.out_dir, exist_ok=True)
     sha = _write_csv(os.path.join(args.out_dir, "poles.csv"),
                      ["re_s", "im_s", "re_weight", "im_weight"],
@@ -188,6 +203,7 @@ def _cmd_dark_search(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _check_grid("each condition line", args.line_samples)
     scan = darkstates.scan_lattice(args.n_legs,
                                    omega_tau_max=TWO_PI * args.omega_tau_2pi_max,
                                    gamma_tau_max=TWO_PI * args.gamma_tau_2pi_max,
@@ -222,7 +238,7 @@ def _cmd_field(args) -> int:
         )
     params = GiantAtomParams(n_legs=args.n_legs, gamma_tau=gamma_tau, omega_tau=omega_tau)
     record = field.dark_state_record(params, args.dark_n)
-    xs = np.arange(0.0, (args.n_legs - 1) + 0.5 * args.x_step, args.x_step)
+    xs = _profile_xs(args.n_legs - 1, args.x_step)
     profile = field.bound_profile(params, args.dark_n, xs)
     os.makedirs(args.out_dir, exist_ok=True)
     sha = _write_csv(os.path.join(args.out_dir, "profile.csv"), ["x", "p"],
@@ -241,7 +257,7 @@ def _cmd_continuum(args) -> int:
     gamma_T = args.gamma_t if args.gamma_t is not None else (TWO_PI * args.n) ** 2
     omega_T = (args.omega_t if args.omega_t is not None
                else TWO_PI * args.n - gamma_T / (TWO_PI * args.n))
-    xs = np.arange(0.0, args.length + 0.5 * args.x_step, args.x_step)
+    xs = _profile_xs(args.length, args.x_step)
     profile = continuum_mod.continuum_profile(gamma_T, args.n, args.length, xs)
     os.makedirs(args.out_dir, exist_ok=True)
     sha = _write_csv(os.path.join(args.out_dir, "profile.csv"), ["x", "p"],
@@ -297,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--pxt-x-max", type=float, default=None)
     sim.add_argument("--pxt-dx", type=float, default=0.05)
     sim.add_argument("--pxt-t-count", type=int, default=201)
-    sim.add_argument("--threads", type=int, default=None)
     sim.add_argument("--out-dir", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -308,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     pol.add_argument("--im-center-2pi", type=float, default=None,
                      help="imaginary-axis centre / 2pi (default: -omega_tau/2pi)")
     pol.add_argument("--im-halfwidth-2pi", type=float, default=2.0)
-    pol.add_argument("--threads", type=int, default=None)
     pol.add_argument("--out-dir", required=True)
     pol.set_defaults(func=_cmd_poles)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TWO_PI, DarkPair
-from .darkstates import _lattice_pair
+from .darkstates import _check_index, _lattice_pair
 
 __all__ = [
     "continuum_dark_indices",
@@ -70,8 +70,7 @@ def continuum_profile(Gamma_T: float, n: int, L: float, x):
     """
     if not (math.isfinite(Gamma_T) and Gamma_T > 0):
         raise ValueError(f"Gamma_T must be positive, got {Gamma_T}")
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise ValueError(f"mode index must be an integer >= 1, got {n!r}")
+    _check_index(n)
     if not (L > 0):
         raise ValueError(f"contact length must be positive, got {L}")
     xs = np.asarray(x, dtype=float)
@@ -89,8 +88,7 @@ def continuum_total_intensity(Gamma_T: float, n: int) -> float:
     """
     if not (math.isfinite(Gamma_T) and Gamma_T > 0):
         raise ValueError(f"Gamma_T must be positive, got {Gamma_T}")
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise ValueError(f"mode index must be an integer >= 1, got {n!r}")
+    _check_index(n)
     u = 2.0 * n * n * math.pi * math.pi / Gamma_T
     return 1.5 * u / (u + 1.0) ** 2
 
@@ -121,8 +119,7 @@ def comb_pair_limit(n: int, n_legs: int) -> CombPairLimit:
 
     Requires 1 <= n < N/2 (and therefore N >= 3).
     """
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise ValueError(f"mode index must be an integer >= 1, got {n!r}")
+    _check_index(n)
     if n_legs < 3:
         raise ValueError(f"a comb pair needs n_legs >= 3, got {n_legs}")
     if not (2 * n < n_legs):

@@ -11,7 +11,6 @@ term switches on exactly at its onset sample.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "params_to_physical",
     "characteristic_fn",
     "characteristic_deriv",
-    "worker_count",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -65,11 +63,6 @@ class IncompleteSearchError(SolverError):
 
 class SearchPlacementError(SolverError):
     """A root search could not place its rectangle clear of every root."""
-
-
-def worker_count(threads: int) -> int:
-    """Threads a worker pool may start: at least 1, at most os.cpu_count()."""
-    return max(1, min(int(threads), os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -238,6 +231,20 @@ def _as_complex_input(s):
     return complex(s), True
 
 
+def _delay_sum(sv, coeffs):
+    """sum_{l=1}^{N-1} coeffs[l-1] * exp(-s*l) by Horner's rule in z = exp(-s).
+
+    One complex exponential per point; z**l is built by multiplication, so
+    its phase error grows like l*eps instead of the |s*l|*eps of exp(-s*l).
+    """
+    z = np.exp(-sv)
+    acc = coeffs[-1] * z
+    for c in coeffs[-2::-1]:
+        acc += c
+        acc *= z
+    return acc
+
+
 def characteristic_fn(params: GiantAtomParams, s) -> complex:
     """Characteristic function F(s) whose zeros are the complex mode frequencies.
 
@@ -249,9 +256,7 @@ def characteristic_fn(params: GiantAtomParams, s) -> complex:
     """
     sv, scalar = _as_complex_input(s)
     n, g = params.n_legs, params.gamma_tau
-    acc = 0.0
-    for l in range(1, n):
-        acc = acc + (n - l) * np.exp(-sv * l)
+    acc = _delay_sum(sv, [n - l for l in range(1, n)])
     out = sv + 1j * params.omega_tau + 0.5 * n * g + g * acc
     return complex(out) if scalar else out
 
@@ -264,8 +269,6 @@ def characteristic_deriv(params: GiantAtomParams, s) -> complex:
     """
     sv, scalar = _as_complex_input(s)
     n, g = params.n_legs, params.gamma_tau
-    acc = 0.0
-    for l in range(1, n):
-        acc = acc + (n - l) * l * np.exp(-sv * l)
+    acc = _delay_sum(sv, [(n - l) * l for l in range(1, n)])
     out = 1.0 - g * acc
     return complex(out) if scalar else out

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, DarkPair, StructuralImpossibilityError
+from .core import TWO_PI, DarkPair, SolverError, StructuralImpossibilityError
 
 __all__ = [
     "DEFAULT_RWA_THRESHOLD",
@@ -44,10 +44,12 @@ __all__ = [
 DEFAULT_RWA_THRESHOLD = 0.1
 
 
-def _check_index(n_legs: int, n: int, *, allow_multiple: bool = False) -> None:
+def _check_index(n: int, n_legs: int | None = None) -> None:
+    """Require an integer mode index n >= 1 and, when n_legs is given, one that
+    is not a multiple of it."""
     if isinstance(n, bool) or int(n) != n or n < 1:
         raise ValueError(f"mode index must be an integer >= 1, got {n!r}")
-    if not allow_multiple and n % n_legs == 0:
+    if n_legs is not None and n % n_legs == 0:
         raise ValueError(
             f"mode index n = {n} is a multiple of n_legs = {n_legs}: "
             "the cotangent in the dark condition is singular there"
@@ -64,7 +66,7 @@ def dark_condition_omega_tau(n_legs: int, n: int, gamma_tau: float) -> float:
 
     omega_tau = 2*n*pi/N - (N*gamma_tau/2) * cot(n*pi/N).
     """
-    _check_index(n_legs, n)
+    _check_index(n, n_legs)
     if not (math.isfinite(gamma_tau) and gamma_tau > 0):
         raise ValueError(f"gamma_tau must be positive, got {gamma_tau}")
     arg = n * math.pi / n_legs
@@ -74,7 +76,7 @@ def dark_condition_omega_tau(n_legs: int, n: int, gamma_tau: float) -> float:
 
 def dark_amplitude(n_legs: int, n: int, gamma_tau: float) -> float:
     """Long-time atomic amplitude A(n) of a dark mode; 0 for n a multiple of N."""
-    _check_index(n_legs, n, allow_multiple=True)
+    _check_index(n)
     if not (math.isfinite(gamma_tau) and gamma_tau > 0):
         raise ValueError(f"gamma_tau must be positive, got {gamma_tau}")
     if n % n_legs == 0:
@@ -109,12 +111,21 @@ def _lattice_pair(n_legs: int, p: int, q: int, n: int) -> DarkPair:
     for idx in (n1, n2):
         resid = abs(dark_condition_omega_tau(n_legs, idx, gamma_tau) - omega_tau)
         if resid > 1e-10 * (1.0 + abs(omega_tau)):
-            raise RuntimeError(
+            raise SolverError(
                 f"lattice point (p={p}, q={q}, n={n}) fails the dark condition "
                 f"for index {idx} by {resid:g}"
             )
     return DarkPair(n1=n1, n2=n2, p=p, q=q, n=n, omega_tau=omega_tau,
                     gamma_tau=gamma_tau, beat=beat, osc_amplitude=amp, rwa_ok=rwa)
+
+
+def _sorted_pairs(n_legs: int, pq, gamma_tau_max: float = math.inf) -> list[DarkPair]:
+    """Lattice pairs at every (p, q) in pq and every 1 <= n < N/2 with
+    gamma_tau <= gamma_tau_max, ordered by (omega_tau, gamma_tau, n)."""
+    pairs = [pair for p, q in pq for n in range(1, (n_legs + 1) // 2)
+             if (pair := _lattice_pair(n_legs, p, q, n)).gamma_tau <= gamma_tau_max]
+    pairs.sort(key=lambda pr: (pr.omega_tau, pr.gamma_tau, pr.n))
+    return pairs
 
 
 def find_pairs(n_legs: int, p_max: int = 12, q_max: int = 12) -> list[DarkPair]:
@@ -135,14 +146,8 @@ def find_pairs(n_legs: int, p_max: int = 12, q_max: int = 12) -> list[DarkPair]:
         )
     if p_max < 1 or q_max < 1:
         raise ValueError("p_max and q_max must be >= 1")
-    pairs = [
-        _lattice_pair(n_legs, p, q, n)
-        for p in range(1, p_max + 1)
-        for q in range(1, min(p, q_max) + 1)
-        for n in range(1, (n_legs + 1) // 2 if n_legs % 2 else n_legs // 2)
-    ]
-    pairs.sort(key=lambda pr: (pr.omega_tau, pr.gamma_tau, pr.n))
-    return pairs
+    return _sorted_pairs(n_legs, ((p, q) for p in range(1, p_max + 1)
+                                  for q in range(1, min(p, q_max) + 1)))
 
 
 @dataclass(frozen=True)
@@ -178,17 +183,9 @@ def scan_lattice(n_legs: int, omega_tau_max: float, gamma_tau_max: float,
     if not (omega_tau_max > 0 and gamma_tau_max > 0):
         raise ValueError("window bounds must be positive")
 
-    dots: list[DarkPair] = []
-    n_range = range(1, (n_legs + 1) // 2 if n_legs % 2 else n_legs // 2)
     max_pq_sum = int(math.floor(omega_tau_max / math.pi + 1e-12))
-    for pq_sum in range(2, max_pq_sum + 1):
-        for q in range(1, pq_sum // 2 + 1):
-            p = pq_sum - q
-            for n in n_range:
-                pair = _lattice_pair(n_legs, p, q, n)
-                if pair.gamma_tau <= gamma_tau_max:
-                    dots.append(pair)
-    dots.sort(key=lambda pr: (pr.omega_tau, pr.gamma_tau, pr.n))
+    dots = _sorted_pairs(n_legs, ((pq_sum - q, q) for pq_sum in range(2, max_pq_sum + 1)
+                                  for q in range(1, pq_sum // 2 + 1)), gamma_tau_max)
 
     lines: list[LatticeLine] = []
     max_cot = 1.0 / math.tan(math.pi / n_legs)

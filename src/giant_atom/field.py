@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams,
-                   characteristic_fn, worker_count)
-from .darkstates import dark_amplitude, dark_frequency, rwa_check
+                   characteristic_fn)
+from .darkstates import _check_index, dark_amplitude, dark_frequency, rwa_check
 from .dde import beta_at_many
 
 __all__ = [
@@ -102,27 +101,16 @@ def field_amplitude(params: GiantAtomParams, trace: AmplitudeTrace,
 
 
 def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
-                  grid: GridSpec, threads: int = 1) -> list[FieldGrid]:
-    """Sample p(x, t) = |phi|^2 on the grid for every requested instant.
-
-    threads is capped at os.cpu_count().
-    """
+                  grid: GridSpec) -> list[FieldGrid]:
+    """Sample p(x, t) = |phi|^2 on the grid for every requested instant."""
     if not grid.times:
         raise ValueError("grid spec lists no sample times")
     for t in grid.times:
         _check_time(trace, t)
     xs = grid.xs
-
-    def one(t: float) -> FieldGrid:
-        values = np.abs(_phi(params, trace, xs, t)) ** 2
-        return FieldGrid(x_min=grid.x_min, x_max=grid.x_max, dx=grid.dx,
-                         values=values, t=t)
-
-    threads = worker_count(threads)
-    if threads > 1 and len(grid.times) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, grid.times))
-    return [one(t) for t in grid.times]
+    return [FieldGrid(x_min=grid.x_min, x_max=grid.x_max, dx=grid.dx,
+                      values=np.abs(_phi(params, trace, xs, t)) ** 2, t=t)
+            for t in grid.times]
 
 
 def _simpson(ys: np.ndarray, h: float) -> float:
@@ -175,18 +163,13 @@ def total_probability(params: GiantAtomParams, trace: AmplitudeTrace,
     return abs(amp) ** 2 + waveguide_probability(params, trace, t, dx=dx)
 
 
-def _check_profile_index(params: GiantAtomParams, n: int) -> None:
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise ValueError(f"mode index must be an integer >= 1, got {n!r}")
-
-
 def bound_profile(params: GiantAtomParams, n: int, x):
     """Stationary trapped-field profile p_n(x); zero outside [0, N-1].
 
     Accepts a scalar position or an ndarray.  Indices that are multiples of N
     give the identically zero profile.
     """
-    _check_profile_index(params, n)
+    _check_index(n)
     xs = np.asarray(x, dtype=float)
     big_n, g = params.n_legs, params.gamma_tau
     if n % big_n == 0:  # sin(n pi / N) = 0: no trapped field at all
@@ -209,7 +192,7 @@ def total_intensity(params: GiantAtomParams, n: int) -> float:
     I(n) = 2*N*gamma * sin^2(n pi/N) * (1 + (N/(4 n pi)) sin(2 n pi/N))
            / (2 sin^2(n pi/N) + N gamma)^2.
     """
-    _check_profile_index(params, n)
+    _check_index(n)
     big_n, g = params.n_legs, params.gamma_tau
     if n % big_n == 0:
         return 0.0
@@ -257,7 +240,7 @@ def dark_state_record(params: GiantAtomParams, n: int,
     """Assemble the DarkState record for index n, checking that the parameter
     point actually supports it (the characteristic function must vanish at the
     purely imaginary candidate frequency)."""
-    _check_profile_index(params, n)
+    _check_index(n)
     if n % params.n_legs == 0:
         raise ValueError(f"index n = {n} is a multiple of n_legs and carries no "
                          "atomic amplitude; it is not a usable dark state")

@@ -16,14 +16,12 @@ so the causal amplitude is reconstructed as beta(t) = sum_n w_n exp(s_n t).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (ComplexFreq, GiantAtomParams, IncompleteSearchError,
-                   SearchPlacementError, characteristic_deriv, characteristic_fn,
-                   worker_count)
+                   SearchPlacementError, characteristic_deriv, characteristic_fn)
 
 __all__ = ["DEFAULT_RE_MIN", "PoleSet", "find_poles", "beta_from_poles"]
 
@@ -31,6 +29,7 @@ DEFAULT_RE_MIN = -12.0
 
 _NEWTON_ITERATIONS = 60
 _MAX_STEP = 10.0          # damp Newton steps so iterates stay evaluable
+_STEP_TOL = 1e-15         # a seed retires once |step| <= _STEP_TOL * (1 + |z|)
 _BOUNDARY_CLEARANCE = 1e-9
 _NUDGE = 1e-6             # rectangle growth applied when a root sits on the boundary
 
@@ -64,34 +63,34 @@ class PoleSet:
         return [m for m in self.modes() if m.is_dark(tol)]
 
 
-def _newton_chunk(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
-    z = seeds.astype(complex).copy()
+def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
+    """Damped Newton from every seed, for at most _NEWTON_ITERATIONS steps.
+
+    A seed retires once its step falls to _STEP_TOL * (1 + |z|); a non-finite
+    step is zeroed, so a seed that cannot be evaluated retires where it is.
+    """
+    z = seeds.astype(complex)
+    za, idx = z.copy(), np.arange(len(z))
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_ITERATIONS):
-            f = characteristic_fn(params, z)
-            fp = characteristic_deriv(params, z)
-            d = f / fp
+            if not len(idx):
+                break
+            d = characteristic_fn(params, za) / characteristic_deriv(params, za)
             d = np.where(np.isfinite(d), d, 0.0)
             mag = np.abs(d)
             d = np.where(mag > _MAX_STEP, d * (_MAX_STEP / np.maximum(mag, 1e-300)), d)
-            z = z - d
+            za = za - d
+            z[idx] = za
+            moving = np.abs(d) > _STEP_TOL * (1.0 + np.abs(za))
+            idx, za = idx[moving], za[moving]
     return z
-
-
-def _polish(params, seeds, threads):
-    if threads > 1 and len(seeds) > 512:
-        chunks = np.array_split(seeds, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _newton_chunk(params, c), chunks))
-        return np.concatenate(parts)
-    return _newton_chunk(params, seeds)
 
 
 def _dedupe(roots: np.ndarray, residuals: np.ndarray, separation: float) -> np.ndarray:
     """Merge clustered roots, keeping the best-polished representative.
 
     Roots are sorted on (Im, Re) first so the result is independent of the
-    seed/thread schedule.
+    order of the seeds.
     """
     if len(roots) == 0:
         return roots
@@ -159,16 +158,16 @@ def _insert_midpoints(closed, bad):
 def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
                im_center: float | None = None, im_halfwidth: float = 10.0,
                *, cell_size: float | None = None, residual_tol: float = 1e-11,
-               separation: float = 1e-8, threads: int = 1) -> PoleSet:
+               separation: float = 1e-8) -> PoleSet:
     """Locate all characteristic roots in [re_min, +gamma] x [center +- halfwidth].
 
     Returns a PoleSet with residue weights; raises IncompleteSearchError if the
     deduplicated root count still disagrees with the boundary winding number
     after one grid refinement, and SearchPlacementError if twelve attempts
-    fail to place the boundary clear of every root.  threads is capped at
-    os.cpu_count().  Cells whose Newton iteration failed to converge
-    anywhere are reported in flagged_cells.  When the boundary passes within
-    1e-9 of a root the rectangle is nudged outward and resampled.
+    fail to place the boundary clear of every root.  Cells whose Newton
+    iteration failed to converge anywhere are reported in flagged_cells.
+    When the boundary passes within 1e-9 of a root the rectangle is nudged
+    outward and resampled.
     """
     if not (math.isfinite(re_min) and re_min < 0):
         raise ValueError(f"re_min must be negative, got {re_min}")
@@ -176,7 +175,6 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
         im_center = -params.omega_tau
     if not (math.isfinite(im_halfwidth) and im_halfwidth > 0):
         raise ValueError(f"im_halfwidth must be positive, got {im_halfwidth}")
-    threads = worker_count(threads)
     cell = cell_size or (math.pi / (2.0 * params.n_legs))
 
     rect = [re_min, params.gamma_tau, im_center - im_halfwidth, im_center + im_halfwidth]
@@ -189,7 +187,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
         return (xs[None, :] + 1j * ys[:, None]).ravel()
 
     seeds = seed_grid(cell)
-    finals = _polish(params, seeds, threads)
+    finals = _newton(params, seeds)
     refined = False
     for _ in range(12):
         with np.errstate(all="ignore"):
@@ -230,7 +228,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
             refined = True
             extra = seed_grid(0.5 * cell)
             seeds = np.concatenate([seeds, extra])
-            finals = np.concatenate([finals, _polish(params, extra, threads)])
+            finals = np.concatenate([finals, _newton(params, extra)])
             continue
         raise IncompleteSearchError(found=len(roots), expected=w)
     raise SearchPlacementError("could not place the search rectangle clear of all roots")

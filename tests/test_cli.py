@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from giant_atom import (DivergenceError, IncompleteSearchError, SearchPlacementError,
-                        bound_profile, continuum_profile, dde, integrate_beta, spectral)
-from giant_atom.cli import CSV_BLOCK_ROWS, _write_csv, main
+                        bound_profile, continuum_profile, darkstates, dde, integrate_beta,
+                        spectral)
+from giant_atom.cli import CSV_BLOCK_ROWS, MAX_GRID_SAMPLES, _write_csv, main
 from conftest import single_dark_params
 
 TWO_PI = 2.0 * math.pi
@@ -167,14 +168,6 @@ class TestPoles:
         assert any(abs(float(r[0])) < 1e-10 and abs(float(r[1]) - target) < 1e-8
                    for r in rows)
 
-    def test_thread_count_invariance(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "one", tmp_path / "two"
-        args = ["poles", *A1_FLAGS, "--re-min", "-9", "--im-halfwidth-2pi", "3"]
-        assert main(args + ["--threads", "1", "--out-dir", str(out1)]) == 0
-        monkeypatch.setenv("GIANT_ATOM_THREADS", "4")
-        assert main(args + ["--out-dir", str(out2)]) == 0
-        assert sha256(out1 / "poles.csv") == sha256(out2 / "poles.csv")
-
 
 class TestDarkSearch:
     def test_two_legs_exits_3(self, tmp_path, capsys):
@@ -281,6 +274,66 @@ class TestFailures:
         rc = main(["simulate", *A1_FLAGS, "--t-max", t_max, "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["dark-search", "--n-legs", "3"],
+        ["scan", "--n-legs", "3", "--omega-tau-2pi-max", "6", "--gamma-tau-2pi-max", "1"],
+    ])
+    def test_lattice_self_check_exits_4(self, tmp_path, monkeypatch, capsys, command):
+        exact = darkstates.dark_condition_omega_tau
+        monkeypatch.setattr(darkstates, "dark_condition_omega_tau",
+                            lambda *args: exact(*args) + 1e-3)
+        rc = main([*command, "--out-dir", str(tmp_path / "out")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: lattice point (p=") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+FIELD_FLAGS = ["field", "--n-legs", "3", "--gamma-tau-2pi", "0.018", "--dark-n", "1"]
+SCAN_FLAGS = ["scan", "--n-legs", "3", "--omega-tau-2pi-max", "6",
+              "--gamma-tau-2pi-max", "1"]
+PXT_FLAGS = ["simulate", *A1_FLAGS, "--t-max", "5", "--pxt"]
+
+
+class TestGridBudget:
+    """Empty or oversized grids exit 2 before any output or integration.
+
+    Every size here is rejected; the oversized ones would need terabytes, so
+    an allocation attempt could not succeed either.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        [*FIELD_FLAGS, "--x-step", "0"],
+        [*FIELD_FLAGS, "--x-step", "-0.1"],
+        [*FIELD_FLAGS, "--x-step", "nan"],
+        [*FIELD_FLAGS, "--x-step", "1e-12"],
+        ["continuum", "--n", "1", "--x-step", "0"],
+        ["continuum", "--n", "1", "--x-step", "-0.1"],
+        ["continuum", "--n", "1", "--length", "1e300"],
+        [*SCAN_FLAGS, "--line-samples", "0"],
+        [*SCAN_FLAGS, "--line-samples", str(MAX_GRID_SAMPLES + 1)],
+        [*PXT_FLAGS, "--pxt-t-count", "0"],
+        [*PXT_FLAGS, "--pxt-t-count", "1000000000000"],
+        [*PXT_FLAGS, "--pxt-dx", "1e-12"],
+        [*PXT_FLAGS, "--pxt-dx", "0"],
+    ])
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on a rejected grid")
+        monkeypatch.setattr(dde, "integrate_beta", no_work)
+        monkeypatch.setattr(darkstates, "scan_lattice", no_work)
+        rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+def test_threads_flag_is_gone(tmp_path):
+    rc = main(["poles", *A1_FLAGS, "--threads", "2", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_flag(capsys):

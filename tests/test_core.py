@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from giant_atom import (
     params_from_physical,
     params_to_physical,
 )
-from giant_atom.core import worker_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,6 +122,33 @@ class TestCharacteristicFn:
         assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
 
 
+class TestCharacteristicAccuracy:
+    """F and F' against the same sums evaluated exactly at 40 digits."""
+
+    @pytest.mark.parametrize("n_legs", [2, 3, 5, 10, 30])
+    def test_against_mpmath(self, n_legs):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n_legs)
+        s = rng.uniform(-12.0, 0.5, 120) + 1j * rng.uniform(-800.0, 800.0, 120)
+        s = np.append(s, [complex(re, im) for re in (-12.0, 0.5) for im in (-800.0, 800.0)])
+        gamma, omega = rng.uniform(0.01, 1.0), rng.uniform(0.1, 10.0)
+        p = GiantAtomParams(n_legs=n_legs, gamma_tau=gamma, omega_tau=omega)
+        f = characteristic_fn(p, s)
+        fp = characteristic_deriv(p, s)
+        with mpmath.workdps(40):
+            for k, sk in enumerate(s):
+                sm = mpmath.mpc(sk.real, sk.imag)
+                terms = [(n_legs - l) * mpmath.exp(-sm * l) for l in range(1, n_legs)]
+                f_ref = sm + 1j * omega + 0.5 * n_legs * gamma + gamma * sum(terms)
+                fp_ref = 1 - gamma * sum(l * t for l, t in zip(range(1, n_legs), terms))
+                scale_f = abs(sk) + omega + 0.5 * n_legs * gamma + gamma * float(
+                    sum(abs(t) for t in terms))
+                scale_fp = 1.0 + gamma * float(
+                    sum(l * abs(t) for l, t in zip(range(1, n_legs), terms)))
+                assert abs(complex(f_ref) - f[k]) <= 1e-14 * scale_f, sk
+                assert abs(complex(fp_ref) - fp[k]) <= 1e-14 * scale_fp, sk
+
+
 class TestDomainTypes:
     def test_complex_freq(self):
         m = ComplexFreq.from_complex(-1e-12 - 2.0j)
@@ -143,13 +168,3 @@ class TestDomainTypes:
     def test_field_grid_axis(self):
         g = FieldGrid(x_min=-1.0, x_max=1.0, dx=0.5, values=np.zeros(5), t=2.0)
         assert np.allclose(g.xs, [-1.0, -0.5, 0.0, 0.5, 1.0])
-
-
-class TestWorkerCount:
-    def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert [worker_count(t) for t in (-3, 0, 1, 2, 3, 100_000)] == [1, 1, 1, 2, 2, 2]
-
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert worker_count(8) == 1

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -120,22 +119,18 @@ def test_argument_validation(dark_n1_params):
         beta_from_poles(ps, 0.0)
 
 
-def test_thread_count_does_not_change_output(dark_n1_params):
-    ps1 = find_poles(dark_n1_params, re_min=-9.0, im_halfwidth=30.0, threads=1)
-    ps4 = find_poles(dark_n1_params, re_min=-9.0, im_halfwidth=30.0, threads=4)
-    assert np.array_equal(ps1.s, ps4.s)
-    assert np.array_equal(ps1.weights, ps4.weights)
+def test_newton_retires_converged_and_unevaluable_seeds(dark_n1_params, monkeypatch):
+    sizes = []
+    fn = spectral.characteristic_fn
 
+    def counted(params, s):
+        sizes.append(np.size(s))
+        return fn(params, s)
 
-def test_thread_count_capped_at_cpu_count(dark_n1_params, monkeypatch):
-    seen = []
-    polish = spectral._polish
-
-    def spy(params, seeds, threads):
-        seen.append(threads)
-        return polish(params, seeds, threads)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(spectral, "_polish", spy)
-    find_poles(dark_n1_params, re_min=-9.0, im_halfwidth=30.0, threads=100_000)
-    assert seen and set(seen) == {2}
+    monkeypatch.setattr(spectral, "characteristic_fn", counted)
+    root = -1j * dark_frequency(3, 1)
+    far = complex(-1e4, 0.0)  # exp(-s) overflows, so the step is not finite
+    out = spectral._newton(dark_n1_params, np.array([root, far, root + 1e-3]))
+    assert out[1] == far
+    assert abs(out[0] - root) < 1e-12 and abs(out[2] - root) < 1e-12
+    assert sizes[:2] == [3, 1] and len(sizes) < 10
