@@ -6,7 +6,8 @@ input parameters, tool version, creation time, and a sha256 checksum of each
 output, so a result directory is self-describing and re-runnable.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error (including
-a trace longer than dde.MAX_TRACE_SAMPLES), 3 structural impossibility (e.g. a
+a trace longer than dde.MAX_TRACE_SAMPLES, or a --steps-per-tau too coarse for
+the decay rate to march stably), 3 structural impossibility (e.g. a
 dark-pair search with two coupling points), 4 solver failure (a root search
 that disagrees with its winding number or cannot place its rectangle, a
 diverging time integration, or a dark-pair lattice point that fails its own
@@ -388,3 +389,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

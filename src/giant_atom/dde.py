@@ -6,14 +6,17 @@ The excited-state amplitude obeys
                - gamma_tau * sum_{l=1}^{N-1} (N - l) * beta(t - l) * Theta(t - l)
 
 in tau = 1 units, with beta(0) = 1 and identically zero history (spontaneous
-emission from the bare excited state).  Every delay is an integer multiple of
-tau, so a fixed step h = tau/M keeps all delayed stage arguments of classical
-RK4 on a stored grid: endpoint stages hit whole steps, and midpoint stages hit
-the cubic-Hermite midpoint sample that the marcher records for each completed
-step.  No history is ever interpolated at integration time, and because h
-divides tau no step straddles a derivative breakpoint at t = k*tau; each
-step's end slope is evaluated on that step's own smooth branch so the dense
-midpoints stay fourth-order accurate across breakpoints.
+emission from the bare excited state).  Classical RK4 with step h = tau/M
+stores each whole step and its cubic-Hermite midpoint.  Every delay is a
+whole tau, so with X_i the 2M+1 half-step samples of interval [i, i+1], the
+delayed stage inputs of all M steps of interval j are one weighted sum
+v_j = sum_{l=1}^{min(j, N-1)} gamma*(N-l) * X_{j-l}: no history is
+interpolated, and a term stays off for the step at whose right end it turns
+on.  Given v_j, a step is the scalar-coefficient map y_{i+1} = R*y_i +
+c0*v_j[2i] + c1*v_j[2i+1] + c2*v_j[2i+2], its midpoint another such map, both
+read once off the stage formulas; log2(M) doubling passes y[s:] += R**s *
+y[:-s] solve it for the whole interval.  A step with |R| >= 1 is refused, so
+every R**s is bounded by 1.
 """
 
 from __future__ import annotations
@@ -29,14 +32,28 @@ __all__ = ["DEFAULT_STEPS_PER_TAU", "MAX_TRACE_SAMPLES", "integrate_beta", "beta
 
 DEFAULT_STEPS_PER_TAU = 256
 
-# Largest trace integrate_beta will build: 2*t_max*steps_per_tau + 1 samples.
-# The marcher holds one Python complex per sample (~40 bytes, ~670 MB at this
-# budget) before packing them into a 16-byte-per-sample array.  At the default
-# 256 steps per tau it allows t_max up to 32768.
+# Largest trace integrate_beta will build: 2*t_max*steps_per_tau + 1 samples,
+# written straight into one complex array at 16 bytes per sample (about 268 MB
+# at this budget).  At the default 256 steps per tau it allows t_max up to 32768.
 MAX_TRACE_SAMPLES = 2 ** 24
 
 # half-grid positions within 1e-9 of an integer index are treated as grid hits
 _GRID_SNAP = 1e-9
+
+
+def _rk4_step(y, g0, g1, g2, decay: complex, h: float):
+    """End value and Hermite midpoint of one RK4 step of y' = decay*y - g, with
+    g = g0, g1, g1, g2 at the stages; the end slope stays on the step's branch."""
+    a1 = decay * y - g0
+    y2 = y + 0.5 * h * a1
+    a2 = decay * y2 - g1
+    y3 = y + 0.5 * h * a2
+    a3 = decay * y3 - g1
+    y4 = y + h * a3
+    a4 = decay * y4 - g2
+    y_next = y + h / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
+    f_end = a4 + decay * (y_next - y4)
+    return y_next, 0.5 * (y + y_next) + 0.125 * h * (a1 - f_end)
 
 
 def integrate_beta(params: GiantAtomParams, t_max: float,
@@ -47,7 +64,8 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     Returns an AmplitudeTrace sampled every h/2 with h = tau/steps_per_tau.
     beta0 scales the initial excited-state amplitude (default: fully excited);
     the dynamics is linear, so the trace scales with it.  Raises ValueError,
-    before allocating anything, when the trace would exceed MAX_TRACE_SAMPLES.
+    before allocating anything, when the trace would exceed MAX_TRACE_SAMPLES
+    or when the RK4 step is unstable for the decay rate (|R| >= 1).
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be positive, got {t_max}")
@@ -56,7 +74,6 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
         raise ValueError(f"steps_per_tau must be an integer >= 16, got {steps_per_tau!r}")
 
     n = params.n_legs
-    gamma = params.gamma_tau
     h = 1.0 / m
     steps = t_max / h - 1e-12
     if steps > (MAX_TRACE_SAMPLES - 1) // 2:
@@ -64,56 +81,39 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
             f"t_max = {t_max:g} at {m} steps per tau needs about {2.0 * steps:.3g} "
             f"samples, above the budget of {MAX_TRACE_SAMPLES}"
         )
+    decay = -1j * params.omega_tau - 0.5 * n * params.gamma_tau
+    # rows: start value, g0, g1, g2; columns: end value, midpoint
+    coef = np.array([_rk4_step(*unit, decay, h) for unit in np.eye(4)])
+    r_end, r_mid = coef[0]
+    if abs(r_end) >= 1.0:
+        raise ValueError(f"steps_per_tau = {m} is too coarse for this decay rate: each RK4 "
+                         f"step grows the bare amplitude by |R| = {abs(r_end):.6g} >= 1")
     n_steps = max(1, math.ceil(steps))
-    decay = -1j * params.omega_tau - 0.5 * n * gamma
-    # (half-index delay, coupling weight, first step index where the term is live)
-    terms = [(2 * l * m, gamma * (n - l), l * m) for l in range(1, n)]
+    passes = [(s, r_end ** s) for s in (1 << p for p in range(m.bit_length()))]
+    # gamma*(N-l) for l = N-1 down to 1, the order of the rows below
+    weights = params.gamma_tau * np.arange(1, n)
 
-    samples = [0j] * (2 * n_steps + 1)
-    y = complex(beta0)
-    samples[0] = y
-    sixth = h / 6.0
-    half = 0.5 * h
-    eighth = 0.125 * h
+    samples = np.empty(2 * n_steps + 1, dtype=complex)
+    samples[0] = beta0
+    # row i is X_i, the 2M+1 samples of interval i, for every complete interval
+    item = samples.itemsize
+    rows = np.lib.stride_tricks.as_strided(samples, (n_steps // m, 2 * m + 1),
+                                           (2 * m * item, item), writeable=False)
+    for j, start in enumerate(range(0, 2 * n_steps, 2 * m)):
+        k = min(2 * m, 2 * n_steps - start)  # half-steps in this interval
+        lag = min(j, n - 1)
+        v = weights[n - 1 - lag:] @ rows[j - lag:j, :k + 1]
+        drive = v[:-1].reshape(-1, 2) @ coef[1:3] + v[2::2, None] * coef[3]
+        y = samples[start:start + k + 1:2]
+        y[1:] = drive[:, 0]
+        for s, power in passes:
+            y[s:] += power * y[:-s]
+        samples[start + 1:start + k:2] = r_mid * y[:-1] + drive[:, 1]
 
-    live: list[tuple[int, float]] = []
-    pending = iter(terms)
-    upcoming = next(pending, None)
-    for k in range(n_steps):
-        while upcoming is not None and k >= upcoming[2]:
-            live.append(upcoming[:2])
-            upcoming = next(pending, None)
-        base = 2 * k
-
-        a1 = decay * y
-        for d, w in live:
-            a1 -= w * samples[base - d]
-        y2 = y + half * a1
-        a2 = decay * y2
-        for d, w in live:
-            a2 -= w * samples[base + 1 - d]
-        y3 = y + half * a2
-        a3 = decay * y3
-        for d, w in live:
-            a3 -= w * samples[base + 1 - d]
-        y4 = y + h * a3
-        a4 = decay * y4
-        for d, w in live:
-            a4 -= w * samples[base + 2 - d]
-        y_next = y + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        # end slope on this step's branch (terms switching on at the right
-        # endpoint are still off), so the Hermite midpoint stays clean
-        f_end = a4 + decay * (y_next - y4)
-        samples[base + 1] = 0.5 * (y + y_next) + eighth * (a1 - f_end)
-        samples[base + 2] = y_next
-        y = y_next
-        if y != y:  # NaN guard; the dissipative dynamics should never diverge
-            raise DivergenceError(f"non-finite amplitude at t = {(k + 1) * h:g}")
-
-    arr = np.asarray(samples, dtype=complex)
-    if not np.all(np.isfinite(arr.view(float))):
-        raise DivergenceError("non-finite samples in integrated trace")
-    return AmplitudeTrace(dt=h, samples=arr, t_max=n_steps * h)
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        raise DivergenceError(f"non-finite amplitude at t = {np.argmax(bad) * 0.5 * h:g}")
+    return AmplitudeTrace(dt=h, samples=samples, t_max=n_steps * h)
 
 
 def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:

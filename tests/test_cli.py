@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +279,15 @@ class TestFailures:
         assert rc == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_unstable_step_exits_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--n-legs", "3", "--gamma-tau-2pi", "0.02",
+                   "--omega-tau-2pi", "7.3", "--t-max", "200", "--steps-per-tau", "16",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: steps_per_tau = 16") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [
         ["dark-search", "--n-legs", "3"],
         ["scan", "--n-legs", "3", "--omega-tau-2pi-max", "6", "--gamma-tau-2pi-max", "1"],
@@ -334,6 +347,17 @@ def test_threads_flag_is_gone(tmp_path):
     rc = main(["poles", *A1_FLAGS, "--threads", "2", "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_python_m_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "giant_atom.cli", "continuum", "--n", "1",
+                           "--out-dir", str(tmp_path)], env=env, capture_output=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "profile.csv").exists()
 
 
 def test_version_flag(capsys):

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from giant_atom import dde
 from giant_atom import (
+    DivergenceError,
     GiantAtomParams,
     beta_at,
     beta_at_many,
@@ -15,6 +17,84 @@ from giant_atom import (
 TWO_PI = 2.0 * math.pi
 
 
+def scalar_march(params, t_max, steps_per_tau, beta0=1.0 + 0.0j):
+    """Step-by-step RK4 method of steps, one Python loop iteration per step:
+    the reference the interval-vectorised march must reproduce."""
+    m = steps_per_tau
+    n = params.n_legs
+    gamma = params.gamma_tau
+    h = 1.0 / m
+    n_steps = max(1, math.ceil(t_max / h - 1e-12))
+    decay = -1j * params.omega_tau - 0.5 * n * gamma
+    # (half-index delay, coupling weight, first step index where the term is live)
+    terms = [(2 * l * m, gamma * (n - l), l * m) for l in range(1, n)]
+
+    samples = [0j] * (2 * n_steps + 1)
+    y = complex(beta0)
+    samples[0] = y
+    sixth = h / 6.0
+    half = 0.5 * h
+    eighth = 0.125 * h
+    for k in range(n_steps):
+        live = [(d, w) for d, w, first in terms if k >= first]
+        base = 2 * k
+        a1 = decay * y
+        for d, w in live:
+            a1 -= w * samples[base - d]
+        y2 = y + half * a1
+        a2 = decay * y2
+        for d, w in live:
+            a2 -= w * samples[base + 1 - d]
+        y3 = y + half * a2
+        a3 = decay * y3
+        for d, w in live:
+            a3 -= w * samples[base + 1 - d]
+        y4 = y + h * a3
+        a4 = decay * y4
+        for d, w in live:
+            a4 -= w * samples[base + 2 - d]
+        y_next = y + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        # end slope on this step's branch (terms switching on at the right
+        # endpoint are still off), so the Hermite midpoint stays clean
+        f_end = a4 + decay * (y_next - y4)
+        samples[base + 1] = 0.5 * (y + y_next) + eighth * (a1 - f_end)
+        samples[base + 2] = y_next
+        y = y_next
+    return np.asarray(samples, dtype=complex)
+
+
+def exact_beta(n_legs, gamma_tau, omega_tau, ts):
+    """Exact amplitude from the finite series of 1/F(s), at 40 digits:
+
+    beta(t) = sum_k sum_L (-gamma)^k C_k(L) (t-L)^k/k! exp(-a (t-L)) Theta(t-L),
+    a = i*omega + N*gamma/2, with C_k(L) the coefficient of z^L in P(z)^k and
+    P(z) = sum_{l=1}^{N-1} (N-l) z^l.  Only k <= L <= t contribute.
+    """
+    poly = [0] + [n_legs - l for l in range(1, n_legs)]
+    powers = [[1]]
+    for _ in range(int(max(ts))):
+        prev = powers[-1]
+        nxt = [0] * (len(prev) + n_legs - 1)
+        for i, c in enumerate(prev):
+            for l, w in enumerate(poly):
+                nxt[i + l] += c * w
+        powers.append(nxt)
+    out = []
+    with mpmath.workdps(40):
+        a = mpmath.mpc(0.5 * n_legs * gamma_tau, omega_tau)
+        g = -mpmath.mpf(gamma_tau)
+        for t in ts:
+            t = mpmath.mpf(t)
+            total = mpmath.mpc(0)
+            for k, coeffs in enumerate(powers):
+                for L, c in enumerate(coeffs):
+                    if c and L <= t:
+                        u = t - L
+                        total += g ** k * c * u ** k / mpmath.factorial(k) * mpmath.exp(-a * u)
+            out.append(complex(total))
+    return np.array(out)
+
+
 def test_validation():
     p = GiantAtomParams(3, 0.1, 1.0)
     with pytest.raises(ValueError):
@@ -23,6 +103,30 @@ def test_validation():
         integrate_beta(p, -1.0)
     with pytest.raises(ValueError):
         integrate_beta(p, 5.0, steps_per_tau=8)
+
+
+def test_unstable_step_rejected():
+    # |R(z)| of RK4 at z = h*(-i*omega - N*gamma/2) is 1.0785 here: the march
+    # would grow without bound, so it is refused before anything is allocated
+    p = GiantAtomParams(3, TWO_PI * 0.02, TWO_PI * 7.3)
+    z = (-1j * p.omega_tau - 1.5 * p.gamma_tau) / 16
+    growth = abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+    assert growth == pytest.approx(1.0785, abs=5e-5)
+    with pytest.raises(ValueError, match=r"steps_per_tau = 16 .*\|R\| = 1\.0785"):
+        integrate_beta(p, 200.0, steps_per_tau=16)
+    tr = integrate_beta(p, 200.0, steps_per_tau=32)
+    assert np.abs(tr.samples).max() <= 1.0 + 1e-9
+
+
+def test_divergence_reports_first_non_finite_time():
+    # w_1 * beta(0) = 40 * 1e308 overflows in the first delayed stage sum, so
+    # the first non-finite sample is the midpoint of the first step after t = 1
+    p = GiantAtomParams(3, 20.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=r"at t = 1\.03125$"):
+            integrate_beta(p, 3.0, 16, beta0=1e308)
+        with pytest.raises(DivergenceError, match=r"at t = 0$"):
+            integrate_beta(p, 3.0, 16, beta0=complex("nan"))
 
 
 def test_sample_budget_checked_before_allocation(monkeypatch):
@@ -138,3 +242,34 @@ def test_linearity(dark_n1_params):
     tr2 = integrate_beta(dark_n1_params, 10.0, 64, beta0=scale)
     err = np.abs(tr2.samples - scale * tr1.samples).max()
     assert err < 1e-13
+
+
+@pytest.mark.parametrize("steps_per_tau", [16, 256, 2048])
+@pytest.mark.parametrize("n_legs", [2, 3, 10, 30])
+def test_matches_scalar_march(n_legs, steps_per_tau):
+    # every delay term live for the last 1.37 tau, ending in a partial interval
+    p = GiantAtomParams(n_legs, 0.5 / n_legs, 2.0)
+    t_max = n_legs + 0.37
+    ref = scalar_march(p, t_max, steps_per_tau)
+    tr = integrate_beta(p, t_max, steps_per_tau)
+    assert len(tr.samples) == len(ref)
+    assert np.abs(tr.samples - ref).max() <= 1e-10
+
+
+def test_exact_series_error_and_order():
+    # absolute error and order 4 against the exact series, at the samples on
+    # whole tau and at midpoint samples (first, middle and last step of each tau)
+    p = GiantAtomParams(3, 0.2, 3.0)
+    err_whole, err_mid = {}, {}
+    for m in (16, 32, 64, 128, 256):
+        tr = integrate_beta(p, 12.0, m)
+        whole = np.arange(13) * 2 * m
+        mids = np.array([2 * (j * m + i) + 1 for j in range(12) for i in (0, m // 2, m - 1)])
+        for err, idx in ((err_whole, whole), (err_mid, mids)):
+            exact = exact_beta(3, p.gamma_tau, p.omega_tau, tr.sample_times[idx])
+            err[m] = np.abs(tr.samples[idx] - exact).max()
+    for err in (err_whole, err_mid):
+        for m in (16, 32, 64, 128, 256):
+            assert err[m] < 1.25e-4 * (16 / m) ** 4
+        for m in (16, 32, 64, 128):
+            assert err[m] / err[2 * m] >= 14.0
