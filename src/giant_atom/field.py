@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_DX = 1.0 / 200.0
+_SLICE = 16.0     # half-cone slice width in tau; whole, so every slice edge is a cut
+_DARK_TOL = 1e-8  # largest |F(-i Omega_n)| at which index n counts as dark
 
 
 @dataclass(frozen=True)
@@ -71,25 +73,13 @@ def _check_time(trace: AmplitudeTrace, t: float) -> None:
 
 
 def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray,
-         t: float, active=None) -> np.ndarray:
-    """Field amplitude on a batch of positions at one instant.
-
-    With `active` given, each coupling point is included for the whole batch
-    or not at all; this keeps quadrature panels on a single smooth branch.
-    """
+         t: float) -> np.ndarray:
+    """Field amplitude on a batch of positions at one instant."""
     total = np.zeros(len(xs), dtype=complex)
-    for m, xm in enumerate(params.coupling_points):
-        if active is not None and not active[m]:
-            continue
+    for xm in params.coupling_points:
         u = t - np.abs(xs - xm)
-        if active is None:
-            mask = u >= 0.0
-            if not mask.any():
-                continue
-            vals = beta_at_many(trace, np.clip(u[mask], 0.0, trace.t_max))
-            total[mask] += vals
-        else:
-            total += beta_at_many(trace, np.clip(u, 0.0, trace.t_max))
+        mask = u >= 0.0
+        total[mask] += beta_at_many(trace, np.clip(u[mask], 0.0, trace.t_max))
     return (-1j * math.sqrt(0.5 * params.gamma_tau)) * total
 
 
@@ -113,54 +103,59 @@ def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
             for t in grid.times]
 
 
-def _simpson(ys: np.ndarray, h: float) -> float:
-    return (h / 3.0) * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
+def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
+                   lo: float, hi: float) -> float:
+    """Composite Simpson integral of p(x, t) over [lo, hi].
+
+    |phi|^2 can kink only where t - |x - x_m| is whole: at the integers and the
+    integers +- frac(t).  Panels run between those cuts in even numbers of steps
+    of at most DEFAULT_DX.  A coupling point counts on a whole panel when its
+    midpoint is inside that point's light cone, so a wavefront end takes beta(0).
+    """
+    f = t - math.floor(t)
+    ks = np.arange(math.floor(lo), math.ceil(hi) + 1.0)
+    cuts = np.sort(np.clip(np.concatenate([[lo, hi], ks, ks + f, ks - f]), lo, hi))
+    a, b = cuts[:-1], cuts[1:]
+    xm = params.coupling_points
+    active = (t - np.abs(0.5 * (a + b)[:, None] - xm)) > 0.0
+    keep = (b - a >= 1e-12) & active.any(axis=1)
+    a, b, active = a[keep], b[keep], active[keep]
+
+    nsub = np.ceil((b - a) / DEFAULT_DX).astype(int)
+    nsub = np.maximum(2, nsub + nsub % 2)
+    h = (b - a) / nsub
+    panel = np.repeat(np.arange(len(a)), nsub + 1)
+    j = np.arange(len(panel)) - np.repeat(np.cumsum(nsub + 1) - (nsub + 1), nsub + 1)
+    xs = a[panel] + h[panel] * j
+    weights = np.where(j % 2 == 1, 4.0, 2.0) - ((j == 0) | (j == nsub[panel]))
+
+    total = np.zeros(len(xs), dtype=complex)
+    for m, x0 in enumerate(xm):
+        on = active[panel, m]
+        total[on] += beta_at_many(trace, np.clip(t - np.abs(xs[on] - x0), 0.0, trace.t_max))
+    return 0.5 * params.gamma_tau * float(np.sum(h[panel] / 3.0 * weights * np.abs(total) ** 2))
 
 
-def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace,
-                          t: float, dx: float = DEFAULT_DX) -> float:
-    """Field probability integrated over the full causal support at time t.
+def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
+    """Field probability integrated over the light cone [x_1 - t, x_N + t].
 
-    The window expands with the light cone to [x_1 - t, x_N + t], and the
-    integral is composite Simpson applied piecewise between the wavefront and
-    kink positions so no panel straddles a discontinuity of |phi|^2.
+    p(x, t) is mirror symmetric about the atom's centre (N-1)/2, so this is
+    twice the integral over [-t, (N-1)/2], taken in 16-tau slices whose edges
+    -t + 16k are kink positions already; the slices bound the node arrays.
+    Each slice is composite Simpson between the closed-form kinks of |phi|^2.
     """
     _check_time(trace, t)
     t = float(max(t, 0.0))
-    xm = params.coupling_points
-    lo, hi = -t, (params.n_legs - 1) + t
-
-    cuts = {lo, hi}
-    for x0 in xm:
-        if lo < x0 < hi:
-            cuts.add(float(x0))
-        for k in range(int(math.floor(t + 1e-12)) + 1):
-            for edge in (x0 - (t - k), x0 + (t - k)):
-                if lo < edge < hi:
-                    cuts.add(float(edge))
-    pts = np.asarray(sorted(cuts))
-
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a < 1e-12:
-            continue
-        mid = 0.5 * (a + b)
-        active = (t - np.abs(mid - xm)) > 0.0
-        if not active.any():
-            continue
-        nsub = int(math.ceil((b - a) / dx))
-        nsub = max(2, nsub + (nsub % 2))
-        xs = np.linspace(a, b, nsub + 1)
-        p = np.abs(_phi(params, trace, xs, t, active=active)) ** 2
-        total += _simpson(p, (b - a) / nsub)
-    return total
+    centre = 0.5 * (params.n_legs - 1)
+    edges = np.append(np.arange(-t, centre, _SLICE), centre)
+    return 2.0 * sum(_cone_integral(params, trace, t, a, b)
+                     for a, b in zip(edges[:-1], edges[1:]))
 
 
-def total_probability(params: GiantAtomParams, trace: AmplitudeTrace,
-                      t: float, dx: float = DEFAULT_DX) -> float:
+def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """|beta(t)|^2 plus the integrated field probability; 1 for exact dynamics."""
     amp = beta_at_many(trace, np.asarray([t]))[0]
-    return abs(amp) ** 2 + waveguide_probability(params, trace, t, dx=dx)
+    return abs(amp) ** 2 + waveguide_probability(params, trace, t)
 
 
 def bound_profile(params: GiantAtomParams, n: int, x):
@@ -235,8 +230,7 @@ def oscillating_intensity(params: GiantAtomParams, pair: DarkPair, t):
     return float(out) if ts.shape == () else out
 
 
-def dark_state_record(params: GiantAtomParams, n: int,
-                      rwa_threshold: float = 0.1, dark_tol: float = 1e-8) -> DarkState:
+def dark_state_record(params: GiantAtomParams, n: int) -> DarkState:
     """Assemble the DarkState record for index n, checking that the parameter
     point actually supports it (the characteristic function must vanish at the
     purely imaginary candidate frequency)."""
@@ -246,11 +240,10 @@ def dark_state_record(params: GiantAtomParams, n: int,
                          "atomic amplitude; it is not a usable dark state")
     omega_n = dark_frequency(params.n_legs, n)
     residual = abs(characteristic_fn(params, -1j * omega_n))
-    if residual > dark_tol:
+    if residual > _DARK_TOL:
         raise ValueError(f"parameters are not dark at index {n}: "
                          f"|F(-i Omega_n)| = {residual:g}")
     return DarkState(n=n, omega_n=omega_n,
                      amplitude=dark_amplitude(params.n_legs, n, params.gamma_tau),
                      intensity=total_intensity(params, n),
-                     rwa_ok=rwa_check(params.n_legs, n, params.gamma_tau,
-                                      params.omega_tau, threshold=rwa_threshold))
+                     rwa_ok=rwa_check(params.n_legs, n, params.gamma_tau, params.omega_tau))

@@ -23,7 +23,7 @@ import numpy as np
 from .core import (ComplexFreq, GiantAtomParams, IncompleteSearchError,
                    SearchPlacementError, characteristic_deriv, characteristic_fn)
 
-__all__ = ["DEFAULT_RE_MIN", "PoleSet", "find_poles", "beta_from_poles"]
+__all__ = ["DEFAULT_RE_MIN", "MAX_SEEDS", "PoleSet", "find_poles", "beta_from_poles"]
 
 DEFAULT_RE_MIN = -12.0
 
@@ -32,6 +32,10 @@ _MAX_STEP = 10.0          # damp Newton steps so iterates stay evaluable
 _STEP_TOL = 1e-15         # a seed retires once |step| <= _STEP_TOL * (1 + |z|)
 _BOUNDARY_CLEARANCE = 1e-9
 _NUDGE = 1e-6             # rectangle growth applied when a root sits on the boundary
+_RESIDUAL_TOL = 1e-11     # a Newton final is a root when |F| falls below this
+_SEPARATION = 1e-8        # roots closer than this are one root
+_MAX_WINDING_POINTS = 400_000  # boundary samples at which the winding count gives up
+MAX_SEEDS = 2 ** 22       # base plus refinement grid seeds: at most 67 MB per copy
 
 
 class _BoundaryNearRoot(RuntimeError):
@@ -86,21 +90,19 @@ def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
     return z
 
 
-def _dedupe(roots: np.ndarray, residuals: np.ndarray, separation: float) -> np.ndarray:
+def _dedupe(roots: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     """Merge clustered roots, keeping the best-polished representative.
 
     Roots are sorted on (Im, Re) first so the result is independent of the
     order of the seeds.
     """
-    if len(roots) == 0:
-        return roots
     order = np.lexsort((roots.real, roots.imag))
     roots = roots[order]
     residuals = residuals[order]
     kept: list[complex] = []
     kept_res: list[float] = []
     for z, r in zip(roots, residuals):
-        if kept and abs(z - kept[-1]) <= separation:
+        if kept and abs(z - kept[-1]) <= _SEPARATION:
             if r < kept_res[-1]:
                 kept[-1], kept_res[-1] = z, r
             continue
@@ -121,7 +123,7 @@ def _boundary_points(rect, spacing):
     return np.concatenate(pts)
 
 
-def _winding_number(params, rect, spacing, max_points=400_000):
+def _winding_number(params, rect, spacing):
     """Winding number of F around the rectangle via adaptive phase tracking.
 
     Segments are bisected until no phase jump exceeds pi/2, which rules out
@@ -143,22 +145,15 @@ def _winding_number(params, rect, spacing, max_points=400_000):
             if abs(total - w) > 0.1:
                 raise _BoundaryNearRoot
             return w
-        pts = _insert_midpoints(closed, bad)
-        if len(pts) > max_points:
+        idx = np.flatnonzero(bad)
+        pts = np.insert(closed[:-1], idx + 1, 0.5 * (closed[idx] + closed[idx + 1]))
+        if len(pts) > _MAX_WINDING_POINTS:
             raise _BoundaryNearRoot
     raise _BoundaryNearRoot
 
 
-def _insert_midpoints(closed, bad):
-    idx = np.flatnonzero(bad)
-    mids = 0.5 * (closed[idx] + closed[idx + 1])
-    return np.insert(closed[:-1], idx + 1, mids)
-
-
 def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
-               im_center: float | None = None, im_halfwidth: float = 10.0,
-               *, cell_size: float | None = None, residual_tol: float = 1e-11,
-               separation: float = 1e-8) -> PoleSet:
+               im_center: float | None = None, im_halfwidth: float = 10.0) -> PoleSet:
     """Locate all characteristic roots in [re_min, +gamma] x [center +- halfwidth].
 
     Returns a PoleSet with residue weights; raises IncompleteSearchError if the
@@ -167,7 +162,8 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     fail to place the boundary clear of every root.  Cells whose Newton
     iteration failed to converge anywhere are reported in flagged_cells.
     When the boundary passes within 1e-9 of a root the rectangle is nudged
-    outward and resampled.
+    outward and resampled.  Raises ValueError, before building any seed, when
+    the base and refinement grids together exceed MAX_SEEDS.
     """
     if not (math.isfinite(re_min) and re_min < 0):
         raise ValueError(f"re_min must be negative, got {re_min}")
@@ -175,13 +171,21 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
         im_center = -params.omega_tau
     if not (math.isfinite(im_halfwidth) and im_halfwidth > 0):
         raise ValueError(f"im_halfwidth must be positive, got {im_halfwidth}")
-    cell = cell_size or (math.pi / (2.0 * params.n_legs))
+    cell = math.pi / (2.0 * params.n_legs)
 
     rect = [re_min, params.gamma_tau, im_center - im_halfwidth, im_center + im_halfwidth]
 
+    def grid_shape(c):  # in floats: a huge rectangle gives inf, not an OverflowError
+        return (max(2.0, np.ceil((rect[1] - rect[0]) / c)),
+                max(2.0, np.ceil((rect[3] - rect[2]) / c)))
+
+    count = math.prod(grid_shape(cell)) + math.prod(grid_shape(0.5 * cell))
+    if count > MAX_SEEDS:
+        raise ValueError(f"the search rectangle needs {count:.3g} Newton seeds with its "
+                         f"refinement grid, above the budget of {MAX_SEEDS}")
+
     def seed_grid(c):
-        nx = max(2, int(math.ceil((rect[1] - rect[0]) / c)))
-        ny = max(2, int(math.ceil((rect[3] - rect[2]) / c)))
+        nx, ny = (int(n) for n in grid_shape(c))
         xs = rect[0] + (np.arange(nx) + 0.5) * (rect[1] - rect[0]) / nx
         ys = rect[2] + (np.arange(ny) + 0.5) * (rect[3] - rect[2]) / ny
         return (xs[None, :] + 1j * ys[:, None]).ravel()
@@ -192,7 +196,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     for _ in range(12):
         with np.errstate(all="ignore"):
             res = np.abs(characteristic_fn(params, finals))
-        ok = np.isfinite(finals) & np.isfinite(res) & (res < residual_tol)
+        ok = np.isfinite(finals) & np.isfinite(res) & (res < _RESIDUAL_TOL)
         flagged = tuple(complex(z) for z in seeds[~ok])
         cand = finals[ok]
         cand_res = res[ok]
@@ -210,7 +214,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
 
         inside = ((cand.real >= rect[0]) & (cand.real <= rect[1])
                   & (cand.imag >= rect[2]) & (cand.imag <= rect[3]))
-        roots = _dedupe(cand[inside], cand_res[inside], separation)
+        roots = _dedupe(cand[inside], cand_res[inside])
 
         try:
             w = _winding_number(params, rect, spacing=0.5 * cell)

@@ -235,29 +235,8 @@ def test_criterion_10_pair_conservation(pair_551, pair_551_params, pair_trace_13
                    f"value {samples.mean():.5f} vs {expected:.5f} (+-1%)")
 
 
-def _intensity_inside_atom(params, trace, t, dx=0.005):
+def _intensity_inside_atom(params, trace, t):
     """Field probability between the outermost coupling points only."""
-    from giant_atom.field import _phi, _simpson
+    from giant_atom.field import _cone_integral
 
-    xm = params.coupling_points
-    cuts = {0.0, float(params.n_legs - 1)}
-    for x0 in xm:
-        for k in range(int(t) + 1):
-            for edge in (x0 - (t - k), x0 + (t - k)):
-                if 0.0 < edge < params.n_legs - 1:
-                    cuts.add(float(edge))
-        if 0.0 < x0 < params.n_legs - 1:
-            cuts.add(float(x0))
-    pts = sorted(cuts)
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a < 1e-12:
-            continue
-        nsub = max(2, int(math.ceil((b - a) / dx)))
-        nsub += nsub % 2
-        xs = np.linspace(a, b, nsub + 1)
-        mid = 0.5 * (a + b)
-        active = (t - np.abs(mid - xm)) > 0.0
-        vals = np.abs(_phi(params, trace, xs, t, active=active)) ** 2
-        total += _simpson(vals, (b - a) / nsub)
-    return total
+    return _cone_integral(params, trace, t, 0.0, float(params.n_legs - 1))

@@ -279,6 +279,14 @@ class TestFailures:
         assert rc == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_oversized_seed_grid_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(spectral, "MAX_SEEDS", 100)
+        rc = main(["poles", *A1_FLAGS, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the search rectangle needs") and "budget" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unstable_step_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--n-legs", "3", "--gamma-tau-2pi", "0.02",
                    "--omega-tau-2pi", "7.3", "--t-max", "200", "--steps-per-tau", "16",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from giant_atom import (
     GiantAtomParams,
@@ -20,7 +20,8 @@ from giant_atom import (
     total_probability,
     waveguide_probability,
 )
-from giant_atom.field import _simpson
+from giant_atom.dde import beta_at_many
+from giant_atom.field import DEFAULT_DX, _cone_integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,7 +176,7 @@ class TestOscillatingIntensity:
                 for xm in (0.0, 1.0, 2.0):
                     u = t - np.abs(xs - xm)
                     phi += a1 * np.exp(-1j * w1 * u) + a2 * np.exp(-1j * w2 * u)
-                total += _simpson(0.5 * p.gamma_tau * np.abs(phi) ** 2, (b - a) / 4000)
+                total += simpson(0.5 * p.gamma_tau * np.abs(phi) ** 2, dx=(b - a) / 4000)
             return total
 
         for t in (0.0, 0.37, 0.75, 1.2):
@@ -214,3 +215,65 @@ def test_waveguide_probability_window_grows(dark_n1_params):
     assert p40 > p5 > 0.0
     amp = dark_amplitude(3, 1, dark_n1_params.gamma_tau)
     assert abs(beta_at(tr, 40.0)) ** 2 + p40 == pytest.approx(1.0, abs=0.05)
+
+
+def panel_loop_probability(params, trace, t):
+    """Field probability by the per-panel loop: every wavefront cut listed one
+    by one over the whole light cone, one Simpson panel at a time.  The
+    reference for the vectorised half-cone quadrature."""
+    t = float(max(t, 0.0))
+    xm = params.coupling_points
+    lo, hi = -t, (params.n_legs - 1) + t
+    cuts = {lo, hi}
+    for x0 in xm:
+        if lo < x0 < hi:
+            cuts.add(float(x0))
+        for k in range(int(math.floor(t + 1e-12)) + 1):
+            for edge in (x0 - (t - k), x0 + (t - k)):
+                if lo < edge < hi:
+                    cuts.add(float(edge))
+    pts = sorted(cuts)
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if b - a < 1e-12:
+            continue
+        active = (t - np.abs(0.5 * (a + b) - xm)) > 0.0
+        if not active.any():
+            continue
+        nsub = int(math.ceil((b - a) / DEFAULT_DX))
+        nsub = max(2, nsub + nsub % 2)
+        xs = np.linspace(a, b, nsub + 1)
+        phi = sum(beta_at_many(trace, np.clip(t - np.abs(xs - x0), 0.0, trace.t_max))
+                  for x0 in xm[active])
+        total += simpson(0.5 * params.gamma_tau * np.abs(phi) ** 2, dx=(b - a) / nsub)
+    return total
+
+
+CONE_TIMES = (0.0, 1e-13, 0.5, 1.0 - 1e-13, 1.0, 2.7, 5.0 - 1e-13, 5.0 + 1e-13,
+              15.99, 16.0, 16.3, 33.3, 40.0)
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4, 7], ids=lambda n: f"N{n}")
+def cone_case(request):
+    params = GiantAtomParams(request.param, 0.05, TWO_PI * 3.3)
+    return params, integrate_beta(params, 40.0, 256)
+
+
+class TestConeQuadrature:
+    @pytest.mark.parametrize("t", CONE_TIMES)
+    def test_matches_panel_loop(self, cone_case, t):
+        # covers slice edges on a coupling point (t = 16) and off one (t = 33.3),
+        # cuts that nearly coincide (t within 1e-13 of a whole number), and
+        # right-going wavefronts inside the left half (t = 2.7)
+        params, trace = cone_case
+        ref = panel_loop_probability(params, trace, t)
+        assert abs(waveguide_probability(params, trace, t) - ref) <= 1e-8
+
+    @pytest.mark.parametrize("t", (0.5, 5.0 + 1e-13, 16.3, 33.3, 40.0))
+    def test_mirror_symmetric_halves(self, cone_case, t):
+        params, trace = cone_case
+        centre = 0.5 * (params.n_legs - 1)
+        left = _cone_integral(params, trace, t, -t, centre)
+        right = _cone_integral(params, trace, t, centre, params.n_legs - 1 + t)
+        assert left > 0.0
+        assert abs(left - right) <= 1e-12

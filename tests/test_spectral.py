@@ -134,3 +134,24 @@ def test_newton_retires_converged_and_unevaluable_seeds(dark_n1_params, monkeypa
     assert out[1] == far
     assert abs(out[0] - root) < 1e-12 and abs(out[2] - root) < 1e-12
     assert sizes[:2] == [3, 1] and len(sizes) < 10
+
+
+def test_seed_budget_counts_refinement_grid(dark_n1_params, monkeypatch):
+    # re_min = -12, halfwidth 25 at N = 3 (cell pi/6): a 24 x 96 base grid and
+    # a 47 x 191 refinement grid, 11,281 seeds in all
+    def no_newton(*args):
+        raise AssertionError("seeds were built for a rejected rectangle")
+
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 11_280)
+    monkeypatch.setattr(spectral, "_newton", no_newton)
+    with pytest.raises(ValueError, match="budget of 11280"):
+        find_poles(dark_n1_params, re_min=-12.0, im_halfwidth=25.0)
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 11_281)
+    assert len(find_poles(dark_n1_params, re_min=-12.0, im_halfwidth=25.0)) > 0
+
+
+def test_seed_budget_overflowing_rectangle(dark_n1_params):
+    # the side lengths overflow to inf; rejected without converting them to ints
+    with pytest.raises(ValueError, match="budget"):
+        find_poles(dark_n1_params, re_min=-1e300, im_halfwidth=1e308)
