@@ -29,6 +29,7 @@ from .core import TWO_PI, DarkPair, SolverError, StructuralImpossibilityError
 
 __all__ = [
     "DEFAULT_RWA_THRESHOLD",
+    "MAX_LATTICE_POINTS",
     "dark_frequency",
     "dark_condition_omega_tau",
     "dark_amplitude",
@@ -42,6 +43,11 @@ __all__ = [
 # relative dark-mode detuning |Omega_n - Omega| / Omega beyond which the
 # rotating-wave treatment is considered unreliable
 DEFAULT_RWA_THRESHOLD = 0.1
+
+# Most lattice points one search may enumerate: (p, q, n) candidates of
+# find_pairs or scan_lattice, or the samples of all scan lines.  A DarkPair
+# takes about 390 bytes, so this budget holds about 400 MB of pairs.
+MAX_LATTICE_POINTS = 2 ** 20
 
 
 def _check_index(n: int, n_legs: int | None = None) -> None:
@@ -119,6 +125,13 @@ def _lattice_pair(n_legs: int, p: int, q: int, n: int) -> DarkPair:
                     gamma_tau=gamma_tau, beat=beat, osc_amplitude=amp, rwa_ok=rwa)
 
 
+def _check_lattice(what: str, count: float) -> None:
+    """Reject a search of more than MAX_LATTICE_POINTS points before it starts."""
+    if count > MAX_LATTICE_POINTS:
+        raise ValueError(f"{what} needs {count:.3g} lattice points, above the budget "
+                         f"of {MAX_LATTICE_POINTS}")
+
+
 def _sorted_pairs(n_legs: int, pq, gamma_tau_max: float = math.inf) -> list[DarkPair]:
     """Lattice pairs at every (p, q) in pq and every 1 <= n < N/2 with
     gamma_tau <= gamma_tau_max, ordered by (omega_tau, gamma_tau, n)."""
@@ -134,7 +147,8 @@ def find_pairs(n_legs: int, p_max: int = 12, q_max: int = 12) -> list[DarkPair]:
     Deterministically ordered by (omega_tau, gamma_tau, n).  Raises
     StructuralImpossibilityError for n_legs = 2, where the cotangent in the
     dark condition is either zero or infinite for every index and no pair can
-    exist.
+    exist, and ValueError, before enumerating anything, when the lattice holds
+    more than MAX_LATTICE_POINTS candidates.
     """
     if n_legs < 2:
         raise ValueError(f"n_legs must be >= 2, got {n_legs}")
@@ -146,6 +160,9 @@ def find_pairs(n_legs: int, p_max: int = 12, q_max: int = 12) -> list[DarkPair]:
         )
     if p_max < 1 or q_max < 1:
         raise ValueError("p_max and q_max must be >= 1")
+    m = min(p_max, q_max)  # counted in floats: a huge lattice gives inf
+    _check_lattice("the pair search",
+                   (n_legs - 1) // 2 * (0.5 * m * (m + 1.0) + (p_max - m) * float(q_max)))
     return _sorted_pairs(n_legs, ((p, q) for p in range(1, p_max + 1)
                                   for q in range(1, min(p, q_max) + 1)))
 
@@ -176,24 +193,31 @@ def scan_lattice(n_legs: int, omega_tau_max: float, gamma_tau_max: float,
 
     Dots are the coexisting-pair lattice points (empty for n_legs = 2, where
     no pair exists); lines sample the single-dark-state condition for every
-    index whose line crosses the window.
+    index whose line crosses the window.  Raises ValueError, before
+    enumerating anything, when the pair candidates or the line samples exceed
+    MAX_LATTICE_POINTS.
     """
     if n_legs < 2:
         raise ValueError(f"n_legs must be >= 2, got {n_legs}")
-    if not (omega_tau_max > 0 and gamma_tau_max > 0):
-        raise ValueError("window bounds must be positive")
+    if not (0 < omega_tau_max < math.inf and 0 < gamma_tau_max < math.inf):
+        raise ValueError(f"window bounds must be positive and finite, got omega_tau_max = "
+                         f"{omega_tau_max}, gamma_tau_max = {gamma_tau_max}")
 
-    max_pq_sum = int(math.floor(omega_tau_max / math.pi + 1e-12))
-    dots = _sorted_pairs(n_legs, ((pq_sum - q, q) for pq_sum in range(2, max_pq_sum + 1)
+    # counted in floats: a huge window gives inf, not an OverflowError
+    max_pq_sum = (omega_tau_max / math.pi + 1e-12) // 1.0
+    _check_lattice("the scan's pair search", (n_legs - 1) // 2 * (max_pq_sum // 2)
+                   * ((max_pq_sum + 1) // 2))
+    max_cot = 1.0 / math.tan(math.pi / n_legs)
+    n_bound = float(np.ceil(n_legs * (omega_tau_max + 0.5 * n_legs * gamma_tau_max * max_cot)
+                            / TWO_PI)) + 1.0
+    _check_lattice("the scan's line sampling", n_bound * line_samples)
+
+    dots = _sorted_pairs(n_legs, ((pq_sum - q, q) for pq_sum in range(2, int(max_pq_sum) + 1)
                                   for q in range(1, pq_sum // 2 + 1)), gamma_tau_max)
 
     lines: list[LatticeLine] = []
-    max_cot = 1.0 / math.tan(math.pi / n_legs)
-    n_bound = int(math.ceil(
-        n_legs * (omega_tau_max + 0.5 * n_legs * gamma_tau_max * max_cot) / TWO_PI
-    )) + 1
     gammas = np.linspace(0.0, gamma_tau_max, line_samples)
-    for n in range(1, n_bound + 1):
+    for n in range(1, int(n_bound) + 1):
         if n % n_legs == 0:
             continue
         arg = n * math.pi / n_legs

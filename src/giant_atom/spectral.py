@@ -163,12 +163,15 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     iteration failed to converge anywhere are reported in flagged_cells.
     When the boundary passes within 1e-9 of a root the rectangle is nudged
     outward and resampled.  Raises ValueError, before building any seed, when
-    the base and refinement grids together exceed MAX_SEEDS.
+    im_center is not finite or the base and refinement grids together exceed
+    MAX_SEEDS.
     """
     if not (math.isfinite(re_min) and re_min < 0):
         raise ValueError(f"re_min must be negative, got {re_min}")
     if im_center is None:
         im_center = -params.omega_tau
+    if not math.isfinite(im_center):
+        raise ValueError(f"im_center must be finite, got {im_center}")
     if not (math.isfinite(im_halfwidth) and im_halfwidth > 0):
         raise ValueError(f"im_halfwidth must be positive, got {im_halfwidth}")
     cell = math.pi / (2.0 * params.n_legs)

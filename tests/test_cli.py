@@ -20,6 +20,10 @@ TWO_PI = 2.0 * math.pi
 
 A1_FLAGS = ["--n-legs", "3", "--gamma-tau-2pi", "0.018",
             "--omega-tau-2pi", "0.3177448760652134"]
+FIELD_FLAGS = ["field", "--n-legs", "3", "--gamma-tau-2pi", "0.018", "--dark-n", "1"]
+SCAN_FLAGS = ["scan", "--n-legs", "3", "--omega-tau-2pi-max", "6",
+              "--gamma-tau-2pi-max", "1"]
+PXT_FLAGS = ["simulate", *A1_FLAGS, "--t-max", "5", "--pxt"]
 
 
 def read_csv(path):
@@ -287,6 +291,52 @@ class TestFailures:
         assert err.startswith("error: the search rectangle needs") and "budget" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_stride_below_one_exits_2(self, tmp_path, monkeypatch, capsys, stride):
+        def no_work(*args, **kwargs):
+            raise AssertionError("integrated with a rejected stride")
+        monkeypatch.setattr(dde, "integrate_beta", no_work)
+        rc = main(["simulate", *A1_FLAGS, "--t-max", "1", "--stride", stride,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: stride must be >= 1, got {stride}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("center", ["nan", "inf", "-inf"])
+    def test_non_finite_im_center_exits_2(self, tmp_path, capsys, center):
+        rc = main(["poles", *A1_FLAGS, f"--im-center-2pi={center}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: im_center must be finite")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, budget", [
+        (["dark-search", "--n-legs", "3", "--p-max", "5", "--q-max", "5"], 15),
+        (SCAN_FLAGS, 22 * 201),
+    ])
+    def test_oversized_lattice_exits_2(self, tmp_path, monkeypatch, capsys, command, budget):
+        # 15 pairs at p, q <= 5; the scan samples 201 points on each index up to
+        # ceil(3 (6 + 1.5 cot(pi/3))) + 1 = 22, after 36 pair candidates
+        monkeypatch.setattr(darkstates, "MAX_LATTICE_POINTS", budget - 1)
+        rc = main([*command, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "lattice points, above the budget" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr(darkstates, "MAX_LATTICE_POINTS", budget)
+        assert main([*command, "--out-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("bounds", [("inf", "1"), ("1e308", "1"), ("6", "inf"),
+                                        ("nan", "1"), ("6", "-1")])
+    def test_non_finite_scan_window_exits_2(self, tmp_path, monkeypatch, capsys, bounds):
+        monkeypatch.setattr(darkstates, "_sorted_pairs", None)
+        rc = main(["scan", "--n-legs", "3", "--omega-tau-2pi-max", bounds[0],
+                   "--gamma-tau-2pi-max", bounds[1], "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: window bounds must be positive and finite")
+        assert not (tmp_path / "out").exists()
+
     def test_unstable_step_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--n-legs", "3", "--gamma-tau-2pi", "0.02",
                    "--omega-tau-2pi", "7.3", "--t-max", "200", "--steps-per-tau", "16",
@@ -309,12 +359,6 @@ class TestFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: lattice point (p=") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
-
-
-FIELD_FLAGS = ["field", "--n-legs", "3", "--gamma-tau-2pi", "0.018", "--dark-n", "1"]
-SCAN_FLAGS = ["scan", "--n-legs", "3", "--omega-tau-2pi-max", "6",
-              "--gamma-tau-2pi-max", "1"]
-PXT_FLAGS = ["simulate", *A1_FLAGS, "--t-max", "5", "--pxt"]
 
 
 class TestGridBudget:

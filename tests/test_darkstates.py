@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from giant_atom import (
     dark_frequency,
     find_pairs,
     rwa_check,
+    darkstates,
     scan_lattice,
 )
 from conftest import brute_force_pairs
@@ -169,3 +171,78 @@ class TestScanLattice:
         for line in scan.lines:
             for g, w in zip(line.gamma_tau[1:], line.omega_tau[1:]):
                 assert dark_condition_omega_tau(4, line.n, g) == pytest.approx(w, abs=1e-12)
+
+
+class TestLatticeBudget:
+    """Each count is taken before enumeration and bounds what is enumerated.
+
+    Only small monkeypatched budgets are exercised: a broken check at the real
+    budget would start an enumeration of billions of points.
+    """
+
+    @staticmethod
+    def spy(monkeypatch):
+        counts, candidates = {}, []
+        check, sorted_pairs = darkstates._check_lattice, darkstates._sorted_pairs
+
+        def spy_check(what, count):
+            counts[what] = count
+            check(what, count)
+
+        def spy_pairs(n_legs, pq, *rest):
+            pq = list(pq)
+            candidates.append(len(pq) * ((n_legs - 1) // 2))
+            return sorted_pairs(n_legs, pq, *rest)
+
+        monkeypatch.setattr(darkstates, "_check_lattice", spy_check)
+        monkeypatch.setattr(darkstates, "_sorted_pairs", spy_pairs)
+        return counts, candidates
+
+    @pytest.mark.parametrize("n_legs, p_max, q_max", [(3, 5, 5), (4, 6, 3), (7, 2, 9),
+                                                       (6, 1, 1)])
+    def test_pair_count_is_exact(self, monkeypatch, n_legs, p_max, q_max):
+        counts, candidates = self.spy(monkeypatch)
+        found = len(find_pairs(n_legs, p_max, q_max))
+        assert counts["the pair search"] == candidates[0] == found
+
+        monkeypatch.setattr(darkstates, "MAX_LATTICE_POINTS", found)
+        assert len(find_pairs(n_legs, p_max, q_max)) == found
+        monkeypatch.setattr(darkstates, "MAX_LATTICE_POINTS", found - 1)
+        monkeypatch.setattr(darkstates, "_lattice_pair", None)  # any enumeration fails
+        with pytest.raises(ValueError, match=f"budget of {found - 1}"):
+            find_pairs(n_legs, p_max, q_max)
+
+    @pytest.mark.parametrize("n_legs, omega_2pi, gamma_2pi, samples", [
+        (3, 6.0, 1.0, 201), (3, 0.5, 0.01, 7), (5, 3.5, 0.4, 33), (4, 2.0, 0.5, 1),
+        (2, 6.0, 2.0, 11), (3, 2.5, 0.01, 5),
+    ])
+    def test_scan_counts_bound_the_work(self, monkeypatch, n_legs, omega_2pi, gamma_2pi,
+                                        samples):
+        counts, candidates = self.spy(monkeypatch)
+        scan = scan_lattice(n_legs, TWO_PI * omega_2pi, TWO_PI * gamma_2pi, samples)
+        assert counts["the scan's pair search"] == candidates[0] >= len(scan.dots)
+        assert counts["the scan's line sampling"] >= sum(len(line.gamma_tau)
+                                                         for line in scan.lines)
+
+        for what, count in list(counts.items()):
+            monkeypatch.setattr(darkstates, "MAX_LATTICE_POINTS", int(count) - 1)
+            monkeypatch.setattr(darkstates, "_lattice_pair", None)
+            with pytest.raises(ValueError, match=re.escape(f"{what} needs {count:.3g}")):
+                scan_lattice(n_legs, TWO_PI * omega_2pi, TWO_PI * gamma_2pi, samples)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("omega_tau_max, gamma_tau_max", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+        (-math.inf, 1.0), (0.0, 1.0), (1.0, -1.0),
+    ])
+    def test_scan_rejects_bad_window(self, monkeypatch, omega_tau_max, gamma_tau_max):
+        monkeypatch.setattr(darkstates, "_sorted_pairs", None)
+        with pytest.raises(ValueError, match="window bounds must be positive and finite"):
+            scan_lattice(3, omega_tau_max, gamma_tau_max)
+
+    def test_huge_finite_window_counts_to_inf(self, monkeypatch):
+        # the line count overflows to inf and is rejected at any budget
+        monkeypatch.setattr(darkstates, "MAX_LATTICE_POINTS", 10 ** 300)
+        monkeypatch.setattr(darkstates, "_sorted_pairs", None)
+        with pytest.raises(ValueError, match="needs inf lattice points"):
+            scan_lattice(3, 1.0, 1e307)

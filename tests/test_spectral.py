@@ -155,3 +155,13 @@ def test_seed_budget_overflowing_rectangle(dark_n1_params):
     # the side lengths overflow to inf; rejected without converting them to ints
     with pytest.raises(ValueError, match="budget"):
         find_poles(dark_n1_params, re_min=-1e300, im_halfwidth=1e308)
+
+
+@pytest.mark.parametrize("im_center", [math.nan, math.inf, -math.inf])
+def test_non_finite_im_center_rejected_before_seeding(dark_n1_params, monkeypatch, im_center):
+    def no_newton(*args):
+        raise AssertionError("seeds were built around a non-finite centre")
+
+    monkeypatch.setattr(spectral, "_newton", no_newton)
+    with pytest.raises(ValueError, match="im_center must be finite"):
+        find_poles(dark_n1_params, im_center=im_center)
