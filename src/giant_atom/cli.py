@@ -8,19 +8,20 @@ sha256 checksum of each output and the command's derived values, and prints
 one line, "<command>: <summary>, wrote <files> to <dir>".  A result directory
 is therefore self-describing and re-runnable.
 
-Exit codes: 0 success, 1 I/O failure, 2 usage or validation error (including
-a trace longer than dde.MAX_TRACE_SAMPLES, a root search over more than
+Exit codes: 0 success, 1 I/O failure, 2 usage or validation error, 3
+structural impossibility (e.g. a dark-pair search with two coupling points),
+4 solver failure (a root search that disagrees with its winding number or
+cannot place its rectangle, a diverging time integration, or a dark-pair
+lattice point that fails its own dark-condition check).  Exit 2 covers every
+rejected input, each before any output is written: an integer flag
+above 2**53 in magnitude, more than core.MAX_N_LEGS coupling points, a trace
+longer than dde.MAX_TRACE_SAMPLES, a root search over more than
 spectral.MAX_SEEDS Newton seeds or around a non-finite centre, a dark-pair
-search or scan over more than darkstates.MAX_LATTICE_POINTS lattice points,
-a non-finite scan window, a --stride below 1, or a --steps-per-tau too coarse
-for the decay rate to march stably), 3 structural impossibility (e.g. a
-dark-pair search with two coupling points), 4 solver failure (a root search
-that disagrees with its winding number or cannot place its rectangle, a
-diverging time integration, or a dark-pair lattice point that fails its own
-dark-condition check).  A sampling grid (the x positions of a profile,
-the x-by-t heatmap, or the samples of one scan line) may hold at most
-MAX_GRID_SAMPLES points; larger or empty grids are rejected with exit 2
-before anything is computed or written.
+search or scan over more than darkstates.MAX_LATTICE_POINTS lattice points, a
+non-finite scan window, a --stride, --line-samples or --pxt-t-count below 1, a
+--steps-per-tau too coarse for the decay rate to march stably, and a sampling
+grid (a profile's x positions, the x-by-t heatmap, or one scan line) of more
+than MAX_GRID_SAMPLES points.
 Frequencies on the command line are given in cycles, i.e. as omega_tau/2pi and
 gamma_tau/2pi, matching the usual parameter-plane axes.
 """
@@ -39,7 +40,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .core import TWO_PI, GiantAtomParams, SolverError, StructuralImpossibilityError
+from .core import (TWO_PI, GiantAtomParams, SolverError, StructuralImpossibilityError,
+                   check_budget, check_int)
 from . import continuum as continuum_mod
 from . import darkstates, dde, field, spectral
 
@@ -139,19 +141,20 @@ def _record_columns(records, *names: str) -> list[np.ndarray]:
     return [np.array([getattr(r, name) for r in records]) for name in names]
 
 
-def _check_grid(what: str, count: float) -> None:
-    """Reject a sampling grid of fewer than one or more than MAX_GRID_SAMPLES points."""
-    if not (1 <= count <= MAX_GRID_SAMPLES):
-        raise ValueError(f"{what} needs {count:.3g} samples; the grid must hold "
-                         f"between 1 and {MAX_GRID_SAMPLES}")
-
-
 def _profile_xs(stop: float, step: float) -> np.ndarray:
-    """Positions 0, step, 2*step, ... through stop, within the grid budget."""
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"x-step must be positive and finite, got {step}")
-    _check_grid("the profile", stop / step + 1)
-    return np.arange(0.0, stop + 0.5 * step, step)
+    """Positions 0, step, 2*step, ... up to stop, within the grid budget."""
+    grid = field.GridSpec(0.0, stop, step)
+    check_budget("the profile", stop / step + 1, "samples", MAX_GRID_SAMPLES)
+    return grid.xs
+
+
+def integer(text: str) -> int:
+    """argparse type of every integer flag.  Each one ends up in float arithmetic,
+    where an integer above 2**53 in magnitude is no longer exact or overflows."""
+    value = int(text)
+    if abs(value) > 2 ** 53:
+        raise argparse.ArgumentTypeError("integer magnitude above 2**53")
+    return value
 
 
 def _params_from_args(args) -> GiantAtomParams:
@@ -162,13 +165,14 @@ def _params_from_args(args) -> GiantAtomParams:
 
 def _cmd_simulate(args):
     params = _params_from_args(args)
-    if args.stride < 1:
-        raise ValueError(f"stride must be >= 1, got {args.stride}")
+    check_int("stride", args.stride, 1)
     if args.pxt:
+        check_int("pxt_t_count", args.pxt_t_count, 1)
         x_min = args.pxt_x_min if args.pxt_x_min is not None else -10.0
         x_max = args.pxt_x_max if args.pxt_x_max is not None else (params.n_legs - 1) + 10.0
         grid = field.GridSpec(x_min=x_min, x_max=x_max, dx=args.pxt_dx)
-        _check_grid("the heatmap", ((x_max - x_min) / args.pxt_dx + 1) * args.pxt_t_count)
+        check_budget("the heatmap", ((x_max - x_min) / args.pxt_dx + 1) * args.pxt_t_count,
+                     "samples", MAX_GRID_SAMPLES)
     trace = dde.integrate_beta(params, args.t_max, steps_per_tau=args.steps_per_tau)
     tables = {"beta.csv": (["t", "re_beta", "im_beta", "prob"],
                            _beta_blocks(trace.sample_times[::args.stride],
@@ -206,7 +210,8 @@ def _cmd_dark_search(args):
 
 
 def _cmd_scan(args):
-    _check_grid("each condition line", args.line_samples)
+    check_int("line_samples", args.line_samples, 1)
+    check_budget("each condition line", args.line_samples, "samples", MAX_GRID_SAMPLES)
     scan = darkstates.scan_lattice(args.n_legs,
                                    omega_tau_max=TWO_PI * args.omega_tau_2pi_max,
                                    gamma_tau_max=TWO_PI * args.gamma_tau_2pi_max,
@@ -255,7 +260,7 @@ def _cmd_continuum(args):
 
 
 def _add_system_flags(sub) -> None:
-    sub.add_argument("--n-legs", type=int, required=True,
+    sub.add_argument("--n-legs", type=integer, required=True,
                      help="number of coupling points N (>= 2)")
     sub.add_argument("--gamma-tau-2pi", type=float, required=True,
                      help="per-point relaxation, gamma*tau / 2pi")
@@ -282,15 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim = command("simulate", _cmd_simulate, "integrate the delayed amplitude equation")
     _add_system_flags(sim)
     sim.add_argument("--t-max", type=float, required=True, help="final time in units of tau")
-    sim.add_argument("--steps-per-tau", type=int, default=dde.DEFAULT_STEPS_PER_TAU)
-    sim.add_argument("--stride", type=int, default=1,
+    sim.add_argument("--steps-per-tau", type=integer, default=dde.DEFAULT_STEPS_PER_TAU)
+    sim.add_argument("--stride", type=integer, default=1,
                      help="write every k-th stored sample to beta.csv (k >= 1)")
     sim.add_argument("--pxt", action="store_true",
                      help="also write the field-intensity heatmap pxt.csv")
     sim.add_argument("--pxt-x-min", type=float, default=None)
     sim.add_argument("--pxt-x-max", type=float, default=None)
     sim.add_argument("--pxt-dx", type=float, default=0.05)
-    sim.add_argument("--pxt-t-count", type=int, default=201)
+    sim.add_argument("--pxt-t-count", type=integer, default=201)
 
     pol = command("poles", _cmd_poles, "locate complex mode frequencies")
     _add_system_flags(pol)
@@ -301,25 +306,25 @@ def build_parser() -> argparse.ArgumentParser:
     pol.add_argument("--im-halfwidth-2pi", type=float, default=2.0)
 
     dark = command("dark-search", _cmd_dark_search, "enumerate coexisting dark pairs")
-    dark.add_argument("--n-legs", type=int, required=True)
-    dark.add_argument("--p-max", type=int, default=12)
-    dark.add_argument("--q-max", type=int, default=12)
+    dark.add_argument("--n-legs", type=integer, required=True)
+    dark.add_argument("--p-max", type=integer, default=12)
+    dark.add_argument("--q-max", type=integer, default=12)
 
     scan = command("scan", _cmd_scan, "scan the parameter window for pair dots "
                                       "and single-dark-state lines")
-    scan.add_argument("--n-legs", type=int, required=True)
+    scan.add_argument("--n-legs", type=integer, required=True)
     scan.add_argument("--omega-tau-2pi-max", type=float, required=True)
     scan.add_argument("--gamma-tau-2pi-max", type=float, required=True)
-    scan.add_argument("--line-samples", type=int, default=201)
+    scan.add_argument("--line-samples", type=integer, default=201)
 
     fld = command("field", _cmd_field, "trapped-field profile of a dark state")
-    fld.add_argument("--n-legs", type=int, required=True)
+    fld.add_argument("--n-legs", type=integer, required=True)
     fld.add_argument("--gamma-tau-2pi", type=float, required=True)
-    fld.add_argument("--dark-n", type=int, required=True)
+    fld.add_argument("--dark-n", type=integer, required=True)
     fld.add_argument("--x-step", type=float, default=field.DEFAULT_DX)
 
     cont = command("continuum", _cmd_continuum, "continuum-limit trapped profile")
-    cont.add_argument("--n", type=int, required=True)
+    cont.add_argument("--n", type=integer, required=True)
     cont.add_argument("--gamma-t", type=float, default=None,
                       help="Gamma*T (default: the comb-pair limit (2 n pi)^2)")
     cont.add_argument("--omega-t", type=float, default=None,

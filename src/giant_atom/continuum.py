@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, DarkPair
-from .darkstates import _check_index, _lattice_pair
+from .core import TWO_PI, DarkPair, check_int, check_mode_index, check_positive
+from .darkstates import _lattice_pair
 
 __all__ = [
     "continuum_dark_indices",
@@ -47,10 +47,8 @@ def continuum_dark_indices(omega_T: float, Gamma_T: float,
     for generic parameters and never holds more than one index (the minus
     root is always negative).
     """
-    if not (math.isfinite(omega_T) and omega_T > 0):
-        raise ValueError(f"omega_T must be positive, got {omega_T}")
-    if not (math.isfinite(Gamma_T) and Gamma_T > 0):
-        raise ValueError(f"Gamma_T must be positive, got {Gamma_T}")
+    check_positive("omega_T", omega_T)
+    check_positive("Gamma_T", Gamma_T)
     disc = math.sqrt(omega_T * omega_T + 4.0 * Gamma_T)
     out = set()
     for root in ((omega_T + disc) / (2.0 * TWO_PI), (omega_T - disc) / (2.0 * TWO_PI)):
@@ -68,11 +66,9 @@ def continuum_profile(Gamma_T: float, n: int, L: float, x):
 
     zero outside [0, L].  Accepts scalar or ndarray positions.
     """
-    if not (math.isfinite(Gamma_T) and Gamma_T > 0):
-        raise ValueError(f"Gamma_T must be positive, got {Gamma_T}")
-    _check_index(n)
-    if not (L > 0):
-        raise ValueError(f"contact length must be positive, got {L}")
+    check_positive("Gamma_T", Gamma_T)
+    check_mode_index(n)
+    check_positive("contact length", L)
     xs = np.asarray(x, dtype=float)
     u = 2.0 * n * n * math.pi * math.pi / Gamma_T
     pref = u / (u + 1.0) ** 2 * (4.0 / L)
@@ -86,9 +82,8 @@ def continuum_total_intensity(Gamma_T: float, n: int) -> float:
 
     Maximized at 2 n^2 pi^2 / Gamma_T = 1, where it equals 3/8.
     """
-    if not (math.isfinite(Gamma_T) and Gamma_T > 0):
-        raise ValueError(f"Gamma_T must be positive, got {Gamma_T}")
-    _check_index(n)
+    check_positive("Gamma_T", Gamma_T)
+    check_mode_index(n)
     u = 2.0 * n * n * math.pi * math.pi / Gamma_T
     return 1.5 * u / (u + 1.0) ** 2
 
@@ -119,9 +114,8 @@ def comb_pair_limit(n: int, n_legs: int) -> CombPairLimit:
 
     Requires 1 <= n < N/2 (and therefore N >= 3).
     """
-    _check_index(n)
-    if n_legs < 3:
-        raise ValueError(f"a comb pair needs n_legs >= 3, got {n_legs}")
+    check_mode_index(n)
+    check_int("n_legs", n_legs, 3)
     if not (2 * n < n_legs):
         raise ValueError(f"comb pair requires n < n_legs/2, got n = {n}, n_legs = {n_legs}")
     pair = _lattice_pair(n_legs, 1, 1, n)

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "TWO_PI",
+    "MAX_N_LEGS",
     "GiantAtomParams",
     "ComplexFreq",
     "AmplitudeTrace",
@@ -35,6 +36,48 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+# Most coupling points a GiantAtomParams may hold: F(s) and the DDE march build
+# arrays of N - 1 delay weights, far below this, before any other budget applies.
+MAX_N_LEGS = 2 ** 16
+
+
+def check_positive(name: str, value: float) -> float:
+    """Return value after rejecting anything that is not positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_int(name: str, value, least: int) -> int:
+    """Return value as an int after rejecting a bool, a non-integer (inf and
+    nan included) or one below least."""
+    if isinstance(value, bool) or value % 1 != 0:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_mode_index(n: int, n_legs: int | None = None) -> None:
+    """Require an integer mode index n >= 1 and, when n_legs is given, one that
+    is not a multiple of it."""
+    check_int("mode index", n, 1)
+    if n_legs is not None and n % n_legs == 0:
+        raise ValueError(
+            f"mode index n = {n} is a multiple of n_legs = {n_legs}: "
+            "the cotangent in the dark condition is singular there"
+        )
+
+
+def check_budget(what: str, count: float, unit: str, budget: int) -> None:
+    """Reject, before any work starts, a request for more than budget units.
+
+    A count taken in floats may have overflowed to inf or become nan; both are
+    rejected.
+    """
+    if not count <= budget:
+        raise ValueError(f"{what} needs {count:.3g} {unit}, above the budget of {budget}")
 
 
 class SolverError(RuntimeError):
@@ -69,9 +112,9 @@ class SearchPlacementError(SolverError):
 class GiantAtomParams:
     """Dimensionless description of an N-point emitter.
 
-    n_legs is the number of coupling points N, gamma_tau the per-point
-    relaxation rate times the neighbour travel time, and omega_tau the
-    transition frequency times the travel time.
+    n_legs is the number of coupling points N (2 <= N <= MAX_N_LEGS),
+    gamma_tau the per-point relaxation rate times the neighbour travel time,
+    and omega_tau the transition frequency times the travel time.
     """
 
     n_legs: int
@@ -79,15 +122,11 @@ class GiantAtomParams:
     omega_tau: float
 
     def __post_init__(self):
-        if isinstance(self.n_legs, bool) or int(self.n_legs) != self.n_legs:
-            raise ValueError(f"n_legs must be an integer >= 2, got {self.n_legs!r}")
-        if self.n_legs < 2:
-            raise ValueError(f"n_legs must be >= 2, got {self.n_legs}")
-        if not (math.isfinite(self.gamma_tau) and self.gamma_tau > 0):
-            raise ValueError(f"gamma_tau must be positive and finite, got {self.gamma_tau}")
-        if not (math.isfinite(self.omega_tau) and self.omega_tau > 0):
-            raise ValueError(f"omega_tau must be positive and finite, got {self.omega_tau}")
-        object.__setattr__(self, "n_legs", int(self.n_legs))
+        n_legs = check_int("n_legs", self.n_legs, 2)
+        check_budget("the emitter", n_legs, "coupling points", MAX_N_LEGS)
+        check_positive("gamma_tau", self.gamma_tau)
+        check_positive("omega_tau", self.omega_tau)
+        object.__setattr__(self, "n_legs", n_legs)
 
     @property
     def coupling_points(self) -> np.ndarray:
@@ -202,12 +241,9 @@ def params_from_physical(omega_hz: float, gamma_hz: float, tau_s: float,
     likewise for gamma.
     """
     for name, value in (("omega_hz", omega_hz), ("gamma_hz", gamma_hz), ("tau_s", tau_s)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if isinstance(n_legs, bool) or int(n_legs) != n_legs or n_legs < 2:
-        raise ValueError(f"n_legs must be an integer >= 2, got {n_legs!r}")
+        check_positive(name, value)
     scale = TWO_PI * tau_s
-    return GiantAtomParams(n_legs=int(n_legs),
+    return GiantAtomParams(n_legs=n_legs,
                            gamma_tau=gamma_hz * scale,
                            omega_tau=omega_hz * scale)
 
@@ -217,9 +253,7 @@ def params_to_physical(params: GiantAtomParams, tau_s: float) -> tuple[float, fl
 
     Returns (omega_hz, gamma_hz) as ordinary cycle frequencies.
     """
-    if not (math.isfinite(tau_s) and tau_s > 0):
-        raise ValueError(f"tau_s must be positive and finite, got {tau_s}")
-    scale = TWO_PI * tau_s
+    scale = TWO_PI * check_positive("tau_s", tau_s)
     return params.omega_tau / scale, params.gamma_tau / scale
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, DarkPair, SolverError, StructuralImpossibilityError
+from .core import (TWO_PI, DarkPair, SolverError, StructuralImpossibilityError, check_budget,
+                   check_int, check_mode_index, check_positive)
 
 __all__ = [
     "DEFAULT_RWA_THRESHOLD",
@@ -50,18 +51,6 @@ DEFAULT_RWA_THRESHOLD = 0.1
 MAX_LATTICE_POINTS = 2 ** 20
 
 
-def _check_index(n: int, n_legs: int | None = None) -> None:
-    """Require an integer mode index n >= 1 and, when n_legs is given, one that
-    is not a multiple of it."""
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise ValueError(f"mode index must be an integer >= 1, got {n!r}")
-    if n_legs is not None and n % n_legs == 0:
-        raise ValueError(
-            f"mode index n = {n} is a multiple of n_legs = {n_legs}: "
-            "the cotangent in the dark condition is singular there"
-        )
-
-
 def dark_frequency(n_legs: int, n: int) -> float:
     """Frequency 2*n*pi/N of the candidate dark mode with index n (1/tau units)."""
     return TWO_PI * n / n_legs
@@ -72,9 +61,8 @@ def dark_condition_omega_tau(n_legs: int, n: int, gamma_tau: float) -> float:
 
     omega_tau = 2*n*pi/N - (N*gamma_tau/2) * cot(n*pi/N).
     """
-    _check_index(n, n_legs)
-    if not (math.isfinite(gamma_tau) and gamma_tau > 0):
-        raise ValueError(f"gamma_tau must be positive, got {gamma_tau}")
+    check_mode_index(n, n_legs)
+    check_positive("gamma_tau", gamma_tau)
     arg = n * math.pi / n_legs
     cot = math.cos(arg) / math.sin(arg)
     return TWO_PI * n / n_legs - 0.5 * n_legs * gamma_tau * cot
@@ -82,9 +70,8 @@ def dark_condition_omega_tau(n_legs: int, n: int, gamma_tau: float) -> float:
 
 def dark_amplitude(n_legs: int, n: int, gamma_tau: float) -> float:
     """Long-time atomic amplitude A(n) of a dark mode; 0 for n a multiple of N."""
-    _check_index(n)
-    if not (math.isfinite(gamma_tau) and gamma_tau > 0):
-        raise ValueError(f"gamma_tau must be positive, got {gamma_tau}")
+    check_mode_index(n)
+    check_positive("gamma_tau", gamma_tau)
     if n % n_legs == 0:
         return 0.0
     s2 = math.sin(n * math.pi / n_legs) ** 2
@@ -125,13 +112,6 @@ def _lattice_pair(n_legs: int, p: int, q: int, n: int) -> DarkPair:
                     gamma_tau=gamma_tau, beat=beat, osc_amplitude=amp, rwa_ok=rwa)
 
 
-def _check_lattice(what: str, count: float) -> None:
-    """Reject a search of more than MAX_LATTICE_POINTS points before it starts."""
-    if count > MAX_LATTICE_POINTS:
-        raise ValueError(f"{what} needs {count:.3g} lattice points, above the budget "
-                         f"of {MAX_LATTICE_POINTS}")
-
-
 def _sorted_pairs(n_legs: int, pq, gamma_tau_max: float = math.inf) -> list[DarkPair]:
     """Lattice pairs at every (p, q) in pq and every 1 <= n < N/2 with
     gamma_tau <= gamma_tau_max, ordered by (omega_tau, gamma_tau, n)."""
@@ -150,19 +130,18 @@ def find_pairs(n_legs: int, p_max: int = 12, q_max: int = 12) -> list[DarkPair]:
     exist, and ValueError, before enumerating anything, when the lattice holds
     more than MAX_LATTICE_POINTS candidates.
     """
-    if n_legs < 2:
-        raise ValueError(f"n_legs must be >= 2, got {n_legs}")
-    if n_legs == 2:
+    if check_int("n_legs", n_legs, 2) == 2:
         raise StructuralImpossibilityError(
             "coexisting dark pairs require at least three coupling points: for "
             "n_legs = 2 the cotangent in the dark condition degenerates to 0 or "
             "infinity for every mode index"
         )
-    if p_max < 1 or q_max < 1:
-        raise ValueError("p_max and q_max must be >= 1")
+    check_int("p_max", p_max, 1)
+    check_int("q_max", q_max, 1)
     m = min(p_max, q_max)  # counted in floats: a huge lattice gives inf
-    _check_lattice("the pair search",
-                   (n_legs - 1) // 2 * (0.5 * m * (m + 1.0) + (p_max - m) * float(q_max)))
+    check_budget("the pair search",
+                 (n_legs - 1) // 2 * (0.5 * m * (m + 1.0) + (p_max - m) * float(q_max)),
+                 "lattice points", MAX_LATTICE_POINTS)
     return _sorted_pairs(n_legs, ((p, q) for p in range(1, p_max + 1)
                                   for q in range(1, min(p, q_max) + 1)))
 
@@ -197,20 +176,21 @@ def scan_lattice(n_legs: int, omega_tau_max: float, gamma_tau_max: float,
     enumerating anything, when the pair candidates or the line samples exceed
     MAX_LATTICE_POINTS.
     """
-    if n_legs < 2:
-        raise ValueError(f"n_legs must be >= 2, got {n_legs}")
+    check_int("n_legs", n_legs, 2)
     if not (0 < omega_tau_max < math.inf and 0 < gamma_tau_max < math.inf):
         raise ValueError(f"window bounds must be positive and finite, got omega_tau_max = "
                          f"{omega_tau_max}, gamma_tau_max = {gamma_tau_max}")
 
     # counted in floats: a huge window gives inf, not an OverflowError
     max_pq_sum = (omega_tau_max / math.pi + 1e-12) // 1.0
-    _check_lattice("the scan's pair search", (n_legs - 1) // 2 * (max_pq_sum // 2)
-                   * ((max_pq_sum + 1) // 2))
+    check_budget("the scan's pair search",
+                 (n_legs - 1) // 2 * (max_pq_sum // 2) * ((max_pq_sum + 1) // 2),
+                 "lattice points", MAX_LATTICE_POINTS)
     max_cot = 1.0 / math.tan(math.pi / n_legs)
     n_bound = float(np.ceil(n_legs * (omega_tau_max + 0.5 * n_legs * gamma_tau_max * max_cot)
                             / TWO_PI)) + 1.0
-    _check_lattice("the scan's line sampling", n_bound * line_samples)
+    check_budget("the scan's line sampling", n_bound * line_samples, "lattice points",
+                 MAX_LATTICE_POINTS)
 
     dots = _sorted_pairs(n_legs, ((pq_sum - q, q) for pq_sum in range(2, int(max_pq_sum) + 1)
                                   for q in range(1, pq_sum // 2 + 1)), gamma_tau_max)

@@ -21,11 +21,10 @@ every R**s is bounded by 1.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import AmplitudeTrace, DivergenceError, GiantAtomParams
+from .core import (AmplitudeTrace, DivergenceError, GiantAtomParams, check_budget,
+                   check_int, check_positive)
 
 __all__ = ["DEFAULT_STEPS_PER_TAU", "MAX_TRACE_SAMPLES", "integrate_beta", "beta_at",
            "beta_at_many"]
@@ -67,20 +66,16 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     before allocating anything, when the trace would exceed MAX_TRACE_SAMPLES
     or when the RK4 step is unstable for the decay rate (|R| >= 1).
     """
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    m = int(steps_per_tau)
-    if m != steps_per_tau or m < 16:
-        raise ValueError(f"steps_per_tau must be an integer >= 16, got {steps_per_tau!r}")
+    check_positive("t_max", t_max)
+    m = check_int("steps_per_tau", steps_per_tau, 16)
 
     n = params.n_legs
     h = 1.0 / m
-    steps = t_max / h - 1e-12
-    if steps > (MAX_TRACE_SAMPLES - 1) // 2:
-        raise ValueError(
-            f"t_max = {t_max:g} at {m} steps per tau needs about {2.0 * steps:.3g} "
-            f"samples, above the budget of {MAX_TRACE_SAMPLES}"
-        )
+    # in floats: a huge t_max gives inf steps, not an OverflowError
+    n_steps = max(1.0, np.ceil(t_max / h - 1e-12))
+    check_budget(f"t_max = {t_max:g} at {m} steps per tau", 2.0 * n_steps + 1.0, "samples",
+                 MAX_TRACE_SAMPLES)
+    n_steps = int(n_steps)
     decay = -1j * params.omega_tau - 0.5 * n * params.gamma_tau
     # rows: start value, g0, g1, g2; columns: end value, midpoint
     coef = np.array([_rk4_step(*unit, decay, h) for unit in np.eye(4)])
@@ -88,7 +83,6 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     if abs(r_end) >= 1.0:
         raise ValueError(f"steps_per_tau = {m} is too coarse for this decay rate: each RK4 "
                          f"step grows the bare amplitude by |R| = {abs(r_end):.6g} >= 1")
-    n_steps = max(1, math.ceil(steps))
     passes = [(s, r_end ** s) for s in (1 << p for p in range(m.bit_length()))]
     # gamma*(N-l) for l = N-1 down to 1, the order of the rows below
     weights = params.gamma_tau * np.arange(1, n)
@@ -128,7 +122,7 @@ def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
     samples = trace.samples
     n = len(samples)
     step = 0.5 * trace.dt
-    if flat.size and (flat.min() < -1e-12 or flat.max() > trace.t_max + 1e-9):
+    if flat.size and not (flat.min() >= -1e-12 and flat.max() <= trace.t_max + 1e-9):
         raise ValueError(
             f"time outside trace range [0, {trace.t_max:g}]: "
             f"min {flat.min():g}, max {flat.max():g}"
@@ -162,6 +156,4 @@ def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
 
 def beta_at(trace: AmplitudeTrace, t: float) -> complex:
     """Amplitude at an arbitrary time 0 <= t <= t_max (dense output)."""
-    if not (-1e-12 <= t <= trace.t_max + 1e-9):
-        raise ValueError(f"t = {t:g} outside trace range [0, {trace.t_max:g}]")
     return complex(beta_at_many(trace, np.asarray([t]))[0])

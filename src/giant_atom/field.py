@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams,
-                   characteristic_fn)
-from .darkstates import _check_index, dark_amplitude, dark_frequency, rwa_check
+                   characteristic_fn, check_mode_index, check_positive)
+from .darkstates import dark_amplitude, dark_frequency, rwa_check
 from .dde import beta_at_many
 
 __all__ = [
@@ -57,8 +57,7 @@ class GridSpec:
     def __post_init__(self):
         if not (self.x_max > self.x_min):
             raise ValueError("x_max must exceed x_min")
-        if not (self.dx > 0):
-            raise ValueError("dx must be positive")
+        check_positive("dx", self.dx)
 
     @property
     def xs(self) -> np.ndarray:
@@ -164,7 +163,7 @@ def bound_profile(params: GiantAtomParams, n: int, x):
     Accepts a scalar position or an ndarray.  Indices that are multiples of N
     give the identically zero profile.
     """
-    _check_index(n)
+    check_mode_index(n)
     xs = np.asarray(x, dtype=float)
     big_n, g = params.n_legs, params.gamma_tau
     if n % big_n == 0:  # sin(n pi / N) = 0: no trapped field at all
@@ -187,7 +186,7 @@ def total_intensity(params: GiantAtomParams, n: int) -> float:
     I(n) = 2*N*gamma * sin^2(n pi/N) * (1 + (N/(4 n pi)) sin(2 n pi/N))
            / (2 sin^2(n pi/N) + N gamma)^2.
     """
-    _check_index(n)
+    check_mode_index(n)
     big_n, g = params.n_legs, params.gamma_tau
     if n % big_n == 0:
         return 0.0
@@ -234,7 +233,7 @@ def dark_state_record(params: GiantAtomParams, n: int) -> DarkState:
     """Assemble the DarkState record for index n, checking that the parameter
     point actually supports it (the characteristic function must vanish at the
     purely imaginary candidate frequency)."""
-    _check_index(n)
+    check_mode_index(n)
     if n % params.n_legs == 0:
         raise ValueError(f"index n = {n} is a multiple of n_legs and carries no "
                          "atomic amplitude; it is not a usable dark state")

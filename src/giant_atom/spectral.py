@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ComplexFreq, GiantAtomParams, IncompleteSearchError,
-                   SearchPlacementError, characteristic_deriv, characteristic_fn)
+                   SearchPlacementError, characteristic_deriv, characteristic_fn, check_budget,
+                   check_positive)
 
 __all__ = ["DEFAULT_RE_MIN", "MAX_SEEDS", "PoleSet", "find_poles", "beta_from_poles"]
 
@@ -172,8 +173,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
         im_center = -params.omega_tau
     if not math.isfinite(im_center):
         raise ValueError(f"im_center must be finite, got {im_center}")
-    if not (math.isfinite(im_halfwidth) and im_halfwidth > 0):
-        raise ValueError(f"im_halfwidth must be positive, got {im_halfwidth}")
+    check_positive("im_halfwidth", im_halfwidth)
     cell = math.pi / (2.0 * params.n_legs)
 
     rect = [re_min, params.gamma_tau, im_center - im_halfwidth, im_center + im_halfwidth]
@@ -182,10 +182,9 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
         return (max(2.0, np.ceil((rect[1] - rect[0]) / c)),
                 max(2.0, np.ceil((rect[3] - rect[2]) / c)))
 
-    count = math.prod(grid_shape(cell)) + math.prod(grid_shape(0.5 * cell))
-    if count > MAX_SEEDS:
-        raise ValueError(f"the search rectangle needs {count:.3g} Newton seeds with its "
-                         f"refinement grid, above the budget of {MAX_SEEDS}")
+    check_budget("the search rectangle",
+                 math.prod(grid_shape(cell)) + math.prod(grid_shape(0.5 * cell)),
+                 "Newton seeds with its refinement grid", MAX_SEEDS)
 
     def seed_grid(c):
         nx, ny = (int(n) for n in grid_shape(c))

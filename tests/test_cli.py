@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from giant_atom import (DivergenceError, IncompleteSearchError, SearchPlacementError,
-                        bound_profile, continuum_profile, darkstates, dde, integrate_beta,
-                        spectral)
-from giant_atom.cli import CSV_BLOCK_ROWS, MAX_GRID_SAMPLES, _write_csv, main
+                        bound_profile, continuum, continuum_profile, darkstates, dde, field,
+                        integrate_beta, spectral)
+from giant_atom.cli import (CSV_BLOCK_ROWS, MAX_GRID_SAMPLES, _write_csv, build_parser,
+                            integer, main)
 from conftest import single_dark_params
 
 TWO_PI = 2.0 * math.pi
@@ -24,6 +26,19 @@ FIELD_FLAGS = ["field", "--n-legs", "3", "--gamma-tau-2pi", "0.018", "--dark-n",
 SCAN_FLAGS = ["scan", "--n-legs", "3", "--omega-tau-2pi-max", "6",
               "--gamma-tau-2pi-max", "1"]
 PXT_FLAGS = ["simulate", *A1_FLAGS, "--t-max", "5", "--pxt"]
+
+
+def _flags_by_type():
+    """(command, flag, type) for every option of every subcommand."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0], action.type)
+            for name, sub in subs.choices.items() for action in sub._actions
+            if action.option_strings]
+
+
+INTEGER_FLAGS = [(command, flag) for command, flag, kind in _flags_by_type()
+                 if kind is integer]
 
 
 def read_csv(path):
@@ -237,6 +252,13 @@ class TestFieldCmd:
         assert manifest["derived"]["omega_tau_2pi"] == pytest.approx(0.3177, abs=5e-5)
         assert manifest["derived"]["amplitude"] == pytest.approx(0.815532, abs=1e-6)
 
+        # a step that does not divide N - 1 = 2 stops at the last point before it
+        rc = main(["field", "--n-legs", "3", "--gamma-tau-2pi", "0.018",
+                   "--dark-n", "1", "--x-step", "0.3", "--out-dir", str(tmp_path / "coarse")])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "coarse" / "profile.csv")
+        assert [float(r[0]) for r in rows] == [0.3 * k for k in range(7)]
+
     def test_singular_index_exits_2(self, tmp_path):
         rc = main(["field", "--n-legs", "3", "--gamma-tau-2pi", "0.018",
                    "--dark-n", "3", "--out-dir", str(tmp_path)])
@@ -358,6 +380,54 @@ class TestFailures:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error: lattice point (p=") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+class TestIntegerFlags:
+    """Every integer flag ends up in float arithmetic, so argparse rejects one
+    above 2**53 in magnitude (exit 2) before any handler runs."""
+
+    BASE = {"simulate": PXT_FLAGS, "poles": ["poles", *A1_FLAGS],
+            "dark-search": ["dark-search", "--n-legs", "3"], "scan": SCAN_FLAGS,
+            "field": FIELD_FLAGS, "continuum": ["continuum", "--n", "1"]}
+
+    def test_every_integer_flag_is_bounded(self):
+        assert not [flag for _, flag, kind in _flags_by_type() if kind is int]
+        assert len(INTEGER_FLAGS) == 13 and {c for c, _ in INTEGER_FLAGS} == set(self.BASE)
+        assert integer(str(2 ** 53)) == 2 ** 53 and integer(str(-2 ** 53)) == -2 ** 53
+
+    @pytest.mark.parametrize("value", ["9" * 400, str(2 ** 53 + 1), str(-2 ** 53 - 1)],
+                             ids=["400-digits", "2**53+1", "-2**53-1"])
+    @pytest.mark.parametrize("command, flag", INTEGER_FLAGS)
+    def test_huge_integer_exits_2(self, tmp_path, monkeypatch, capsys, command, flag, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a handler ran with a huge integer flag")
+        for module, name in [(dde, "integrate_beta"), (spectral, "find_poles"),
+                             (darkstates, "find_pairs"), (darkstates, "scan_lattice"),
+                             (darkstates, "dark_condition_omega_tau"),
+                             (continuum, "continuum_profile")]:
+            monkeypatch.setattr(module, name, no_work)
+        rc = main([*self.BASE[command], flag, value, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: integer magnitude above 2**53\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "--n-legs", "1000000000", "--gamma-tau-2pi", "1e-30", "--dark-n", "1",
+         "--x-step", "10000"],
+        ["simulate", "--n-legs", "1000000000", "--gamma-tau-2pi", "1e-30",
+         "--omega-tau-2pi", "0.1", "--t-max", "1"],
+    ])
+    def test_huge_n_legs_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("O(N) work started for a rejected n_legs")
+        monkeypatch.setattr(field, "characteristic_fn", no_work)
+        monkeypatch.setattr(dde, "integrate_beta", no_work)
+        rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: the emitter needs 1e+09 coupling points, "
+                                           "above the budget of 65536\n")
         assert not (tmp_path / "out").exists()
 
 

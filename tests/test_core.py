@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from giant_atom import (
+    MAX_N_LEGS,
     AmplitudeTrace,
     ComplexFreq,
     FieldGrid,
@@ -17,7 +18,38 @@ from giant_atom import (
     params_to_physical,
 )
 
+from giant_atom.core import check_budget, check_int, check_positive
+
 TWO_PI = 2.0 * math.pi
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_positive_rejects(self, value):
+        with pytest.raises(ValueError, match="^x must be positive and finite"):
+            check_positive("x", value)
+
+    @pytest.mark.parametrize("value", [True, 2.5, math.inf, math.nan])
+    def test_integer_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            check_int("k", value, 1)
+
+    def test_integer_range_and_conversion(self):
+        with pytest.raises(ValueError, match=r"^k must be >= 2, got 1$"):
+            check_int("k", 1, 2)
+        assert check_int("k", 3.0, 2) == 3 and type(check_int("k", np.int64(4), 2)) is int
+        assert check_int("k", 10 ** 400, 2) == 10 ** 400
+
+    @pytest.mark.parametrize("count", [101, 1e300, math.inf, math.nan])
+    def test_budget_rejects(self, count):
+        with pytest.raises(ValueError, match="^the job needs .* cells, above the budget of 100$"):
+            check_budget("the job", count, "cells", 100)
+        check_budget("the job", 100, "cells", 100)
+
+    def test_n_legs_bound(self):
+        assert GiantAtomParams(MAX_N_LEGS, 0.1, 1.0).n_legs == MAX_N_LEGS
+        with pytest.raises(ValueError, match="coupling points, above the budget of 65536"):
+            GiantAtomParams(MAX_N_LEGS + 1, 0.1, 1.0)
 
 
 class TestParams:

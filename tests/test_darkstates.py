@@ -183,18 +183,18 @@ class TestLatticeBudget:
     @staticmethod
     def spy(monkeypatch):
         counts, candidates = {}, []
-        check, sorted_pairs = darkstates._check_lattice, darkstates._sorted_pairs
+        check, sorted_pairs = darkstates.check_budget, darkstates._sorted_pairs
 
-        def spy_check(what, count):
+        def spy_check(what, count, *rest):
             counts[what] = count
-            check(what, count)
+            check(what, count, *rest)
 
         def spy_pairs(n_legs, pq, *rest):
             pq = list(pq)
             candidates.append(len(pq) * ((n_legs - 1) // 2))
             return sorted_pairs(n_legs, pq, *rest)
 
-        monkeypatch.setattr(darkstates, "_check_lattice", spy_check)
+        monkeypatch.setattr(darkstates, "check_budget", spy_check)
         monkeypatch.setattr(darkstates, "_sorted_pairs", spy_pairs)
         return counts, candidates
 

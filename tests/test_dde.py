@@ -224,6 +224,13 @@ class TestDenseOutput:
         with pytest.raises(ValueError):
             beta_at_many(dark_n1_trace_200, np.array([1.0, 1e9]))
 
+    def test_nan_time_rejected(self, dark_n1_trace_200):
+        # beta_at relies on beta_at_many's range check, which must not let nan through
+        with pytest.raises(ValueError, match="outside trace range"):
+            beta_at(dark_n1_trace_200, math.nan)
+        with pytest.raises(ValueError, match="outside trace range"):
+            beta_at_many(dark_n1_trace_200, np.array([1.0, math.nan]))
+
 
 def test_convergence_order(dark_n1_params):
     # fourth-order marching: halving the step shrinks the max-norm error by ~16

@@ -5,6 +5,8 @@ import pytest
 
 from giant_atom import (
     GiantAtomParams,
+    IncompleteSearchError,
+    SearchPlacementError,
     beta_at_many,
     beta_from_poles,
     characteristic_deriv,
@@ -165,3 +167,54 @@ def test_non_finite_im_center_rejected_before_seeding(dark_n1_params, monkeypatc
     monkeypatch.setattr(spectral, "_newton", no_newton)
     with pytest.raises(ValueError, match="im_center must be finite"):
         find_poles(dark_n1_params, im_center=im_center)
+
+
+class TestRecoveryPaths:
+    """The nudge, the refinement grid and both search failures, each forced.
+
+    The window is the one test_dark_root_found searches around the n = 1 dark point.
+    """
+
+    WINDOW = dict(re_min=-5.0, im_halfwidth=4.0)
+
+    def test_edge_on_dark_root_is_nudged(self, dark_n1_params):
+        omega_1 = dark_frequency(3, 1)
+        centre = -omega_1 + 4.0  # the lower edge runs through -i Omega_1
+        ps = find_poles(dark_n1_params, im_center=centre, **self.WINDOW)
+        assert abs(centre - 4.0 + omega_1) < 1e-9
+        assert sum(abs(s + 1j * omega_1) < 1e-10 for s in ps.s) == 1
+        assert ps.winding == len(ps)
+        nudge = spectral._NUDGE
+        assert (ps.re_min, ps.re_max, ps.im_min, ps.im_max) == (
+            -5.0 - nudge, dark_n1_params.gamma_tau + nudge,
+            centre - 4.0 - nudge, centre + 4.0 + nudge)
+
+    def test_refinement_grid_recovers_every_root(self, dark_n1_params, monkeypatch):
+        reference = find_poles(dark_n1_params, **self.WINDOW)
+        newton, calls = spectral._newton, []
+
+        def stalls_once(params, seeds):
+            calls.append(len(seeds))
+            return seeds.astype(complex) if len(calls) == 1 else newton(params, seeds)
+
+        monkeypatch.setattr(spectral, "_newton", stalls_once)
+        ps = find_poles(dark_n1_params, **self.WINDOW)
+        assert len(calls) == 2 and calls[1] > calls[0]  # the half-cell grid ran
+        assert len(ps) == len(reference) == ps.winding
+        assert np.abs(ps.s - reference.s).max() < 1e-12
+        assert len(ps.flagged_cells) >= calls[0]  # every base seed failed
+
+    def test_no_converged_seed_raises_incomplete(self, dark_n1_params, monkeypatch):
+        expected = len(find_poles(dark_n1_params, **self.WINDOW))
+        monkeypatch.setattr(spectral, "_newton", lambda params, seeds: seeds.astype(complex))
+        with pytest.raises(IncompleteSearchError) as info:
+            find_poles(dark_n1_params, **self.WINDOW)
+        assert info.value.found == 0 and info.value.expected == expected > 0
+
+    def test_boundary_never_clear_raises_placement(self, dark_n1_params, monkeypatch):
+        def always_near(*args, **kwargs):
+            raise spectral._BoundaryNearRoot
+
+        monkeypatch.setattr(spectral, "_winding_number", always_near)
+        with pytest.raises(SearchPlacementError):
+            find_poles(dark_n1_params, **self.WINDOW)
