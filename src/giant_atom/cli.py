@@ -20,8 +20,8 @@ spectral.MAX_SEEDS Newton seeds or around a non-finite centre, a dark-pair
 search or scan over more than darkstates.MAX_LATTICE_POINTS lattice points, a
 non-finite scan window, a --stride, --line-samples or --pxt-t-count below 1, a
 --steps-per-tau too coarse for the decay rate to march stably, and a sampling
-grid (a profile's x positions, the x-by-t heatmap, or one scan line) of more
-than MAX_GRID_SAMPLES points.
+grid (a profile's x positions or the x-by-t heatmap) of more than
+MAX_GRID_SAMPLES points.
 Frequencies on the command line are given in cycles, i.e. as omega_tau/2pi and
 gamma_tau/2pi, matching the usual parameter-plane axes.
 """
@@ -56,9 +56,10 @@ EXIT_SOLVER = 4
 CSV_BLOCK_ROWS = 4096
 
 # Largest sampling grid a command builds in one piece: a profile's x
-# positions, a heatmap's x-by-t points, or the samples of one scan line.  A
-# profile is formatted as one CSV block, about 200 MB per 2**20 rows, so a
-# profile at this budget needs about 0.8 GB.
+# positions or a heatmap's x-by-t points (scan lines are held to
+# darkstates.MAX_LATTICE_POINTS instead).  A profile is formatted as one CSV
+# block, about 200 MB per 2**20 rows, so a profile at this budget needs about
+# 0.8 GB.
 MAX_GRID_SAMPLES = 2 ** 22
 
 
@@ -210,8 +211,6 @@ def _cmd_dark_search(args):
 
 
 def _cmd_scan(args):
-    check_int("line_samples", args.line_samples, 1)
-    check_budget("each condition line", args.line_samples, "samples", MAX_GRID_SAMPLES)
     scan = darkstates.scan_lattice(args.n_legs,
                                    omega_tau_max=TWO_PI * args.omega_tau_2pi_max,
                                    gamma_tau_max=TWO_PI * args.gamma_tau_2pi_max,

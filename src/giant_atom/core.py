@@ -11,6 +11,7 @@ term switches on exactly at its onset sample.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +75,11 @@ def check_budget(what: str, count: float, unit: str, budget: int) -> None:
     """Reject, before any work starts, a request for more than budget units.
 
     A count taken in floats may have overflowed to inf or become nan; both are
-    rejected.
+    rejected.  An int count past float range is reported as inf.
     """
     if not count <= budget:
-        raise ValueError(f"{what} needs {count:.3g} {unit}, above the budget of {budget}")
+        shown = math.inf if count > sys.float_info.max else count
+        raise ValueError(f"{what} needs {shown:.3g} {unit}, above the budget of {budget}")
 
 
 class SolverError(RuntimeError):

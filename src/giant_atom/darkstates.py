@@ -21,6 +21,7 @@ solutions form an integer lattice (p, q, n) with p >= q >= 1, 1 <= n < N/2:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,17 +131,17 @@ def find_pairs(n_legs: int, p_max: int = 12, q_max: int = 12) -> list[DarkPair]:
     exist, and ValueError, before enumerating anything, when the lattice holds
     more than MAX_LATTICE_POINTS candidates.
     """
-    if check_int("n_legs", n_legs, 2) == 2:
+    n_legs = check_int("n_legs", n_legs, 2)
+    if n_legs == 2:
         raise StructuralImpossibilityError(
             "coexisting dark pairs require at least three coupling points: for "
             "n_legs = 2 the cotangent in the dark condition degenerates to 0 or "
             "infinity for every mode index"
         )
-    check_int("p_max", p_max, 1)
-    check_int("q_max", q_max, 1)
-    m = min(p_max, q_max)  # counted in floats: a huge lattice gives inf
-    check_budget("the pair search",
-                 (n_legs - 1) // 2 * (0.5 * m * (m + 1.0) + (p_max - m) * float(q_max)),
+    p_max = check_int("p_max", p_max, 1)
+    q_max = check_int("q_max", q_max, 1)
+    m = min(p_max, q_max)  # counted in ints: exact, with no float to overflow
+    check_budget("the pair search", (n_legs - 1) // 2 * (m * (m + 1) // 2 + (p_max - m) * q_max),
                  "lattice points", MAX_LATTICE_POINTS)
     return _sorted_pairs(n_legs, ((p, q) for p in range(1, p_max + 1)
                                   for q in range(1, min(p, q_max) + 1)))
@@ -176,7 +177,8 @@ def scan_lattice(n_legs: int, omega_tau_max: float, gamma_tau_max: float,
     enumerating anything, when the pair candidates or the line samples exceed
     MAX_LATTICE_POINTS.
     """
-    check_int("n_legs", n_legs, 2)
+    n_legs = check_int("n_legs", n_legs, 2)
+    line_samples = check_int("line_samples", line_samples, 1)
     if not (0 < omega_tau_max < math.inf and 0 < gamma_tau_max < math.inf):
         raise ValueError(f"window bounds must be positive and finite, got omega_tau_max = "
                          f"{omega_tau_max}, gamma_tau_max = {gamma_tau_max}")
@@ -189,8 +191,9 @@ def scan_lattice(n_legs: int, omega_tau_max: float, gamma_tau_max: float,
     max_cot = 1.0 / math.tan(math.pi / n_legs)
     n_bound = float(np.ceil(n_legs * (omega_tau_max + 0.5 * n_legs * gamma_tau_max * max_cot)
                             / TWO_PI)) + 1.0
-    check_budget("the scan's line sampling", n_bound * line_samples, "lattice points",
-                 MAX_LATTICE_POINTS)
+    # a line_samples past float range would raise in the product, and is over budget
+    lines = n_bound * line_samples if line_samples <= sys.float_info.max else math.inf
+    check_budget("the scan's line sampling", lines, "lattice points", MAX_LATTICE_POINTS)
 
     dots = _sorted_pairs(n_legs, ((pq_sum - q, q) for pq_sum in range(2, int(max_pq_sum) + 1)
                                   for q in range(1, pq_sum // 2 + 1)), gamma_tau_max)

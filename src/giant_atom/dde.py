@@ -70,9 +70,9 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     m = check_int("steps_per_tau", steps_per_tau, 16)
 
     n = params.n_legs
-    h = 1.0 / m
-    # in floats: a huge t_max gives inf steps, not an OverflowError
-    n_steps = max(1.0, np.ceil(t_max / h - 1e-12))
+    h = 1 / m  # int division: 0.0 past float range, not an OverflowError
+    # in floats: a huge t_max or steps_per_tau gives inf steps, not an OverflowError
+    n_steps = max(1.0, np.ceil(t_max / h - 1e-12) if h else np.inf)
     check_budget(f"t_max = {t_max:g} at {m} steps per tau", 2.0 * n_steps + 1.0, "samples",
                  MAX_TRACE_SAMPLES)
     n_steps = int(n_steps)
@@ -110,6 +110,16 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     return AmplitudeTrace(dt=h, samples=samples, t_max=n_steps * h)
 
 
+def check_trace_times(trace: AmplitudeTrace, ts) -> None:
+    """Reject any time (nan included) outside [0, t_max] beyond rounding."""
+    flat = np.atleast_1d(np.asarray(ts, dtype=float))
+    if flat.size and not (flat.min() >= -1e-12 and flat.max() <= trace.t_max + 1e-9):
+        raise ValueError(
+            f"time outside trace range [0, {trace.t_max:g}]: "
+            f"min {flat.min():g}, max {flat.max():g}"
+        )
+
+
 def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
     """Vectorised dense output: cubic interpolation of the half-step samples.
 
@@ -122,11 +132,7 @@ def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
     samples = trace.samples
     n = len(samples)
     step = 0.5 * trace.dt
-    if flat.size and not (flat.min() >= -1e-12 and flat.max() <= trace.t_max + 1e-9):
-        raise ValueError(
-            f"time outside trace range [0, {trace.t_max:g}]: "
-            f"min {flat.min():g}, max {flat.max():g}"
-        )
+    check_trace_times(trace, flat)
 
     pos = np.clip(flat / step, 0.0, n - 1.0)
     nearest = np.rint(pos)

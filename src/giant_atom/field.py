@@ -25,7 +25,7 @@ import numpy as np
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams,
                    characteristic_fn, check_mode_index, check_positive)
 from .darkstates import dark_amplitude, dark_frequency, rwa_check
-from .dde import beta_at_many
+from .dde import beta_at_many, check_trace_times
 
 __all__ = [
     "DEFAULT_DX",
@@ -58,17 +58,14 @@ class GridSpec:
         if not (self.x_max > self.x_min):
             raise ValueError("x_max must exceed x_min")
         check_positive("dx", self.dx)
+        if not math.isfinite((self.x_max - self.x_min) / self.dx):
+            raise ValueError(f"the window [{self.x_min:g}, {self.x_max:g}] at dx = {self.dx:g} "
+                             "does not hold a finite number of points")
 
     @property
     def xs(self) -> np.ndarray:
         count = int(math.floor((self.x_max - self.x_min) / self.dx + 1e-9)) + 1
         return self.x_min + self.dx * np.arange(count)
-
-
-def _check_time(trace: AmplitudeTrace, t: float) -> None:
-    if not (-1e-12 <= t <= trace.t_max + 1e-9):
-        raise ValueError(f"t = {t:g} requires retarded amplitudes outside the "
-                         f"trace range [0, {trace.t_max:g}]")
 
 
 def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray,
@@ -85,7 +82,7 @@ def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray,
 def field_amplitude(params: GiantAtomParams, trace: AmplitudeTrace,
                     x: float, t: float) -> complex:
     """Retarded-sum field amplitude phi(x, t); zero before any wavefront arrives."""
-    _check_time(trace, t)
+    check_trace_times(trace, t)
     return complex(_phi(params, trace, np.asarray([float(x)]), t)[0])
 
 
@@ -94,8 +91,7 @@ def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
     """Sample p(x, t) = |phi|^2 on the grid for every requested instant."""
     if not grid.times:
         raise ValueError("grid spec lists no sample times")
-    for t in grid.times:
-        _check_time(trace, t)
+    check_trace_times(trace, grid.times)
     xs = grid.xs
     return [FieldGrid(x_min=grid.x_min, x_max=grid.x_max, dx=grid.dx,
                       values=np.abs(_phi(params, trace, xs, t)) ** 2, t=t)
@@ -143,7 +139,7 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
     -t + 16k are kink positions already; the slices bound the node arrays.
     Each slice is composite Simpson between the closed-form kinks of |phi|^2.
     """
-    _check_time(trace, t)
+    check_trace_times(trace, t)
     t = float(max(t, 0.0))
     centre = 0.5 * (params.n_legs - 1)
     edges = np.append(np.arange(-t, centre, _SLICE), centre)

@@ -31,7 +31,6 @@ DEFAULT_RE_MIN = -12.0
 _NEWTON_ITERATIONS = 60
 _MAX_STEP = 10.0          # damp Newton steps so iterates stay evaluable
 _STEP_TOL = 1e-15         # a seed retires once |step| <= _STEP_TOL * (1 + |z|)
-_BOUNDARY_CLEARANCE = 1e-9
 _NUDGE = 1e-6             # rectangle growth applied when a root sits on the boundary
 _RESIDUAL_TOL = 1e-11     # a Newton final is a root when |F| falls below this
 _SEPARATION = 1e-8        # roots closer than this are one root
@@ -46,7 +45,8 @@ class _BoundaryNearRoot(RuntimeError):
 @dataclass(frozen=True)
 class PoleSet:
     """Deduplicated roots of the characteristic function in a rectangle,
-    sorted by (Im, Re), with their residue weights."""
+    sorted by (Im, Re), with their residue weights.  flagged_cells holds the
+    seeds whose Newton run did not converge to a root, not grid cells."""
 
     params: GiantAtomParams
     s: np.ndarray
@@ -92,24 +92,17 @@ def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
 
 
 def _dedupe(roots: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Merge clustered roots, keeping the best-polished representative.
+    """Merge clustered roots, keeping each cluster's best-polished member.
 
-    Roots are sorted on (Im, Re) first so the result is independent of the
-    order of the seeds.
+    Roots are sorted on (Im, Re) first, so the result is independent of the
+    order of the seeds.  A cluster ends where the gap to the next root exceeds
+    _SEPARATION; of equal residuals the (Im, Re)-first member is kept.
     """
     order = np.lexsort((roots.real, roots.imag))
-    roots = roots[order]
-    residuals = residuals[order]
-    kept: list[complex] = []
-    kept_res: list[float] = []
-    for z, r in zip(roots, residuals):
-        if kept and abs(z - kept[-1]) <= _SEPARATION:
-            if r < kept_res[-1]:
-                kept[-1], kept_res[-1] = z, r
-            continue
-        kept.append(complex(z))
-        kept_res.append(float(r))
-    return np.asarray(kept, dtype=complex)
+    roots, residuals = roots[order], residuals[order]
+    starts = np.abs(np.diff(roots, prepend=np.inf)) > _SEPARATION
+    # a stable sort on (cluster, residual) keeps the clusters' sizes and order
+    return roots[np.lexsort((residuals, np.cumsum(starts)))[starts]]
 
 
 def _boundary_points(rect, spacing):
@@ -160,12 +153,13 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     Returns a PoleSet with residue weights; raises IncompleteSearchError if the
     deduplicated root count still disagrees with the boundary winding number
     after one grid refinement, and SearchPlacementError if twelve attempts
-    fail to place the boundary clear of every root.  Cells whose Newton
-    iteration failed to converge anywhere are reported in flagged_cells.
-    When the boundary passes within 1e-9 of a root the rectangle is nudged
-    outward and resampled.  Raises ValueError, before building any seed, when
-    im_center is not finite or the base and refinement grids together exceed
-    MAX_SEEDS.
+    fail to place the boundary clear of every root.  Seeds whose Newton run
+    did not converge to a root are reported in flagged_cells.  The rectangle
+    grows by 1e-6 on every side and is resampled whenever a sample of F on it
+    falls below 1e-9 * (1 + |s|) or the winding count cannot settle; the
+    PoleSet's bounds are those of the rectangle searched last.  Raises
+    ValueError, before building any seed, when im_center is not finite or the
+    base and refinement grids together exceed MAX_SEEDS.
     """
     if not (math.isfinite(re_min) and re_min < 0):
         raise ValueError(f"re_min must be negative, got {re_min}")
@@ -196,34 +190,18 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     finals = _newton(params, seeds)
     refined = False
     for _ in range(12):
+        try:
+            w = _winding_number(params, rect, spacing=0.5 * cell)
+        except _BoundaryNearRoot:  # grow the rectangle away from the root it touches
+            rect = [rect[0] - _NUDGE, rect[1] + _NUDGE, rect[2] - _NUDGE, rect[3] + _NUDGE]
+            continue
         with np.errstate(all="ignore"):
             res = np.abs(characteristic_fn(params, finals))
         ok = np.isfinite(finals) & np.isfinite(res) & (res < _RESIDUAL_TOL)
         flagged = tuple(complex(z) for z in seeds[~ok])
-        cand = finals[ok]
-        cand_res = res[ok]
-
-        # grow the rectangle away from any root the boundary nearly touches
-        in_re = (cand.real >= rect[0] - _NUDGE) & (cand.real <= rect[1] + _NUDGE)
-        in_im = (cand.imag >= rect[2] - _NUDGE) & (cand.imag <= rect[3] + _NUDGE)
-        near = (in_im & ((np.abs(cand.real - rect[0]) < _BOUNDARY_CLEARANCE)
-                         | (np.abs(cand.real - rect[1]) < _BOUNDARY_CLEARANCE))
-                | in_re & ((np.abs(cand.imag - rect[2]) < _BOUNDARY_CLEARANCE)
-                           | (np.abs(cand.imag - rect[3]) < _BOUNDARY_CLEARANCE)))
-        if near.any():
-            rect = [rect[0] - _NUDGE, rect[1] + _NUDGE, rect[2] - _NUDGE, rect[3] + _NUDGE]
-            continue
-
-        inside = ((cand.real >= rect[0]) & (cand.real <= rect[1])
-                  & (cand.imag >= rect[2]) & (cand.imag <= rect[3]))
-        roots = _dedupe(cand[inside], cand_res[inside])
-
-        try:
-            w = _winding_number(params, rect, spacing=0.5 * cell)
-        except _BoundaryNearRoot:
-            rect = [rect[0] - _NUDGE, rect[1] + _NUDGE, rect[2] - _NUDGE, rect[3] + _NUDGE]
-            continue
-
+        inside = ok & ((finals.real >= rect[0]) & (finals.real <= rect[1])
+                       & (finals.imag >= rect[2]) & (finals.imag <= rect[3]))
+        roots = _dedupe(finals[inside], res[inside])
         if w == len(roots):
             weights = 1.0 / characteristic_deriv(params, roots)
             return PoleSet(params=params, s=roots, weights=weights,

@@ -457,7 +457,7 @@ class TestGridBudget:
         def no_work(*args, **kwargs):
             raise AssertionError("work started on a rejected grid")
         monkeypatch.setattr(dde, "integrate_beta", no_work)
-        monkeypatch.setattr(darkstates, "scan_lattice", no_work)
+        monkeypatch.setattr(darkstates, "_sorted_pairs", no_work)
         rc = main([*argv, "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err

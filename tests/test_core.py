@@ -11,9 +11,12 @@ from giant_atom import (
     ComplexFreq,
     FieldGrid,
     GiantAtomParams,
+    GridSpec,
     characteristic_deriv,
     characteristic_fn,
     dark_frequency,
+    find_pairs,
+    integrate_beta,
     params_from_physical,
     params_to_physical,
 )
@@ -50,6 +53,19 @@ class TestInputRules:
         assert GiantAtomParams(MAX_N_LEGS, 0.1, 1.0).n_legs == MAX_N_LEGS
         with pytest.raises(ValueError, match="coupling points, above the budget of 65536"):
             GiantAtomParams(MAX_N_LEGS + 1, 0.1, 1.0)
+
+    # an int past float range, or an infinite grid end, is a ValueError, not an OverflowError
+    @pytest.mark.parametrize("call, match", [
+        (lambda: GiantAtomParams(10 ** 400, 0.1, 1.0), "the emitter needs inf coupling points"),
+        (lambda: find_pairs(3, 10 ** 400, 2), "the pair search needs inf lattice points"),
+        (lambda: integrate_beta(GiantAtomParams(3, 0.1, 1.0), 1.0, steps_per_tau=10 ** 400),
+         "needs inf samples"),
+        (lambda: GridSpec(-math.inf, 0.0).xs, "finite number of points"),
+        (lambda: GridSpec(0.0, math.inf).xs, "finite number of points"),
+    ], ids=["n_legs", "p_max", "steps_per_tau", "x_min", "x_max"])
+    def test_value_error_not_overflow(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestParams:

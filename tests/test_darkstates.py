@@ -240,6 +240,21 @@ class TestLatticeBudget:
         with pytest.raises(ValueError, match="window bounds must be positive and finite"):
             scan_lattice(3, omega_tau_max, gamma_tau_max)
 
+    @pytest.mark.parametrize("samples, rule", [(0, ">= 1"), (-1, ">= 1"), (1.5, "an integer"),
+                                               (10 ** 400, None)],
+                             ids=["zero", "negative", "fraction", "huge"])
+    def test_scan_rejects_bad_line_samples(self, monkeypatch, samples, rule):
+        monkeypatch.setattr(darkstates, "_sorted_pairs", None)
+        match = f"^line_samples must be {rule}" if rule else "line sampling needs inf"
+        with pytest.raises(ValueError, match=match):
+            scan_lattice(3, 6.0, 1.0, line_samples=samples)
+
+    def test_integral_floats_enumerate_like_ints(self):
+        # check_int accepts 3.0 as an integer; the enumeration must then use its int
+        assert find_pairs(3.0, 5.0, 5.0) == find_pairs(3, 5, 5)
+        lines = scan_lattice(3.0, 6.0, 1.0, 11.0).lines
+        assert [line.n for line in lines] == [line.n for line in scan_lattice(3, 6.0, 1.0, 11).lines]
+
     def test_huge_finite_window_counts_to_inf(self, monkeypatch):
         # the line count overflows to inf and is rejected at any budget
         monkeypatch.setattr(darkstates, "MAX_LATTICE_POINTS", 10 ** 300)

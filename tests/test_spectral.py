@@ -218,3 +218,85 @@ class TestRecoveryPaths:
         monkeypatch.setattr(spectral, "_winding_number", always_near)
         with pytest.raises(SearchPlacementError):
             find_poles(dark_n1_params, **self.WINDOW)
+
+
+def loop_dedupe(roots, residuals):
+    """Reference: walk the (Im, Re)-sorted roots, merging each into the kept
+    root it lies within _SEPARATION of and keeping the lower residual."""
+    order = np.lexsort((roots.real, roots.imag))
+    kept, kept_res = [], []
+    for z, r in zip(roots[order], residuals[order]):
+        if kept and abs(z - kept[-1]) <= spectral._SEPARATION:
+            if r < kept_res[-1]:
+                kept[-1], kept_res[-1] = z, r
+            continue
+        kept.append(complex(z))
+        kept_res.append(float(r))
+    return np.asarray(kept, dtype=complex)
+
+
+class TestDedupe:
+    SEP = spectral._SEPARATION
+
+    def test_cluster_keeps_lowest_residual(self):
+        roots = np.array([3 + 2j, 1 + 1j, 1 + 1j + 0.4 * self.SEP, 2j, 1 + 1j + 0.8 * self.SEP])
+        res = np.array([4e-12, 3e-12, 1e-12, 5e-12, 2e-12])
+        out = spectral._dedupe(roots, res)
+        assert out.tolist() == [1 + 1j + 0.4 * self.SEP, 2j, 3 + 2j]
+
+    def test_tie_keeps_first_in_im_re_order(self):
+        roots = np.array([-1 + 5j + 0.5j * self.SEP, -1 + 5j + 0.5 * self.SEP, -1 + 5j])
+        out = spectral._dedupe(roots, np.full(3, 1e-12))
+        assert out.tolist() == [-1 + 5j]
+
+    def test_empty_input(self):
+        out = spectral._dedupe(np.empty(0, dtype=complex), np.empty(0))
+        assert out.shape == (0,) and out.dtype == complex
+
+    def test_permutation_invariant_and_matches_loop(self):
+        rng = np.random.default_rng(8)
+        centres = rng.uniform(-9, 0, 40) + 1j * rng.uniform(-30, 30, 40)
+        copies = rng.integers(1, 5, 40)
+        roots = np.repeat(centres, copies)
+        roots = roots + 0.3 * self.SEP * (rng.uniform(-1, 1, len(roots))
+                                          + 1j * rng.uniform(-1, 1, len(roots)))
+        res = rng.choice([1e-12, 2e-12, 3e-12], len(roots))  # ties included
+        expected = spectral._dedupe(roots, res)
+        assert len(expected) == 40
+        np.testing.assert_array_equal(expected, loop_dedupe(roots, res))
+        for _ in range(5):
+            perm = rng.permutation(len(roots))
+            np.testing.assert_array_equal(spectral._dedupe(roots[perm], res[perm]), expected)
+
+
+class TestBoundaryBand:
+    """An edge placed just inside, on or just outside a root: the winding
+    guard alone decides whether the rectangle grows, and the search still
+    returns exactly the roots a wide search finds inside its rectangle."""
+
+    OFFSETS = [0.0, 1e-11, -1e-11, 3e-10, -3e-10, 9e-10, -9e-10, 2e-9, -2e-9]
+    HALFWIDTH = 4.0
+
+    @pytest.fixture(scope="class")
+    def reference(self, dark_n1_params):
+        return find_poles(dark_n1_params, re_min=-9.0, im_halfwidth=30.0)
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("edge", ["lower", "upper", "left"])
+    def test_edge_near_root(self, dark_n1_params, reference, edge, offset):
+        hw, omega = self.HALFWIDTH, dark_n1_params.omega_tau
+        dark = -dark_frequency(3, 1)  # Im of the dark root -i Omega_1
+        window = [z for z in reference.s if abs(z.imag + omega) < hw and z.real > -5.0]
+        left = min(window, key=lambda z: z.real)
+        kwargs = {"lower": dict(re_min=-5.0, im_center=dark + offset + hw),
+                  "upper": dict(re_min=-5.0, im_center=dark + offset - hw),
+                  "left": dict(re_min=left.real + offset, im_center=-omega)}[edge]
+        ps = find_poles(dark_n1_params, im_halfwidth=hw, **kwargs)
+        assert ps.winding == len(ps)
+        s, r = ps.s, reference.s
+        assert np.all((s.real >= ps.re_min) & (s.real <= ps.re_max)
+                      & (s.imag >= ps.im_min) & (s.imag <= ps.im_max))
+        expected = r[(r.real >= ps.re_min) & (r.real <= ps.re_max)
+                     & (r.imag >= ps.im_min) & (r.imag <= ps.im_max)]
+        assert len(s) == len(expected)
+        assert np.abs(s - expected).max() <= 1e-12
