@@ -61,9 +61,10 @@ def check_int(name: str, value, least: int) -> int:
 
 
 def check_mode_index(n: int, n_legs: int | None = None) -> None:
-    """Require an integer mode index n >= 1 and, when n_legs is given, one that
-    is not a multiple of it."""
-    check_int("mode index", n, 1)
+    """Require an integer mode index 1 <= n <= 2**53, the CLI's integer bound,
+    and, when n_legs is given, one that is not a multiple of it."""
+    if check_int("mode index", n, 1) > 2 ** 53:
+        raise ValueError("mode index must be <= 2**53")
     if n_legs is not None and n % n_legs == 0:
         raise ValueError(
             f"mode index n = {n} is a multiple of n_legs = {n_legs}: "

@@ -54,6 +54,7 @@ MAX_LATTICE_POINTS = 2 ** 20
 
 def dark_frequency(n_legs: int, n: int) -> float:
     """Frequency 2*n*pi/N of the candidate dark mode with index n (1/tau units)."""
+    check_mode_index(n)
     return TWO_PI * n / n_legs
 
 

@@ -73,7 +73,8 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     h = 1 / m  # int division: 0.0 past float range, not an OverflowError
     # in floats: a huge t_max or steps_per_tau gives inf steps, not an OverflowError
     n_steps = max(1.0, np.ceil(t_max / h - 1e-12) if h else np.inf)
-    check_budget(f"t_max = {t_max:g} at {m} steps per tau", 2.0 * n_steps + 1.0, "samples",
+    steps = m if m <= 2 ** 53 else "over 2**53"  # a huge m in full would flood the message
+    check_budget(f"t_max = {t_max:g} at {steps} steps per tau", 2.0 * n_steps + 1.0, "samples",
                  MAX_TRACE_SAMPLES)
     n_steps = int(n_steps)
     decay = -1j * params.omega_tau - 0.5 * n * params.gamma_tau

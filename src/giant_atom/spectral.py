@@ -34,12 +34,8 @@ _STEP_TOL = 1e-15         # a seed retires once |step| <= _STEP_TOL * (1 + |z|)
 _NUDGE = 1e-6             # rectangle growth applied when a root sits on the boundary
 _RESIDUAL_TOL = 1e-11     # a Newton final is a root when |F| falls below this
 _SEPARATION = 1e-8        # roots closer than this are one root
-_MAX_WINDING_POINTS = 400_000  # boundary samples at which the winding count gives up
+_MAX_WINDING_POINTS = 400_000  # samples bisection may add before the winding count gives up
 MAX_SEEDS = 2 ** 22       # base plus refinement grid seeds: at most 67 MB per copy
-
-
-class _BoundaryNearRoot(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -121,45 +117,48 @@ def _winding_number(params, rect, spacing):
     """Winding number of F around the rectangle via adaptive phase tracking.
 
     Segments are bisected until no phase jump exceeds pi/2, which rules out
-    aliasing as long as no root touches the boundary (raises if one does).
+    aliasing as long as no root touches the boundary.  Returns None when a
+    sample of F falls below 1e-9 * (1 + |s|), when the phase sum settles more
+    than 0.1 from an integer, or when bisection adds more than
+    _MAX_WINDING_POINTS samples (or runs 64 passes) without settling.
     """
     pts = _boundary_points(rect, spacing)
+    cap = len(pts) + _MAX_WINDING_POINTS
     for _ in range(64):
         closed = np.concatenate([pts, pts[:1]])
         vals = characteristic_fn(params, closed)
         mags = np.abs(vals)
         if mags.min() < 1e-9 * (1.0 + np.abs(closed[np.argmin(mags)])):
-            raise _BoundaryNearRoot
+            return None
         dphi = np.diff(np.angle(vals))
         dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
         bad = np.abs(dphi) > 0.5 * math.pi
         if not bad.any():
             total = dphi.sum() / (2.0 * math.pi)
             w = int(round(total))
-            if abs(total - w) > 0.1:
-                raise _BoundaryNearRoot
-            return w
+            return w if abs(total - w) <= 0.1 else None
         idx = np.flatnonzero(bad)
         pts = np.insert(closed[:-1], idx + 1, 0.5 * (closed[idx] + closed[idx + 1]))
-        if len(pts) > _MAX_WINDING_POINTS:
-            raise _BoundaryNearRoot
-    raise _BoundaryNearRoot
+        if len(pts) > cap:
+            break
+    return None
 
 
 def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
                im_center: float | None = None, im_halfwidth: float = 10.0) -> PoleSet:
     """Locate all characteristic roots in [re_min, +gamma] x [center +- halfwidth].
 
-    Returns a PoleSet with residue weights; raises IncompleteSearchError if the
-    deduplicated root count still disagrees with the boundary winding number
-    after one grid refinement, and SearchPlacementError if twelve attempts
-    fail to place the boundary clear of every root.  Seeds whose Newton run
-    did not converge to a root are reported in flagged_cells.  The rectangle
-    grows by 1e-6 on every side and is resampled whenever a sample of F on it
-    falls below 1e-9 * (1 + |s|) or the winding count cannot settle; the
-    PoleSet's bounds are those of the rectangle searched last.  Raises
-    ValueError, before building any seed, when im_center is not finite or the
-    base and refinement grids together exceed MAX_SEEDS.
+    First the rectangle is placed: while the boundary winding number cannot
+    settle (a sample of F on it falls below 1e-9 * (1 + |s|), or the count is
+    not clean) it grows by 1e-6 on every side, and after twelve failed walks
+    SearchPlacementError is raised before any seed exists.  Then it is seeded:
+    Newton runs from a grid of cell ~ pi/(2N), and a half-cell grid is added
+    only when the deduplicated roots fall short of the winding number;
+    IncompleteSearchError if both grids together still do.  The PoleSet holds
+    the residue weights and the settled rectangle's bounds; seeds whose Newton
+    run did not converge to a root are in flagged_cells.  Raises ValueError,
+    before any work, when im_center is not finite or the base and refinement
+    grids together exceed MAX_SEEDS.
     """
     if not (math.isfinite(re_min) and re_min < 0):
         raise ValueError(f"re_min must be negative, got {re_min}")
@@ -180,42 +179,34 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
                  math.prod(grid_shape(cell)) + math.prod(grid_shape(0.5 * cell)),
                  "Newton seeds with its refinement grid", MAX_SEEDS)
 
+    for _ in range(12):  # place: grow the rectangle away from any root it touches
+        w = _winding_number(params, rect, spacing=0.5 * cell)
+        if w is not None:
+            break
+        rect = [rect[0] - _NUDGE, rect[1] + _NUDGE, rect[2] - _NUDGE, rect[3] + _NUDGE]
+    else:
+        raise SearchPlacementError("could not place the search rectangle clear of all roots")
+
     def seed_grid(c):
         nx, ny = (int(n) for n in grid_shape(c))
         xs = rect[0] + (np.arange(nx) + 0.5) * (rect[1] - rect[0]) / nx
         ys = rect[2] + (np.arange(ny) + 0.5) * (rect[3] - rect[2]) / ny
         return (xs[None, :] + 1j * ys[:, None]).ravel()
 
-    seeds = seed_grid(cell)
-    finals = _newton(params, seeds)
-    refined = False
-    for _ in range(12):
-        try:
-            w = _winding_number(params, rect, spacing=0.5 * cell)
-        except _BoundaryNearRoot:  # grow the rectangle away from the root it touches
-            rect = [rect[0] - _NUDGE, rect[1] + _NUDGE, rect[2] - _NUDGE, rect[3] + _NUDGE]
-            continue
+    seeds = finals = np.empty(0, dtype=complex)
+    for c in (cell, 0.5 * cell):  # seed: the half-cell grid runs only if the base falls short
+        seeds = np.concatenate([seeds, seed_grid(c)])
+        finals = np.concatenate([finals, _newton(params, seeds[len(finals):])])
         with np.errstate(all="ignore"):
             res = np.abs(characteristic_fn(params, finals))
         ok = np.isfinite(finals) & np.isfinite(res) & (res < _RESIDUAL_TOL)
-        flagged = tuple(complex(z) for z in seeds[~ok])
         inside = ok & ((finals.real >= rect[0]) & (finals.real <= rect[1])
                        & (finals.imag >= rect[2]) & (finals.imag <= rect[3]))
         roots = _dedupe(finals[inside], res[inside])
         if w == len(roots):
-            weights = 1.0 / characteristic_deriv(params, roots)
-            return PoleSet(params=params, s=roots, weights=weights,
-                           re_min=rect[0], re_max=rect[1],
-                           im_min=rect[2], im_max=rect[3],
-                           winding=w, flagged_cells=flagged)
-        if not refined:
-            refined = True
-            extra = seed_grid(0.5 * cell)
-            seeds = np.concatenate([seeds, extra])
-            finals = np.concatenate([finals, _newton(params, extra)])
-            continue
-        raise IncompleteSearchError(found=len(roots), expected=w)
-    raise SearchPlacementError("could not place the search rectangle clear of all roots")
+            return PoleSet(params, roots, 1.0 / characteristic_deriv(params, roots), *rect,
+                           winding=w, flagged_cells=tuple(complex(z) for z in seeds[~ok]))
+    raise IncompleteSearchError(found=len(roots), expected=w)
 
 
 def beta_from_poles(pole_set: PoleSet, t):

@@ -12,13 +12,21 @@ from giant_atom import (
     FieldGrid,
     GiantAtomParams,
     GridSpec,
+    bound_profile,
     characteristic_deriv,
     characteristic_fn,
+    continuum_profile,
+    continuum_total_intensity,
+    dark_amplitude,
+    dark_condition_omega_tau,
     dark_frequency,
+    dark_state_record,
     find_pairs,
     integrate_beta,
     params_from_physical,
     params_to_physical,
+    rwa_check,
+    total_intensity,
 )
 
 from giant_atom.core import check_budget, check_int, check_positive
@@ -64,8 +72,35 @@ class TestInputRules:
         (lambda: GridSpec(0.0, math.inf).xs, "finite number of points"),
     ], ids=["n_legs", "p_max", "steps_per_tau", "x_min", "x_max"])
     def test_value_error_not_overflow(self, call, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as info:
             call()
+        assert len(str(info.value)) < 200
+
+    # a mode index past 2**53 is not exact in floats; past float range it overflowed
+    @pytest.mark.parametrize("call", [
+        lambda n: dark_frequency(3, n),
+        lambda n: dark_condition_omega_tau(3, n, 0.1),
+        lambda n: dark_amplitude(3, n, 0.1),
+        lambda n: rwa_check(3, n, 0.1, 2.0),
+        lambda n: bound_profile(GiantAtomParams(3, 0.1, 2.0), n, 0.5),
+        lambda n: total_intensity(GiantAtomParams(3, 0.1, 2.0), n),
+        lambda n: dark_state_record(GiantAtomParams(3, 0.1, 2.0), n),
+        lambda n: continuum_profile(1.0, n, 1.0, 0.5),
+        lambda n: continuum_total_intensity(1.0, n),
+    ], ids=["dark_frequency", "dark_condition_omega_tau", "dark_amplitude", "rwa_check",
+            "bound_profile", "total_intensity", "dark_state_record", "continuum_profile",
+            "continuum_total_intensity"])
+    def test_mode_index_above_2_53(self, call):
+        for n in (2 ** 53 + 1, 10 ** 400 + 1):
+            with pytest.raises(ValueError, match=r"^mode index must be <= 2\*\*53$"):
+                call(n)
+
+    def test_dark_frequency_checks_its_index(self):
+        assert dark_frequency(3, 2 ** 53) == TWO_PI * 2 ** 53 / 3
+        for n in (0, 1.5, -3):
+            with pytest.raises(ValueError, match="mode index"):
+                dark_frequency(3, n)
+        assert not rwa_check(3, -10 ** 400, 0.1, 2.0)  # n < 1 is never acceptable, not an error
 
 
 class TestParams:

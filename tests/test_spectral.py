@@ -213,11 +213,50 @@ class TestRecoveryPaths:
 
     def test_boundary_never_clear_raises_placement(self, dark_n1_params, monkeypatch):
         def always_near(*args, **kwargs):
-            raise spectral._BoundaryNearRoot
+            return None
 
         monkeypatch.setattr(spectral, "_winding_number", always_near)
         with pytest.raises(SearchPlacementError):
             find_poles(dark_n1_params, **self.WINDOW)
+
+    def test_placement_failure_builds_no_seed(self, dark_n1_params, monkeypatch):
+        walks = []
+
+        def no_newton(*args):
+            raise AssertionError("Newton ran before the rectangle was placed")
+
+        monkeypatch.setattr(spectral, "_winding_number", lambda *args, **kw: walks.append(1))
+        monkeypatch.setattr(spectral, "_newton", no_newton)
+        with pytest.raises(SearchPlacementError):
+            find_poles(dark_n1_params, **self.WINDOW)
+        assert len(walks) == 12
+
+    def test_refinement_walks_boundary_once(self, dark_n1_params, monkeypatch):
+        newton, winding, calls, walks = spectral._newton, spectral._winding_number, [], []
+
+        def stalls_once(params, seeds):
+            calls.append(len(seeds))
+            return seeds.astype(complex) if len(calls) == 1 else newton(params, seeds)
+
+        def counted(params, rect, spacing):
+            walks.append(list(rect))
+            return winding(params, rect, spacing)
+
+        monkeypatch.setattr(spectral, "_newton", stalls_once)
+        monkeypatch.setattr(spectral, "_winding_number", counted)
+        ps = find_poles(dark_n1_params, **self.WINDOW)
+        assert len(calls) == 2 and len(walks) == 1 and ps.winding == len(ps) > 0
+
+
+def test_winding_cap_counts_only_bisection_samples(dark_n1_params, monkeypatch):
+    # the boundary starts at 102 samples, above the cap, and settles after
+    # 4 bisection passes that add one sample each
+    omega_1 = dark_frequency(3, 1)
+    rect = [-5.0, dark_n1_params.gamma_tau, -omega_1 + 0.01, -omega_1 + 8.01]
+    spacing = math.pi / 12  # half the N = 3 cell, as find_poles walks it
+    assert len(spectral._boundary_points(rect, spacing)) == 102
+    monkeypatch.setattr(spectral, "_MAX_WINDING_POINTS", 50)
+    assert spectral._winding_number(dark_n1_params, rect, spacing) == 2
 
 
 def loop_dedupe(roots, residuals):
