@@ -42,20 +42,17 @@ def continuum_dark_indices(omega_T: float, Gamma_T: float,
                            tol: float = INTEGER_ROOT_TOL) -> list[int]:
     """Positive integer indices solving the continuum dark condition.
 
-    The candidates are n = (omega_T +- sqrt(omega_T^2 + 4*Gamma_T)) / (4*pi);
-    only roots within tol of a positive integer qualify, so the list is empty
-    for generic parameters and never holds more than one index (the minus
-    root is always negative).
+    The one candidate is the plus root
+    n = (omega_T + sqrt(omega_T^2 + 4*Gamma_T)) / (4*pi); the minus root is
+    negative whenever Gamma_T > 0.  It qualifies only within tol of a positive
+    integer, so the list is empty for generic parameters and never holds more
+    than one index.
     """
     check_positive("omega_T", omega_T)
     check_positive("Gamma_T", Gamma_T)
-    disc = math.sqrt(omega_T * omega_T + 4.0 * Gamma_T)
-    out = set()
-    for root in ((omega_T + disc) / (2.0 * TWO_PI), (omega_T - disc) / (2.0 * TWO_PI)):
-        k = round(root)
-        if k >= 1 and abs(root - k) <= tol:
-            out.add(int(k))
-    return sorted(out)
+    root = (omega_T + math.sqrt(omega_T * omega_T + 4.0 * Gamma_T)) / (2.0 * TWO_PI)
+    k = round(root)
+    return [k] if k >= 1 and abs(root - k) <= tol else []
 
 
 def continuum_profile(Gamma_T: float, n: int, L: float, x):

@@ -55,8 +55,9 @@ def check_int(name: str, value, least: int) -> int:
     nan included) or one below least."""
     if isinstance(value, bool) or value % 1 != 0:
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    if value < least:  # in full a huge int floods the message; past 4300 digits str() raises
+        shown = repr(value) if value >= -2 ** 53 else "a value below -2**53"
+        raise ValueError(f"{name} must be >= {least}, got {shown}")
     return int(value)
 
 

@@ -60,7 +60,8 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
                    beta0: complex = 1.0 + 0.0j) -> AmplitudeTrace:
     """Integrate the delayed relaxation equation on [0, t_max].
 
-    Returns an AmplitudeTrace sampled every h/2 with h = tau/steps_per_tau.
+    Returns an AmplitudeTrace sampled every h/2 with h = tau/steps_per_tau,
+    over t_max rounded up to a whole step and over at least two steps.
     beta0 scales the initial excited-state amplitude (default: fully excited);
     the dynamics is linear, so the trace scales with it.  Raises ValueError,
     before allocating anything, when the trace would exceed MAX_TRACE_SAMPLES
@@ -71,8 +72,9 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
 
     n = params.n_legs
     h = 1 / m  # int division: 0.0 past float range, not an OverflowError
-    # in floats: a huge t_max or steps_per_tau gives inf steps, not an OverflowError
-    n_steps = max(1.0, np.ceil(t_max / h - 1e-12) if h else np.inf)
+    # in floats: a huge t_max or steps_per_tau gives inf steps, not an OverflowError;
+    # at least two steps, so the trace holds the 4 samples dense output needs
+    n_steps = max(2.0, np.ceil(t_max / h - 1e-12) if h else np.inf)
     steps = m if m <= 2 ** 53 else "over 2**53"  # a huge m in full would flood the message
     check_budget(f"t_max = {t_max:g} at {steps} steps per tau", 2.0 * n_steps + 1.0, "samples",
                  MAX_TRACE_SAMPLES)
@@ -124,40 +126,37 @@ def check_trace_times(trace: AmplitudeTrace, ts) -> None:
 def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
     """Vectorised dense output: cubic interpolation of the half-step samples.
 
-    Exact (bit-identical) at stored grid points.  The four-point stencil is
-    kept inside a single smooth piece [k, k+1)*tau whenever possible, so the
-    derivative breakpoints at whole multiples of tau do not degrade accuracy.
+    Exact (bit-identical) at stored grid points: a position within _GRID_SNAP
+    of a sample is snapped onto it, where the cubic weights are one-hot.  The
+    four-point stencil is kept inside a single smooth piece [k, k+1)*tau
+    whenever possible, so the derivative breakpoints at whole multiples of tau
+    do not degrade accuracy.  Raises ValueError for a trace of fewer than four
+    samples, which has no four-point stencil.
     """
     ts = np.asarray(ts, dtype=float)
     flat = np.atleast_1d(ts)
     samples = trace.samples
     n = len(samples)
+    if n < 4:
+        raise ValueError(f"dense output needs a trace of at least 4 samples, got {n}")
     step = 0.5 * trace.dt
     check_trace_times(trace, flat)
 
     pos = np.clip(flat / step, 0.0, n - 1.0)
     nearest = np.rint(pos)
-    on_grid = np.abs(pos - nearest) <= _GRID_SNAP
-    out = np.empty(flat.shape, dtype=complex)
-    if on_grid.any():
-        out[on_grid] = samples[nearest[on_grid].astype(int)]
-    off = ~on_grid
-    if off.any():
-        p = pos[off]
-        per_tau = 2 * trace.steps_per_tau
-        piece = np.floor(flat[off]).astype(int)
-        lo = np.maximum(piece * per_tau, 0)
-        hi = np.minimum(lo + per_tau, n - 1)
-        i0 = np.floor(p).astype(int) - 1
-        i0 = np.clip(i0, lo, np.maximum(hi - 3, 0))
-        i0 = np.clip(i0, 0, n - 4)  # final-fragment fallback
-        u = p - i0
-        w0 = -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0
-        w1 = u * (u - 2.0) * (u - 3.0) / 2.0
-        w2 = -u * (u - 1.0) * (u - 3.0) / 2.0
-        w3 = u * (u - 1.0) * (u - 2.0) / 6.0
-        out[off] = (w0 * samples[i0] + w1 * samples[i0 + 1]
-                    + w2 * samples[i0 + 2] + w3 * samples[i0 + 3])
+    pos = np.where(np.abs(pos - nearest) <= _GRID_SNAP, nearest, pos)
+    per_tau = 2 * trace.steps_per_tau
+    lo = np.maximum(np.floor(flat).astype(int) * per_tau, 0)
+    hi = np.minimum(lo + per_tau, n - 1)
+    # a final piece shorter than the stencil takes the trace's last four samples
+    i0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lo), hi - 3)
+    u = pos - i0
+    w0 = -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0
+    w1 = u * (u - 2.0) * (u - 3.0) / 2.0
+    w2 = -u * (u - 1.0) * (u - 3.0) / 2.0
+    w3 = u * (u - 1.0) * (u - 2.0) / 6.0
+    out = (w0 * samples[i0] + w1 * samples[i0 + 1]
+           + w2 * samples[i0 + 2] + w3 * samples[i0 + 3])
     return out.reshape(ts.shape)
 
 

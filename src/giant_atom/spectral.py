@@ -1,11 +1,11 @@
 """Complex mode-frequency search and residue-series reconstruction.
 
 Roots of the characteristic function are located inside a search rectangle by
-seeding Newton's method at the centre of every cell of a grid (cell side
+seeding Newton's method once at the centre of every cell of one grid (cell side
 ~ pi/(2N), half the typical root spacing), polishing to |F| < 1e-11,
-deduplicating, and validating the total count against the winding number of F
-around the rectangle boundary (argument principle, adaptive sampling).  Each
-root s_n carries the residue weight
+deduplicating, and requiring the count to equal the winding number of F around
+the rectangle boundary (argument principle, adaptive sampling); any other count
+raises IncompleteSearchError.  Each root s_n carries the residue weight
 
     w_n = 1 / (1 - gamma_tau * sum_{l=1}^{N-1} (N - l) * l * exp(-s_n * l))
         = 1 / F'(s_n),
@@ -35,7 +35,7 @@ _NUDGE = 1e-6             # rectangle growth applied when a root sits on the bou
 _RESIDUAL_TOL = 1e-11     # a Newton final is a root when |F| falls below this
 _SEPARATION = 1e-8        # roots closer than this are one root
 _MAX_WINDING_POINTS = 400_000  # samples bisection may add before the winding count gives up
-MAX_SEEDS = 2 ** 22       # base plus refinement grid seeds: at most 67 MB per copy
+MAX_SEEDS = 2 ** 22       # Newton seeds in the grid: at most 67 MB per complex copy
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,13 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     settle (a sample of F on it falls below 1e-9 * (1 + |s|), or the count is
     not clean) it grows by 1e-6 on every side, and after twelve failed walks
     SearchPlacementError is raised before any seed exists.  Then it is seeded:
-    Newton runs from a grid of cell ~ pi/(2N), and a half-cell grid is added
-    only when the deduplicated roots fall short of the winding number;
-    IncompleteSearchError if both grids together still do.  The PoleSet holds
-    the residue weights and the settled rectangle's bounds; seeds whose Newton
+    Newton runs once from a grid of cell ~ pi/(2N) laid on the settled
+    rectangle, and IncompleteSearchError is raised when the deduplicated
+    roots do not number exactly the winding number.  The PoleSet holds the
+    residue weights and the settled rectangle's bounds; seeds whose Newton
     run did not converge to a root are in flagged_cells.  Raises ValueError,
-    before any work, when im_center is not finite or the base and refinement
-    grids together exceed MAX_SEEDS.
+    before any work, when im_center is not finite or the grid exceeds
+    MAX_SEEDS.
     """
     if not (math.isfinite(re_min) and re_min < 0):
         raise ValueError(f"re_min must be negative, got {re_min}")
@@ -171,13 +171,11 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
 
     rect = [re_min, params.gamma_tau, im_center - im_halfwidth, im_center + im_halfwidth]
 
-    def grid_shape(c):  # in floats: a huge rectangle gives inf, not an OverflowError
-        return (max(2.0, np.ceil((rect[1] - rect[0]) / c)),
-                max(2.0, np.ceil((rect[3] - rect[2]) / c)))
+    def grid_shape():  # in floats: a huge rectangle gives inf, not an OverflowError
+        return (max(2.0, np.ceil((rect[1] - rect[0]) / cell)),
+                max(2.0, np.ceil((rect[3] - rect[2]) / cell)))
 
-    check_budget("the search rectangle",
-                 math.prod(grid_shape(cell)) + math.prod(grid_shape(0.5 * cell)),
-                 "Newton seeds with its refinement grid", MAX_SEEDS)
+    check_budget("the search rectangle", math.prod(grid_shape()), "Newton seeds", MAX_SEEDS)
 
     for _ in range(12):  # place: grow the rectangle away from any root it touches
         w = _winding_number(params, rect, spacing=0.5 * cell)
@@ -187,26 +185,21 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     else:
         raise SearchPlacementError("could not place the search rectangle clear of all roots")
 
-    def seed_grid(c):
-        nx, ny = (int(n) for n in grid_shape(c))
-        xs = rect[0] + (np.arange(nx) + 0.5) * (rect[1] - rect[0]) / nx
-        ys = rect[2] + (np.arange(ny) + 0.5) * (rect[3] - rect[2]) / ny
-        return (xs[None, :] + 1j * ys[:, None]).ravel()
-
-    seeds = finals = np.empty(0, dtype=complex)
-    for c in (cell, 0.5 * cell):  # seed: the half-cell grid runs only if the base falls short
-        seeds = np.concatenate([seeds, seed_grid(c)])
-        finals = np.concatenate([finals, _newton(params, seeds[len(finals):])])
-        with np.errstate(all="ignore"):
-            res = np.abs(characteristic_fn(params, finals))
-        ok = np.isfinite(finals) & np.isfinite(res) & (res < _RESIDUAL_TOL)
-        inside = ok & ((finals.real >= rect[0]) & (finals.real <= rect[1])
-                       & (finals.imag >= rect[2]) & (finals.imag <= rect[3]))
-        roots = _dedupe(finals[inside], res[inside])
-        if w == len(roots):
-            return PoleSet(params, roots, 1.0 / characteristic_deriv(params, roots), *rect,
-                           winding=w, flagged_cells=tuple(complex(z) for z in seeds[~ok]))
-    raise IncompleteSearchError(found=len(roots), expected=w)
+    nx, ny = (int(n) for n in grid_shape())  # seed: one grid on the settled rectangle
+    xs = rect[0] + (np.arange(nx) + 0.5) * (rect[1] - rect[0]) / nx
+    ys = rect[2] + (np.arange(ny) + 0.5) * (rect[3] - rect[2]) / ny
+    seeds = (xs[None, :] + 1j * ys[:, None]).ravel()
+    finals = _newton(params, seeds)
+    with np.errstate(all="ignore"):
+        res = np.abs(characteristic_fn(params, finals))
+    ok = np.isfinite(finals) & np.isfinite(res) & (res < _RESIDUAL_TOL)
+    inside = ok & ((finals.real >= rect[0]) & (finals.real <= rect[1])
+                   & (finals.imag >= rect[2]) & (finals.imag <= rect[3]))
+    roots = _dedupe(finals[inside], res[inside])
+    if w != len(roots):
+        raise IncompleteSearchError(found=len(roots), expected=w)
+    return PoleSet(params, roots, 1.0 / characteristic_deriv(params, roots), *rect,
+                   winding=w, flagged_cells=tuple(complex(z) for z in seeds[~ok]))
 
 
 def beta_from_poles(pole_set: PoleSet, t):

@@ -62,6 +62,8 @@ class TestInputRules:
         with pytest.raises(ValueError, match="coupling points, above the budget of 65536"):
             GiantAtomParams(MAX_N_LEGS + 1, 0.1, 1.0)
 
+    NEGATIVE = r"must be >= \d+, got a value below -2\*\*53$"
+
     # an int past float range, or an infinite grid end, is a ValueError, not an OverflowError
     @pytest.mark.parametrize("call, match", [
         (lambda: GiantAtomParams(10 ** 400, 0.1, 1.0), "the emitter needs inf coupling points"),
@@ -70,7 +72,18 @@ class TestInputRules:
          "needs inf samples"),
         (lambda: GridSpec(-math.inf, 0.0).xs, "finite number of points"),
         (lambda: GridSpec(0.0, math.inf).xs, "finite number of points"),
-    ], ids=["n_legs", "p_max", "steps_per_tau", "x_min", "x_max"])
+        # a huge negative int is shown by its bound; past 4300 digits str() itself raises
+        (lambda: dark_frequency(3, -10 ** 400), NEGATIVE),
+        (lambda: find_pairs(3, -10 ** 400, 2), NEGATIVE),
+        (lambda: integrate_beta(GiantAtomParams(3, 0.1, 1.0), 1.0, steps_per_tau=-10 ** 400),
+         NEGATIVE),
+        (lambda: dark_frequency(3, -10 ** 5000), NEGATIVE),
+        (lambda: find_pairs(3, -10 ** 5000, 2), NEGATIVE),
+        (lambda: integrate_beta(GiantAtomParams(3, 0.1, 1.0), 1.0, steps_per_tau=-10 ** 5000),
+         NEGATIVE),
+    ], ids=["n_legs", "p_max", "steps_per_tau", "x_min", "x_max",
+            "n_below_e400", "p_max_below_e400", "steps_per_tau_below_e400",
+            "n_below_e5000", "p_max_below_e5000", "steps_per_tau_below_e5000"])
     def test_value_error_not_overflow(self, call, match):
         with pytest.raises(ValueError, match=match) as info:
             call()

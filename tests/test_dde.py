@@ -6,6 +6,7 @@ import pytest
 
 from giant_atom import dde
 from giant_atom import (
+    AmplitudeTrace,
     DivergenceError,
     GiantAtomParams,
     beta_at,
@@ -208,6 +209,30 @@ class TestDenseOutput:
         for k in (1, 7, 512, 513, 100001):
             t = k * 0.5 * tr.dt
             assert beta_at(tr, t) == complex(tr.samples[k])
+
+    # a time within _GRID_SNAP half-steps of a sample reads that sample: at a
+    # whole tau, inside a piece and at the last sample
+    @pytest.mark.parametrize("offset", [-0.5 * dde._GRID_SNAP, 0.5 * dde._GRID_SNAP])
+    @pytest.mark.parametrize("k", [7 * 512, 3700, -1], ids=["whole-tau", "in-piece", "last"])
+    def test_snapped_grid_hits_bit_identical(self, dark_n1_trace_200, k, offset):
+        tr = dark_n1_trace_200
+        k %= len(tr.samples)
+        assert beta_at(tr, (k + offset) * 0.5 * tr.dt) == complex(tr.samples[k])
+
+    def test_shortest_trace(self):
+        # t_max below one step still marches two steps: 5 samples, and off-grid
+        # times read the bare decay, not a stencil wrapped round to samples[-1]
+        p = GiantAtomParams(3, 0.1, 1.0)
+        tr = integrate_beta(p, 1e-3, 16)
+        assert len(tr.samples) == 5 and tr.t_max == 0.125
+        decay = -1j * p.omega_tau - 1.5 * p.gamma_tau
+        ts = np.array([0.001, 0.01, 0.02, 0.05, 0.07, 0.1, 0.12])
+        assert np.abs(beta_at_many(tr, ts) - np.exp(decay * ts)).max() < 1e-7
+
+    def test_three_sample_trace_rejected(self):
+        tr = AmplitudeTrace(dt=1 / 16, samples=np.ones(3, dtype=complex), t_max=1 / 16)
+        with pytest.raises(ValueError, match="at least 4 samples"):
+            beta_at(tr, 0.01)
 
     def test_midpoint_refinement(self, dark_n1_params):
         tr_a = integrate_beta(dark_n1_params, 10.0, 256)

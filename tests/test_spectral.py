@@ -138,19 +138,23 @@ def test_newton_retires_converged_and_unevaluable_seeds(dark_n1_params, monkeypa
     assert sizes[:2] == [3, 1] and len(sizes) < 10
 
 
-def test_seed_budget_counts_refinement_grid(dark_n1_params, monkeypatch):
-    # re_min = -12, halfwidth 25 at N = 3 (cell pi/6): a 24 x 96 base grid and
-    # a 47 x 191 refinement grid, 11,281 seeds in all
-    def no_newton(*args):
-        raise AssertionError("seeds were built for a rejected rectangle")
+def test_seed_budget_counts_the_one_grid(dark_n1_params, monkeypatch):
+    # re_min = -12, halfwidth 25 at N = 3 (cell pi/6): a 24 x 96 grid, 2,304 seeds,
+    # every one of them handed to Newton in a single call
+    newton, sizes = spectral._newton, []
 
-    monkeypatch.setattr(spectral, "MAX_SEEDS", 11_280)
-    monkeypatch.setattr(spectral, "_newton", no_newton)
-    with pytest.raises(ValueError, match="budget of 11280"):
+    def counted(params, seeds):
+        sizes.append(len(seeds))
+        return newton(params, seeds)
+
+    monkeypatch.setattr(spectral, "_newton", counted)
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 2_303)
+    with pytest.raises(ValueError, match="budget of 2303"):
         find_poles(dark_n1_params, re_min=-12.0, im_halfwidth=25.0)
-    monkeypatch.undo()
-    monkeypatch.setattr(spectral, "MAX_SEEDS", 11_281)
+    assert sizes == []
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 2_304)
     assert len(find_poles(dark_n1_params, re_min=-12.0, im_halfwidth=25.0)) > 0
+    assert sizes == [2_304]
 
 
 def test_seed_budget_overflowing_rectangle(dark_n1_params):
@@ -170,7 +174,7 @@ def test_non_finite_im_center_rejected_before_seeding(dark_n1_params, monkeypatc
 
 
 class TestRecoveryPaths:
-    """The nudge, the refinement grid and both search failures, each forced.
+    """The nudge and both search failures, each forced.
 
     The window is the one test_dark_root_found searches around the n = 1 dark point.
     """
@@ -189,27 +193,25 @@ class TestRecoveryPaths:
             -5.0 - nudge, dark_n1_params.gamma_tau + nudge,
             centre - 4.0 - nudge, centre + 4.0 + nudge)
 
-    def test_refinement_grid_recovers_every_root(self, dark_n1_params, monkeypatch):
-        reference = find_poles(dark_n1_params, **self.WINDOW)
-        newton, calls = spectral._newton, []
-
-        def stalls_once(params, seeds):
-            calls.append(len(seeds))
-            return seeds.astype(complex) if len(calls) == 1 else newton(params, seeds)
-
-        monkeypatch.setattr(spectral, "_newton", stalls_once)
-        ps = find_poles(dark_n1_params, **self.WINDOW)
-        assert len(calls) == 2 and calls[1] > calls[0]  # the half-cell grid ran
-        assert len(ps) == len(reference) == ps.winding
-        assert np.abs(ps.s - reference.s).max() < 1e-12
-        assert len(ps.flagged_cells) >= calls[0]  # every base seed failed
-
     def test_no_converged_seed_raises_incomplete(self, dark_n1_params, monkeypatch):
+        # a short count raises at once: one Newton call, one boundary walk
         expected = len(find_poles(dark_n1_params, **self.WINDOW))
-        monkeypatch.setattr(spectral, "_newton", lambda params, seeds: seeds.astype(complex))
+        winding, calls, walks = spectral._winding_number, [], []
+
+        def stalls(params, seeds):
+            calls.append(len(seeds))
+            return seeds.astype(complex)
+
+        def counted(params, rect, spacing):
+            walks.append(list(rect))
+            return winding(params, rect, spacing)
+
+        monkeypatch.setattr(spectral, "_newton", stalls)
+        monkeypatch.setattr(spectral, "_winding_number", counted)
         with pytest.raises(IncompleteSearchError) as info:
             find_poles(dark_n1_params, **self.WINDOW)
         assert info.value.found == 0 and info.value.expected == expected > 0
+        assert len(calls) == 1 and len(walks) == 1
 
     def test_boundary_never_clear_raises_placement(self, dark_n1_params, monkeypatch):
         def always_near(*args, **kwargs):
@@ -230,22 +232,6 @@ class TestRecoveryPaths:
         with pytest.raises(SearchPlacementError):
             find_poles(dark_n1_params, **self.WINDOW)
         assert len(walks) == 12
-
-    def test_refinement_walks_boundary_once(self, dark_n1_params, monkeypatch):
-        newton, winding, calls, walks = spectral._newton, spectral._winding_number, [], []
-
-        def stalls_once(params, seeds):
-            calls.append(len(seeds))
-            return seeds.astype(complex) if len(calls) == 1 else newton(params, seeds)
-
-        def counted(params, rect, spacing):
-            walks.append(list(rect))
-            return winding(params, rect, spacing)
-
-        monkeypatch.setattr(spectral, "_newton", stalls_once)
-        monkeypatch.setattr(spectral, "_winding_number", counted)
-        ps = find_poles(dark_n1_params, **self.WINDOW)
-        assert len(calls) == 2 and len(walks) == 1 and ps.winding == len(ps) > 0
 
 
 def test_winding_cap_counts_only_bisection_samples(dark_n1_params, monkeypatch):
