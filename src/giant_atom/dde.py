@@ -12,11 +12,13 @@ whole tau, so with X_i the 2M+1 half-step samples of interval [i, i+1], the
 delayed stage inputs of all M steps of interval j are one weighted sum
 v_j = sum_{l=1}^{min(j, N-1)} gamma*(N-l) * X_{j-l}: no history is
 interpolated, and a term stays off for the step at whose right end it turns
-on.  Given v_j, a step is the scalar-coefficient map y_{i+1} = R*y_i +
-c0*v_j[2i] + c1*v_j[2i+1] + c2*v_j[2i+2], its midpoint another such map, both
-read once off the stage formulas; log2(M) doubling passes y[s:] += R**s *
-y[:-s] solve it for the whole interval.  A step with |R| >= 1 is refused, so
-every R**s is bounded by 1.
+on.  Given v_j, a chunk of C = 16 steps is one linear map, read once off the
+stage formulas, from its start value and 2C+1 entries of v_j to its 2C new
+samples.  An interval is ceil(M/C) chunks, padded with zero drive to equal
+groups of at most 32: one stacked matrix product gives every chunk from a zero
+start, doubling passes over the chunks solve c_i = R**C * c_{i-1} + (end of
+chunk i-1) for their start values, and each start value's response is added
+back.  A step with |R| >= 1 is refused, so every power of R is bounded by 1.
 """
 
 from __future__ import annotations
@@ -36,12 +38,18 @@ DEFAULT_STEPS_PER_TAU = 256
 # at this budget).  At the default 256 steps per tau it allows t_max up to 32768.
 MAX_TRACE_SAMPLES = 2 ** 24
 
+# steps per chunk map: the smallest steps_per_tau, so M = 16 is one chunk and no scan
+_CHUNK = 16
+# chunks per matrix product: (32 x 33) @ (33 x 32) stays under OpenBLAS's threading
+# threshold (m*n*k <= 65536); a threaded call stalls for milliseconds on a busy machine
+_GROUP = 32
+
 # half-grid positions within 1e-9 of an integer index are treated as grid hits
 _GRID_SNAP = 1e-9
 
 
 def _rk4_step(y, g0, g1, g2, decay: complex, h: float):
-    """End value and Hermite midpoint of one RK4 step of y' = decay*y - g, with
+    """Hermite midpoint and end value of one RK4 step of y' = decay*y - g, with
     g = g0, g1, g1, g2 at the stages; the end slope stays on the step's branch."""
     a1 = decay * y - g0
     y2 = y + 0.5 * h * a1
@@ -52,7 +60,7 @@ def _rk4_step(y, g0, g1, g2, decay: complex, h: float):
     a4 = decay * y4 - g2
     y_next = y + h / 6.0 * (a1 + 2.0 * (a2 + a3) + a4)
     f_end = a4 + decay * (y_next - y4)
-    return y_next, 0.5 * (y + y_next) + 0.125 * h * (a1 - f_end)
+    return 0.5 * (y + y_next) + 0.125 * h * (a1 - f_end), y_next
 
 
 def integrate_beta(params: GiantAtomParams, t_max: float,
@@ -80,13 +88,22 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
                  MAX_TRACE_SAMPLES)
     n_steps = int(n_steps)
     decay = -1j * params.omega_tau - 0.5 * n * params.gamma_tau
-    # rows: start value, g0, g1, g2; columns: end value, midpoint
-    coef = np.array([_rk4_step(*unit, decay, h) for unit in np.eye(4)])
-    r_end, r_mid = coef[0]
+    # the chunk map, read off unit inputs: row 0 is the start value, rows 1.. the
+    # 2C+1 delayed inputs; columns are each step's midpoint and end value
+    unit = np.eye(2 * _CHUNK + 2)
+    cols = [unit[0]]
+    for i in range(_CHUNK):
+        cols += _rk4_step(cols[-1], *unit[2 * i + 1:2 * i + 4], decay, h)
+    chunk_map = np.column_stack(cols[1:])
+    k_y, k_v = chunk_map[0], chunk_map[1:]
+    r_end = k_y[1]  # one step's growth of the start value
     if abs(r_end) >= 1.0:
         raise ValueError(f"steps_per_tau = {m} is too coarse for this decay rate: each RK4 "
                          f"step grows the bare amplitude by |R| = {abs(r_end):.6g} >= 1")
-    passes = [(s, r_end ** s) for s in (1 << p for p in range(m.bit_length()))]
+    n_chunks = -(-m // _CHUNK)
+    n_groups = -(-n_chunks // _GROUP)
+    n_chunks = n_groups * -(-n_chunks // n_groups)  # equal groups, padded with zero drive
+    passes = [(s, k_y[-1] ** s) for s in (1 << p for p in range((n_chunks - 1).bit_length()))]
     # gamma*(N-l) for l = N-1 down to 1, the order of the rows below
     weights = params.gamma_tau * np.arange(1, n)
 
@@ -96,16 +113,24 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     item = samples.itemsize
     rows = np.lib.stride_tricks.as_strided(samples, (n_steps // m, 2 * m + 1),
                                            (2 * m * item, item), writeable=False)
+    # one interval's delayed inputs, zero-padded to whole chunks; chunk c reads 2C+1
+    # of them, the first shared with the end of chunk c-1
+    v = np.zeros(2 * _CHUNK * n_chunks + 1, dtype=complex)
+    chunks = np.lib.stride_tricks.sliding_window_view(v, 2 * _CHUNK + 1)[::2 * _CHUNK]
+    chunks = chunks.reshape(n_groups, -1, 2 * _CHUNK + 1)
+    carry = np.empty(n_chunks, dtype=complex)
     for j, start in enumerate(range(0, 2 * n_steps, 2 * m)):
         k = min(2 * m, 2 * n_steps - start)  # half-steps in this interval
         lag = min(j, n - 1)
-        v = weights[n - 1 - lag:] @ rows[j - lag:j, :k + 1]
-        drive = v[:-1].reshape(-1, 2) @ coef[1:3] + v[2::2, None] * coef[3]
-        y = samples[start:start + k + 1:2]
-        y[1:] = drive[:, 0]
-        for s, power in passes:
-            y[s:] += power * y[:-s]
-        samples[start + 1:start + k:2] = r_mid * y[:-1] + drive[:, 1]
+        v[:k + 1] = weights[n - 1 - lag:] @ rows[j - lag:j, :k + 1]
+        v[k + 1:] = 0.0  # a partial last interval: zero drive past its end
+        local = (chunks @ k_v).reshape(n_chunks, -1)  # every chunk from a zero start value
+        carry[0] = samples[start]
+        carry[1:] = local[:-1, -1]
+        for s, power in passes:  # start values: c_i = R**C * c_{i-1} + local end of i-1
+            carry[s:] += power * carry[:-s]
+        local += carry[:, None] * k_y
+        samples[start + 1:start + k + 1] = local.ravel()[:k]
 
     bad = ~np.isfinite(samples)
     if bad.any():

@@ -2,7 +2,10 @@
 
 Roots of the characteristic function are located inside a search rectangle by
 seeding Newton's method once at the centre of every cell of one grid (cell side
-~ pi/(2N), half the typical root spacing), polishing to |F| < 1e-11,
+~ pi/(2N), half the typical root spacing), accepting a Newton final whose |F|
+is at most 1e-13 times the size of F's terms there, |s| + |omega| + N*gamma/2 +
+gamma * sum_l (N - l) * exp(-l * Re s) (a backward-error test: F's terms grow
+far left and at strong coupling, and so does the rounding of a true root),
 deduplicating, and requiring the count to equal the winding number of F around
 the rectangle boundary (argument principle, adaptive sampling); any other count
 raises IncompleteSearchError.  Each root s_n carries the residue weight
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ComplexFreq, GiantAtomParams, IncompleteSearchError,
-                   SearchPlacementError, characteristic_deriv, characteristic_fn, check_budget,
-                   check_positive)
+                   SearchPlacementError, _delay_sum, characteristic_deriv, characteristic_fn,
+                   check_budget, check_positive)
 
 __all__ = ["DEFAULT_RE_MIN", "MAX_SEEDS", "PoleSet", "find_poles", "beta_from_poles"]
 
@@ -32,7 +35,7 @@ _NEWTON_ITERATIONS = 60
 _MAX_STEP = 10.0          # damp Newton steps so iterates stay evaluable
 _STEP_TOL = 1e-15         # a seed retires once |step| <= _STEP_TOL * (1 + |z|)
 _NUDGE = 1e-6             # rectangle growth applied when a root sits on the boundary
-_RESIDUAL_TOL = 1e-11     # a Newton final is a root when |F| falls below this
+_RESIDUAL_TOL = 1e-13     # a Newton final is a root when |F| <= this times _term_scale
 _SEPARATION = 1e-8        # roots closer than this are one root
 _MAX_WINDING_POINTS = 400_000  # samples bisection may add before the winding count gives up
 MAX_SEEDS = 2 ** 22       # Newton seeds in the grid: at most 67 MB per complex copy
@@ -85,6 +88,14 @@ def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
             moving = np.abs(d) > _STEP_TOL * (1.0 + np.abs(za))
             idx, za = idx[moving], za[moving]
     return z
+
+
+def _term_scale(params: GiantAtomParams, s: np.ndarray) -> np.ndarray:
+    """Size of F's terms at s, |s| + |omega| + N*gamma/2 + gamma*sum (N-l) e^{-l Re s}:
+    the scale against which a computed root's residual |F| is judged."""
+    n, g = params.n_legs, params.gamma_tau
+    return (np.abs(s) + abs(params.omega_tau) + 0.5 * n * g
+            + g * _delay_sum(s.real, [n - l for l in range(1, n)]))
 
 
 def _dedupe(roots: np.ndarray, residuals: np.ndarray) -> np.ndarray:
@@ -191,8 +202,8 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     seeds = (xs[None, :] + 1j * ys[:, None]).ravel()
     finals = _newton(params, seeds)
     with np.errstate(all="ignore"):
-        res = np.abs(characteristic_fn(params, finals))
-    ok = np.isfinite(finals) & np.isfinite(res) & (res < _RESIDUAL_TOL)
+        res = np.abs(characteristic_fn(params, finals)) / _term_scale(params, finals)
+    ok = np.isfinite(finals) & np.isfinite(res) & (res <= _RESIDUAL_TOL)
     inside = ok & ((finals.real >= rect[0]) & (finals.real <= rect[1])
                    & (finals.imag >= rect[2]) & (finals.imag <= rect[3]))
     roots = _dedupe(finals[inside], res[inside])

@@ -276,7 +276,7 @@ def test_linearity(dark_n1_params):
     assert err < 1e-13
 
 
-@pytest.mark.parametrize("steps_per_tau", [16, 256, 2048])
+@pytest.mark.parametrize("steps_per_tau", [16, 17, 100, 256, 1040, 2048])
 @pytest.mark.parametrize("n_legs", [2, 3, 10, 30])
 def test_matches_scalar_march(n_legs, steps_per_tau):
     # every delay term live for the last 1.37 tau, ending in a partial interval

@@ -59,6 +59,21 @@ def test_residuals_separation_and_order(dark_n1_params):
     assert np.allclose(ps.weights, 1.0 / characteristic_deriv(dark_n1_params, ps.s))
 
 
+def test_strong_coupling_roots_judged_on_their_own_scale():
+    # N = 30 at gamma*tau ~ 1: Newton reaches all 21 roots, but three stop at
+    # |F| = 1.1e-11 to 3.0e-11 against terms of size 8e2 to 2e3, which an
+    # absolute |F| < 1e-11 test rejected (18 of 21, IncompleteSearchError)
+    p = GiantAtomParams(30, 0.9888432350176786, 147.19696968770057)
+    ps = find_poles(p, re_min=-7.8315839651922134, im_center=-146.0496786348859,
+                    im_halfwidth=2.3727906108223933)
+    assert len(ps) == ps.winding == 21
+    res = np.abs(characteristic_fn(p, ps.s))
+    assert np.sum(res > 1e-11) == 3
+    scale = np.abs(ps.s) + p.omega_tau + 15 * p.gamma_tau + p.gamma_tau * sum(
+        (30 - l) * np.exp(-l * ps.s.real) for l in range(1, 30))
+    assert np.all(res <= 1e-13 * scale)
+
+
 def test_no_growing_modes_random_sweep():
     rng = np.random.default_rng(3)
     for _ in range(6):
