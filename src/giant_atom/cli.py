@@ -13,15 +13,7 @@ structural impossibility (e.g. a dark-pair search with two coupling points),
 4 solver failure (a root search that disagrees with its winding number or
 cannot place its rectangle, a diverging time integration, or a dark-pair
 lattice point that fails its own dark-condition check).  Exit 2 covers every
-rejected input, each before any output is written: an integer flag
-above 2**53 in magnitude, more than core.MAX_N_LEGS coupling points, a trace
-longer than dde.MAX_TRACE_SAMPLES, a root search over more than
-spectral.MAX_SEEDS Newton seeds or around a non-finite centre, a dark-pair
-search or scan over more than darkstates.MAX_LATTICE_POINTS lattice points, a
-non-finite scan window, a --stride, --line-samples or --pxt-t-count below 1, a
---steps-per-tau too coarse for the decay rate to march stably, and a sampling
-grid (a profile's x positions or the x-by-t heatmap) of more than
-MAX_GRID_SAMPLES points.
+rejected input, each before any output is written; README lists them.
 Frequencies on the command line are given in cycles, i.e. as omega_tau/2pi and
 gamma_tau/2pi, matching the usual parameter-plane axes.
 """
@@ -187,8 +179,7 @@ def _cmd_simulate(args):
 
 def _cmd_poles(args):
     params = _params_from_args(args)
-    im_center = (TWO_PI * args.im_center_2pi if args.im_center_2pi is not None
-                 else -params.omega_tau)
+    im_center = TWO_PI * args.im_center_2pi if args.im_center_2pi is not None else None
     poles = spectral.find_poles(params, re_min=args.re_min, im_center=im_center,
                                 im_halfwidth=TWO_PI * args.im_halfwidth_2pi)
     tables = {"poles.csv": (["re_s", "im_s", "re_weight", "im_weight"],
@@ -231,11 +222,6 @@ def _cmd_scan(args):
 def _cmd_field(args):
     gamma_tau = TWO_PI * args.gamma_tau_2pi
     omega_tau = darkstates.dark_condition_omega_tau(args.n_legs, args.dark_n, gamma_tau)
-    if omega_tau <= 0:
-        raise ValueError(
-            f"dark index {args.dark_n} forces omega_tau = {omega_tau:g} <= 0 at "
-            f"this gamma_tau; no physical dark point exists"
-        )
     params = GiantAtomParams(n_legs=args.n_legs, gamma_tau=gamma_tau, omega_tau=omega_tau)
     record = field.dark_state_record(params, args.dark_n)
     xs = _profile_xs(args.n_legs - 1, args.x_step)
@@ -248,11 +234,9 @@ def _cmd_field(args):
 
 def _cmd_continuum(args):
     gamma_T = args.gamma_t if args.gamma_t is not None else (TWO_PI * args.n) ** 2
-    omega_T = (args.omega_t if args.omega_t is not None
-               else TWO_PI * args.n - gamma_T / (TWO_PI * args.n))
     xs = _profile_xs(args.length, args.x_step)
     profile = continuum_mod.continuum_profile(gamma_T, args.n, args.length, xs)
-    derived = {"gamma_T": gamma_T, "omega_T": omega_T,
+    derived = {"gamma_T": gamma_T, "omega_T": TWO_PI * args.n - gamma_T / (TWO_PI * args.n),
                "total_intensity": continuum_mod.continuum_total_intensity(gamma_T, args.n)}
     return ({"profile.csv": (["x", "p"], [[xs, profile]])}, derived,
             f"n = {args.n}, Gamma*T = {gamma_T:.6g}")
@@ -326,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     cont.add_argument("--n", type=integer, required=True)
     cont.add_argument("--gamma-t", type=float, default=None,
                       help="Gamma*T (default: the comb-pair limit (2 n pi)^2)")
-    cont.add_argument("--omega-t", type=float, default=None,
-                      help="Omega*T (default: from the continuum dark condition)")
     cont.add_argument("--length", type=float, default=1.0)
     cont.add_argument("--x-step", type=float, default=field.DEFAULT_DX)
 

@@ -38,21 +38,40 @@ __all__ = [
 INTEGER_ROOT_TOL = 1e-9
 
 
-def continuum_dark_indices(omega_T: float, Gamma_T: float,
-                           tol: float = INTEGER_ROOT_TOL) -> list[int]:
+def continuum_dark_indices(omega_T: float, Gamma_T: float) -> list[int]:
     """Positive integer indices solving the continuum dark condition.
 
     The one candidate is the plus root
     n = (omega_T + sqrt(omega_T^2 + 4*Gamma_T)) / (4*pi); the minus root is
-    negative whenever Gamma_T > 0.  It qualifies only within tol of a positive
-    integer, so the list is empty for generic parameters and never holds more
-    than one index.
+    negative whenever Gamma_T > 0.  It qualifies only within INTEGER_ROOT_TOL
+    of a positive integer, so the list is empty for generic parameters and
+    never holds more than one index.  Raises ValueError when the root is past
+    2**53, the largest mode index, or overflows.
     """
     check_positive("omega_T", omega_T)
     check_positive("Gamma_T", Gamma_T)
     root = (omega_T + math.sqrt(omega_T * omega_T + 4.0 * Gamma_T)) / (2.0 * TWO_PI)
+    if not root <= 2 ** 53:
+        raise ValueError(f"the dark-condition root {root:g} is past 2**53, "
+                         "the largest mode index")
     k = round(root)
-    return [k] if k >= 1 and abs(root - k) <= tol else []
+    return [k] if k >= 1 and abs(root - k) <= INTEGER_ROOT_TOL else []
+
+
+def _mode_ratio(Gamma_T: float, n: int) -> tuple[float, float]:
+    """u = 2 n^2 pi^2 / Gamma_T and (u + 1)^2 after checking n and Gamma_T;
+    ValueError when Gamma_T is so small against n that either overflows."""
+    check_mode_index(n)
+    check_positive("Gamma_T", Gamma_T)
+    try:
+        u = 2.0 * n * n * math.pi * math.pi / Gamma_T
+        den = (u + 1.0) ** 2  # a float power raises OverflowError, but inf ** 2 is inf
+        if math.isfinite(den):
+            return u, den
+    except OverflowError:
+        pass
+    raise ValueError(f"Gamma_T = {Gamma_T:g} is too small for index n = {n}: "
+                     "(2 n^2 pi^2 / Gamma_T + 1)^2 overflows")
 
 
 def continuum_profile(Gamma_T: float, n: int, L: float, x):
@@ -63,12 +82,13 @@ def continuum_profile(Gamma_T: float, n: int, L: float, x):
 
     zero outside [0, L].  Accepts scalar or ndarray positions.
     """
-    check_positive("Gamma_T", Gamma_T)
-    check_mode_index(n)
+    u, den = _mode_ratio(Gamma_T, n)
     check_positive("contact length", L)
     xs = np.asarray(x, dtype=float)
-    u = 2.0 * n * n * math.pi * math.pi / Gamma_T
-    pref = u / (u + 1.0) ** 2 * (4.0 / L)
+    pref = u / den * (4.0 / L)
+    if not (math.isfinite(pref) and math.isfinite(n * math.pi * L)):
+        raise ValueError(f"contact length {L:g} is out of range for index n = {n}: "
+                         "4/L or n pi L overflows")
     vals = pref * np.sin(n * math.pi * xs / L) ** 4
     out = np.where((xs >= 0.0) & (xs <= L), vals, 0.0)
     return float(out) if xs.shape == () else out
@@ -79,10 +99,8 @@ def continuum_total_intensity(Gamma_T: float, n: int) -> float:
 
     Maximized at 2 n^2 pi^2 / Gamma_T = 1, where it equals 3/8.
     """
-    check_positive("Gamma_T", Gamma_T)
-    check_mode_index(n)
-    u = 2.0 * n * n * math.pi * math.pi / Gamma_T
-    return 1.5 * u / (u + 1.0) ** 2
+    u, den = _mode_ratio(Gamma_T, n)
+    return 1.5 * u / den
 
 
 @dataclass(frozen=True)

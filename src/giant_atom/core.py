@@ -73,6 +73,13 @@ def check_mode_index(n: int, n_legs: int | None = None) -> None:
         )
 
 
+def check_n_legs(n_legs) -> int:
+    """Return n_legs as an int after rejecting a count outside 2..MAX_N_LEGS."""
+    n_legs = check_int("n_legs", n_legs, 2)
+    check_budget("the emitter", n_legs, "coupling points", MAX_N_LEGS)
+    return n_legs
+
+
 def check_budget(what: str, count: float, unit: str, budget: int) -> None:
     """Reject, before any work starts, a request for more than budget units.
 
@@ -126,8 +133,7 @@ class GiantAtomParams:
     omega_tau: float
 
     def __post_init__(self):
-        n_legs = check_int("n_legs", self.n_legs, 2)
-        check_budget("the emitter", n_legs, "coupling points", MAX_N_LEGS)
+        n_legs = check_n_legs(self.n_legs)
         check_positive("gamma_tau", self.gamma_tau)
         check_positive("omega_tau", self.omega_tau)
         object.__setattr__(self, "n_legs", n_legs)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (TWO_PI, DarkPair, SolverError, StructuralImpossibilityError, check_budget,
-                   check_int, check_mode_index, check_positive)
+                   check_int, check_mode_index, check_n_legs, check_positive)
 
 __all__ = [
     "DEFAULT_RWA_THRESHOLD",
@@ -54,6 +54,7 @@ MAX_LATTICE_POINTS = 2 ** 20
 
 def dark_frequency(n_legs: int, n: int) -> float:
     """Frequency 2*n*pi/N of the candidate dark mode with index n (1/tau units)."""
+    check_n_legs(n_legs)
     check_mode_index(n)
     return TWO_PI * n / n_legs
 
@@ -61,17 +62,24 @@ def dark_frequency(n_legs: int, n: int) -> float:
 def dark_condition_omega_tau(n_legs: int, n: int, gamma_tau: float) -> float:
     """Transition frequency that makes index n dark at the given gamma_tau.
 
-    omega_tau = 2*n*pi/N - (N*gamma_tau/2) * cot(n*pi/N).
+    omega_tau = 2*n*pi/N - (N*gamma_tau/2) * cot(n*pi/N), which must be
+    positive: ValueError otherwise, as no physical dark point exists.
     """
+    check_n_legs(n_legs)
     check_mode_index(n, n_legs)
     check_positive("gamma_tau", gamma_tau)
     arg = n * math.pi / n_legs
     cot = math.cos(arg) / math.sin(arg)
-    return TWO_PI * n / n_legs - 0.5 * n_legs * gamma_tau * cot
+    omega_tau = TWO_PI * n / n_legs - 0.5 * n_legs * gamma_tau * cot
+    if omega_tau <= 0:
+        raise ValueError(f"dark index {n} forces omega_tau = {omega_tau:g} <= 0 at gamma_tau = "
+                         f"{gamma_tau:g}; no physical dark point exists")
+    return omega_tau
 
 
 def dark_amplitude(n_legs: int, n: int, gamma_tau: float) -> float:
     """Long-time atomic amplitude A(n) of a dark mode; 0 for n a multiple of N."""
+    check_n_legs(n_legs)
     check_mode_index(n)
     check_positive("gamma_tau", gamma_tau)
     if n % n_legs == 0:
@@ -87,6 +95,7 @@ def rwa_check(n_legs: int, n: int, gamma_tau: float, omega_tau: float,
     The default threshold 0.1 marks the usual beyond-rotating-wave cut; pass a
     stricter value for more conservative use.  n <= 0 is never acceptable.
     """
+    check_positive("omega_tau", omega_tau)
     if n < 1:
         return False
     detuning = abs(dark_frequency(n_legs, n) - omega_tau) / omega_tau

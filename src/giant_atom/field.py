@@ -75,7 +75,7 @@ def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray,
     for xm in params.coupling_points:
         u = t - np.abs(xs - xm)
         mask = u >= 0.0
-        total[mask] += beta_at_many(trace, np.clip(u[mask], 0.0, trace.t_max))
+        total[mask] += beta_at_many(trace, u[mask])
     return (-1j * math.sqrt(0.5 * params.gamma_tau)) * total
 
 

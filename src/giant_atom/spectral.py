@@ -127,11 +127,10 @@ def _boundary_points(rect, spacing):
 def _winding_number(params, rect, spacing):
     """Winding number of F around the rectangle via adaptive phase tracking.
 
-    Segments are bisected until no phase jump exceeds pi/2, which rules out
-    aliasing as long as no root touches the boundary.  Returns None when a
-    sample of F falls below 1e-9 * (1 + |s|), when the phase sum settles more
-    than 0.1 from an integer, or when bisection adds more than
-    _MAX_WINDING_POINTS samples (or runs 64 passes) without settling.
+    Segments are bisected until no phase jump exceeds pi/2 (no aliasing while
+    no root touches the boundary); the steps then sum to a multiple of 2*pi.
+    Returns None when a sample of F falls below 1e-9 * (1 + |s|), or when
+    bisection adds more than _MAX_WINDING_POINTS samples (or runs 64 passes).
     """
     pts = _boundary_points(rect, spacing)
     cap = len(pts) + _MAX_WINDING_POINTS
@@ -145,9 +144,7 @@ def _winding_number(params, rect, spacing):
         dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
         bad = np.abs(dphi) > 0.5 * math.pi
         if not bad.any():
-            total = dphi.sum() / (2.0 * math.pi)
-            w = int(round(total))
-            return w if abs(total - w) <= 0.1 else None
+            return int(round(dphi.sum() / (2.0 * math.pi)))
         idx = np.flatnonzero(bad)
         pts = np.insert(closed[:-1], idx + 1, 0.5 * (closed[idx] + closed[idx + 1]))
         if len(pts) > cap:
@@ -160,16 +157,16 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     """Locate all characteristic roots in [re_min, +gamma] x [center +- halfwidth].
 
     First the rectangle is placed: while the boundary winding number cannot
-    settle (a sample of F on it falls below 1e-9 * (1 + |s|), or the count is
-    not clean) it grows by 1e-6 on every side, and after twelve failed walks
-    SearchPlacementError is raised before any seed exists.  Then it is seeded:
-    Newton runs once from a grid of cell ~ pi/(2N) laid on the settled
-    rectangle, and IncompleteSearchError is raised when the deduplicated
-    roots do not number exactly the winding number.  The PoleSet holds the
-    residue weights and the settled rectangle's bounds; seeds whose Newton
-    run did not converge to a root are in flagged_cells.  Raises ValueError,
-    before any work, when im_center is not finite or the grid exceeds
-    MAX_SEEDS.
+    be taken (a sample of F on it falls below 1e-9 * (1 + |s|), or bisection
+    runs past its budget) it grows by 1e-6 on every side, and after twelve
+    failed walks SearchPlacementError is raised before any seed exists.
+    Then it is seeded: Newton runs once from a grid of cell ~ pi/(2N) laid
+    on the settled rectangle, and IncompleteSearchError is raised when the
+    deduplicated roots do not number exactly the winding number.  The
+    PoleSet holds the residue weights and the settled rectangle's bounds;
+    seeds whose Newton run did not converge to a root are in flagged_cells.
+    Raises ValueError, before any work, when im_center is not finite, the
+    grid exceeds MAX_SEEDS or F's terms overflow at the left edge.
     """
     if not (math.isfinite(re_min) and re_min < 0):
         raise ValueError(f"re_min must be negative, got {re_min}")
@@ -187,6 +184,11 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
                 max(2.0, np.ceil((rect[3] - rect[2]) / cell)))
 
     check_budget("the search rectangle", math.prod(grid_shape()), "Newton seeds", MAX_SEEDS)
+    with np.errstate(over="ignore"):  # F's terms peak 12 nudges left of re_min
+        deepest = _term_scale(params, np.array([rect[0] - 12 * _NUDGE]))[0]
+    if not math.isfinite(deepest):
+        raise ValueError(f"F overflows at re_min = {re_min:g} with n_legs = {params.n_legs}; "
+                         "move re_min towards 0")
 
     for _ in range(12):  # place: grow the rectangle away from any root it touches
         w = _winding_number(params, rect, spacing=0.5 * cell)
@@ -203,7 +205,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     finals = _newton(params, seeds)
     with np.errstate(all="ignore"):
         res = np.abs(characteristic_fn(params, finals)) / _term_scale(params, finals)
-    ok = np.isfinite(finals) & np.isfinite(res) & (res <= _RESIDUAL_TOL)
+    ok = res <= _RESIDUAL_TOL
     inside = ok & ((finals.real >= rect[0]) & (finals.real <= rect[1])
                    & (finals.imag >= rect[2]) & (finals.imag <= rect[3]))
     roots = _dedupe(finals[inside], res[inside])

@@ -1,15 +1,21 @@
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from giant_atom import (DivergenceError, IncompleteSearchError, SearchPlacementError,
                         bound_profile, continuum, continuum_profile, darkstates, dde, field,
@@ -28,12 +34,16 @@ SCAN_FLAGS = ["scan", "--n-legs", "3", "--omega-tau-2pi-max", "6",
 PXT_FLAGS = ["simulate", *A1_FLAGS, "--t-max", "5", "--pxt"]
 
 
+def _subcommands():
+    """Each subcommand's name and parser."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _flags_by_type():
     """(command, flag, type) for every option of every subcommand."""
-    subs = next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
     return [(name, action.option_strings[0], action.type)
-            for name, sub in subs.choices.items() for action in sub._actions
+            for name, sub in _subcommands().items() for action in sub._actions
             if action.option_strings]
 
 
@@ -359,6 +369,32 @@ class TestFailures:
             "error: window bounds must be positive and finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["poles", *A1_FLAGS, "--re-min", "-400"],
+         "F overflows at re_min = -400 with n_legs = 3; move re_min towards 0"),
+        (["poles", *A1_FLAGS, "--re-min=-1e5"],
+         "the search rectangle needs 9.17e+06 Newton seeds"),
+        (["field", "--n-legs", "0", "--gamma-tau-2pi", "0.018", "--dark-n", "1"],
+         "n_legs must be >= 2, got 0"),
+        (["field", "--n-legs", "3", "--gamma-tau-2pi", "0.5", "--dark-n", "1"],
+         "dark index 1 forces omega_tau = -0.626304 <= 0 at gamma_tau = 3.14159; "
+         "no physical dark point exists"),
+        (["continuum", "--n", "1", "--gamma-t", "1e-310"], "Gamma_T = 1e-310 is too small"),
+        (["continuum", "--n", "1", "--gamma-t", "1e-200"], "Gamma_T = 1e-200 is too small"),
+        (["continuum", "--n", "0"], "mode index must be >= 1, got 0"),
+        (["continuum", "--n", "1", "--length", "1e-310"], "contact length 1e-310 is out of range"),
+        (["continuum", "--n", "1", "--length", "1e308", "--x-step", "1e308"],
+         "contact length 1e+308 is out of range"),
+    ], ids=["poles-overflow", "poles-budget", "field-n-legs-0", "field-omega-below-0",
+            "continuum-gamma-inf-ratio", "continuum-gamma-overflowing-square", "continuum-n-0",
+            "continuum-length-subnormal", "continuum-length-huge"])
+    def test_unevaluable_input_exits_2(self, tmp_path, capsys, argv, message):
+        rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unstable_step_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--n-legs", "3", "--gamma-tau-2pi", "0.02",
                    "--omega-tau-2pi", "7.3", "--t-max", "200", "--steps-per-tau", "16",
@@ -467,6 +503,87 @@ class TestGridBudget:
 
 def test_threads_flag_is_gone(tmp_path):
     rc = main(["poles", *A1_FLAGS, "--threads", "2", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out").exists()
+
+
+# Flag values for the exit-contract sweep: one in four is zero, a negative, a
+# subnormal, a float extreme or non-finite, the rest are ordinary for the flag.
+# No ordinary value makes a run long: every size they reach is small.
+def _values(ordinary, extreme):
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(ordinary if k else extreme))
+
+
+FLOAT_VALUES = _values(["0.018", "0.5", "1", "3"],
+                       ["0", "-1", "-2.5", "1e-310", "1e308", "-1e308", "nan", "inf", "-inf"])
+INTEGER_VALUES = _values(["2", "3", "5"], ["0", "-1", str(2 ** 53)])
+FLAG_VALUES = {"--re-min": _values(["-2.5", "-1"], ["0", "3", "-400", "-1e308", "nan"]),
+               "--steps-per-tau": _values(["16", "64"], ["0", "-1", "5", str(2 ** 53)])}
+SUBCOMMANDS = {name: [a for a in sub._actions if a.dest not in ("help", "out_dir")]
+               for name, sub in _subcommands().items()}
+
+
+@st.composite
+def drawn_argv(draw):
+    """A subcommand with its required flags and a random subset of the rest;
+    --pxt-t-count is always set, so a heatmap never takes its default 201 frames."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for action in SUBCOMMANDS[command]:
+        flag = action.option_strings[0]
+        if not (action.required or flag == "--pxt-t-count" or draw(st.booleans())):
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+        else:
+            values = FLAG_VALUES.get(
+                flag, INTEGER_VALUES if action.type is integer else FLOAT_VALUES)
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+def _refuse(constant):
+    raise ValueError(f"manifest.json holds {constant}, which is not JSON")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=drawn_argv())
+@example(argv=["poles", *A1_FLAGS, "--re-min=-400"])
+@example(argv=["field", "--n-legs=0", "--gamma-tau-2pi=0.018", "--dark-n=1"])
+@example(argv=["field", "--n-legs=3", "--gamma-tau-2pi=0.5", "--dark-n=1"])
+@example(argv=["continuum", "--n=1", "--gamma-t=1e-310"])
+@example(argv=["continuum", "--n=1", "--omega-t=nan"])
+def test_exit_contract(argv):
+    """Any drawn argv exits 0, 2, 3 or 4, with no traceback and no warning.  A
+    run that fails after parsing prints one error line and leaves no output
+    directory; a run that succeeds writes a manifest without NaN or Infinity."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = [*argv, "--out-dir", out]
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                build_parser().parse_args(argv)
+                parsed = True
+            except SystemExit:
+                parsed = False
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            rc = main(argv)
+        if rc == 0:
+            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                json.loads(fh.read(), parse_constant=_refuse)
+            return
+        assert rc in ((2, 3, 4) if parsed else (2,))
+        assert not os.path.exists(out)
+        if parsed:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_omega_t_flag_is_gone(tmp_path):
+    # continuum derives Omega*T from the dark condition; it is not an input
+    rc = main(["continuum", "--n", "1", "--omega-t", "5", "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert not (tmp_path / "out").exists()
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ class TestDarkIndices:
         with pytest.raises(ValueError):
             continuum_dark_indices(1.0, 0.0)
 
+    @pytest.mark.parametrize("omega_T", [1e200, 1e17])
+    def test_root_past_2_53_rejected(self, omega_T):
+        # omega_T^2 overflows at 1e200; at 1e17 the root 1.6e16 is past 2**53,
+        # where every float is an integer
+        with pytest.raises(ValueError, match=r"^the dark-condition root .* is past 2\*\*53"):
+            continuum_dark_indices(omega_T, 1.0)
+
 
 class TestProfile:
     def test_integral_closed_form(self):
@@ -82,6 +90,25 @@ class TestProfile:
             sups.append(np.abs(discrete - limit).max())
         assert sups[0] > sups[1] > sups[2]
         assert sups[0] / sups[2] > 10.0  # at least first-order in 1/N
+
+
+@pytest.mark.parametrize("gamma_T", [1e-310, 1e-200])
+@pytest.mark.parametrize("call", [lambda g: continuum_profile(g, 1, 1.0, [0.25, 0.5]),
+                                  lambda g: continuum_total_intensity(g, 1)],
+                         ids=["profile", "total_intensity"])
+def test_overflowing_mode_ratio_rejected(call, gamma_T):
+    # 2 pi^2 / Gamma_T is inf at 1e-310; at 1e-200 it is finite but (u + 1)^2 overflows
+    with pytest.raises(ValueError, match=r"^Gamma_T = .* is too small for index n = 1: "):
+        call(gamma_T)
+    assert 0.0 < continuum_total_intensity(1e-150, 1) < 1e-150
+
+
+@pytest.mark.parametrize("n, L", [(1, 1e-310), (1, 1e308), (2 ** 53, 1e293)])
+def test_overflowing_contact_length_rejected(n, L):
+    # 4/L overflows at 1e-310, and n pi L at the other two
+    shown = re.escape(f"{L:g}")
+    with pytest.raises(ValueError, match=rf"^contact length {shown} is out of range"):
+        continuum_profile(1.0, n, L, [0.0, L])
 
 
 def test_total_intensity_convergence_order():

@@ -44,6 +44,12 @@ class TestSingleDarkStates:
         with pytest.raises(ValueError):
             dark_condition_omega_tau(3, -2, 0.1)
 
+    def test_nonphysical_dark_point_rejected(self):
+        # cot(pi/3) = 0.577, so at gamma_tau = pi the n = 1 condition is below 0
+        with pytest.raises(ValueError, match=r"^dark index 1 forces omega_tau = -0.626304 <= 0 "
+                                             r"at gamma_tau = 3.14159; no physical dark point"):
+            dark_condition_omega_tau(3, 1, math.pi)
+
     def test_amplitude_values(self):
         assert dark_amplitude(3, 1, 0.113097) == pytest.approx(0.815532, abs=5e-7)
         assert dark_amplitude(3, 16, 2.418399) == pytest.approx(0.171327, abs=5e-7)
@@ -81,6 +87,32 @@ class TestRwaCheck:
     def test_threshold_configurable(self, dark_n1_params):
         assert not rwa_check(3, 1, dark_n1_params.gamma_tau,
                              dark_n1_params.omega_tau, threshold=0.01)
+
+
+class TestClosedFormInputs:
+    """The closed forms check n_legs as GiantAtomParams does, and rwa_check
+    its omega_tau, instead of dividing by zero or overflowing."""
+
+    @pytest.mark.parametrize("n_legs, match", [
+        (0, "n_legs must be >= 2, got 0"), (1, "n_legs must be >= 2, got 1"),
+        (-3, "n_legs must be >= 2, got -3"), (2.5, "n_legs must be an integer"),
+        (2 ** 16 + 1, "above the budget of 65536"),
+        (10 ** 400, "the emitter needs inf coupling points"),
+    ], ids=["0", "1", "-3", "2.5", "2**16+1", "10**400"])
+    @pytest.mark.parametrize("call", [
+        lambda n_legs: dark_frequency(n_legs, 1),
+        lambda n_legs: dark_condition_omega_tau(n_legs, 1, 0.1),
+        lambda n_legs: dark_amplitude(n_legs, 1, 0.1),
+        lambda n_legs: rwa_check(n_legs, 1, 0.1, 2.0),
+    ], ids=["dark_frequency", "dark_condition_omega_tau", "dark_amplitude", "rwa_check"])
+    def test_n_legs_checked(self, call, n_legs, match):
+        with pytest.raises(ValueError, match=match):
+            call(n_legs)
+
+    @pytest.mark.parametrize("omega_tau", [0.0, -1.0, math.nan, math.inf])
+    def test_rwa_check_needs_positive_omega(self, omega_tau):
+        with pytest.raises(ValueError, match="omega_tau must be positive and finite"):
+            rwa_check(3, 1, 0.1, omega_tau)
 
 
 class TestFindPairs:

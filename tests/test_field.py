@@ -129,6 +129,9 @@ class TestTotalIntensity:
     def test_markov_limit_vanishes(self):
         assert total_intensity(GiantAtomParams(3, 1e-8, 1.0), 1) < 1e-7
 
+    def test_multiple_of_n_legs_is_zero(self, dark_n1_params):
+        assert total_intensity(dark_n1_params, 3) == total_intensity(dark_n1_params, 6) == 0.0
+
     def test_invalid_index(self, dark_n1_params):
         with pytest.raises(ValueError):
             total_intensity(dark_n1_params, 0)
@@ -182,6 +185,12 @@ class TestOscillatingIntensity:
         for t in (0.0, 0.37, 0.75, 1.2):
             closed = oscillating_intensity(p, pair_551, t)
             assert quad_intensity(t) == pytest.approx(closed, rel=1e-6)
+
+    def test_pair_of_other_n_legs_rejected(self, pair_551):
+        # (p, q, n) = (5, 5, 1) reads n1 = 26, n2 = 24 at N = 5, not 16 and 14
+        params = GiantAtomParams(5, pair_551.gamma_tau, pair_551.omega_tau)
+        with pytest.raises(ValueError, match="inconsistent with n_legs"):
+            oscillating_intensity(params, pair_551, 0.0)
 
     def test_mismatched_pair_rejected(self, pair_551, dark_n1_params):
         with pytest.raises(ValueError):

@@ -188,6 +188,22 @@ def test_non_finite_im_center_rejected_before_seeding(dark_n1_params, monkeypatc
         find_poles(dark_n1_params, im_center=im_center)
 
 
+@pytest.mark.parametrize("n_legs, deep, shallow", [(3, -400.0, -300.0), (2, -800.0, -700.0)])
+def test_overflowing_left_edge_rejected_before_the_walk(monkeypatch, n_legs, deep, shallow):
+    # F's terms grow like exp(-(N-1) Re s) and overflow near Re s = -710/(N-1);
+    # these grids are far under MAX_SEEDS, so the seed budget cannot catch them
+    params = GiantAtomParams(n_legs, 0.1, 5.0)
+    assert len(find_poles(params, re_min=shallow, im_halfwidth=1.0)) == 1
+
+    def no_walk(*args):
+        raise AssertionError("walked a boundary where F overflows")
+
+    monkeypatch.setattr(spectral, "_winding_number", no_walk)
+    with pytest.raises(ValueError, match=rf"^F overflows at re_min = {deep:g} with "
+                                         rf"n_legs = {n_legs}; move re_min towards 0$"):
+        find_poles(params, re_min=deep, im_halfwidth=1.0)
+
+
 class TestRecoveryPaths:
     """The nudge and both search failures, each forced.
 
