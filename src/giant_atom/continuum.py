@@ -89,8 +89,9 @@ def continuum_profile(Gamma_T: float, n: int, L: float, x):
     if not (math.isfinite(pref) and math.isfinite(n * math.pi * L)):
         raise ValueError(f"contact length {L:g} is out of range for index n = {n}: "
                          "4/L or n pi L overflows")
-    vals = pref * np.sin(n * math.pi * xs / L) ** 4
-    out = np.where((xs >= 0.0) & (xs <= L), vals, 0.0)
+    inside = (xs >= 0.0) & (xs <= L)  # evaluated only there: far outside it overflows
+    out = np.zeros(xs.shape)
+    out[inside] = pref * np.sin(n * math.pi * xs[inside] / L) ** 4
     return float(out) if xs.shape == () else out
 
 

@@ -289,6 +289,16 @@ def _delay_sum(sv, coeffs):
     return acc
 
 
+def _term_scale(params: GiantAtomParams, s):
+    """Size of F's terms at s, |s| + |omega| + N*gamma/2 + gamma*sum (N-l) e^{-l Re s}:
+    the scale against which a residual |F(s)| is judged.  F's terms grow far
+    left, at strong coupling and at large |s|, and so does the rounding of a
+    true root (a backward-error test)."""
+    n, g = params.n_legs, params.gamma_tau
+    return (np.abs(s) + abs(params.omega_tau) + 0.5 * n * g
+            + g * _delay_sum(np.real(s), [n - l for l in range(1, n)]))
+
+
 def characteristic_fn(params: GiantAtomParams, s) -> complex:
     """Characteristic function F(s) whose zeros are the complex mode frequencies.
 

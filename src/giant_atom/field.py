@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams,
-                   characteristic_fn, check_mode_index, check_positive)
+                   _term_scale, characteristic_fn, check_mode_index, check_positive)
 from .darkstates import dark_amplitude, dark_frequency, rwa_check
 from .dde import beta_at_many, check_trace_times
 
@@ -42,7 +42,7 @@ __all__ = [
 
 DEFAULT_DX = 1.0 / 200.0
 _SLICE = 16.0     # half-cone slice width in tau; whole, so every slice edge is a cut
-_DARK_TOL = 1e-8  # largest |F(-i Omega_n)| at which index n counts as dark
+_DARK_TOL = 1e-10  # largest |F(-i Omega_n)| over F's term scale at which index n is dark
 
 
 @dataclass(frozen=True)
@@ -165,14 +165,14 @@ def bound_profile(params: GiantAtomParams, n: int, x):
     if n % big_n == 0:  # sin(n pi / N) = 0: no trapped field at all
         out = np.zeros(xs.shape)
         return float(out) if xs.shape == () else out
-    inside = (xs >= 0.0) & (xs <= big_n - 1)
-    mprime = np.floor(xs) + 1.0
-    lam = xs - (mprime - 1.0)
+    inside = (xs >= 0.0) & (xs <= big_n - 1)  # evaluated only there: far outside it overflows
+    mprime = np.floor(xs[inside]) + 1.0
+    lam = xs[inside] - (mprime - 1.0)
     s2 = math.sin(n * math.pi / big_n) ** 2
     pref = 8.0 * g * s2 / (2.0 * s2 + big_n * g) ** 2
-    vals = pref * (np.sin(n * math.pi * mprime / big_n) ** 2
-                   * np.sin(n * math.pi * (mprime + 2.0 * lam - 1.0) / big_n) ** 2)
-    out = np.where(inside, vals, 0.0)
+    out = np.zeros(xs.shape)
+    out[inside] = pref * (np.sin(n * math.pi * mprime / big_n) ** 2
+                          * np.sin(n * math.pi * (mprime + 2.0 * lam - 1.0) / big_n) ** 2)
     return float(out) if xs.shape == () else out
 
 
@@ -227,15 +227,16 @@ def oscillating_intensity(params: GiantAtomParams, pair: DarkPair, t):
 
 def dark_state_record(params: GiantAtomParams, n: int) -> DarkState:
     """Assemble the DarkState record for index n, checking that the parameter
-    point actually supports it (the characteristic function must vanish at the
-    purely imaginary candidate frequency)."""
+    point actually supports it: |F| at the purely imaginary candidate frequency
+    must be at most _DARK_TOL times F's term scale there, so that rounding at a
+    large Omega_n is not mistaken for an off-dark point."""
     check_mode_index(n)
     if n % params.n_legs == 0:
         raise ValueError(f"index n = {n} is a multiple of n_legs and carries no "
                          "atomic amplitude; it is not a usable dark state")
     omega_n = dark_frequency(params.n_legs, n)
     residual = abs(characteristic_fn(params, -1j * omega_n))
-    if residual > _DARK_TOL:
+    if residual > _DARK_TOL * _term_scale(params, -1j * omega_n):
         raise ValueError(f"parameters are not dark at index {n}: "
                          f"|F(-i Omega_n)| = {residual:g}")
     return DarkState(n=n, omega_n=omega_n,

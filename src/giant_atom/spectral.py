@@ -1,13 +1,23 @@
 """Complex mode-frequency search and residue-series reconstruction.
 
 Roots of the characteristic function are located inside a search rectangle by
-seeding Newton's method once at the centre of every cell of one grid (cell side
-~ pi/(2N), half the typical root spacing), accepting a Newton final whose |F|
-is at most 1e-13 times the size of F's terms there, |s| + |omega| + N*gamma/2 +
-gamma * sum_l (N - l) * exp(-l * Re s) (a backward-error test: F's terms grow
-far left and at strong coupling, and so does the rounding of a true root),
-deduplicating, and requiring the count to equal the winding number of F around
-the rectangle boundary (argument principle, adaptive sampling); any other count
+Newton's method from seeds on F's asymptotic root chains (Bellman & Cooke,
+Differential-Difference Equations, 1963, ch. 12).  Each 2*pi band of Im s over
+the rectangle, plus one band either side, gets two trials s0 on Re s = 0; at a
+trial F = 0 is a polynomial of degree N - 1 in exp(s), whose roots are the
+eigenvalues of its companion matrix (Edelman & Murakami, Math. Comp. 64,
+1995), and each root gives three seeds, shifted by -2*pi*i, 0 and +2*pi*i
+(without the shifts, roots near band edges were missed).  One more seed, the
+root -(i*omega + N*gamma/2) of F's non-delayed part, finds the one root on no
+chain when weak coupling leaves it far from them.  MAX_SEEDS bounds the complex
+values built, counted before any is: the first boundary walk's samples, each
+trial's (N-1) x (N-1) companion matrix and 3 * (N - 1) seeds, and that seed.
+A Newton final is accepted when its |F| is at most 1e-13 times the size
+of F's terms there, |s| + |omega| + N*gamma/2 + gamma * sum_l (N - l) *
+exp(-l * Re s) (a backward-error test: F's terms grow far left and at strong
+coupling, and so does the rounding of a true root); the accepted finals are
+deduplicated, and their count must equal the winding number of F around the
+rectangle boundary (argument principle, adaptive sampling); any other count
 raises IncompleteSearchError.  Each root s_n carries the residue weight
 
     w_n = 1 / (1 - gamma_tau * sum_{l=1}^{N-1} (N - l) * l * exp(-s_n * l))
@@ -23,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ComplexFreq, GiantAtomParams, IncompleteSearchError,
-                   SearchPlacementError, _delay_sum, characteristic_deriv, characteristic_fn,
+from .core import (TWO_PI, ComplexFreq, GiantAtomParams, IncompleteSearchError,
+                   SearchPlacementError, _term_scale, characteristic_deriv, characteristic_fn,
                    check_budget, check_positive)
 
 __all__ = ["DEFAULT_RE_MIN", "MAX_SEEDS", "PoleSet", "find_poles", "beta_from_poles"]
@@ -38,14 +48,15 @@ _NUDGE = 1e-6             # rectangle growth applied when a root sits on the bou
 _RESIDUAL_TOL = 1e-13     # a Newton final is a root when |F| <= this times _term_scale
 _SEPARATION = 1e-8        # roots closer than this are one root
 _MAX_WINDING_POINTS = 400_000  # samples bisection may add before the winding count gives up
-MAX_SEEDS = 2 ** 22       # Newton seeds in the grid: at most 67 MB per complex copy
+MAX_SEEDS = 2 ** 22       # walk samples, companion entries and seeds: 67 MB of complex values
 
 
 @dataclass(frozen=True)
 class PoleSet:
     """Deduplicated roots of the characteristic function in a rectangle,
     sorted by (Im, Re), with their residue weights.  flagged_cells holds the
-    seeds whose Newton run did not converge to a root, not grid cells."""
+    chain seeds whose Newton run did not converge to a root (the name is kept
+    from an earlier grid of seed cells)."""
 
     params: GiantAtomParams
     s: np.ndarray
@@ -90,12 +101,28 @@ def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
     return z
 
 
-def _term_scale(params: GiantAtomParams, s: np.ndarray) -> np.ndarray:
-    """Size of F's terms at s, |s| + |omega| + N*gamma/2 + gamma*sum (N-l) e^{-l Re s}:
-    the scale against which a computed root's residual |F| is judged."""
+def _chain_seeds(params: GiantAtomParams, bands: np.ndarray) -> np.ndarray:
+    """Newton seeds on F's root chains: 3 * (N - 1) for each of two trials per band.
+
+    Band k of Im s has the trials s0 = 2*pi*i*k and 2*pi*i*k + i*pi.  With the
+    non-delayed term held at s0, F(s) = 0 is a polynomial in w = exp(s),
+    (s0 + i*omega + N*gamma/2) * w^(N-1) + gamma * sum_l (N - l) * w^(N-1-l) = 0,
+    whose N - 1 roots are the eigenvalues of its companion matrix; every trial's
+    matrix goes into one stacked eigvals call.  The polynomial is made monic by
+    its lead coefficient, which never vanishes, not by gamma, which may be as
+    small as a subnormal.  A root w gives the seeds Log w + 2*pi*i*(m + j),
+    j = -1, 0, 1, where m = round(Im s0 / 2*pi).
+    """
     n, g = params.n_legs, params.gamma_tau
-    return (np.abs(s) + abs(params.omega_tau) + 0.5 * n * g
-            + g * _delay_sum(s.real, [n - l for l in range(1, n)]))
+    s0 = 1j * math.pi * (2.0 * bands[:, None] + np.array([0.0, 1.0])).ravel()
+    lead = s0 + 1j * params.omega_tau + 0.5 * n * g  # never 0: its real part is N*gamma/2
+    companion = np.zeros((len(s0), n - 1, n - 1), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(n - 2)
+    companion[:, :, -1] = -g * np.arange(1, n) / lead[:, None]
+    m = np.round(s0.imag / TWO_PI)
+    shifts = 1j * TWO_PI * (m[:, None, None] + np.array([-1.0, 0.0, 1.0]))
+    with np.errstate(divide="ignore"):  # w underflows to 0 at gamma ~ 1e-323: a seed at -inf
+        return (np.log(np.linalg.eigvals(companion))[..., None] + shifts).ravel()
 
 
 def _dedupe(roots: np.ndarray, residuals: np.ndarray) -> np.ndarray:
@@ -112,15 +139,20 @@ def _dedupe(roots: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     return roots[np.lexsort((residuals, np.cumsum(starts)))[starts]]
 
 
+def _side_samples(rect, spacing):
+    """First-pass sample counts on the bottom, right, top and left sides, at
+    least 8 each; in floats, so a huge side gives inf, not an OverflowError."""
+    width, height = rect[1] - rect[0], rect[3] - rect[2]
+    return [max(8.0, float(np.ceil(side / spacing))) for side in (width, height, width, height)]
+
+
 def _boundary_points(rect, spacing):
     re_lo, re_hi, im_lo, im_hi = rect
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
     pts = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        count = max(8, int(math.ceil(abs(b - a) / spacing)))
-        seg = a + (b - a) * np.arange(count) / count
-        pts.append(seg)
+    for a, b, count in zip(corners, corners[1:] + corners[:1], _side_samples(rect, spacing)):
+        pts.append(a + (b - a) * np.arange(int(count)) / count)
     return np.concatenate(pts)
 
 
@@ -160,13 +192,15 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     be taken (a sample of F on it falls below 1e-9 * (1 + |s|), or bisection
     runs past its budget) it grows by 1e-6 on every side, and after twelve
     failed walks SearchPlacementError is raised before any seed exists.
-    Then it is seeded: Newton runs once from a grid of cell ~ pi/(2N) laid
-    on the settled rectangle, and IncompleteSearchError is raised when the
-    deduplicated roots do not number exactly the winding number.  The
+    Then it is seeded: Newton runs once from the chain seeds of every band
+    from floor(im_min / 2pi) - 1 to ceil(im_max / 2pi) + 1 (see _chain_seeds)
+    and from -(i*omega + N*gamma/2), and IncompleteSearchError is raised when
+    the deduplicated roots do not number exactly the winding number.  The
     PoleSet holds the residue weights and the settled rectangle's bounds;
     seeds whose Newton run did not converge to a root are in flagged_cells.
-    Raises ValueError, before any work, when im_center is not finite, the
-    grid exceeds MAX_SEEDS or F's terms overflow at the left edge.
+    Raises ValueError, before any work, when im_center is not finite, F's
+    terms overflow at the left edge, or the walk and the seeding would build
+    more than MAX_SEEDS complex values.
     """
     if not (math.isfinite(re_min) and re_min < 0):
         raise ValueError(f"re_min must be negative, got {re_min}")
@@ -175,15 +209,14 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     if not math.isfinite(im_center):
         raise ValueError(f"im_center must be finite, got {im_center}")
     check_positive("im_halfwidth", im_halfwidth)
-    cell = math.pi / (2.0 * params.n_legs)
-
     rect = [re_min, params.gamma_tau, im_center - im_halfwidth, im_center + im_halfwidth]
-
-    def grid_shape():  # in floats: a huge rectangle gives inf, not an OverflowError
-        return (max(2.0, np.ceil((rect[1] - rect[0]) / cell)),
-                max(2.0, np.ceil((rect[3] - rect[2]) / cell)))
-
-    check_budget("the search rectangle", math.prod(grid_shape()), "Newton seeds", MAX_SEEDS)
+    d, spacing = params.n_legs - 1, math.pi / (4.0 * params.n_legs)
+    # in floats: a huge rectangle gives an inf count, not an OverflowError
+    k_lo = float(np.floor(rect[2] / TWO_PI)) - 1.0
+    n_bands = float(np.ceil(rect[3] / TWO_PI)) + 1.0 - k_lo + 1.0
+    check_budget("the search rectangle",
+                 sum(_side_samples(rect, spacing)) + 2.0 * n_bands * d * (d + 3) + 1.0,
+                 "boundary samples, companion entries and seeds", MAX_SEEDS)
     with np.errstate(over="ignore"):  # F's terms peak 12 nudges left of re_min
         deepest = _term_scale(params, np.array([rect[0] - 12 * _NUDGE]))[0]
     if not math.isfinite(deepest):
@@ -191,17 +224,17 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
                          "move re_min towards 0")
 
     for _ in range(12):  # place: grow the rectangle away from any root it touches
-        w = _winding_number(params, rect, spacing=0.5 * cell)
+        w = _winding_number(params, rect, spacing)
         if w is not None:
             break
         rect = [rect[0] - _NUDGE, rect[1] + _NUDGE, rect[2] - _NUDGE, rect[3] + _NUDGE]
     else:
         raise SearchPlacementError("could not place the search rectangle clear of all roots")
 
-    nx, ny = (int(n) for n in grid_shape())  # seed: one grid on the settled rectangle
-    xs = rect[0] + (np.arange(nx) + 0.5) * (rect[1] - rect[0]) / nx
-    ys = rect[2] + (np.arange(ny) + 0.5) * (rect[3] - rect[2]) / ny
-    seeds = (xs[None, :] + 1j * ys[:, None]).ravel()
+    # seed: two chain trials per band, plus the root of F's non-delayed part,
+    # where weak coupling leaves the one root that is on no chain
+    seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),
+                      -1j * params.omega_tau - 0.5 * params.n_legs * params.gamma_tau)
     finals = _newton(params, seeds)
     with np.errstate(all="ignore"):
         res = np.abs(characteristic_fn(params, finals)) / _term_scale(params, finals)

@@ -315,6 +315,17 @@ class TestFailures:
         assert rc == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_largest_emitter_poles_exits_2_before_seeding(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("seeding started for a rejected emitter")
+        monkeypatch.setattr(np.linalg, "eigvals", no_work)
+        monkeypatch.setattr(spectral, "_newton", no_work)
+        rc = main(["poles", "--n-legs", "65536", "--gamma-tau-2pi", "0.018",
+                   "--omega-tau-2pi", "1", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "companion entries and seeds, above the budget" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_seed_grid_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "MAX_SEEDS", 100)
         rc = main(["poles", *A1_FLAGS, "--out-dir", str(tmp_path / "out")])
@@ -372,8 +383,10 @@ class TestFailures:
     @pytest.mark.parametrize("argv, message", [
         (["poles", *A1_FLAGS, "--re-min", "-400"],
          "F overflows at re_min = -400 with n_legs = 3; move re_min towards 0"),
+        (["poles", "--n-legs", "65536", "--gamma-tau-2pi", "0.018", "--omega-tau-2pi", "1"],
+         "the search rectangle needs 6.01e+10 boundary samples, companion entries and seeds"),
         (["poles", *A1_FLAGS, "--re-min=-1e5"],
-         "the search rectangle needs 9.17e+06 Newton seeds"),
+         "F overflows at re_min = -100000 with n_legs = 3; move re_min towards 0"),
         (["field", "--n-legs", "0", "--gamma-tau-2pi", "0.018", "--dark-n", "1"],
          "n_legs must be >= 2, got 0"),
         (["field", "--n-legs", "3", "--gamma-tau-2pi", "0.5", "--dark-n", "1"],
@@ -385,8 +398,9 @@ class TestFailures:
         (["continuum", "--n", "1", "--length", "1e-310"], "contact length 1e-310 is out of range"),
         (["continuum", "--n", "1", "--length", "1e308", "--x-step", "1e308"],
          "contact length 1e+308 is out of range"),
-    ], ids=["poles-overflow", "poles-budget", "field-n-legs-0", "field-omega-below-0",
-            "continuum-gamma-inf-ratio", "continuum-gamma-overflowing-square", "continuum-n-0",
+    ], ids=["poles-overflow", "poles-budget", "poles-deep", "field-n-legs-0",
+            "field-omega-below-0", "continuum-gamma-inf-ratio",
+            "continuum-gamma-overflowing-square", "continuum-n-0",
             "continuum-length-subnormal", "continuum-length-huge"])
     def test_unevaluable_input_exits_2(self, tmp_path, capsys, argv, message):
         rc = main([*argv, "--out-dir", str(tmp_path / "out")])

@@ -72,6 +72,14 @@ class TestProfile:
         assert continuum_profile(5.0, 1, 1.0, -0.1) == 0.0
         assert continuum_profile(5.0, 1, 1.0, 1.1) == 0.0
 
+    @pytest.mark.parametrize("x", [1e308, -1e308, math.inf, -math.inf, math.nan])
+    def test_far_outside_is_zero_without_warnings(self, x):
+        # the closed form is evaluated inside [0, L] only: n pi x overflows at
+        # 1e308 and sin(inf) is invalid (tier-1 turns either warning into an error)
+        assert continuum_profile(1.0, 1, 1.0, x) == 0.0
+        out = continuum_profile(1.0, 1, 1.0, np.array([0.5, x]))
+        assert out[1] == 0.0 and out[0] == continuum_profile(1.0, 1, 1.0, 0.5) > 0.0
+
     def test_peak_bound(self):
         # the trapped intensity never exceeds 3/8, attained at 2 n^2 pi^2 = Gamma T
         best = max(continuum_total_intensity(g, 1) for g in np.linspace(1.0, 100.0, 4001))

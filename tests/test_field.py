@@ -9,7 +9,9 @@ from giant_atom import (
     GridSpec,
     beta_at,
     bound_profile,
+    characteristic_fn,
     dark_amplitude,
+    dark_condition_omega_tau,
     dark_frequency,
     dark_state_record,
     field_amplitude,
@@ -97,6 +99,15 @@ class TestBoundProfile:
         assert bound_profile(dark_n1_params, 1, 2.0) == pytest.approx(0.0, abs=1e-30)
         assert bound_profile(dark_n1_params, 1, -0.3) == 0.0
         assert bound_profile(dark_n1_params, 1, 2.3) == 0.0
+
+    @pytest.mark.parametrize("x", [1e308, -1e308, math.inf, -math.inf, math.nan])
+    def test_far_outside_is_zero_without_warnings(self, x):
+        # the closed form is evaluated on [0, N-1] only: far outside it overflows,
+        # and inf - inf is invalid (tier-1 turns either warning into an error)
+        p = GiantAtomParams(3, 0.1, 1.0)
+        assert bound_profile(p, 1, x) == 0.0
+        out = bound_profile(p, 1, np.array([0.5, x]))
+        assert out[1] == 0.0 and out[0] == bound_profile(p, 1, 0.5) > 0.0
 
     def test_multiple_of_n_legs_identically_zero(self, dark_n1_params):
         xs = np.linspace(0.0, 2.0, 101)
@@ -214,6 +225,42 @@ class TestDarkStateRecord:
     def test_rejects_index_without_atomic_amplitude(self, dark_n1_params):
         with pytest.raises(ValueError, match="multiple"):
             dark_state_record(dark_n1_params, 3)
+
+    def test_large_index_judged_on_term_scale(self):
+        # |F(-i Omega_n)| = 1.4e-6 here is rounding against |Omega_n| ~ 2.1e10,
+        # so an absolute bound of 1e-8 rejected a true dark point
+        n, g = 10_000_000_001, TWO_PI * 0.018
+        omega = dark_condition_omega_tau(3, n, g)
+        rec = dark_state_record(GiantAtomParams(3, g, omega), n)
+        assert rec.n == n
+        with pytest.raises(ValueError, match="not dark at index 10000000001"):
+            dark_state_record(GiantAtomParams(3, g, omega * (1.0 + 1e-6)), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_off_dark_omega_rejected(self, n):
+        g = TWO_PI * 0.018
+        omega = dark_condition_omega_tau(3, n, g)
+        dark_state_record(GiantAtomParams(3, g, omega), n)
+        with pytest.raises(ValueError, match="not dark"):
+            dark_state_record(GiantAtomParams(3, g, omega + 1e-6), n)
+
+    def test_every_index_dark_under_the_absolute_bound_still_passes(self):
+        # the former rule, |F(-i Omega_n)| <= 1e-8, accepted these points; all
+        # indices to 300 and 300 spread up to 10**6, at weak and strong coupling
+        indices = sorted({*range(1, 301), *np.unique(np.geomspace(300, 10 ** 6, 300).astype(int))})
+        accepted = 0
+        for n_legs in (2, 3, 5, 10, 30):
+            for g2 in (0.018, 0.25):
+                for n in indices:
+                    try:  # a multiple of n_legs, or no physical dark point
+                        omega = dark_condition_omega_tau(n_legs, n, TWO_PI * g2)
+                    except ValueError:
+                        continue
+                    p = GiantAtomParams(n_legs, TWO_PI * g2, omega)
+                    if abs(characteristic_fn(p, -1j * dark_frequency(n_legs, n))) <= 1e-8:
+                        assert dark_state_record(p, n).n == n
+                        accepted += 1
+        assert accepted > 4000
 
 
 def test_waveguide_probability_window_grows(dark_n1_params):

@@ -18,6 +18,7 @@ from giant_atom import (
     spectral,
 )
 from conftest import single_dark_params
+from test_dde import exact_beta
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +104,31 @@ def test_pole_sum_converges_to_causal_amplitude(dark_n1_params):
     assert abs(beta_from_poles(ps, 0.1) - 1.0) < 0.25
 
 
+@pytest.mark.parametrize("omega_tau", [single_dark_params(3, 1, 0.018).omega_tau, TWO_PI * 0.5],
+                         ids=["dark", "off-dark"])
+def test_pole_series_truncation_against_exact_series(omega_tau):
+    # Error of the truncated pole series against the exact finite series of
+    # 1/F (mpmath, independent of both the DDE and the root search), t in [5, 20].
+    # At N = 3 the root chains run at Re s ~ -ln(|Im s| / gamma) / 2, so they
+    # reach Re s = -8 only near |Im s| ~ gamma * e^16 ~ 1e6: every re_min here
+    # lies left of all roots of the rectangle, and its height H, grown with
+    # re_min, sets what is left out.  The omitted roots nearest the axis sit
+    # where the chains leave the rectangle, at sigma_H = -ln(H / gamma) / 2, so
+    # the error at t >= t_min is bounded by C * exp(sigma_H * t_min), C = 0.1
+    # (measured: 0.011 to 0.04 of the envelope).
+    p = GiantAtomParams(3, TWO_PI * 0.018, omega_tau)
+    ts = np.linspace(5.0, 20.0, 16)
+    exact = exact_beta(3, p.gamma_tau, p.omega_tau, ts)
+    errs = []
+    for re_min, height in [(-8.0, 25.0), (-12.0, 100.0), (-20.0, 400.0)]:
+        ps = find_poles(p, re_min=re_min, im_halfwidth=height)
+        err = np.abs(beta_from_poles(ps, ts) - exact).max()
+        sigma = -0.5 * math.log(height / p.gamma_tau)
+        assert err <= 0.1 * math.exp(sigma * ts[0])
+        errs.append(err)
+    assert errs[0] > errs[1] > errs[2]
+
+
 def test_long_time_limit_is_single_dark_mode(dark_n1_params):
     ps = find_poles(dark_n1_params, re_min=-8.0, im_halfwidth=25.0)
     a = dark_amplitude(3, 1, dark_n1_params.gamma_tau)
@@ -153,9 +179,13 @@ def test_newton_retires_converged_and_unevaluable_seeds(dark_n1_params, monkeypa
     assert sizes[:2] == [3, 1] and len(sizes) < 10
 
 
-def test_seed_budget_counts_the_one_grid(dark_n1_params, monkeypatch):
-    # re_min = -12, halfwidth 25 at N = 3 (cell pi/6): a 24 x 96 grid, 2,304 seeds,
-    # every one of them handed to Newton in a single call
+def test_seed_budget_counts_walk_companions_and_seeds(dark_n1_params, monkeypatch):
+    # re_min = -12, halfwidth 25 at N = 3 around -Omega_1: Im s in [-27.0, 23.0].
+    # The first walk samples the 12.1 x 50 boundary every pi/12: 47 + 191 + 47 +
+    # 191 = 476.  The bands -5..4, with one either side, are 12 bands and 24
+    # trials, each a 2 x 2 companion (4 entries) giving 6 chain seeds: 240.  One
+    # more seed sits at -(i omega + N gamma/2): 717 in all, of which 145 seeds
+    # go to Newton in a single call.
     newton, sizes = spectral._newton, []
 
     def counted(params, seeds):
@@ -163,13 +193,48 @@ def test_seed_budget_counts_the_one_grid(dark_n1_params, monkeypatch):
         return newton(params, seeds)
 
     monkeypatch.setattr(spectral, "_newton", counted)
-    monkeypatch.setattr(spectral, "MAX_SEEDS", 2_303)
-    with pytest.raises(ValueError, match="budget of 2303"):
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 716)
+    with pytest.raises(ValueError, match="needs 717 boundary samples, companion entries and "
+                                         "seeds, above the budget of 716"):
         find_poles(dark_n1_params, re_min=-12.0, im_halfwidth=25.0)
     assert sizes == []
-    monkeypatch.setattr(spectral, "MAX_SEEDS", 2_304)
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 717)
     assert len(find_poles(dark_n1_params, re_min=-12.0, im_halfwidth=25.0)) > 0
-    assert sizes == [2_304]
+    assert sizes == [145]
+
+
+@pytest.mark.parametrize("n_legs, gamma_tau", [(2, 1e-300), (3, 1e-310), (5, 5e-324)])
+def test_weak_coupling_root_found_off_the_chains(n_legs, gamma_tau):
+    # the one root near -i omega is on no chain: its band's chain seed lands
+    # near Re s = ln(gamma) / (N - 1), where F overflows, so the seed at
+    # -(i omega + N gamma / 2) must find it (and at 5e-324, w underflows to 0
+    # without a warning)
+    ps = find_poles(GiantAtomParams(n_legs, gamma_tau, 1.0), re_min=-8.0, im_halfwidth=10.0)
+    assert len(ps) == ps.winding == 1
+    assert abs(ps.s[0] + 1j) < 1e-12
+
+
+def test_largest_emitter_rejected_before_any_eigensolve(monkeypatch):
+    # N = 2**16 passes MAX_N_LEGS, but one 65535 x 65535 companion alone is
+    # 4.3e9 entries: the budget must refuse it before building anything
+    def no_work(*args):
+        raise AssertionError("seeding started for a rejected emitter")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_work)
+    monkeypatch.setattr(spectral, "_newton", no_work)
+    with pytest.raises(ValueError, match="companion entries and seeds, above the budget"):
+        find_poles(GiantAtomParams(2 ** 16, 0.1, 2.0))
+
+
+def test_wide_rectangle_rejected_before_the_walk(monkeypatch):
+    # the right edge is Re s = gamma: at gamma = 1e8 the first walk alone would
+    # sample the boundary 5e8 times, so the budget counts those samples too
+    def no_walk(*args):
+        raise AssertionError("walked a boundary the budget refuses")
+
+    monkeypatch.setattr(spectral, "_winding_number", no_walk)
+    with pytest.raises(ValueError, match=r"needs 5\.09e\+08 boundary samples"):
+        find_poles(GiantAtomParams(2, 1e8, 1.0), im_halfwidth=1.0)
 
 
 def test_seed_budget_overflowing_rectangle(dark_n1_params):
