@@ -290,13 +290,17 @@ def _delay_sum(sv, coeffs):
 
 
 def _term_scale(params: GiantAtomParams, s):
-    """Size of F's terms at s, |s| + |omega| + N*gamma/2 + gamma*sum (N-l) e^{-l Re s}:
-    the scale against which a residual |F(s)| is judged.  F's terms grow far
-    left, at strong coupling and at large |s|, and so does the rounding of a
-    true root (a backward-error test)."""
+    """Size of F's terms at s, |s| + |omega| + N*gamma/2 + gamma*sum (N-l) e^{-l Re s}
+    + |s|*gamma*sum (N-l) l e^{-l Re s}: the scale against which a residual
+    |F(s)| is judged.  F's terms grow far left, at strong coupling and at large
+    |s|, and so does the rounding of a true root (a backward-error test); the
+    last term is the rounding of exp(-s), relative eps*|s|, carried by F's
+    delayed terms."""
     n, g = params.n_legs, params.gamma_tau
+    re = np.real(s)
     return (np.abs(s) + abs(params.omega_tau) + 0.5 * n * g
-            + g * _delay_sum(np.real(s), [n - l for l in range(1, n)]))
+            + g * _delay_sum(re, [n - l for l in range(1, n)])
+            + np.abs(s) * g * _delay_sum(re, [(n - l) * l for l in range(1, n)]))
 
 
 def characteristic_fn(params: GiantAtomParams, s) -> complex:

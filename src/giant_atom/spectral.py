@@ -2,23 +2,26 @@
 
 Roots of the characteristic function are located inside a search rectangle by
 Newton's method from seeds on F's asymptotic root chains (Bellman & Cooke,
-Differential-Difference Equations, 1963, ch. 12).  Each 2*pi band of Im s over
-the rectangle, plus one band either side, gets two trials s0 on Re s = 0; at a
-trial F = 0 is a polynomial of degree N - 1 in exp(s), whose roots are the
-eigenvalues of its companion matrix (Edelman & Murakami, Math. Comp. 64,
-1995), and each root gives three seeds, shifted by -2*pi*i, 0 and +2*pi*i
-(without the shifts, roots near band edges were missed).  One more seed, the
-root -(i*omega + N*gamma/2) of F's non-delayed part, finds the one root on no
-chain when weak coupling leaves it far from them.  MAX_SEEDS bounds the complex
-values built, counted before any is: the first boundary walk's samples, each
-trial's (N-1) x (N-1) companion matrix and 3 * (N - 1) seeds, and that seed.
+Differential-Difference Equations, 1963, ch. 12).  Each 2*pi band k of Im s
+that the rectangle touches gets one trial s0 = 2*pi*i*k; at a trial F = 0 is a
+polynomial of degree N - 1 in exp(s), whose roots are the eigenvalues of its
+companion matrix (Edelman & Murakami, Math. Comp. 64, 1995), and each root
+gives three seeds, shifted by -2*pi*i, 0 and +2*pi*i, so every band is also
+seeded from its neighbours' trials (without the shifts, roots near band edges
+were missed).  One more seed, the root -(i*omega + N*gamma/2) of F's
+non-delayed part, finds the one root on no chain when weak coupling leaves it
+far from them.  MAX_SEEDS bounds the complex values built, counted before any
+is: the first boundary walk's samples, each trial's (N-1) x (N-1) companion
+matrix and 3 * (N - 1) seeds, and that seed.
 A Newton final is accepted when its |F| is at most 1e-13 times the size
 of F's terms there, |s| + |omega| + N*gamma/2 + gamma * sum_l (N - l) *
-exp(-l * Re s) (a backward-error test: F's terms grow far left and at strong
-coupling, and so does the rounding of a true root); the accepted finals are
-deduplicated, and their count must equal the winding number of F around the
-rectangle boundary (argument principle, adaptive sampling); any other count
-raises IncompleteSearchError.  Each root s_n carries the residue weight
+exp(-l * Re s) + |s| * gamma * sum_l (N - l) * l * exp(-l * Re s) (a
+backward-error test: F's terms grow far left and at strong coupling, and so
+does the rounding of a true root, which exp(-s) adds to at large |s|); the
+accepted finals are deduplicated, and their count must equal the winding
+number of F around the rectangle boundary (argument principle, with samples
+close enough that no root can slip between two); any other count raises
+IncompleteSearchError.  Each root s_n carries the residue weight
 
     w_n = 1 / (1 - gamma_tau * sum_{l=1}^{N-1} (N - l) * l * exp(-s_n * l))
         = 1 / F'(s_n),
@@ -34,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (TWO_PI, ComplexFreq, GiantAtomParams, IncompleteSearchError,
-                   SearchPlacementError, _term_scale, characteristic_deriv, characteristic_fn,
-                   check_budget, check_positive)
+                   SearchPlacementError, _delay_sum, _term_scale, characteristic_deriv,
+                   characteristic_fn, check_budget, check_positive)
 
 __all__ = ["DEFAULT_RE_MIN", "MAX_SEEDS", "PoleSet", "find_poles", "beta_from_poles"]
 
@@ -102,25 +105,26 @@ def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
 
 
 def _chain_seeds(params: GiantAtomParams, bands: np.ndarray) -> np.ndarray:
-    """Newton seeds on F's root chains: 3 * (N - 1) for each of two trials per band.
+    """Newton seeds on F's root chains: 3 * (N - 1) for each band's one trial.
 
-    Band k of Im s has the trials s0 = 2*pi*i*k and 2*pi*i*k + i*pi.  With the
-    non-delayed term held at s0, F(s) = 0 is a polynomial in w = exp(s),
+    Band k of Im s has the trial s0 = 2*pi*i*k.  With the non-delayed term held
+    at s0, F(s) = 0 is a polynomial in w = exp(s),
     (s0 + i*omega + N*gamma/2) * w^(N-1) + gamma * sum_l (N - l) * w^(N-1-l) = 0,
     whose N - 1 roots are the eigenvalues of its companion matrix; every trial's
     matrix goes into one stacked eigvals call.  The polynomial is made monic by
     its lead coefficient, which never vanishes, not by gamma, which may be as
-    small as a subnormal.  A root w gives the seeds Log w + 2*pi*i*(m + j),
-    j = -1, 0, 1, where m = round(Im s0 / 2*pi).
+    small as a subnormal, and -gamma / lead is built from real divisions by
+    |lead|: numpy's complex division overflows when lead is real and below
+    1/DBL_MAX (at omega/2pi = -k).  A root w gives the seeds
+    Log w + 2*pi*i*(k + j), j = -1, 0, 1.
     """
     n, g = params.n_legs, params.gamma_tau
-    s0 = 1j * math.pi * (2.0 * bands[:, None] + np.array([0.0, 1.0])).ravel()
-    lead = s0 + 1j * params.omega_tau + 0.5 * n * g  # never 0: its real part is N*gamma/2
-    companion = np.zeros((len(s0), n - 1, n - 1), dtype=complex)
+    lead = 1j * (TWO_PI * bands + params.omega_tau) + 0.5 * n * g  # real part N*gamma/2 > 0
+    mag = np.abs(lead)
+    companion = np.zeros((len(bands), n - 1, n - 1), dtype=complex)
     companion[:, 1:, :-1] = np.eye(n - 2)
-    companion[:, :, -1] = -g * np.arange(1, n) / lead[:, None]
-    m = np.round(s0.imag / TWO_PI)
-    shifts = 1j * TWO_PI * (m[:, None, None] + np.array([-1.0, 0.0, 1.0]))
+    companion[:, :, -1] = np.outer(g / mag * (lead.imag / mag * 1j - lead.real / mag), range(1, n))
+    shifts = 1j * TWO_PI * (bands[:, None, None] + np.array([-1.0, 0.0, 1.0]))
     with np.errstate(divide="ignore"):  # w underflows to 0 at gamma ~ 1e-323: a seed at -inf
         return (np.log(np.linalg.eigvals(companion))[..., None] + shifts).ravel()
 
@@ -159,11 +163,17 @@ def _boundary_points(rect, spacing):
 def _winding_number(params, rect, spacing):
     """Winding number of F around the rectangle via adaptive phase tracking.
 
-    Segments are bisected until no phase jump exceeds pi/2 (no aliasing while
-    no root touches the boundary); the steps then sum to a multiple of 2*pi.
-    Returns None when a sample of F falls below 1e-9 * (1 + |s|), or when
-    bisection adds more than _MAX_WINDING_POINTS samples (or runs 64 passes).
+    A segment [a, b] is bisected while L * |b - a| >= max(|F(a)|, |F(b)|), where
+    L = 1 + gamma * sum_l (N - l) * l * exp(-l * min(Re a, Re b)) bounds |F'|
+    on it.  When no segment needs it, F stays on each in a disk about F(a) or
+    F(b) that excludes 0, so it turns by less than pi/2 there, and no root, nor
+    a pair of roots, can hide between two samples; the wrapped phase steps then
+    sum to a multiple of 2*pi.  Returns None when a sample of F falls below
+    1e-9 * (1 + |s|), or when bisection adds more than _MAX_WINDING_POINTS
+    samples (or runs 64 passes).
     """
+    n, g = params.n_legs, params.gamma_tau
+    deriv_weights = [(n - l) * l for l in range(1, n)]
     pts = _boundary_points(rect, spacing)
     cap = len(pts) + _MAX_WINDING_POINTS
     for _ in range(64):
@@ -172,10 +182,12 @@ def _winding_number(params, rect, spacing):
         mags = np.abs(vals)
         if mags.min() < 1e-9 * (1.0 + np.abs(closed[np.argmin(mags)])):
             return None
-        dphi = np.diff(np.angle(vals))
-        dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
-        bad = np.abs(dphi) > 0.5 * math.pi
+        lipschitz = 1.0 + g * _delay_sum(np.minimum(closed[:-1].real, closed[1:].real),
+                                         deriv_weights)
+        bad = lipschitz * np.abs(np.diff(closed)) >= np.maximum(mags[:-1], mags[1:])
         if not bad.any():
+            dphi = np.diff(np.angle(vals))
+            dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
             return int(round(dphi.sum() / (2.0 * math.pi)))
         idx = np.flatnonzero(bad)
         pts = np.insert(closed[:-1], idx + 1, 0.5 * (closed[idx] + closed[idx + 1]))
@@ -193,8 +205,8 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     runs past its budget) it grows by 1e-6 on every side, and after twelve
     failed walks SearchPlacementError is raised before any seed exists.
     Then it is seeded: Newton runs once from the chain seeds of every band
-    from floor(im_min / 2pi) - 1 to ceil(im_max / 2pi) + 1 (see _chain_seeds)
-    and from -(i*omega + N*gamma/2), and IncompleteSearchError is raised when
+    from floor(im_min / 2pi) to ceil(im_max / 2pi) (see _chain_seeds) and from
+    -(i*omega + N*gamma/2), and IncompleteSearchError is raised when
     the deduplicated roots do not number exactly the winding number.  The
     PoleSet holds the residue weights and the settled rectangle's bounds;
     seeds whose Newton run did not converge to a root are in flagged_cells.
@@ -212,10 +224,10 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     rect = [re_min, params.gamma_tau, im_center - im_halfwidth, im_center + im_halfwidth]
     d, spacing = params.n_legs - 1, math.pi / (4.0 * params.n_legs)
     # in floats: a huge rectangle gives an inf count, not an OverflowError
-    k_lo = float(np.floor(rect[2] / TWO_PI)) - 1.0
-    n_bands = float(np.ceil(rect[3] / TWO_PI)) + 1.0 - k_lo + 1.0
+    k_lo = float(np.floor(rect[2] / TWO_PI))
+    n_bands = float(np.ceil(rect[3] / TWO_PI)) - k_lo + 1.0
     check_budget("the search rectangle",
-                 sum(_side_samples(rect, spacing)) + 2.0 * n_bands * d * (d + 3) + 1.0,
+                 sum(_side_samples(rect, spacing)) + n_bands * d * (d + 3) + 1.0,
                  "boundary samples, companion entries and seeds", MAX_SEEDS)
     with np.errstate(over="ignore"):  # F's terms peak 12 nudges left of re_min
         deepest = _term_scale(params, np.array([rect[0] - 12 * _NUDGE]))[0]
@@ -231,7 +243,7 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
     else:
         raise SearchPlacementError("could not place the search rectangle clear of all roots")
 
-    # seed: two chain trials per band, plus the root of F's non-delayed part,
+    # seed: one chain trial per band, plus the root of F's non-delayed part,
     # where weak coupling leaves the one root that is on no chain
     seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),
                       -1j * params.omega_tau - 0.5 * params.n_legs * params.gamma_tau)

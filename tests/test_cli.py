@@ -326,6 +326,14 @@ class TestFailures:
         assert "companion entries and seeds, above the budget" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_subnormal_coupling_poles_exits_0(self, tmp_path, capsys):
+        # at omega / 2pi = 3 the trial of band -3 cancels omega, so the companion
+        # matrix's lead coefficient is real and subnormal (N gamma / 2 = 9.4e-311)
+        rc = main(["poles", "--n-legs", "3", "--gamma-tau-2pi", "1e-311",
+                   "--omega-tau-2pi", "3", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_oversized_seed_grid_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "MAX_SEEDS", 100)
         rc = main(["poles", *A1_FLAGS, "--out-dir", str(tmp_path / "out")])
@@ -384,7 +392,7 @@ class TestFailures:
         (["poles", *A1_FLAGS, "--re-min", "-400"],
          "F overflows at re_min = -400 with n_legs = 3; move re_min towards 0"),
         (["poles", "--n-legs", "65536", "--gamma-tau-2pi", "0.018", "--omega-tau-2pi", "1"],
-         "the search rectangle needs 6.01e+10 boundary samples, companion entries and seeds"),
+         "the search rectangle needs 2.15e+10 boundary samples, companion entries and seeds"),
         (["poles", *A1_FLAGS, "--re-min=-1e5"],
          "F overflows at re_min = -100000 with n_legs = 3; move re_min towards 0"),
         (["field", "--n-legs", "0", "--gamma-tau-2pi", "0.018", "--dark-n", "1"],

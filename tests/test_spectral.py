@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giant_atom import (
     GiantAtomParams,
@@ -17,6 +19,7 @@ from giant_atom import (
     integrate_beta,
     spectral,
 )
+from giant_atom.core import _term_scale
 from conftest import single_dark_params
 from test_dde import exact_beta
 
@@ -73,6 +76,46 @@ def test_strong_coupling_roots_judged_on_their_own_scale():
     scale = np.abs(ps.s) + p.omega_tau + 15 * p.gamma_tau + p.gamma_tau * sum(
         (30 - l) * np.exp(-l * ps.s.real) for l in range(1, 30))
     assert np.all(res <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("re_min", [-8.0, -20.0])
+def test_tall_window_roots_judged_with_the_rounding_of_exp(re_min):
+    # N = 3 at the n = 1 dark point, |Im s| up to 2500: Newton reaches every
+    # root, but above |Im s| ~ 1300 the rounding of exp(-s), eps * |s| * |F'|,
+    # outgrows the other terms, and without it the scale rejected 246 of 1592
+    p = single_dark_params(3, 1, 0.018)
+    ps = find_poles(p, re_min=re_min, im_halfwidth=2500.0)
+    assert len(ps) == ps.winding == 1592
+
+
+def test_two_roots_between_two_walk_samples_are_counted():
+    # at omega = pi the top edge Im s = -pi is a line on which F is real, and two
+    # roots lie on it 0.04 apart, against a first-pass spacing of 0.052: each
+    # turns F's phase by pi, so a rule on phase steps saw no turn between them
+    # and counted 5.  Bisecting by the walk's |F'| bound closes in on the two
+    # roots on the edge, so the walk gives up there, and one nudge clears it.
+    p = GiantAtomParams(15, TWO_PI * 0.015625, TWO_PI * 0.5)
+    ps = find_poles(p, re_min=-1.0, im_center=-1.0 - math.pi, im_halfwidth=1.0)
+    assert len(ps) == ps.winding == 6
+    assert ps.re_min == -1.0 - spectral._NUDGE
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n_legs=st.integers(2, 30), gamma_2pi=st.floats(0.001, 0.25),
+       omega_2pi=st.floats(0.5, 25.0), re_min=st.floats(-8.0, -1.0),
+       halfwidth=st.floats(0.1, 2.5), offset=st.floats(-5.0, 5.0))
+def test_find_poles_sweep(n_legs, gamma_2pi, omega_2pi, re_min, halfwidth, offset):
+    """Every drawn window finds as many roots as the boundary winds, all inside
+    the settled rectangle, each passing the relative residual test, each
+    weighted by 1/F'."""
+    p = GiantAtomParams(n_legs, TWO_PI * gamma_2pi, TWO_PI * omega_2pi)
+    ps = find_poles(p, re_min=re_min, im_center=offset - p.omega_tau, im_halfwidth=halfwidth)
+    s = ps.s
+    assert len(s) == ps.winding
+    assert np.all((s.real >= ps.re_min) & (s.real <= ps.re_max)
+                  & (s.imag >= ps.im_min) & (s.imag <= ps.im_max))
+    assert np.all(np.abs(characteristic_fn(p, s)) <= spectral._RESIDUAL_TOL * _term_scale(p, s))
+    np.testing.assert_array_equal(ps.weights, 1.0 / characteristic_deriv(p, s))
 
 
 def test_no_growing_modes_random_sweep():
@@ -182,10 +225,10 @@ def test_newton_retires_converged_and_unevaluable_seeds(dark_n1_params, monkeypa
 def test_seed_budget_counts_walk_companions_and_seeds(dark_n1_params, monkeypatch):
     # re_min = -12, halfwidth 25 at N = 3 around -Omega_1: Im s in [-27.0, 23.0].
     # The first walk samples the 12.1 x 50 boundary every pi/12: 47 + 191 + 47 +
-    # 191 = 476.  The bands -5..4, with one either side, are 12 bands and 24
-    # trials, each a 2 x 2 companion (4 entries) giving 6 chain seeds: 240.  One
-    # more seed sits at -(i omega + N gamma/2): 717 in all, of which 145 seeds
-    # go to Newton in a single call.
+    # 191 = 476.  The bands -5..4 are 10 trials, each a 2 x 2 companion (4
+    # entries) giving 6 chain seeds: 100.  One more seed sits at
+    # -(i omega + N gamma/2): 577 in all, of which 61 seeds go to Newton in a
+    # single call.
     newton, sizes = spectral._newton, []
 
     def counted(params, seeds):
@@ -193,14 +236,14 @@ def test_seed_budget_counts_walk_companions_and_seeds(dark_n1_params, monkeypatc
         return newton(params, seeds)
 
     monkeypatch.setattr(spectral, "_newton", counted)
-    monkeypatch.setattr(spectral, "MAX_SEEDS", 716)
-    with pytest.raises(ValueError, match="needs 717 boundary samples, companion entries and "
-                                         "seeds, above the budget of 716"):
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 576)
+    with pytest.raises(ValueError, match="needs 577 boundary samples, companion entries and "
+                                         "seeds, above the budget of 576"):
         find_poles(dark_n1_params, re_min=-12.0, im_halfwidth=25.0)
     assert sizes == []
-    monkeypatch.setattr(spectral, "MAX_SEEDS", 717)
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 577)
     assert len(find_poles(dark_n1_params, re_min=-12.0, im_halfwidth=25.0)) > 0
-    assert sizes == [145]
+    assert sizes == [61]
 
 
 @pytest.mark.parametrize("n_legs, gamma_tau", [(2, 1e-300), (3, 1e-310), (5, 5e-324)])
@@ -212,6 +255,18 @@ def test_weak_coupling_root_found_off_the_chains(n_legs, gamma_tau):
     ps = find_poles(GiantAtomParams(n_legs, gamma_tau, 1.0), re_min=-8.0, im_halfwidth=10.0)
     assert len(ps) == ps.winding == 1
     assert abs(ps.s[0] + 1j) < 1e-12
+
+
+@pytest.mark.parametrize("omega_2pi", [3.0, 0.5])
+@pytest.mark.parametrize("n_legs", [3, 10])
+def test_subnormal_lead_does_not_overflow(n_legs, omega_2pi):
+    # a trial whose Im s0 cancels omega leaves the companion's lead coefficient
+    # N gamma / 2, real and below 1 / DBL_MAX: numpy's complex division by it
+    # overflowed (a trial sat at Im s0 = -pi too, so omega / 2pi = 0.5 did)
+    p = GiantAtomParams(n_legs, 1e-310, TWO_PI * omega_2pi)
+    ps = find_poles(p, im_halfwidth=2.0 * TWO_PI)
+    assert len(ps) == ps.winding == 1
+    assert abs(ps.s[0] + 1j * p.omega_tau) < 1e-12
 
 
 def test_largest_emitter_rejected_before_any_eigensolve(monkeypatch):
