@@ -42,6 +42,10 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_STRUCTURAL = 3
 EXIT_SOLVER = 4
+# exit code of each error a command may raise, first match wins: a structural
+# impossibility is also a ValueError
+_EXIT_CODES = {StructuralImpossibilityError: EXIT_STRUCTURAL, ValueError: EXIT_USAGE,
+               OSError: EXIT_IO, SolverError: EXIT_SOLVER}
 
 
 # rows per block of beta.csv; each block is formatted by one string operation
@@ -117,8 +121,9 @@ def _beta_blocks(times: np.ndarray, samples: np.ndarray):
     for start in range(0, len(samples), CSV_BLOCK_ROWS):
         b = samples[start:start + CSV_BLOCK_ROWS]
         # bit for bit what abs(b) ** 2 gives on each complex scalar: hypot, then
-        # libm pow.  np.abs(b) and array ** 2 round differently in the last bit.
-        prob = np.array([h ** 2 for h in np.hypot(b.real, b.imag).tolist()])
+        # libm pow, which float_power calls per element.  np.abs(b), np.power
+        # and array ** 2 square or take a SIMD path, and differ in the last bit.
+        prob = np.float_power(np.hypot(b.real, b.imag), 2)
         yield [times[start:start + CSV_BLOCK_ROWS], b.real, b.imag, prob]
 
 
@@ -325,18 +330,9 @@ def main(argv=None) -> int:
     try:
         _write_results(args, *args.func(args))
         return EXIT_OK
-    except StructuralImpossibilityError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def run() -> None:

@@ -267,14 +267,6 @@ def params_to_physical(params: GiantAtomParams, tau_s: float) -> tuple[float, fl
     return params.omega_tau / scale, params.gamma_tau / scale
 
 
-def _as_complex_input(s):
-    if isinstance(s, ComplexFreq):
-        return complex(s), True
-    if isinstance(s, np.ndarray):
-        return s.astype(complex, copy=False), False
-    return complex(s), True
-
-
 def _delay_sum(sv, coeffs):
     """sum_{l=1}^{N-1} coeffs[l-1] * exp(-s*l) by Horner's rule in z = exp(-s).
 
@@ -312,11 +304,11 @@ def characteristic_fn(params: GiantAtomParams, s) -> complex:
     in 1/tau units.  Accepts a complex scalar, a ComplexFreq, or an ndarray of
     complex values (evaluated elementwise).
     """
-    sv, scalar = _as_complex_input(s)
+    sv = np.asarray(s, dtype=complex)  # a ComplexFreq converts through __complex__
     n, g = params.n_legs, params.gamma_tau
     acc = _delay_sum(sv, [n - l for l in range(1, n)])
     out = sv + 1j * params.omega_tau + 0.5 * n * g + g * acc
-    return complex(out) if scalar else out
+    return complex(out) if sv.ndim == 0 else out
 
 
 def characteristic_deriv(params: GiantAtomParams, s) -> complex:
@@ -325,8 +317,8 @@ def characteristic_deriv(params: GiantAtomParams, s) -> complex:
     This is also the denominator of each pole's residue weight in the
     causal amplitude's pole-series reconstruction.
     """
-    sv, scalar = _as_complex_input(s)
+    sv = np.asarray(s, dtype=complex)
     n, g = params.n_legs, params.gamma_tau
     acc = _delay_sum(sv, [(n - l) * l for l in range(1, n)])
     out = 1.0 - g * acc
-    return complex(out) if scalar else out
+    return complex(out) if sv.ndim == 0 else out

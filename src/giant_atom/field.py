@@ -25,7 +25,7 @@ import numpy as np
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams,
                    _term_scale, characteristic_fn, check_mode_index, check_positive)
 from .darkstates import dark_amplitude, dark_frequency, rwa_check
-from .dde import beta_at_many, check_trace_times
+from .dde import beta_at, beta_at_many, check_trace_times
 
 __all__ = [
     "DEFAULT_DX",
@@ -69,13 +69,18 @@ class GridSpec:
 
 
 def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray,
-         t: float) -> np.ndarray:
-    """Field amplitude on a batch of positions at one instant."""
+         t: float, at: np.ndarray | None = None) -> np.ndarray:
+    """Field amplitude on a batch of positions at one instant.
+
+    Point m's wave counts at xs[i] when t - |at[i] - x_m| >= 0, where at
+    defaults to xs; its retarded time is clipped to [0, t_max], so a probe
+    inside the light cone lets a node just outside it take beta(0).
+    """
+    at = xs if at is None else at
     total = np.zeros(len(xs), dtype=complex)
     for xm in params.coupling_points:
-        u = t - np.abs(xs - xm)
-        mask = u >= 0.0
-        total[mask] += beta_at_many(trace, u[mask])
+        on = t - np.abs(at - xm) >= 0.0
+        total[on] += beta_at_many(trace, np.clip(t - np.abs(xs[on] - xm), 0.0, trace.t_max))
     return (-1j * math.sqrt(0.5 * params.gamma_tau)) * total
 
 
@@ -104,17 +109,16 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
 
     |phi|^2 can kink only where t - |x - x_m| is whole: at the integers and the
     integers +- frac(t).  Panels run between those cuts in even numbers of steps
-    of at most DEFAULT_DX.  A coupling point counts on a whole panel when its
-    midpoint is inside that point's light cone, so a wavefront end takes beta(0).
+    of at most DEFAULT_DX.  Each panel probes the light cones at its midpoint,
+    so a coupling point counts on a whole panel or not at all, and a wavefront
+    end takes beta(0).
     """
     f = t - math.floor(t)
     ks = np.arange(math.floor(lo), math.ceil(hi) + 1.0)
     cuts = np.sort(np.clip(np.concatenate([[lo, hi], ks, ks + f, ks - f]), lo, hi))
     a, b = cuts[:-1], cuts[1:]
-    xm = params.coupling_points
-    active = (t - np.abs(0.5 * (a + b)[:, None] - xm)) > 0.0
-    keep = (b - a >= 1e-12) & active.any(axis=1)
-    a, b, active = a[keep], b[keep], active[keep]
+    keep = b - a >= 1e-12
+    a, b = a[keep], b[keep]
 
     nsub = np.ceil((b - a) / DEFAULT_DX).astype(int)
     nsub = np.maximum(2, nsub + nsub % 2)
@@ -123,12 +127,8 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
     j = np.arange(len(panel)) - np.repeat(np.cumsum(nsub + 1) - (nsub + 1), nsub + 1)
     xs = a[panel] + h[panel] * j
     weights = np.where(j % 2 == 1, 4.0, 2.0) - ((j == 0) | (j == nsub[panel]))
-
-    total = np.zeros(len(xs), dtype=complex)
-    for m, x0 in enumerate(xm):
-        on = active[panel, m]
-        total[on] += beta_at_many(trace, np.clip(t - np.abs(xs[on] - x0), 0.0, trace.t_max))
-    return 0.5 * params.gamma_tau * float(np.sum(h[panel] / 3.0 * weights * np.abs(total) ** 2))
+    phi = _phi(params, trace, xs, t, at=0.5 * (a + b)[panel])
+    return float(np.sum(h[panel] / 3.0 * weights * np.abs(phi) ** 2))
 
 
 def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
@@ -149,8 +149,7 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
 
 def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """|beta(t)|^2 plus the integrated field probability; 1 for exact dynamics."""
-    amp = beta_at_many(trace, np.asarray([t]))[0]
-    return abs(amp) ** 2 + waveguide_probability(params, trace, t)
+    return abs(beta_at(trace, t)) ** 2 + waveguide_probability(params, trace, t)
 
 
 def bound_profile(params: GiantAtomParams, n: int, x):
@@ -230,10 +229,7 @@ def dark_state_record(params: GiantAtomParams, n: int) -> DarkState:
     point actually supports it: |F| at the purely imaginary candidate frequency
     must be at most _DARK_TOL times F's term scale there, so that rounding at a
     large Omega_n is not mistaken for an off-dark point."""
-    check_mode_index(n)
-    if n % params.n_legs == 0:
-        raise ValueError(f"index n = {n} is a multiple of n_legs and carries no "
-                         "atomic amplitude; it is not a usable dark state")
+    check_mode_index(n, params.n_legs)
     omega_n = dark_frequency(params.n_legs, n)
     residual = abs(characteristic_fn(params, -1j * omega_n))
     if residual > _DARK_TOL * _term_scale(params, -1j * omega_n):

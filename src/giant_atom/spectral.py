@@ -263,12 +263,19 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
 def beta_from_poles(pole_set: PoleSet, t):
     """Residue-series amplitude sum_n w_n exp(s_n t) for t > 0.
 
-    Accepts a scalar time or an ndarray of times.
+    Accepts a scalar time or an ndarray of times.  The series is summed over
+    blocks of at most MAX_SEEDS // len(pole_set) times, so the times-by-poles
+    matrix it builds stays within MAX_SEEDS complex values however many times
+    are asked for.
     """
     if len(pole_set) == 0:
         raise ValueError("cannot reconstruct the amplitude from an empty pole set")
     ts = np.asarray(t, dtype=float)
     if ts.size and ts.min() <= 0:
         raise ValueError("the pole series represents the causal solution; need t > 0")
-    vals = np.exp(ts[..., None] * pole_set.s) @ pole_set.weights
-    return complex(vals) if ts.shape == () else vals
+    flat = ts.ravel()
+    block = max(1, MAX_SEEDS // len(pole_set))
+    vals = np.empty(flat.size, dtype=complex)
+    for i in range(0, flat.size, block):
+        vals[i:i + block] = np.exp(flat[i:i + block, None] * pole_set.s) @ pole_set.weights
+    return complex(vals[0]) if ts.shape == () else vals.reshape(ts.shape)

@@ -301,6 +301,19 @@ class TestFailures:
         err = capsys.readouterr().err
         assert err == f"error: {error}\n"
 
+    def test_winding_cap_exits_4(self, tmp_path, monkeypatch, capsys):
+        # the window's lower edge runs 0.01 above the n = 1 dark root, so every
+        # walk bisects, and with no bisection samples allowed every walk gives up
+        monkeypatch.setattr(spectral, "_MAX_WINDING_POINTS", 0)
+        out = tmp_path / "out"
+        rc = main(["poles", *A1_FLAGS, "--re-min", "-5",
+                   "--im-center-2pi", repr(4.01 / TWO_PI - 1.0 / 3.0),
+                   "--im-halfwidth-2pi", repr(4.0 / TWO_PI), "--out-dir", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == ("error: could not place the search rectangle "
+                                           "clear of all roots\n")
+        assert not out.exists()
+
     def test_divergence_exits_4(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise DivergenceError("non-finite amplitude at t = 1")

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giant_atom import dde
 from giant_atom import (
@@ -299,6 +301,32 @@ def test_exact_series_error_and_order():
         mids = np.array([2 * (j * m + i) + 1 for j in range(12) for i in (0, m // 2, m - 1)])
         for err, idx in ((err_whole, whole), (err_mid, mids)):
             exact = exact_beta(3, p.gamma_tau, p.omega_tau, tr.sample_times[idx])
+            err[m] = np.abs(tr.samples[idx] - exact).max()
+    for err in (err_whole, err_mid):
+        for m in (16, 32, 64, 128, 256):
+            assert err[m] < 1.25e-4 * (16 / m) ** 4
+        for m in (16, 32, 64, 128):
+            assert err[m] / err[2 * m] >= 14.0
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(n_legs=st.integers(2, 30), drive=st.floats(0.001, 0.6), omega_tau=st.floats(0.5, 3.0),
+       t_max=st.floats(1.0, 4.0))
+def test_exact_series_sweep(n_legs, drive, omega_tau, t_max):
+    """The bound and order 4 of test_exact_series_error_and_order, over N 2-30
+    at short t, in that test's regime: omega_tau up to its 3 and the delayed
+    drive gamma * sum_l (N - l) = gamma * N (N - 1) / 2 up to its 0.6.  The
+    fixed bound is RK4's t |a|^5 h^4 / 120 at |a| ~ 3, t ~ 4; it is no bound at
+    a larger omega or stronger coupling."""
+    p = GiantAtomParams(n_legs, drive / (n_legs * (n_legs - 1) / 2), omega_tau)
+    err_whole, err_mid = {}, {}
+    for m in (16, 32, 64, 128, 256):
+        tr = integrate_beta(p, t_max, m)
+        steps = np.arange((len(tr.samples) - 1) // 2)
+        whole = np.arange(0, len(tr.samples), 2 * m)
+        mids = 2 * steps[np.isin(steps % m, (0, m // 2, m - 1))] + 1
+        for err, idx in ((err_whole, whole), (err_mid, mids)):
+            exact = exact_beta(n_legs, p.gamma_tau, p.omega_tau, tr.sample_times[idx])
             err[m] = np.abs(tr.samples[idx] - exact).max()
     for err in (err_whole, err_mid):
         for m in (16, 32, 64, 128, 256):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from giant_atom import (
@@ -15,6 +15,7 @@ from giant_atom import (
     characteristic_fn,
     dark_amplitude,
     dark_frequency,
+    find_pairs,
     find_poles,
     integrate_beta,
     spectral,
@@ -118,6 +119,44 @@ def test_find_poles_sweep(n_legs, gamma_2pi, omega_2pi, re_min, halfwidth, offse
     np.testing.assert_array_equal(ps.weights, 1.0 / characteristic_deriv(p, s))
 
 
+@st.composite
+def dark_windows(draw):
+    """A single dark point (N 2-30) or a find_pairs point (N 3-7), one of its
+    dark indices, and a window that holds the dark root -i*Omega_n."""
+    if draw(st.booleans()):
+        n_legs = draw(st.integers(2, 30))
+        n = draw(st.integers(1, 3 * n_legs).filter(lambda n: n % n_legs))
+        try:
+            p = single_dark_params(n_legs, n, draw(st.floats(0.001, 0.25)))
+        except ValueError:  # the index forces omega_tau <= 0 at this coupling
+            assume(False)
+    else:
+        n_legs = draw(st.integers(3, 7))
+        pair = draw(st.sampled_from(find_pairs(n_legs, p_max=12, q_max=12)))
+        p = GiantAtomParams(n_legs, pair.gamma_tau, pair.omega_tau)
+        n = draw(st.sampled_from((pair.n1, pair.n2)))
+    halfwidth = draw(st.floats(0.1, 2.5))
+    offset = draw(st.floats(-0.9, 0.9)) * halfwidth
+    return p, n, draw(st.floats(-8.0, -1.0)), offset, halfwidth
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(window=dark_windows())
+def test_find_poles_sweep_at_dark_points(window):
+    """At single dark and pair points the search is complete, as in
+    test_find_poles_sweep, and finds the dark root once."""
+    p, n, re_min, offset, halfwidth = window
+    dark = -1j * dark_frequency(p.n_legs, n)
+    ps = find_poles(p, re_min=re_min, im_center=dark.imag + offset, im_halfwidth=halfwidth)
+    s = ps.s
+    assert len(s) == ps.winding
+    assert np.all((s.real >= ps.re_min) & (s.real <= ps.re_max)
+                  & (s.imag >= ps.im_min) & (s.imag <= ps.im_max))
+    assert np.all(np.abs(characteristic_fn(p, s)) <= spectral._RESIDUAL_TOL * _term_scale(p, s))
+    np.testing.assert_array_equal(ps.weights, 1.0 / characteristic_deriv(p, s))
+    assert np.sum(np.abs(s - dark) <= 1e-9 * (1.0 + abs(dark))) == 1
+
+
 def test_no_growing_modes_random_sweep():
     rng = np.random.default_rng(3)
     for _ in range(6):
@@ -193,6 +232,17 @@ def test_agreement_with_time_domain(n, g2):
     ps2 = find_poles(p, re_min=-20.0, im_halfwidth=100.0)
     err2 = np.abs(beta_from_poles(ps2, ts) - ref).max()
     assert err2 < err1
+
+
+def test_pole_series_in_blocks_matches_one_shot(dark_n1_params, monkeypatch):
+    # 35 times in blocks of 3, the last one short, against one matrix product
+    ps = find_poles(dark_n1_params, re_min=-8.0, im_halfwidth=25.0)
+    ts = np.linspace(0.5, 40.0, 35).reshape(5, 7)
+    one_shot = np.exp(ts[..., None] * ps.s) @ ps.weights
+    monkeypatch.setattr(spectral, "MAX_SEEDS", 3 * len(ps) + 1)
+    blocked = beta_from_poles(ps, ts)
+    assert blocked.shape == ts.shape
+    assert np.all(np.abs(blocked - one_shot) <= 1e-15 * np.abs(one_shot))
 
 
 def test_argument_validation(dark_n1_params):
@@ -394,6 +444,25 @@ def test_winding_cap_counts_only_bisection_samples(dark_n1_params, monkeypatch):
     assert len(spectral._boundary_points(rect, spacing)) == 102
     monkeypatch.setattr(spectral, "_MAX_WINDING_POINTS", 50)
     assert spectral._winding_number(dark_n1_params, rect, spacing) == 2
+
+
+def test_winding_cap_gives_up_and_placement_fails(dark_n1_params, monkeypatch):
+    # the window of the test above bisects on its first pass, and so does every
+    # nudged copy of it: with no bisection samples allowed each walk gives up
+    omega_1 = dark_frequency(3, 1)
+    rect = [-5.0, dark_n1_params.gamma_tau, -omega_1 + 0.01, -omega_1 + 8.01]
+    monkeypatch.setattr(spectral, "_MAX_WINDING_POINTS", 0)
+    assert spectral._winding_number(dark_n1_params, rect, math.pi / 12) is None
+    walk, walks = spectral._winding_number, []
+
+    def counted(params, rect, spacing):
+        walks.append(walk(params, rect, spacing))
+        return walks[-1]
+
+    monkeypatch.setattr(spectral, "_winding_number", counted)
+    with pytest.raises(SearchPlacementError):
+        find_poles(dark_n1_params, re_min=-5.0, im_center=-omega_1 + 4.01, im_halfwidth=4.0)
+    assert walks == [None] * 12
 
 
 def loop_dedupe(roots, residuals):
