@@ -134,16 +134,22 @@ def _pxt_blocks(params: GiantAtomParams, trace, grid: field.GridSpec):
         yield [np.full(len(f.values), f.t), f.xs, f.values]
 
 
-def _record_columns(records, *names: str) -> list[np.ndarray]:
-    """One array per named attribute, across a sequence of records."""
-    return [np.array([getattr(r, name) for r in records]) for name in names]
+def _pair_table(pairs, *names: str) -> tuple[list[str], list]:
+    """Header and single block of a DarkPair table, one column per named field;
+    a name ending in _2pi is that field divided by 2pi."""
+    columns = []
+    for name in names:
+        values = np.array([getattr(pair, name.removesuffix("_2pi")) for pair in pairs])
+        columns.append(values / TWO_PI if name.endswith("_2pi") else values)
+    return list(names), [columns]
 
 
-def _profile_xs(stop: float, step: float) -> np.ndarray:
-    """Positions 0, step, 2*step, ... up to stop, within the grid budget."""
-    grid = field.GridSpec(0.0, stop, step)
-    check_budget("the profile", stop / step + 1, "samples", MAX_GRID_SAMPLES)
-    return grid.xs
+def _grid(what: str, x_min: float, x_max: float, dx: float, frames: int = 1) -> field.GridSpec:
+    """The window [x_min, x_max] at spacing dx, after holding its positions
+    times frames to MAX_GRID_SAMPLES."""
+    grid = field.GridSpec(x_min, x_max, dx)
+    check_budget(what, ((x_max - x_min) / dx + 1) * frames, "samples", MAX_GRID_SAMPLES)
+    return grid
 
 
 def integer(text: str) -> int:
@@ -168,9 +174,7 @@ def _cmd_simulate(args):
         check_int("pxt_t_count", args.pxt_t_count, 1)
         x_min = args.pxt_x_min if args.pxt_x_min is not None else -10.0
         x_max = args.pxt_x_max if args.pxt_x_max is not None else (params.n_legs - 1) + 10.0
-        grid = field.GridSpec(x_min=x_min, x_max=x_max, dx=args.pxt_dx)
-        check_budget("the heatmap", ((x_max - x_min) / args.pxt_dx + 1) * args.pxt_t_count,
-                     "samples", MAX_GRID_SAMPLES)
+        grid = _grid("the heatmap", x_min, x_max, args.pxt_dx, args.pxt_t_count)
     trace = dde.integrate_beta(params, args.t_max, steps_per_tau=args.steps_per_tau)
     tables = {"beta.csv": (["t", "re_beta", "im_beta", "prob"],
                            _beta_blocks(trace.sample_times[::args.stride],
@@ -196,13 +200,8 @@ def _cmd_poles(args):
 
 def _cmd_dark_search(args):
     pairs = darkstates.find_pairs(args.n_legs, p_max=args.p_max, q_max=args.q_max)
-    n1, n2, p, q, n, omega, gamma, beat, amp, rwa = _record_columns(
-        pairs, "n1", "n2", "p", "q", "n", "omega_tau", "gamma_tau", "beat",
-        "osc_amplitude", "rwa_ok")
-    tables = {"pairs.csv": (["n1", "n2", "p", "q", "n", "omega_tau_2pi", "gamma_tau_2pi",
-                             "beat", "osc_amplitude", "rwa_ok"],
-                            [[n1, n2, p, q, n, omega / TWO_PI, gamma / TWO_PI, beat, amp,
-                              rwa]])}
+    tables = {"pairs.csv": _pair_table(pairs, "n1", "n2", "p", "q", "n", "omega_tau_2pi",
+                                       "gamma_tau_2pi", "beat", "osc_amplitude", "rwa_ok")}
     return tables, {"n_pairs": len(pairs)}, f"{len(pairs)} coexisting pairs"
 
 
@@ -211,11 +210,9 @@ def _cmd_scan(args):
                                    omega_tau_max=TWO_PI * args.omega_tau_2pi_max,
                                    gamma_tau_max=TWO_PI * args.gamma_tau_2pi_max,
                                    line_samples=args.line_samples)
-    omega, gamma, n1, n2, amp, rwa = _record_columns(
-        scan.dots, "omega_tau", "gamma_tau", "n1", "n2", "osc_amplitude", "rwa_ok")
     tables = {
-        "dots.csv": (["omega_tau_2pi", "gamma_tau_2pi", "n1", "n2", "osc_amplitude", "rwa_ok"],
-                     [[omega / TWO_PI, gamma / TWO_PI, n1, n2, amp, rwa]]),
+        "dots.csv": _pair_table(scan.dots, "omega_tau_2pi", "gamma_tau_2pi", "n1", "n2",
+                                "osc_amplitude", "rwa_ok"),
         "lines.csv": (["n", "omega_tau_2pi", "gamma_tau_2pi"],
                       ([np.full(len(line.gamma_tau), line.n), line.omega_tau / TWO_PI,
                         line.gamma_tau / TWO_PI] for line in scan.lines)),
@@ -229,7 +226,7 @@ def _cmd_field(args):
     omega_tau = darkstates.dark_condition_omega_tau(args.n_legs, args.dark_n, gamma_tau)
     params = GiantAtomParams(n_legs=args.n_legs, gamma_tau=gamma_tau, omega_tau=omega_tau)
     record = field.dark_state_record(params, args.dark_n)
-    xs = _profile_xs(args.n_legs - 1, args.x_step)
+    xs = _grid("the profile", 0.0, args.n_legs - 1, args.x_step).xs
     tables = {"profile.csv": (["x", "p"], [[xs, field.bound_profile(params, args.dark_n, xs)]])}
     derived = {"omega_tau_2pi": omega_tau / TWO_PI, "amplitude": record.amplitude,
                "intensity": record.intensity, "rwa_ok": bool(record.rwa_ok)}
@@ -239,7 +236,7 @@ def _cmd_field(args):
 
 def _cmd_continuum(args):
     gamma_T = args.gamma_t if args.gamma_t is not None else (TWO_PI * args.n) ** 2
-    xs = _profile_xs(args.length, args.x_step)
+    xs = _grid("the profile", 0.0, args.length, args.x_step).xs
     profile = continuum_mod.continuum_profile(gamma_T, args.n, args.length, xs)
     derived = {"gamma_T": gamma_T, "omega_T": TWO_PI * args.n - gamma_T / (TWO_PI * args.n),
                "total_intensity": continuum_mod.continuum_total_intensity(gamma_T, args.n)}
@@ -247,13 +244,13 @@ def _cmd_continuum(args):
             f"n = {args.n}, Gamma*T = {gamma_T:.6g}")
 
 
-def _add_system_flags(sub) -> None:
-    sub.add_argument("--n-legs", type=integer, required=True,
-                     help="number of coupling points N (>= 2)")
-    sub.add_argument("--gamma-tau-2pi", type=float, required=True,
-                     help="per-point relaxation, gamma*tau / 2pi")
-    sub.add_argument("--omega-tau-2pi", type=float, required=True,
-                     help="transition frequency, omega*tau / 2pi")
+def _add_system_flags(sub, *flags: str) -> None:
+    """Declare the named system flags, each required."""
+    table = {"--n-legs": (integer, "number of coupling points N (>= 2)"),
+             "--gamma-tau-2pi": (float, "per-point relaxation, gamma*tau / 2pi"),
+             "--omega-tau-2pi": (float, "transition frequency, omega*tau / 2pi")}
+    for flag in flags:
+        sub.add_argument(flag, type=table[flag][0], required=True, help=table[flag][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     sim = command("simulate", _cmd_simulate, "integrate the delayed amplitude equation")
-    _add_system_flags(sim)
+    _add_system_flags(sim, "--n-legs", "--gamma-tau-2pi", "--omega-tau-2pi")
     sim.add_argument("--t-max", type=float, required=True, help="final time in units of tau")
     sim.add_argument("--steps-per-tau", type=integer, default=dde.DEFAULT_STEPS_PER_TAU)
     sim.add_argument("--stride", type=integer, default=1,
@@ -286,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--pxt-t-count", type=integer, default=201)
 
     pol = command("poles", _cmd_poles, "locate complex mode frequencies")
-    _add_system_flags(pol)
+    _add_system_flags(pol, "--n-legs", "--gamma-tau-2pi", "--omega-tau-2pi")
     pol.add_argument("--re-min", type=float, default=spectral.DEFAULT_RE_MIN,
                      help="left edge of the search rectangle (1/tau units, < 0)")
     pol.add_argument("--im-center-2pi", type=float, default=None,
@@ -294,20 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     pol.add_argument("--im-halfwidth-2pi", type=float, default=2.0)
 
     dark = command("dark-search", _cmd_dark_search, "enumerate coexisting dark pairs")
-    dark.add_argument("--n-legs", type=integer, required=True)
+    _add_system_flags(dark, "--n-legs")
     dark.add_argument("--p-max", type=integer, default=12)
     dark.add_argument("--q-max", type=integer, default=12)
 
     scan = command("scan", _cmd_scan, "scan the parameter window for pair dots "
                                       "and single-dark-state lines")
-    scan.add_argument("--n-legs", type=integer, required=True)
+    _add_system_flags(scan, "--n-legs")
     scan.add_argument("--omega-tau-2pi-max", type=float, required=True)
     scan.add_argument("--gamma-tau-2pi-max", type=float, required=True)
     scan.add_argument("--line-samples", type=integer, default=201)
 
     fld = command("field", _cmd_field, "trapped-field profile of a dark state")
-    fld.add_argument("--n-legs", type=integer, required=True)
-    fld.add_argument("--gamma-tau-2pi", type=float, required=True)
+    _add_system_flags(fld, "--n-legs", "--gamma-tau-2pi")
     fld.add_argument("--dark-n", type=integer, required=True)
     fld.add_argument("--x-step", type=float, default=field.DEFAULT_DX)
 

@@ -63,15 +63,12 @@ def _mode_ratio(Gamma_T: float, n: int) -> tuple[float, float]:
     ValueError when Gamma_T is so small against n that either overflows."""
     check_mode_index(n)
     check_positive("Gamma_T", Gamma_T)
-    try:
-        u = 2.0 * n * n * math.pi * math.pi / Gamma_T
-        den = (u + 1.0) ** 2  # a float power raises OverflowError, but inf ** 2 is inf
-        if math.isfinite(den):
-            return u, den
-    except OverflowError:
-        pass
-    raise ValueError(f"Gamma_T = {Gamma_T:g} is too small for index n = {n}: "
-                     "(2 n^2 pi^2 / Gamma_T + 1)^2 overflows")
+    u = 2.0 * n * n * math.pi * math.pi / Gamma_T
+    den = (u + 1.0) * (u + 1.0)  # a float product overflows to inf; ** would raise
+    if not math.isfinite(den):
+        raise ValueError(f"Gamma_T = {Gamma_T:g} is too small for index n = {n}: "
+                         "(2 n^2 pi^2 / Gamma_T + 1)^2 overflows")
+    return u, den
 
 
 def continuum_profile(Gamma_T: float, n: int, L: float, x):

@@ -52,6 +52,20 @@ DEFAULT_RWA_THRESHOLD = 0.1
 MAX_LATTICE_POINTS = 2 ** 20
 
 
+def _sin2(n_legs: int, n: int) -> float:
+    """sin^2(n pi/N); exactly 0.0 when n is a multiple of N, where the sine of
+    the rounded argument would leave a rounding residue."""
+    return math.sin(n * math.pi / n_legs) ** 2 if n % n_legs else 0.0
+
+
+def _dark_line(n_legs: int, n: int, gamma_tau):
+    """omega_tau = 2*n*pi/N - (N*gamma_tau/2) * cot(n*pi/N) at a float or an
+    array of gamma_tau; n is not a multiple of N."""
+    arg = n * math.pi / n_legs
+    cot = math.cos(arg) / math.sin(arg)
+    return TWO_PI * n / n_legs - 0.5 * n_legs * gamma_tau * cot
+
+
 def dark_frequency(n_legs: int, n: int) -> float:
     """Frequency 2*n*pi/N of the candidate dark mode with index n (1/tau units)."""
     check_n_legs(n_legs)
@@ -68,9 +82,7 @@ def dark_condition_omega_tau(n_legs: int, n: int, gamma_tau: float) -> float:
     check_n_legs(n_legs)
     check_mode_index(n, n_legs)
     check_positive("gamma_tau", gamma_tau)
-    arg = n * math.pi / n_legs
-    cot = math.cos(arg) / math.sin(arg)
-    omega_tau = TWO_PI * n / n_legs - 0.5 * n_legs * gamma_tau * cot
+    omega_tau = _dark_line(n_legs, n, gamma_tau)
     if omega_tau <= 0:
         raise ValueError(f"dark index {n} forces omega_tau = {omega_tau:g} <= 0 at gamma_tau = "
                          f"{gamma_tau:g}; no physical dark point exists")
@@ -82,9 +94,7 @@ def dark_amplitude(n_legs: int, n: int, gamma_tau: float) -> float:
     check_n_legs(n_legs)
     check_mode_index(n)
     check_positive("gamma_tau", gamma_tau)
-    if n % n_legs == 0:
-        return 0.0
-    s2 = math.sin(n * math.pi / n_legs) ** 2
+    s2 = _sin2(n_legs, n)
     return 2.0 * s2 / (2.0 * s2 + n_legs * gamma_tau)
 
 
@@ -138,10 +148,10 @@ def find_pairs(n_legs: int, p_max: int = 12, q_max: int = 12) -> list[DarkPair]:
     Deterministically ordered by (omega_tau, gamma_tau, n).  Raises
     StructuralImpossibilityError for n_legs = 2, where the cotangent in the
     dark condition is either zero or infinite for every index and no pair can
-    exist, and ValueError, before enumerating anything, when the lattice holds
-    more than MAX_LATTICE_POINTS candidates.
+    exist, and ValueError, before enumerating anything, when n_legs is outside
+    2..MAX_N_LEGS or the lattice holds more than MAX_LATTICE_POINTS candidates.
     """
-    n_legs = check_int("n_legs", n_legs, 2)
+    n_legs = check_n_legs(n_legs)
     if n_legs == 2:
         raise StructuralImpossibilityError(
             "coexisting dark pairs require at least three coupling points: for "
@@ -184,10 +194,10 @@ def scan_lattice(n_legs: int, omega_tau_max: float, gamma_tau_max: float,
     Dots are the coexisting-pair lattice points (empty for n_legs = 2, where
     no pair exists); lines sample the single-dark-state condition for every
     index whose line crosses the window.  Raises ValueError, before
-    enumerating anything, when the pair candidates or the line samples exceed
-    MAX_LATTICE_POINTS.
+    enumerating anything, when n_legs is outside 2..MAX_N_LEGS or the pair
+    candidates or the line samples exceed MAX_LATTICE_POINTS.
     """
-    n_legs = check_int("n_legs", n_legs, 2)
+    n_legs = check_n_legs(n_legs)
     line_samples = check_int("line_samples", line_samples, 1)
     if not (0 < omega_tau_max < math.inf and 0 < gamma_tau_max < math.inf):
         raise ValueError(f"window bounds must be positive and finite, got omega_tau_max = "
@@ -213,9 +223,7 @@ def scan_lattice(n_legs: int, omega_tau_max: float, gamma_tau_max: float,
     for n in range(1, int(n_bound) + 1):
         if n % n_legs == 0:
             continue
-        arg = n * math.pi / n_legs
-        cot = math.cos(arg) / math.sin(arg)
-        omegas = TWO_PI * n / n_legs - 0.5 * n_legs * gammas * cot
+        omegas = _dark_line(n_legs, n, gammas)
         keep = (omegas > 0.0) & (omegas <= omega_tau_max)
         if keep.any():
             lines.append(LatticeLine(n=n, gamma_tau=gammas[keep], omega_tau=omegas[keep]))

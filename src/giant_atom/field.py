@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams,
                    _term_scale, characteristic_fn, check_mode_index, check_positive)
-from .darkstates import dark_amplitude, dark_frequency, rwa_check
+from .darkstates import _sin2, dark_amplitude, dark_frequency, rwa_check
 from .dde import beta_at, beta_at_many, check_trace_times
 
 __all__ = [
@@ -161,14 +161,12 @@ def bound_profile(params: GiantAtomParams, n: int, x):
     check_mode_index(n)
     xs = np.asarray(x, dtype=float)
     big_n, g = params.n_legs, params.gamma_tau
-    if n % big_n == 0:  # sin(n pi / N) = 0: no trapped field at all
-        out = np.zeros(xs.shape)
-        return float(out) if xs.shape == () else out
     inside = (xs >= 0.0) & (xs <= big_n - 1)  # evaluated only there: far outside it overflows
     mprime = np.floor(xs[inside]) + 1.0
     lam = xs[inside] - (mprime - 1.0)
-    s2 = math.sin(n * math.pi / big_n) ** 2
-    pref = 8.0 * g * s2 / (2.0 * s2 + big_n * g) ** 2
+    s2 = _sin2(big_n, n)
+    # at s2 = 0 the formula is 0 but (N g)^2 may underflow to 0 or overflow
+    pref = 8.0 * g * s2 / (2.0 * s2 + big_n * g) ** 2 if s2 else 0.0
     out = np.zeros(xs.shape)
     out[inside] = pref * (np.sin(n * math.pi * mprime / big_n) ** 2
                           * np.sin(n * math.pi * (mprime + 2.0 * lam - 1.0) / big_n) ** 2)
@@ -183,11 +181,10 @@ def total_intensity(params: GiantAtomParams, n: int) -> float:
     """
     check_mode_index(n)
     big_n, g = params.n_legs, params.gamma_tau
-    if n % big_n == 0:
-        return 0.0
-    s2 = math.sin(n * math.pi / big_n) ** 2
+    s2 = _sin2(big_n, n)
     shape = 1.0 + (big_n / (4.0 * n * math.pi)) * math.sin(2.0 * n * math.pi / big_n)
-    return 2.0 * big_n * g * s2 * shape / (2.0 * s2 + big_n * g) ** 2
+    # at s2 = 0 the formula is 0 but (N g)^2 may underflow to 0 or overflow
+    return 2.0 * big_n * g * s2 * shape / (2.0 * s2 + big_n * g) ** 2 if s2 else 0.0
 
 
 def _check_pair(params: GiantAtomParams, pair: DarkPair) -> None:

@@ -261,9 +261,10 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
 
 
 def beta_from_poles(pole_set: PoleSet, t):
-    """Residue-series amplitude sum_n w_n exp(s_n t) for t > 0.
+    """Residue-series amplitude sum_n w_n exp(s_n t) for finite t > 0.
 
-    Accepts a scalar time or an ndarray of times.  The series is summed over
+    Accepts a scalar time or an ndarray of times; any other time, nan
+    included, raises ValueError.  The series is summed over
     blocks of at most MAX_SEEDS // len(pole_set) times, so the times-by-poles
     matrix it builds stays within MAX_SEEDS complex values however many times
     are asked for.
@@ -271,8 +272,8 @@ def beta_from_poles(pole_set: PoleSet, t):
     if len(pole_set) == 0:
         raise ValueError("cannot reconstruct the amplitude from an empty pole set")
     ts = np.asarray(t, dtype=float)
-    if ts.size and ts.min() <= 0:
-        raise ValueError("the pole series represents the causal solution; need t > 0")
+    if ts.size and not (ts.min() > 0 and ts.max() < math.inf):  # nan fails both
+        raise ValueError("the pole series represents the causal solution; need finite t > 0")
     flat = ts.ravel()
     block = max(1, MAX_SEEDS // len(pole_set))
     vals = np.empty(flat.size, dtype=complex)

@@ -489,12 +489,16 @@ class TestIntegerFlags:
          "--x-step", "10000"],
         ["simulate", "--n-legs", "1000000000", "--gamma-tau-2pi", "1e-30",
          "--omega-tau-2pi", "0.1", "--t-max", "1"],
+        ["dark-search", "--n-legs", "1000000000", "--p-max", "1", "--q-max", "1"],
+        ["scan", "--n-legs", "1000000000", "--omega-tau-2pi-max", "0.25",
+         "--gamma-tau-2pi-max", "1e-9", "--line-samples", "3"],
     ])
     def test_huge_n_legs_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         def no_work(*args, **kwargs):
             raise AssertionError("O(N) work started for a rejected n_legs")
         monkeypatch.setattr(field, "characteristic_fn", no_work)
         monkeypatch.setattr(dde, "integrate_beta", no_work)
+        monkeypatch.setattr(darkstates, "_sorted_pairs", no_work)
         rc = main([*argv, "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err == ("error: the emitter needs 1e+09 coupling points, "

@@ -109,6 +109,18 @@ class TestClosedFormInputs:
         with pytest.raises(ValueError, match=match):
             call(n_legs)
 
+    @pytest.mark.parametrize("call", [
+        lambda: find_pairs(70000, p_max=1, q_max=1),
+        lambda: scan_lattice(70000, math.pi / 2, 1e-9, 3),
+    ], ids=["find_pairs", "scan_lattice"])
+    def test_lattice_searches_check_n_legs(self, monkeypatch, call):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a lattice search enumerated with n_legs above the budget")
+        monkeypatch.setattr(darkstates, "_sorted_pairs", no_work)
+        with pytest.raises(ValueError, match="the emitter needs 7e[+]04 coupling points, "
+                                             "above the budget of 65536"):
+            call()
+
     @pytest.mark.parametrize("omega_tau", [0.0, -1.0, math.nan, math.inf])
     def test_rwa_check_needs_positive_omega(self, omega_tau):
         with pytest.raises(ValueError, match="omega_tau must be positive and finite"):

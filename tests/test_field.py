@@ -147,6 +147,13 @@ class TestTotalIntensity:
         with pytest.raises(ValueError):
             total_intensity(dark_n1_params, 0)
 
+    @pytest.mark.parametrize("gamma_tau", [1e-320, 1e-200, 1e200, 1.7e308])
+    def test_multiple_of_n_legs_is_zero_where_the_formula_cannot_be_evaluated(self, gamma_tau):
+        # (N gamma)^2 underflows to 0 or overflows here, so only sin^2 = 0 gives 0
+        p = GiantAtomParams(3, gamma_tau, 1.0)
+        assert total_intensity(p, 3) == dark_amplitude(3, 6, gamma_tau) == 0.0
+        assert np.all(bound_profile(p, 6, np.linspace(-1.0, 3.0, 9)) == 0.0)
+
 
 class TestOscillatingIntensity:
     def test_conservation_with_energy_matching(self, pair_551, pair_551_params):

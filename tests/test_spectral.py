@@ -255,6 +255,14 @@ def test_argument_validation(dark_n1_params):
         beta_from_poles(ps, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [1.0, math.nan]],
+                         ids=["nan", "inf", "-inf", "array-with-nan"])
+def test_pole_series_rejects_non_finite_times(dark_n1_params, t):
+    ps = find_poles(dark_n1_params, re_min=-5.0, im_halfwidth=4.0)
+    with pytest.raises(ValueError, match="need finite t > 0"):
+        beta_from_poles(ps, t)
+
+
 def test_newton_retires_converged_and_unevaluable_seeds(dark_n1_params, monkeypatch):
     sizes = []
     fn = spectral.characteristic_fn
