@@ -152,6 +152,16 @@ def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) 
     return abs(beta_at(trace, t)) ** 2 + waveguide_probability(params, trace, t)
 
 
+def _denominator(params: GiantAtomParams, s2: float) -> float:
+    """(2 sin^2(n pi/N) + N gamma)^2, the trapped-field closed forms' denominator;
+    ValueError naming gamma_tau where the square overflows."""
+    try:
+        return (2.0 * s2 + params.n_legs * params.gamma_tau) ** 2
+    except OverflowError:
+        raise ValueError(f"gamma_tau = {params.gamma_tau:g} overflows the trapped-field "
+                         "closed form (2 sin^2(n pi/N) + N gamma)^2") from None
+
+
 def bound_profile(params: GiantAtomParams, n: int, x):
     """Stationary trapped-field profile p_n(x); zero outside [0, N-1].
 
@@ -166,7 +176,7 @@ def bound_profile(params: GiantAtomParams, n: int, x):
     lam = xs[inside] - (mprime - 1.0)
     s2 = _sin2(big_n, n)
     # at s2 = 0 the formula is 0 but (N g)^2 may underflow to 0 or overflow
-    pref = 8.0 * g * s2 / (2.0 * s2 + big_n * g) ** 2 if s2 else 0.0
+    pref = 8.0 * g * s2 / _denominator(params, s2) if s2 else 0.0
     out = np.zeros(xs.shape)
     out[inside] = pref * (np.sin(n * math.pi * mprime / big_n) ** 2
                           * np.sin(n * math.pi * (mprime + 2.0 * lam - 1.0) / big_n) ** 2)
@@ -184,7 +194,7 @@ def total_intensity(params: GiantAtomParams, n: int) -> float:
     s2 = _sin2(big_n, n)
     shape = 1.0 + (big_n / (4.0 * n * math.pi)) * math.sin(2.0 * n * math.pi / big_n)
     # at s2 = 0 the formula is 0 but (N g)^2 may underflow to 0 or overflow
-    return 2.0 * big_n * g * s2 * shape / (2.0 * s2 + big_n * g) ** 2 if s2 else 0.0
+    return 2.0 * big_n * g * s2 * shape / _denominator(params, s2) if s2 else 0.0
 
 
 def _check_pair(params: GiantAtomParams, pair: DarkPair) -> None:

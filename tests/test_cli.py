@@ -430,6 +430,16 @@ class TestFailures:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_trapped_field_exits_2(self, tmp_path, capsys):
+        # the closed forms' (2 sin^2(n pi/N) + N gamma)^2 overflows past gamma ~ 1e154
+        argv = ["field", "--n-legs", "3", "--dark-n", "2", "--gamma-tau-2pi"]
+        rc = main([*argv, "1e160", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma_tau = 6.28319e+160 overflows") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert main([*argv, "1e150", "--out-dir", str(tmp_path / "finite")]) == 0
+
     def test_unstable_step_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--n-legs", "3", "--gamma-tau-2pi", "0.02",
                    "--omega-tau-2pi", "7.3", "--t-max", "200", "--steps-per-tau", "16",

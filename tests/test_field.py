@@ -154,6 +154,21 @@ class TestTotalIntensity:
         assert total_intensity(p, 3) == dark_amplitude(3, 6, gamma_tau) == 0.0
         assert np.all(bound_profile(p, 6, np.linspace(-1.0, 3.0, 9)) == 0.0)
 
+    def test_overflowing_denominator_names_gamma_tau(self):
+        # (2 sin^2(2 pi/3) + 3 gamma)^2 overflows past gamma ~ 1e154, at a physical
+        # dark point (cot(2 pi/3) < 0 keeps omega positive); below that it is finite
+        def dark_point(gamma_2pi):
+            g = TWO_PI * gamma_2pi
+            return GiantAtomParams(3, g, dark_condition_omega_tau(3, 2, g))
+
+        message = r"gamma_tau = 6\.28319e\+160 overflows"
+        with pytest.raises(ValueError, match=message):
+            total_intensity(dark_point(1e160), 2)
+        with pytest.raises(ValueError, match=message):
+            bound_profile(dark_point(1e160), 2, 0.5)
+        assert 0.0 < total_intensity(dark_point(1e150), 2) < 1e-150
+        assert 0.0 < bound_profile(dark_point(1e150), 2, 0.5) < 1e-150
+
 
 class TestOscillatingIntensity:
     def test_conservation_with_energy_matching(self, pair_551, pair_551_params):
