@@ -52,9 +52,6 @@ _RESIDUAL_TOL = 1e-13     # a Newton final is a root when |F| <= this times _ter
 _SEPARATION = 1e-8        # roots closer than this are one root
 _MAX_WINDING_POINTS = 400_000  # samples bisection may add before the winding count gives up
 MAX_SEEDS = 2 ** 22       # walk samples, companion entries and seeds: 67 MB of complex values
-# OpenBLAS runs a matrix product on one thread while m*n*k <= 65536; a threaded
-# call can stall for milliseconds
-_SERIAL_GEMM = 65536
 
 
 @dataclass(frozen=True)
@@ -267,20 +264,21 @@ def beta_from_poles(pole_set: PoleSet, t):
     """Residue-series amplitude sum_n w_n exp(s_n t) for finite t > 0.
 
     Accepts a scalar time or an ndarray of times; any other time, nan
-    included, raises ValueError.  More than two evenly spaced times (in
-    flattened order, t_k = t_0 + k * dt to within 4 eps |t_k|) are summed from
-    two exponential tables and one matrix product: with B = ceil(sqrt(n)) and
-    k = a * B + b,
+    included, raises ValueError.  More than two evenly spaced ascending
+    times (in flattened order, t_k = t_0 + k * dt with dt >= 0, to within
+    4 eps |t_k|) are summed from two exponential tables and one matrix
+    product: with B = ceil(sqrt(n)) and k = a * B + b,
 
         beta(t_k) = sum_n [w_n exp(s_n a B dt)] * exp(s_n (t_0 + b dt)),
 
     (A + B) * len(pole_set) exponentials in place of n * len(pole_set) (the
     sqrt(n) splitting of Paterson & Stockmeyer, SIAM J. Comput. 2, 1973),
-    whenever the two tables fit in MAX_SEEDS complex values.  The product runs
-    in groups of rows small enough that OpenBLAS keeps each on one thread.
-    Other times are summed over blocks of at most MAX_SEEDS // len(pole_set)
-    times, so the times-by-poles matrix stays within MAX_SEEDS complex values
-    however many times are asked for.
+    whenever the two tables fit in MAX_SEEDS complex values.  With dt >= 0 and
+    Re s_n <= 0 neither table grows; a descending grid would need
+    exp(-s_n a B dt), which overflows for deep poles over a long span.  Other
+    times are summed over blocks of at most MAX_SEEDS // len(pole_set) times,
+    so the times-by-poles matrix stays within MAX_SEEDS complex values however
+    many times are asked for.
     """
     if len(pole_set) == 0:
         raise ValueError("cannot reconstruct the amplitude from an empty pole set")
@@ -294,11 +292,9 @@ def beta_from_poles(pole_set: PoleSet, t):
     if n > 2 and (rows + cols) * len(pole_set) <= MAX_SEEDS:
         step = (flat[-1] - flat[0]) / (n - 1)
         grid = flat[0] + step * np.arange(n)
-        if np.all(np.abs(flat - grid) <= 4.0 * np.finfo(float).eps * flat):  # times are > 0
+        if step >= 0 and np.all(np.abs(flat - grid) <= 4.0 * np.finfo(float).eps * flat):  # t > 0
             small = np.exp(grid[:cols, None] * pole_set.s)
             big = np.exp((cols * step) * np.arange(rows)[:, None] * pole_set.s) * pole_set.weights
-            group = max(1, _SERIAL_GEMM // small.size)  # rows of big per product
-            big = np.pad(big, ((0, -rows % group), (0, 0))).reshape(-1, group, len(pole_set))
             return (big @ small.T).ravel()[:n].reshape(ts.shape)
     block = max(1, MAX_SEEDS // len(pole_set))
     vals = np.empty(flat.size, dtype=complex)
