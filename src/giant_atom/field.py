@@ -13,6 +13,13 @@ index n leaves the stationary profile
 
 between the outermost coupling points, where x = (m' - 1) + lambda with
 m' = 1..N and lambda in [0, 1), and exactly zero outside.
+
+The field probability over the whole light cone splits at the outermost
+coupling points.  Outside [0, N-1] every wave is outgoing, so both tails
+together carry the emitted flux gamma * int_0^t |e(u)|^2 du, with
+e(u) = sum_{l=0}^{N-1} beta(u - l) * Theta(u - l) (the input-output view of a
+cascaded emitter, Gardiner & Collett, PRA 31, 3761, 1985).  Only the inside
+is integrated over x, at a cost that does not grow with t.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_DX = 1.0 / 200.0
-_SLICE = 16.0     # half-cone slice width in tau; whole, so every slice edge is a cut
+_BLOCK = 16       # whole tau intervals per block of the outgoing flux
 _DARK_TOL = 1e-10  # largest |F(-i Omega_n)| over F's term scale at which index n is dark
 
 
@@ -120,8 +127,7 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
     keep = b - a >= 1e-12
     a, b = a[keep], b[keep]
 
-    nsub = np.ceil((b - a) / DEFAULT_DX).astype(int)
-    nsub = np.maximum(2, nsub + nsub % 2)
+    nsub = _panels(b - a)
     h = (b - a) / nsub
     panel = np.repeat(np.arange(len(a)), nsub + 1)
     j = np.arange(len(panel)) - np.repeat(np.cumsum(nsub + 1) - (nsub + 1), nsub + 1)
@@ -131,20 +137,62 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
     return float(np.sum(h[panel] / 3.0 * weights * np.abs(phi) ** 2))
 
 
+def _panels(width):
+    """Even number of Simpson panels of at most DEFAULT_DX across width (at least 2)."""
+    nsub = np.ceil(width / DEFAULT_DX).astype(int)
+    return np.maximum(2, nsub + nsub % 2)
+
+
+def _simpson(values: np.ndarray, width: float) -> float:
+    """Composite Simpson integral of an odd number of evenly spaced values across width."""
+    inner = 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
+    return width / (3.0 * (len(values) - 1)) * float(values[0] + inner + values[-1])
+
+
+def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
+    """gamma * int_0^t |e(u)|^2 du, the probability both tails hold at time t.
+
+    beta is interpolated once per node, on one row of nodes per interval
+    [k, k+1].  Every delay is whole, so e on interval k is the sum of rows
+    k-N+1 .. k: row k's first node takes copy l = k at beta(0), the right limit
+    at the wavefront, and its last node leaves copy k+1 out, the left limit.
+    Whole intervals go in blocks of _BLOCK rows, summed by a cumulative sum over
+    the block and a carry of the N rows before it (zero before u = 0); the
+    partial interval [floor(t), t] takes rows of its own.
+    """
+    n_legs, whole = params.n_legs, int(math.floor(t))
+    nsub = _panels(1.0)
+    offsets = np.arange(1, _BLOCK * nsub + 1) / nsub
+    edge = trace.samples[:1]  # beta at a block's first node, the last node of the one before
+    carry = np.zeros((n_legs, nsub + 1), dtype=complex)
+    power = np.zeros(nsub + 1)  # |e|^2 summed over the whole rows, node by node
+    for start in range(0, whole, _BLOCK):
+        nodes = start + offsets[:min(_BLOCK, whole - start) * nsub]
+        beta = np.concatenate([edge, beta_at_many(trace, nodes)])
+        rows = np.concatenate([carry, np.column_stack([beta[:-1].reshape(-1, nsub),
+                                                       beta[nsub::nsub]])])
+        cum = np.cumsum(rows, axis=0)
+        power += np.sum(np.abs(cum[n_legs:] - cum[:-n_legs]) ** 2, axis=0)
+        carry, edge = rows[-n_legs:], beta[-1:]
+    frac = t - whole
+    nsub = _panels(frac)
+    starts = np.arange(max(0, whole - n_legs + 1), whole + 1)[:, None]
+    e = beta_at_many(trace, starts + frac / nsub * np.arange(nsub + 1)).sum(axis=0)
+    return params.gamma_tau * (_simpson(power, 1.0) + _simpson(np.abs(e) ** 2, frac))
+
+
 def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """Field probability integrated over the light cone [x_1 - t, x_N + t].
 
-    p(x, t) is mirror symmetric about the atom's centre (N-1)/2, so this is
-    twice the integral over [-t, (N-1)/2], taken in 16-tau slices whose edges
-    -t + 16k are kink positions already; the slices bound the node arrays.
-    Each slice is composite Simpson between the closed-form kinks of |phi|^2.
+    The inside [0, N-1] is composite Simpson between the closed-form kinks of
+    |phi|^2; the two tails outside it add the outgoing flux gamma * int_0^t
+    |e(u)|^2 du, composite Simpson on each whole interval of u and on the
+    partial one.  Either part's node arrays are bounded independent of t.
     """
     check_trace_times(trace, t)
     t = float(max(t, 0.0))
-    centre = 0.5 * (params.n_legs - 1)
-    edges = np.append(np.arange(-t, centre, _SLICE), centre)
-    return 2.0 * sum(_cone_integral(params, trace, t, a, b)
-                     for a, b in zip(edges[:-1], edges[1:]))
+    return (_cone_integral(params, trace, t, 0.0, float(params.n_legs - 1))
+            + _outgoing_flux(params, trace, t))
 
 
 def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:

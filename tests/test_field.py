@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from giant_atom import (
     total_probability,
     waveguide_probability,
 )
+from giant_atom import field
 from giant_atom.dde import beta_at_many
 from giant_atom.field import DEFAULT_DX, _cone_integral
+from test_dde import exact_beta
 
 TWO_PI = 2.0 * math.pi
 
@@ -355,3 +358,61 @@ class TestConeQuadrature:
         right = _cone_integral(params, trace, t, centre, params.n_legs - 1 + t)
         assert left > 0.0
         assert abs(left - right) <= 1e-12
+
+
+def exact_flux(params, t, nodes=16):
+    """gamma * int_0^t |sum_l beta(u - l) Theta(u - l)|^2 du from the exact series,
+    Gauss-Legendre on each piece between whole u, where every copy is smooth."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.append(np.arange(math.ceil(t)), t)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        u = a + 0.5 * (b - a) * (x + 1.0)
+        e = sum(exact_beta(params.n_legs, params.gamma_tau, params.omega_tau, u - l)
+                for l in range(params.n_legs) if l <= a)
+        total += 0.5 * (b - a) * np.sum(w * np.abs(e) ** 2)
+    return params.gamma_tau * total
+
+
+@pytest.mark.parametrize("n_legs", [2, 3])
+def test_outgoing_flux_against_exact_series(n_legs):
+    # what the tails hold is the march's O(h^4) error, not the quadrature's:
+    # about 2e-10 at M = 2048 and 7e-7 at M = 256
+    params = GiantAtomParams(n_legs, 0.05, TWO_PI * 3.3)
+    times = (2.5, 2.7, 3.0)
+    exact = [exact_flux(params, t) for t in times]
+    errs = {}
+    for m in (256, 2048):
+        trace = integrate_beta(params, 3.0, m)
+        errs[m] = np.array([abs(waveguide_probability(params, trace, t)
+                                - _cone_integral(params, trace, t, 0.0, n_legs - 1.0) - ref)
+                            for t, ref in zip(times, exact)])
+    assert errs[2048].max() <= 1e-9
+    assert np.all(errs[256] > 1000.0 * errs[2048])
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("n_legs", [2, 7])
+def test_flux_blocks_match(monkeypatch, n_legs, block):
+    # at N = 7 the carry of N - 1 rows reaches back across several blocks
+    params = GiantAtomParams(n_legs, 0.05, TWO_PI * 3.3)
+    trace = integrate_beta(params, 40.0, 256)
+    ref = [waveguide_probability(params, trace, t) for t in CONE_TIMES]
+    monkeypatch.setattr(field, "_BLOCK", block)
+    got = [waveguide_probability(params, trace, t) for t in CONE_TIMES]
+    assert np.abs(np.subtract(got, ref)).max() <= 1e-14
+
+
+def test_waveguide_probability_memory_does_not_grow_with_t():
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    trace = integrate_beta(params, 4000.0, 16)
+
+    def peak(t):
+        tracemalloc.start()
+        try:
+            waveguide_probability(params, trace, t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000.0) <= 2.0 * peak(400.0)
