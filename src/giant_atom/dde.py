@@ -15,9 +15,13 @@ interpolated, and a term stays off for the step at whose right end it turns
 on.  Given v_j, a chunk of C = 16 steps is one linear map, read once off the
 stage formulas, from its start value and 2C+1 entries of v_j to its 2C new
 samples.  An interval is ceil(M/C) chunks, padded with zero drive to equal
-groups of at most 32: one stacked matrix product gives every chunk from a zero
-start, doubling passes over the chunks solve c_i = R**C * c_{i-1} + (end of
-chunk i-1) for their start values, and each start value's response is added
+groups of at most 32.  One buffer holds the interval's start value followed by
+v_j, so chunk i's window of 2C+2 entries opens with the entry just before its
+inputs: the true start value for chunk 0, the drive value s_i for the others.
+One stacked matrix product of these windows by the map gives every chunk from
+the start value it read; when there are several chunks, doubling passes solve
+d_i = R**C * d_{i-1} + (end of chunk i-1) - s_i, d_0 = 0, for each chunk's
+error in its start value, and d_i times the start-value response is added
 back.  A step with |R| >= 1 is refused, so every power of R is bounded by 1.
 """
 
@@ -36,12 +40,15 @@ DEFAULT_STEPS_PER_TAU = 256
 # Largest trace integrate_beta will build: 2*t_max*steps_per_tau + 1 samples,
 # written straight into one complex array at 16 bytes per sample (about 268 MB
 # at this budget).  At the default 256 steps per tau it allows t_max up to 32768.
+# The march's scratch arrays each hold about one interval, 2*steps_per_tau + 1
+# samples, whatever t_max is; that count is held to the same budget.
 MAX_TRACE_SAMPLES = 2 ** 24
 
 # steps per chunk map: the smallest steps_per_tau, so M = 16 is one chunk and no scan
 _CHUNK = 16
-# chunks per matrix product: (32 x 33) @ (33 x 32) stays under OpenBLAS's threading
-# threshold (m*n*k <= 65536); a threaded call stalls for milliseconds on a busy machine
+# chunks per matrix product: (32 x 34) @ (34 x 32), m*n*k = 34816, stays under
+# OpenBLAS's threading threshold (m*n*k <= 65536); a threaded call stalls for
+# milliseconds on a busy machine
 _GROUP = 32
 
 # half-grid positions within 1e-9 of an integer index are treated as grid hits
@@ -72,8 +79,9 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     over t_max rounded up to a whole step and over at least two steps.
     beta0 scales the initial excited-state amplitude (default: fully excited);
     the dynamics is linear, so the trace scales with it.  Raises ValueError,
-    before allocating anything, when the trace would exceed MAX_TRACE_SAMPLES
-    or when the RK4 step is unstable for the decay rate (|R| >= 1).
+    before allocating anything, when the trace or one interval of the march's
+    scratch would exceed MAX_TRACE_SAMPLES, or when the RK4 step is unstable
+    for the decay rate (|R| >= 1).
     """
     check_positive("t_max", t_max)
     m = check_int("steps_per_tau", steps_per_tau, 16)
@@ -84,8 +92,8 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     # at least two steps, so the trace holds the 4 samples dense output needs
     n_steps = max(2.0, np.ceil(t_max / h - 1e-12) if h else np.inf)
     steps = m if m <= 2 ** 53 else "over 2**53"  # a huge m in full would flood the message
-    check_budget(f"t_max = {t_max:g} at {steps} steps per tau", 2.0 * n_steps + 1.0, "samples",
-                 MAX_TRACE_SAMPLES)
+    check_budget(f"t_max = {t_max:g} at {steps} steps per tau",
+                 max(2.0 * n_steps + 1.0, 2 * m + 1), "samples", MAX_TRACE_SAMPLES)
     n_steps = int(n_steps)
     decay = -1j * params.omega_tau - 0.5 * n * params.gamma_tau
     # the chunk map, read off unit inputs: row 0 is the start value, rows 1.. the
@@ -95,7 +103,7 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     for i in range(_CHUNK):
         cols += _rk4_step(cols[-1], *unit[2 * i + 1:2 * i + 4], decay, h)
     chunk_map = np.column_stack(cols[1:])
-    k_y, k_v = chunk_map[0], chunk_map[1:]
+    k_y = chunk_map[0]  # the response to the start value
     r_end = k_y[1]  # one step's growth of the start value
     if abs(r_end) >= 1.0:
         raise ValueError(f"steps_per_tau = {m} is too coarse for this decay rate: each RK4 "
@@ -113,24 +121,29 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     item = samples.itemsize
     rows = np.lib.stride_tricks.as_strided(samples, (n_steps // m, 2 * m + 1),
                                            (2 * m * item, item), writeable=False)
-    # one interval's delayed inputs, zero-padded to whole chunks; chunk c reads 2C+1
-    # of them, the first shared with the end of chunk c-1
-    v = np.zeros(2 * _CHUNK * n_chunks + 1, dtype=complex)
-    chunks = np.lib.stride_tricks.sliding_window_view(v, 2 * _CHUNK + 1)[::2 * _CHUNK]
-    chunks = chunks.reshape(n_groups, -1, 2 * _CHUNK + 1)
-    carry = np.empty(n_chunks, dtype=complex)
+    # vb[0] is the interval's start value and vb[1:] its 2M+1 delayed inputs, then zero
+    # padding; chunk i reads vb[2Ci : 2Ci+2C+2], so it starts from vb[2Ci].  A partial
+    # last interval takes its whole drive and drops the samples past its end.
+    vb = np.zeros(2 * _CHUNK * n_chunks + 2, dtype=complex)
+    drive = vb[1:2 * m + 2]
+    starts = vb[2 * _CHUNK:-2:2 * _CHUNK]  # s_i, the start value chunk i >= 1 reads
+    windows = np.lib.stride_tricks.sliding_window_view(vb, 2 * _CHUNK + 2)[::2 * _CHUNK]
+    windows = windows.reshape(n_groups, -1, 2 * _CHUNK + 2)
+    local = np.empty(windows.shape[:2] + (2 * _CHUNK,), dtype=complex)
+    per_chunk, flat = local.reshape(n_chunks, -1), local.reshape(-1)
+    carry = np.zeros(n_chunks, dtype=complex)  # d_0 = 0: chunk 0 starts from its true value
     for j, start in enumerate(range(0, 2 * n_steps, 2 * m)):
-        k = min(2 * m, 2 * n_steps - start)  # half-steps in this interval
         lag = min(j, n - 1)
-        v[:k + 1] = weights[n - 1 - lag:] @ rows[j - lag:j, :k + 1]
-        v[k + 1:] = 0.0  # a partial last interval: zero drive past its end
-        local = (chunks @ k_v).reshape(n_chunks, -1)  # every chunk from a zero start value
-        carry[0] = samples[start]
-        carry[1:] = local[:-1, -1]
-        for s, power in passes:  # start values: c_i = R**C * c_{i-1} + local end of i-1
-            carry[s:] += power * carry[:-s]
-        local += carry[:, None] * k_y
-        samples[start + 1:start + k + 1] = local.ravel()[:k]
+        np.dot(weights[n - 1 - lag:], rows[j - lag:j], out=drive)
+        vb[0] = samples[start]
+        np.matmul(windows, chunk_map, out=local)
+        if n_chunks > 1:  # d_i = c_i - vb[2Ci] = R**C * d_{i-1} + end of chunk i-1 - vb[2Ci]
+            np.subtract(per_chunk[:-1, -1], starts, out=carry[1:])
+            for s, power in passes:
+                carry[s:] += power * carry[:-s]
+            per_chunk += carry[:, None] * k_y
+        k = min(2 * m, 2 * n_steps - start)  # half-steps in this interval
+        samples[start + 1:start + k + 1] = flat[:k]
 
     bad = ~np.isfinite(samples)
     if bad.any():

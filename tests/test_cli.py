@@ -328,6 +328,15 @@ class TestFailures:
         assert rc == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_oversized_interval_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a 5-sample trace whose march needs one interval of 2M + 1 = 129 samples
+        monkeypatch.setattr(dde, "MAX_TRACE_SAMPLES", 128)
+        rc = main(["simulate", *A1_FLAGS, "--t-max", "0.015625", "--steps-per-tau", "64",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.endswith("needs 129 samples, above the budget of 128\n")
+        assert not (tmp_path / "out").exists()
+
     def test_largest_emitter_poles_exits_2_before_seeding(self, tmp_path, monkeypatch, capsys):
         def no_work(*args):
             raise AssertionError("seeding started for a rejected emitter")

@@ -145,6 +145,17 @@ def test_sample_budget_checked_before_allocation(monkeypatch):
         integrate_beta(p, 1.0, steps_per_tau=16)
 
 
+def test_interval_scratch_checked_before_allocation(monkeypatch):
+    # t_max = 1/64 at 64 steps per tau is a 5-sample trace, but the march's
+    # scratch grows with one interval, 2M + 1 = 129 samples, at any t_max
+    p = GiantAtomParams(3, 0.1, 1.0)
+    monkeypatch.setattr(dde, "MAX_TRACE_SAMPLES", 128)
+    with pytest.raises(ValueError, match="needs 129 samples, above the budget of 128$"):
+        integrate_beta(p, 1 / 64, steps_per_tau=64)
+    monkeypatch.setattr(dde, "MAX_TRACE_SAMPLES", 129)
+    assert len(integrate_beta(p, 1 / 64, steps_per_tau=64).samples) == 5
+
+
 def test_initial_condition_and_contractivity(dark_n1_trace_200):
     assert dark_n1_trace_200.samples[0] == 1.0 + 0.0j
     assert np.abs(dark_n1_trace_200.samples).max() <= 1.0 + 1e-9
@@ -288,6 +299,20 @@ def test_matches_scalar_march(n_legs, steps_per_tau):
     tr = integrate_beta(p, t_max, steps_per_tau)
     assert len(tr.samples) == len(ref)
     assert np.abs(tr.samples - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("steps_per_tau", [16, 17])
+@pytest.mark.parametrize("n_legs", [3, 10])
+def test_matches_scalar_march_over_long_horizon(n_legs, steps_per_tau):
+    # the Markov regime over 1000.3 tau: thousands of intervals, each one chunk
+    # (M = 16) or two padded chunks (M = 17), so an error carried from interval
+    # to interval would build up
+    p = GiantAtomParams(n_legs, 0.4 / (n_legs ** 2 * 1000.0), 1e-3)
+    t_max = 1000.3
+    ref = scalar_march(p, t_max, steps_per_tau)
+    tr = integrate_beta(p, t_max, steps_per_tau)
+    assert len(tr.samples) == len(ref)
+    assert np.abs(tr.samples - ref).max() <= 1e-12
 
 
 def test_exact_series_error_and_order():

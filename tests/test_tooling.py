@@ -1,6 +1,7 @@
 """The repository's own tooling under .github/."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,12 +33,20 @@ async def fetch():
 '''
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / ".github" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path  # a script may put src on the path for itself
+    return module
+
+
 @pytest.fixture(scope="module")
 def code_lines_module():
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / ".github" / "code_lines.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("code_lines")
 
 
 def test_code_lines_skips_docstrings_comments_and_blanks(code_lines_module):
@@ -52,3 +61,14 @@ def test_code_lines_exit_codes(code_lines_module, monkeypatch, capsys):
     assert "cannot read src/giant_atom at no-such-ref" in capsys.readouterr().err
     assert code_lines_module.main(["a", "b"]) == 2
     assert capsys.readouterr().err.startswith("usage:")
+
+
+def test_march_timing_prints_one_row_per_case(capsys):
+    march_timing = _load("march_timing")
+    assert march_timing.main(["--n-legs", "3", "--steps-per-tau", "16", "--t-max", "2",
+                              "--repeat", "1"]) == 0
+    header, columns, *rows = capsys.readouterr().out.splitlines()
+    assert header == "integrate_beta, us per tau interval (t_max = 2, best of 1)"
+    assert columns.split() == ["N", "M", "us"]
+    [(n_legs, m, us)] = [row.split() for row in rows]
+    assert (n_legs, m) == ("3", "16") and float(us) > 0.0
