@@ -1,0 +1,135 @@
+"""Mutation gate: break one line of the package at a time and expect a test to fail.
+
+Each entry of MUTANTS names a file, an exact text that must occur there once,
+the text that replaces it, and the pytest selector that should notice.  For
+every entry src, tests and pyproject.toml are copied to a temporary directory.
+An old text that is missing there or occurs more than once is an error, so a
+refactor that moves a line fails loudly instead of passing silently.  The
+selector must pass unmutated (checked once per selector): a red selector is an
+error, not a kill, since it would fail whatever the edit did.  Then the edit
+is applied and the selector is run with -x -q; a failure kills the mutant, and
+a mutant whose selector still passes survives.
+
+    python .github/mutants.py
+
+prints one line per mutant, then the survivors, and exits 0 when every mutant
+is killed, 1 when any survives and 2 on an error.  It uses only the standard
+library and pytest, and copies from the repository this file sits in.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    path: str
+    old: str
+    new: str
+    selector: tuple[str, ...]
+
+
+FIELD, DDE = "src/giant_atom/field.py", "src/giant_atom/dde.py"
+DARK = "src/giant_atom/darkstates.py"
+CONE = ("tests/test_field.py::TestConeQuadrature::test_matches_panel_loop",)
+FLUX = ("tests/test_field.py::test_outgoing_flux_against_exact_series",)
+MARCH = ("tests/test_dde.py::test_matches_scalar_march",)
+SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the_work",)
+
+MUTANTS = (
+    # field: the carried rows, the N-row window, the cell's cuts, the midpoint
+    # probe and Simpson's weights
+    Mutant(FIELD, "rows[:n_legs - 1] = rows[len(ks):][:n_legs - 1]", "rows[:n_legs - 1] = 0", FLUX),
+    Mutant(FIELD, "sliding_window_view(rows, n_legs, axis=0)",
+           "sliding_window_view(rows, n_legs - 1, axis=0)", FLUX),
+    Mutant(FIELD, "np.sort([0.0, f, 1.0 - f, 1.0])", "np.sort([0.0, f, 1.0])", CONE),
+    Mutant(FIELD, ", t, at=cells + np.concatenate(probes))", ", t)", CONE),
+    Mutant(FIELD, "np.tile([4.0, 2.0], k // 2)", "np.tile([2.0, 4.0], k // 2)", CONE),
+    # dde: the scan's start-value correction, the scan's reach, the interval budget
+    Mutant(DDE, "np.subtract(per_chunk[:-1, -1], starts, out=carry[1:])",
+           "np.copyto(carry[1:], per_chunk[:-1, -1])", MARCH),
+    Mutant(DDE, "if n_chunks > 1:", "if n_chunks > 2:", MARCH),
+    Mutant(DDE, "max(2.0 * n_steps + 1.0, 2 * m + 1)", "2.0 * n_steps + 1.0",
+           ("tests/test_dde.py::test_interval_scratch_checked_before_allocation",)),
+    # every check_budget call site, one unit too lax
+    Mutant("src/giant_atom/core.py", '"coupling points", MAX_N_LEGS)',
+           '"coupling points", MAX_N_LEGS + 1)',
+           ("tests/test_core.py::TestInputRules::test_n_legs_bound",)),
+    Mutant(DDE, '"samples", MAX_TRACE_SAMPLES)', '"samples", MAX_TRACE_SAMPLES + 1)',
+           ("tests/test_dde.py::test_sample_budget_checked_before_allocation",)),
+    Mutant("src/giant_atom/spectral.py", 'seeds", MAX_SEEDS)', 'seeds", MAX_SEEDS + 1)',
+           ("tests/test_spectral.py::test_seed_budget_counts_walk_companions_and_seeds",)),
+    Mutant(DARK, 'q_max),\n                 "lattice points", MAX_LATTICE_POINTS)',
+           'q_max),\n                 "lattice points", MAX_LATTICE_POINTS + 1)',
+           ("tests/test_darkstates.py::TestLatticeBudget::test_pair_count_is_exact",)),
+    Mutant(DARK, '// 2),\n                 "lattice points", MAX_LATTICE_POINTS)',
+           '// 2),\n                 "lattice points", MAX_LATTICE_POINTS + 1)', SCAN),
+    Mutant(DARK, 'lines, "lattice points", MAX_LATTICE_POINTS)',
+           'lines, "lattice points", MAX_LATTICE_POINTS + 1)', SCAN),
+    Mutant("src/giant_atom/cli.py", '"samples", MAX_GRID_SAMPLES)',
+           '"samples", MAX_GRID_SAMPLES + 1)',
+           ("tests/test_cli.py::TestGridBudget::test_budget_is_exact",)),
+)
+
+
+def _copy(dest: Path) -> None:
+    junk = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=junk)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _passes(work: Path, selector: tuple[str, ...]) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(work / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selector]
+    return subprocess.run(cmd, cwd=work, env=env, capture_output=True).returncode == 0
+
+
+def _run(mutant: Mutant, clean: dict[tuple[str, ...], bool]) -> str:
+    """'killed', 'survived', or the error that kept the mutant from being judged."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _copy(work)
+        target = work / mutant.path
+        source = target.read_text(encoding="utf-8")
+        if source.count(mutant.old) != 1:
+            return f"error: the old text occurs {source.count(mutant.old)} times"
+        if mutant.selector not in clean:
+            clean[mutant.selector] = _passes(work, mutant.selector)
+        if not clean[mutant.selector]:
+            return "error: the selector fails unmutated"
+        target.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
+        return "survived" if _passes(work, mutant.selector) else "killed"
+
+
+def main(table: tuple[Mutant, ...] = MUTANTS) -> int:
+    clean: dict[tuple[str, ...], bool] = {}
+    survivors, errors = [], 0
+    begin = time.perf_counter()
+    for mutant in table:
+        start = time.perf_counter()
+        outcome = _run(mutant, clean)
+        old, new = (" ".join(text.split()) for text in (mutant.old, mutant.new))
+        label = f"{mutant.path}: {old!r} -> {new!r}"
+        print(f"{outcome}: {label} ({time.perf_counter() - start:.1f} s)", flush=True)
+        if outcome == "survived":
+            survivors.append(label)
+        errors += outcome.startswith("error")
+    print(f"{len(table)} mutants, {len(survivors)} survived, {errors} errors, "
+          f"{time.perf_counter() - begin:.1f} s")
+    for label in survivors:
+        print(f"survivor: {label}")
+    return 2 if errors else 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -18,8 +18,11 @@ The field probability over the whole light cone splits at the outermost
 coupling points.  Outside [0, N-1] every wave is outgoing, so both tails
 together carry the emitted flux gamma * int_0^t |e(u)|^2 du, with
 e(u) = sum_{l=0}^{N-1} beta(u - l) * Theta(u - l) (the input-output view of a
-cascaded emitter, Gardiner & Collett, PRA 31, 3761, 1985).  Only the inside
-is integrated over x, at a cost that does not grow with t.
+cascaded emitter, Gardiner & Collett, PRA 31, 3761, 1985).  Each quadrature
+repeats one unit.  Inside, every cell [c, c+1] between neighbouring coupling
+points has the same kinks, so one cell's Simpson panels serve all N-1 cells,
+at a cost that does not grow with t.  The flux takes one row of nodes per
+whole interval of u, and e on interval k is the sum of rows k-N+1 .. k.
 """
 
 from __future__ import annotations
@@ -77,14 +80,14 @@ class GridSpec:
 
 def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray,
          t: float, at: np.ndarray | None = None) -> np.ndarray:
-    """Field amplitude on a batch of positions at one instant.
+    """Field amplitude on an array of positions at one instant.
 
-    Point m's wave counts at xs[i] when t - |at[i] - x_m| >= 0, where at
-    defaults to xs; its retarded time is clipped to [0, t_max], so a probe
-    inside the light cone lets a node just outside it take beta(0).
+    Point m's wave counts at xs[i] when t - |at[i] - x_m| >= 0, where at, of
+    xs's shape, defaults to xs; its retarded time is clipped to [0, t_max], so
+    a probe inside the light cone lets a node just outside it take beta(0).
     """
     at = xs if at is None else at
-    total = np.zeros(len(xs), dtype=complex)
+    total = np.zeros(np.shape(xs), dtype=complex)
     for xm in params.coupling_points:
         on = t - np.abs(at - xm) >= 0.0
         total[on] += beta_at_many(trace, np.clip(t - np.abs(xs[on] - xm), 0.0, trace.t_max))
@@ -110,70 +113,70 @@ def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
             for t in grid.times]
 
 
-def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
-                   lo: float, hi: float) -> float:
-    """Composite Simpson integral of p(x, t) over [lo, hi].
+def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
+    """Composite Simpson integral of p(x, t) over the atom [0, N-1].
 
-    |phi|^2 can kink only where t - |x - x_m| is whole: at the integers and the
-    integers +- frac(t).  Panels run between those cuts in even numbers of steps
-    of at most DEFAULT_DX.  Each panel probes the light cones at its midpoint,
-    so a coupling point counts on a whole panel or not at all, and a wavefront
-    end takes beta(0).
+    |phi|^2 can kink only where t - |x - x_m| is whole, so every cell [c, c+1]
+    has the same cuts, c + frac(t) and c + 1 - frac(t).  One cell's panels run
+    between them in even numbers of steps of at most DEFAULT_DX; their nodes,
+    midpoint probes and weights are built once and shifted to all N-1 cells.
+    Each panel probes the light cones at its midpoint, so a coupling point
+    counts on a whole panel or not at all, and a wavefront end takes beta(0).
     """
     f = t - math.floor(t)
-    ks = np.arange(math.floor(lo), math.ceil(hi) + 1.0)
-    cuts = np.sort(np.clip(np.concatenate([[lo, hi], ks, ks + f, ks - f]), lo, hi))
-    a, b = cuts[:-1], cuts[1:]
-    keep = b - a >= 1e-12
-    a, b = a[keep], b[keep]
-
-    nsub = _panels(b - a)
-    h = (b - a) / nsub
-    panel = np.repeat(np.arange(len(a)), nsub + 1)
-    j = np.arange(len(panel)) - np.repeat(np.cumsum(nsub + 1) - (nsub + 1), nsub + 1)
-    xs = a[panel] + h[panel] * j
-    weights = np.where(j % 2 == 1, 4.0, 2.0) - ((j == 0) | (j == nsub[panel]))
-    phi = _phi(params, trace, xs, t, at=0.5 * (a + b)[panel])
-    return float(np.sum(h[panel] / 3.0 * weights * np.abs(phi) ** 2))
+    cuts = np.sort([0.0, f, 1.0 - f, 1.0])
+    nodes, probes, weights = [], [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a >= 1e-12:
+            k = _panels(b - a)
+            nodes.append(a + (b - a) / k * np.arange(k + 1))
+            probes.append(np.full(k + 1, 0.5 * (a + b)))
+            weights.append((b - a) / (3.0 * k) * _simpson_weights(k))
+    cells = np.arange(params.n_legs - 1.0)[:, None]
+    phi = _phi(params, trace, cells + np.concatenate(nodes), t, at=cells + np.concatenate(probes))
+    return float(np.sum(np.abs(phi) ** 2 @ np.concatenate(weights)))
 
 
-def _panels(width):
+def _panels(width: float) -> int:
     """Even number of Simpson panels of at most DEFAULT_DX across width (at least 2)."""
-    nsub = np.ceil(width / DEFAULT_DX).astype(int)
-    return np.maximum(2, nsub + nsub % 2)
+    return max(2, 2 * math.ceil(width / (2.0 * DEFAULT_DX)))
+
+
+def _simpson_weights(k: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 over an even number k of panels."""
+    return np.concatenate([[1.0], np.tile([4.0, 2.0], k // 2)[:-1], [1.0]])
 
 
 def _simpson(values: np.ndarray, width: float) -> float:
     """Composite Simpson integral of an odd number of evenly spaced values across width."""
-    inner = 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()
-    return width / (3.0 * (len(values) - 1)) * float(values[0] + inner + values[-1])
+    return width / (3.0 * (len(values) - 1)) * float(values @ _simpson_weights(len(values) - 1))
 
 
 def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """gamma * int_0^t |e(u)|^2 du, the probability both tails hold at time t.
 
-    beta is interpolated once per node, on one row of nodes per interval
-    [k, k+1].  Every delay is whole, so e on interval k is the sum of rows
-    k-N+1 .. k: row k's first node takes copy l = k at beta(0), the right limit
-    at the wavefront, and its last node leaves copy k+1 out, the left limit.
-    Whole intervals go in blocks of _BLOCK rows, summed by a cumulative sum over
-    the block and a carry of the N rows before it (zero before u = 0); the
-    partial interval [floor(t), t] takes rows of its own.
+    beta is interpolated once per node, on one row of nodes k + j/nsub,
+    j = 0 .. nsub, per interval [k, k+1].  Every delay is whole, so e on
+    interval k is the sum of rows k-N+1 .. k: row k's first node takes copy
+    l = k at beta(0), the right limit at the wavefront, and its last node
+    leaves copy k+1 out, the left limit.  Whole intervals go in blocks of
+    _BLOCK rows from one interpolation each, written into one buffer after the
+    N-1 rows carried from before the block (zero before u = 0), and e is a sum
+    over a sliding window of N rows of that buffer; the partial interval
+    [floor(t), t] takes rows of its own.
     """
     n_legs, whole = params.n_legs, int(math.floor(t))
     nsub = _panels(1.0)
-    offsets = np.arange(1, _BLOCK * nsub + 1) / nsub
-    edge = trace.samples[:1]  # beta at a block's first node, the last node of the one before
-    carry = np.zeros((n_legs, nsub + 1), dtype=complex)
-    power = np.zeros(nsub + 1)  # |e|^2 summed over the whole rows, node by node
+    offsets = np.arange(nsub + 1) / nsub
+    rows = np.zeros((n_legs - 1 + _BLOCK, nsub + 1), dtype=complex)  # N-1 carried, then new
+    # windows[i] holds the N rows whose sum is e on the block's interval i
+    windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)
+    power = np.zeros(nsub + 1)  # |e|^2 summed over the whole intervals, node by node
     for start in range(0, whole, _BLOCK):
-        nodes = start + offsets[:min(_BLOCK, whole - start) * nsub]
-        beta = np.concatenate([edge, beta_at_many(trace, nodes)])
-        rows = np.concatenate([carry, np.column_stack([beta[:-1].reshape(-1, nsub),
-                                                       beta[nsub::nsub]])])
-        cum = np.cumsum(rows, axis=0)
-        power += np.sum(np.abs(cum[n_legs:] - cum[:-n_legs]) ** 2, axis=0)
-        carry, edge = rows[-n_legs:], beta[-1:]
+        ks = np.arange(start, min(start + _BLOCK, whole))
+        rows[n_legs - 1:][:len(ks)] = beta_at_many(trace, ks[:, None] + offsets)
+        power += np.sum(np.abs(windows[:len(ks)].sum(-1)) ** 2, axis=0)
+        rows[:n_legs - 1] = rows[len(ks):][:n_legs - 1]
     frac = t - whole
     nsub = _panels(frac)
     starts = np.arange(max(0, whole - n_legs + 1), whole + 1)[:, None]
@@ -184,15 +187,16 @@ def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
 def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """Field probability integrated over the light cone [x_1 - t, x_N + t].
 
-    The inside [0, N-1] is composite Simpson between the closed-form kinks of
-    |phi|^2; the two tails outside it add the outgoing flux gamma * int_0^t
-    |e(u)|^2 du, composite Simpson on each whole interval of u and on the
-    partial one.  Either part's node arrays are bounded independent of t.
+    The inside [0, N-1] is composite Simpson on one cell's panels between the
+    closed-form kinks of |phi|^2, shifted to each of the N-1 cells; the two
+    tails outside it add the outgoing flux gamma * int_0^t |e(u)|^2 du,
+    composite Simpson on each whole interval of u, taken _BLOCK intervals at a
+    time, and on the partial one.  Either part's node arrays are bounded
+    independent of t.
     """
     check_trace_times(trace, t)
     t = float(max(t, 0.0))
-    return (_cone_integral(params, trace, t, 0.0, float(params.n_legs - 1))
-            + _outgoing_flux(params, trace, t))
+    return _cone_integral(params, trace, t) + _outgoing_flux(params, trace, t)
 
 
 def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:

@@ -239,4 +239,4 @@ def _intensity_inside_atom(params, trace, t):
     """Field probability between the outermost coupling points only."""
     from giant_atom.field import _cone_integral
 
-    return _cone_integral(params, trace, t, 0.0, float(params.n_legs - 1))
+    return _cone_integral(params, trace, t)

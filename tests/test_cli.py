@@ -558,6 +558,17 @@ class TestGridBudget:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_budget_is_exact(self, tmp_path, monkeypatch, capsys):
+        # 9 positions (x = 0 .. 2 at 0.25) times 3 frames: 27 samples, frames counted
+        argv = [*PXT_FLAGS, "--pxt-x-min", "0", "--pxt-x-max", "2", "--pxt-dx", "0.25",
+                "--pxt-t-count", "3"]
+        monkeypatch.setattr("giant_atom.cli.MAX_GRID_SAMPLES", 26)
+        assert main([*argv, "--out-dir", str(tmp_path / "over")]) == 2
+        assert capsys.readouterr().err.endswith("the heatmap needs 27 samples, "
+                                                "above the budget of 26\n")
+        monkeypatch.setattr("giant_atom.cli.MAX_GRID_SAMPLES", 27)
+        assert main([*argv, "--out-dir", str(tmp_path / "at")]) == 0
+
 
 def test_threads_flag_is_gone(tmp_path):
     rc = main(["poles", *A1_FLAGS, "--threads", "2", "--out-dir", str(tmp_path / "out")])

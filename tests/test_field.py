@@ -330,8 +330,8 @@ def panel_loop_probability(params, trace, t):
     return total
 
 
-CONE_TIMES = (0.0, 1e-13, 0.5, 1.0 - 1e-13, 1.0, 2.7, 5.0 - 1e-13, 5.0 + 1e-13,
-              15.99, 16.0, 16.3, 33.3, 40.0)
+CONE_TIMES = (0.0, 1e-13, 0.5, 1.0 - 1e-13, 1.0, 2.5 - 1e-13, 2.5, 2.5 + 1e-13, 2.7,
+              5.0 - 1e-13, 5.0 + 1e-13, 15.99, 16.0, 16.3, 33.3, 40.0)
 
 
 @pytest.fixture(scope="module", params=[2, 3, 4, 7], ids=lambda n: f"N{n}")
@@ -344,7 +344,8 @@ class TestConeQuadrature:
     @pytest.mark.parametrize("t", CONE_TIMES)
     def test_matches_panel_loop(self, cone_case, t):
         # covers slice edges on a coupling point (t = 16) and off one (t = 33.3),
-        # cuts that nearly coincide (t within 1e-13 of a whole number), and
+        # cuts that nearly coincide (t within 1e-13 of a whole number), a cell's two
+        # inner cuts meeting or swapping order (t within 1e-13 of 2.5), and
         # right-going wavefronts inside the left half (t = 2.7)
         params, trace = cone_case
         ref = panel_loop_probability(params, trace, t)
@@ -352,12 +353,15 @@ class TestConeQuadrature:
 
     @pytest.mark.parametrize("t", (0.5, 5.0 + 1e-13, 16.3, 33.3, 40.0))
     def test_mirror_symmetric_halves(self, cone_case, t):
+        # the coupling points mirror about the centre c, so p(c - y, t) = p(c + y, t)
+        # out to the edge of the light cone
         params, trace = cone_case
         centre = 0.5 * (params.n_legs - 1)
-        left = _cone_integral(params, trace, t, -t, centre)
-        right = _cone_integral(params, trace, t, centre, params.n_legs - 1 + t)
-        assert left > 0.0
-        assert abs(left - right) <= 1e-12
+        ys = np.linspace(0.0, centre + t, 2001)
+        left = np.abs(field._phi(params, trace, centre - ys, t)) ** 2
+        right = np.abs(field._phi(params, trace, centre + ys, t)) ** 2
+        assert right.max() > 0.0
+        assert np.abs(left - right).max() <= 1e-12
 
 
 def exact_flux(params, t, nodes=16):
@@ -375,20 +379,22 @@ def exact_flux(params, t, nodes=16):
 
 
 @pytest.mark.parametrize("n_legs", [2, 3])
-def test_outgoing_flux_against_exact_series(n_legs):
+def test_outgoing_flux_against_exact_series(monkeypatch, n_legs):
     # what the tails hold is the march's O(h^4) error, not the quadrature's:
     # about 2e-10 at M = 2048 and 7e-7 at M = 256
     params = GiantAtomParams(n_legs, 0.05, TWO_PI * 3.3)
     times = (2.5, 2.7, 3.0)
     exact = [exact_flux(params, t) for t in times]
-    errs = {}
-    for m in (256, 2048):
-        trace = integrate_beta(params, 3.0, m)
-        errs[m] = np.array([abs(waveguide_probability(params, trace, t)
-                                - _cone_integral(params, trace, t, 0.0, n_legs - 1.0) - ref)
-                            for t, ref in zip(times, exact)])
-    assert errs[2048].max() <= 1e-9
-    assert np.all(errs[256] > 1000.0 * errs[2048])
+    for block in (field._BLOCK, 1):  # one block, and a carry across every interval
+        monkeypatch.setattr(field, "_BLOCK", block)
+        errs = {}
+        for m in (256, 2048):
+            trace = integrate_beta(params, 3.0, m)
+            errs[m] = np.array([abs(waveguide_probability(params, trace, t)
+                                    - _cone_integral(params, trace, t) - ref)
+                                for t, ref in zip(times, exact)])
+        assert errs[2048].max() <= 1e-9
+        assert np.all(errs[256] > 1000.0 * errs[2048])
 
 
 @pytest.mark.parametrize("block", [1, 2])

@@ -72,3 +72,17 @@ def test_march_timing_prints_one_row_per_case(capsys):
     assert columns.split() == ["N", "M", "us"]
     [(n_legs, m, us)] = [row.split() for row in rows]
     assert (n_legs, m) == ("3", "16") and float(us) > 0.0
+
+
+def test_mutants_reports_the_inert_edit_as_a_survivor(capsys):
+    mutants = _load("mutants")
+    core = "src/giant_atom/core.py"
+    selector = ("tests/test_core.py::TestInputRules::test_budget_rejects",)
+    killed = mutants.Mutant(core, "if not count <= budget:", "if not count < budget:", selector)
+    inert = mutants.Mutant(core, "# Most coupling points", "# The most coupling points", selector)
+    assert mutants.main((killed, inert)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"killed: {core}: 'if not count <= budget:'")
+    assert out[1].startswith(f"survived: {core}: '# Most coupling points'")
+    assert out[2].startswith("2 mutants, 1 survived, 0 errors")
+    assert out[3:] == [f"survivor: {core}: {inert.old!r} -> {inert.new!r}"]
