@@ -42,24 +42,36 @@ FIELD, DDE = "src/giant_atom/field.py", "src/giant_atom/dde.py"
 DARK = "src/giant_atom/darkstates.py"
 CONE = ("tests/test_field.py::TestConeQuadrature::test_matches_panel_loop",)
 FLUX = ("tests/test_field.py::test_outgoing_flux_against_exact_series",)
+ROW_CONE = ("tests/test_field.py::test_row_cone_matches_phi_cell_by_cell",)
+TRACE_END = ("tests/test_field.py::test_waveguide_probability_at_the_trace_end",)
 MARCH = ("tests/test_dde.py::test_matches_scalar_march",)
 SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the_work",)
 
 MUTANTS = (
-    # field: the carried rows, the N-row window, the cell's cuts, the midpoint
-    # probe and Simpson's weights
-    Mutant(FIELD, "rows[:n_legs - 1] = rows[len(ks):][:n_legs - 1]", "rows[:n_legs - 1] = 0", FLUX),
+    # field: the carried rows, the N-row window, the cell's cuts, the probe at
+    # the node in place of the panel's midpoint, Simpson's weights, the
+    # reversed prefix sum of R+ one row off, and the flux table's last node let
+    # out of its interval, so that its stencil reads past the interval's last
+    # sample instead of sitting on it at offset 1
+    Mutant(FIELD, "rows[:n_legs - 1] = rows[count:][:n_legs - 1]", "rows[:n_legs - 1] = 0", FLUX),
     Mutant(FIELD, "sliding_window_view(rows, n_legs, axis=0)",
            "sliding_window_view(rows, n_legs - 1, axis=0)", FLUX),
     Mutant(FIELD, "np.sort([0.0, f, 1.0 - f, 1.0])", "np.sort([0.0, f, 1.0])", CONE),
-    Mutant(FIELD, ", t, at=cells + np.concatenate(probes))", ", t)", CONE),
+    Mutant(FIELD, "sides * np.concatenate(probes)", "sides * np.concatenate(nodes)", CONE),
     Mutant(FIELD, "np.tile([4.0, 2.0], k // 2)", "np.tile([2.0, 4.0], k // 2)", CONE),
+    Mutant(FIELD, "np.cumsum(rows[n:], axis=0)[::-1]",
+           "np.roll(np.cumsum(rows[n:], axis=0)[::-1], 1, axis=0)", ROW_CONE),
+    Mutant(FIELD, "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)",
+           "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau + 3)", TRACE_END),
     # dde: the scan's start-value correction, the scan's reach, the interval budget
-    Mutant(DDE, "np.subtract(per_chunk[:-1, -1], starts, out=carry[1:])",
-           "np.copyto(carry[1:], per_chunk[:-1, -1])", MARCH),
+    Mutant(DDE, "np.subtract(local[:-1, -1], starts, out=carry[1:])",
+           "np.copyto(carry[1:], local[:-1, -1])", MARCH),
     Mutant(DDE, "if n_chunks > 1:", "if n_chunks > 2:", MARCH),
     Mutant(DDE, "max(2.0 * n_steps + 1.0, 2 * m + 1)", "2.0 * n_steps + 1.0",
            ("tests/test_dde.py::test_interval_scratch_checked_before_allocation",)),
+    # dde: the dense output's snap onto a sample
+    Mutant(DDE, "np.abs(pos - nearest) <= _GRID_SNAP", "np.abs(pos - nearest) < 0.0",
+           ("tests/test_dde.py::TestDenseOutput::test_snapped_grid_hits_bit_identical",)),
     # every check_budget call site, one unit too lax
     Mutant("src/giant_atom/core.py", '"coupling points", MAX_N_LEGS)',
            '"coupling points", MAX_N_LEGS + 1)',

@@ -14,12 +14,12 @@ v_j = sum_{l=1}^{min(j, N-1)} gamma*(N-l) * X_{j-l}: no history is
 interpolated, and a term stays off for the step at whose right end it turns
 on.  Given v_j, a chunk of C = 16 steps is one linear map, read once off the
 stage formulas, from its start value and 2C+1 entries of v_j to its 2C new
-samples.  An interval is ceil(M/C) chunks, padded with zero drive to equal
-groups of at most 32.  One buffer holds the interval's start value followed by
-v_j, so chunk i's window of 2C+2 entries opens with the entry just before its
-inputs: the true start value for chunk 0, the drive value s_i for the others.
-One stacked matrix product of these windows by the map gives every chunk from
-the start value it read; when there are several chunks, doubling passes solve
+samples.  An interval is ceil(M/C) chunks, the last one padded with zero
+drive.  One buffer holds the interval's start value followed by v_j, so chunk
+i's window of 2C+2 entries opens with the entry just before its inputs: the
+true start value for chunk 0, the drive value s_i for the others.  One matrix
+product of all these windows by the map gives every chunk from the start value
+it read; when there are several chunks, doubling passes solve
 d_i = R**C * d_{i-1} + (end of chunk i-1) - s_i, d_0 = 0, for each chunk's
 error in its start value, and d_i times the start-value response is added
 back.  A step with |R| >= 1 is refused, so every power of R is bounded by 1.
@@ -46,10 +46,6 @@ MAX_TRACE_SAMPLES = 2 ** 24
 
 # steps per chunk map: the smallest steps_per_tau, so M = 16 is one chunk and no scan
 _CHUNK = 16
-# chunks per matrix product: (32 x 34) @ (34 x 32), m*n*k = 34816, stays under
-# OpenBLAS's threading threshold (m*n*k <= 65536); a threaded call stalls for
-# milliseconds on a busy machine
-_GROUP = 32
 
 # half-grid positions within 1e-9 of an integer index are treated as grid hits
 _GRID_SNAP = 1e-9
@@ -109,8 +105,6 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
         raise ValueError(f"steps_per_tau = {m} is too coarse for this decay rate: each RK4 "
                          f"step grows the bare amplitude by |R| = {abs(r_end):.6g} >= 1")
     n_chunks = -(-m // _CHUNK)
-    n_groups = -(-n_chunks // _GROUP)
-    n_chunks = n_groups * -(-n_chunks // n_groups)  # equal groups, padded with zero drive
     passes = [(s, k_y[-1] ** s) for s in (1 << p for p in range((n_chunks - 1).bit_length()))]
     # gamma*(N-l) for l = N-1 down to 1, the order of the rows below
     weights = params.gamma_tau * np.arange(1, n)
@@ -128,9 +122,8 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     drive = vb[1:2 * m + 2]
     starts = vb[2 * _CHUNK:-2:2 * _CHUNK]  # s_i, the start value chunk i >= 1 reads
     windows = np.lib.stride_tricks.sliding_window_view(vb, 2 * _CHUNK + 2)[::2 * _CHUNK]
-    windows = windows.reshape(n_groups, -1, 2 * _CHUNK + 2)
-    local = np.empty(windows.shape[:2] + (2 * _CHUNK,), dtype=complex)
-    per_chunk, flat = local.reshape(n_chunks, -1), local.reshape(-1)
+    local = np.empty((n_chunks, 2 * _CHUNK), dtype=complex)
+    flat = local.reshape(-1)
     carry = np.zeros(n_chunks, dtype=complex)  # d_0 = 0: chunk 0 starts from its true value
     for j, start in enumerate(range(0, 2 * n_steps, 2 * m)):
         lag = min(j, n - 1)
@@ -138,10 +131,10 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
         vb[0] = samples[start]
         np.matmul(windows, chunk_map, out=local)
         if n_chunks > 1:  # d_i = c_i - vb[2Ci] = R**C * d_{i-1} + end of chunk i-1 - vb[2Ci]
-            np.subtract(per_chunk[:-1, -1], starts, out=carry[1:])
+            np.subtract(local[:-1, -1], starts, out=carry[1:])
             for s, power in passes:
                 carry[s:] += power * carry[:-s]
-            per_chunk += carry[:, None] * k_y
+            local += carry[:, None] * k_y
         k = min(2 * m, 2 * n_steps - start)  # half-steps in this interval
         samples[start + 1:start + k + 1] = flat[:k]
 
@@ -180,22 +173,29 @@ def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
     step = 0.5 * trace.dt
     check_trace_times(trace, flat)
 
-    pos = np.clip(flat / step, 0.0, n - 1.0)
-    nearest = np.rint(pos)
-    pos = np.where(np.abs(pos - nearest) <= _GRID_SNAP, nearest, pos)
     per_tau = 2 * trace.steps_per_tau
     lo = np.maximum(np.floor(flat).astype(int) * per_tau, 0)
-    hi = np.minimum(lo + per_tau, n - 1)
-    # a final piece shorter than the stencil takes the trace's last four samples
-    i0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lo), hi - 3)
-    u = pos - i0
-    w0 = -(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0
-    w1 = u * (u - 2.0) * (u - 3.0) / 2.0
-    w2 = -u * (u - 1.0) * (u - 3.0) / 2.0
-    w3 = u * (u - 1.0) * (u - 2.0) / 6.0
+    i0, (w0, w1, w2, w3) = _stencil(np.clip(flat / step, 0.0, n - 1.0), lo,
+                                    np.minimum(lo + per_tau, n - 1))
     out = (w0 * samples[i0] + w1 * samples[i0 + 1]
            + w2 * samples[i0 + 2] + w3 * samples[i0 + 3])
     return out.reshape(ts.shape)
+
+
+def _stencil(pos: np.ndarray, lo, hi):
+    """First sample i0 and the four cubic weights of the stencil i0 .. i0+3 at
+    positions pos, counted in samples, inside the smooth piece [lo, hi].
+
+    A position within _GRID_SNAP of a sample is snapped onto it, where the
+    weights are one-hot; a piece shorter than the stencil takes the four
+    samples that end at hi.
+    """
+    nearest = np.rint(pos)
+    pos = np.where(np.abs(pos - nearest) <= _GRID_SNAP, nearest, pos)
+    i0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lo), hi - 3)
+    u = pos - i0
+    return i0, (-(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
+                -u * (u - 1.0) * (u - 3.0) / 2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
 
 
 def beta_at(trace: AmplitudeTrace, t: float) -> complex:

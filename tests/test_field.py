@@ -298,6 +298,20 @@ def test_waveguide_probability_window_grows(dark_n1_params):
     assert abs(beta_at(tr, 40.0)) ** 2 + p40 == pytest.approx(1.0, abs=0.05)
 
 
+def test_total_probability_keeps_the_cross_term_at_the_readme_point():
+    # the density |phi_R + phi_L|^2 keeps the cross term of the right- and
+    # left-moving waves inside the atom; at omega_tau/2pi ~ 0.32 it does not
+    # average away, so the total stays about 3.1e-2 above 1 at any fine step
+    params = GiantAtomParams(3, TWO_PI * 0.018, TWO_PI * 0.3177449)
+    residual = {}
+    for m in (256, 1024):
+        trace = integrate_beta(params, 60.0, m)
+        residual[m] = np.array([total_probability(params, trace, t) - 1.0
+                                for t in (5.0, 20.0, 60.0)])
+    assert residual[256].min() >= 1e-2
+    assert np.abs(residual[256] - residual[1024]).max() <= 1e-3
+
+
 def panel_loop_probability(params, trace, t):
     """Field probability by the per-panel loop: every wavefront cut listed one
     by one over the whole light cone, one Simpson panel at a time.  The
@@ -362,6 +376,52 @@ class TestConeQuadrature:
         right = np.abs(field._phi(params, trace, centre + ys, t)) ** 2
         assert right.max() > 0.0
         assert np.abs(left - right).max() <= 1e-12
+
+
+def cone_by_cells(params, trace, t):
+    """The inside integral from _phi, one cell and one panel at a time, on the
+    panels _cone_integral builds: each panel's nodes are pulled 1e-13 inside
+    it, so a wave counts on the panel by the panel, and a wavefront end reads
+    beta(0) to within that shift."""
+    f = t - math.floor(t)
+    cuts = np.sort([0.0, f, 1.0 - f, 1.0])
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b - a >= 1e-12:
+            ys = np.linspace(a + 1e-13, b - 1e-13, field._panels(b - a) + 1)
+            for c in range(params.n_legs - 1):
+                p = np.abs(field._phi(params, trace, c + ys, t)) ** 2
+                total += field._simpson(p, b - a)
+    return total
+
+
+@pytest.fixture(scope="module")
+def n30_case():
+    params = GiantAtomParams(30, 0.05, TWO_PI * 3.3)
+    return params, integrate_beta(params, 40.0, 256)
+
+
+@pytest.mark.parametrize("t", (0.3, 7.6, 12.5, 28.9, 29.0, 33.3, 40.0))
+def test_row_cone_matches_phi_cell_by_cell(n30_case, t):
+    # N = 30: the prefix sums over 29 rows either way, before every wave has
+    # crossed the atom (t < 29) and after
+    params, trace = n30_case
+    ref = cone_by_cells(params, trace, t)
+    assert ref > 0.0
+    assert abs(_cone_integral(params, trace, t) - ref) <= 1e-11
+
+
+@pytest.mark.parametrize("t_max", [200.0, 200.3, 0.7])
+def test_waveguide_probability_at_the_trace_end(t_max):
+    # at t_max = 200 the last whole interval ends on the trace's last sample,
+    # which the flux reads at offset 1 of that interval, not past the trace;
+    # a trace shorter than one tau has no whole interval at all
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    trace = integrate_beta(params, t_max, 256)
+    t = trace.t_max
+    assert (t == 200.0) == (t_max == 200.0)
+    ref = panel_loop_probability(params, trace, t)
+    assert abs(waveguide_probability(params, trace, t) - ref) <= 1e-8
 
 
 def exact_flux(params, t, nodes=16):

@@ -74,6 +74,16 @@ def test_march_timing_prints_one_row_per_case(capsys):
     assert (n_legs, m) == ("3", "16") and float(us) > 0.0
 
 
+def test_field_timing_prints_one_row_per_case(capsys):
+    field_timing = _load("field_timing")
+    assert field_timing.main(["--n-legs", "3", "--t", "2.5", "--repeat", "1"]) == 0
+    header, columns, *rows = capsys.readouterr().out.splitlines()
+    assert header == "field quadratures, ms per call (t = 2.5, M = 64, best of 1)"
+    assert columns.split() == ["N", "cone", "flux"]
+    [(n_legs, cone, flux)] = [row.split() for row in rows]
+    assert n_legs == "3" and float(cone) > 0.0 and float(flux) > 0.0
+
+
 def test_mutants_reports_the_inert_edit_as_a_survivor(capsys):
     mutants = _load("mutants")
     core = "src/giant_atom/core.py"
