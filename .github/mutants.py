@@ -63,15 +63,28 @@ MUTANTS = (
            "np.roll(np.cumsum(rows[n:], axis=0)[::-1], 1, axis=0)", ROW_CONE),
     Mutant(FIELD, "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)",
            "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau + 3)", TRACE_END),
-    # dde: the scan's start-value correction, the scan's reach, the interval budget
+    # dde: the scan's start-value correction, the scan's reach, the interval budget,
+    # an interval's padded last chunk left out, and the scan's last doubling pass
     Mutant(DDE, "np.subtract(local[:-1, -1], starts, out=carry[1:])",
            "np.copyto(carry[1:], local[:-1, -1])", MARCH),
     Mutant(DDE, "if n_chunks > 1:", "if n_chunks > 2:", MARCH),
+    Mutant(DDE, "n_chunks = -(-m // _CHUNK)", "n_chunks = m // _CHUNK", MARCH),
+    Mutant(DDE, "range((n_chunks - 1).bit_length())",
+           "range((n_chunks - 1).bit_length() - 1)", MARCH),
     Mutant(DDE, "max(2.0 * n_steps + 1.0, 2 * m + 1)", "2.0 * n_steps + 1.0",
            ("tests/test_dde.py::test_interval_scratch_checked_before_allocation",)),
     # dde: the dense output's snap onto a sample
     Mutant(DDE, "np.abs(pos - nearest) <= _GRID_SNAP", "np.abs(pos - nearest) < 0.0",
            ("tests/test_dde.py::TestDenseOutput::test_snapped_grid_hits_bit_identical",)),
+    # cli: beta.csv's |b|^2 from an array form that rounds differently in the last bit
+    Mutant("src/giant_atom/cli.py", "np.float_power(np.hypot(b.real, b.imag), 2)",
+           "np.abs(b) ** 2", ("tests/test_cli.py::TestCsvBytes::test_simulate_beta_csv",)),
+    # spectral: no seed at -(i omega + N gamma/2), the root of F's non-delayed part
+    Mutant("src/giant_atom/spectral.py",
+           "seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),\n"
+           "                      -1j * params.omega_tau - 0.5 * params.n_legs * params.gamma_tau)",
+           "seeds = _chain_seeds(params, k_lo + np.arange(n_bands))",
+           ("tests/test_spectral.py::test_weak_coupling_root_found_off_the_chains",)),
     # every check_budget call site, one unit too lax
     Mutant("src/giant_atom/core.py", '"coupling points", MAX_N_LEGS)',
            '"coupling points", MAX_N_LEGS + 1)',
@@ -90,6 +103,8 @@ MUTANTS = (
     Mutant("src/giant_atom/cli.py", '"samples", MAX_GRID_SAMPLES)',
            '"samples", MAX_GRID_SAMPLES + 1)',
            ("tests/test_cli.py::TestGridBudget::test_budget_is_exact",)),
+    Mutant(FIELD, '"values", MAX_TRACE_SAMPLES)', '"values", MAX_TRACE_SAMPLES + 1)',
+           ("tests/test_field.py::test_inside_cone_budget_is_exact",)),
 )
 
 

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams,
-                   _term_scale, characteristic_fn, check_mode_index, check_positive)
+from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams, _term_scale,
+                   characteristic_fn, check_budget, check_mode_index, check_positive)
 from .darkstates import _sin2, dark_amplitude, dark_frequency, rwa_check
-from .dde import _stencil, beta_at, beta_at_many, check_trace_times
+from .dde import MAX_TRACE_SAMPLES, _stencil, beta_at, beta_at_many, check_trace_times
 
 __all__ = [
     "DEFAULT_DX",
@@ -139,6 +139,8 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
             probes.append(np.full(k + 1, 0.5 * (a + b)))
             weights.append((b - a) / (3.0 * k) * _simpson_weights(k))
     n = params.n_legs - 1
+    check_budget(f"the inside cone of {params.n_legs} coupling points",
+                 2 * n * sum(map(len, nodes)), "values", MAX_TRACE_SAMPLES)
     # row i reads beta(t - d + side*y): R-[d] (side -1) for d = 0 .. N-2, then R+[d] (side +1)
     shifts = t - np.append(np.arange(n), np.arange(1, n + 1))[:, None]
     sides = np.repeat([-1.0, 1.0], n)[:, None]
@@ -214,7 +216,10 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
     of beta on that cell's nodes; the two tails outside it add the outgoing
     flux gamma * int_0^t |e(u)|^2 du, composite Simpson on each whole interval
     of u, _BLOCK intervals per gather through one stencil, and on the partial
-    one.  Either part's node arrays are bounded independent of t.
+    one.  Either part's node arrays are bounded independent of t.  The
+    inside's table of 2(N-1) rows of about 200 nodes grows with N, and a table
+    of more than dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a
+    ValueError before any row is built.
     """
     check_trace_times(trace, t)
     t = float(max(t, 0.0))

@@ -482,3 +482,31 @@ def test_waveguide_probability_memory_does_not_grow_with_t():
             tracemalloc.stop()
 
     assert peak(4000.0) <= 2.0 * peak(400.0)
+
+
+def test_inside_cone_budget_checked_before_allocation():
+    # at MAX_N_LEGS the cone's table would be 2(N-1) rows of 201 nodes, 26 M values
+    params = GiantAtomParams(2 ** 16, 1e-6, 1.0)
+    trace = integrate_beta(params, 1.0, 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^the inside cone of 65536 coupling points "
+                                             "needs 2.63e[+]07 values, above the budget of "
+                                             "16777216$"):
+            total_probability(params, trace, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_inside_cone_budget_is_exact(monkeypatch):
+    # N = 3 at a whole t: 2(N-1) = 4 rows of one cell's 201 nodes
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    trace = integrate_beta(params, 2.0, 16)
+    ref = total_probability(params, trace, 2.0)
+    monkeypatch.setattr(field, "MAX_TRACE_SAMPLES", 803)
+    with pytest.raises(ValueError, match="needs 804 values, above the budget of 803$"):
+        total_probability(params, trace, 2.0)
+    monkeypatch.setattr(field, "MAX_TRACE_SAMPLES", 804)
+    assert total_probability(params, trace, 2.0) == ref

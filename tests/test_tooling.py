@@ -63,36 +63,56 @@ def test_code_lines_exit_codes(code_lines_module, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("usage:")
 
 
-def test_march_timing_prints_one_row_per_case(capsys):
-    march_timing = _load("march_timing")
-    assert march_timing.main(["--n-legs", "3", "--steps-per-tau", "16", "--t-max", "2",
+def test_layer_timing_prints_one_row_per_case_in_each_table(capsys):
+    layer_timing = _load("layer_timing")
+    assert layer_timing.main(["--n-legs", "3", "--steps-per-tau", "16", "--t-max", "2",
                               "--repeat", "1"]) == 0
-    header, columns, *rows = capsys.readouterr().out.splitlines()
-    assert header == "integrate_beta, us per tau interval (t_max = 2, best of 1)"
-    assert columns.split() == ["N", "M", "us"]
-    [(n_legs, m, us)] = [row.split() for row in rows]
+    (march_header, march_columns, march_row,
+     field_header, field_columns, field_row) = capsys.readouterr().out.splitlines()
+    assert march_header == "integrate_beta, us per tau interval (t_max = 2, best of 1)"
+    assert march_columns.split() == ["N", "M", "us"]
+    n_legs, m, us = march_row.split()
     assert (n_legs, m) == ("3", "16") and float(us) > 0.0
-
-
-def test_field_timing_prints_one_row_per_case(capsys):
-    field_timing = _load("field_timing")
-    assert field_timing.main(["--n-legs", "3", "--t", "2.5", "--repeat", "1"]) == 0
-    header, columns, *rows = capsys.readouterr().out.splitlines()
-    assert header == "field quadratures, ms per call (t = 2.5, M = 64, best of 1)"
-    assert columns.split() == ["N", "cone", "flux"]
-    [(n_legs, cone, flux)] = [row.split() for row in rows]
+    assert field_header == "field quadratures, ms per call (t = 1.5, M = 64, best of 1)"
+    assert field_columns.split() == ["N", "cone", "flux"]
+    n_legs, cone, flux = field_row.split()
     assert n_legs == "3" and float(cone) > 0.0 and float(flux) > 0.0
 
 
-def test_mutants_reports_the_inert_edit_as_a_survivor(capsys):
+# a two-file tree for mutants.py to copy: a budget comparison, the comment the
+# inert edit touches, and one test that pins the comparison at its boundary
+TOY_TREE = {
+    "pyproject.toml": '[tool.pytest.ini_options]\ntestpaths = ["tests"]\n',
+    "src/toy.py": (
+        "# Most coupling points a job may ask for\n"
+        "BUDGET = 100\n\n\n"
+        "def check(count, budget=BUDGET):\n"
+        "    if not count <= budget:\n"
+        "        raise ValueError(f'{count} is above the budget of {budget}')\n"),
+    "tests/test_toy.py": (
+        "import pytest\n\nfrom toy import check\n\n\n"
+        "def test_budget_rejects():\n"
+        "    with pytest.raises(ValueError):\n"
+        "        check(101)\n"
+        "    check(100)\n"),
+}
+
+
+def test_mutants_reports_the_inert_edit_as_a_survivor(capsys, monkeypatch, tmp_path):
     mutants = _load("mutants")
-    core = "src/giant_atom/core.py"
-    selector = ("tests/test_core.py::TestInputRules::test_budget_rejects",)
-    killed = mutants.Mutant(core, "if not count <= budget:", "if not count < budget:", selector)
-    inert = mutants.Mutant(core, "# Most coupling points", "# The most coupling points", selector)
+    for name, text in TOY_TREE.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    # the toy needs no plugin; loading the installed ones is most of each run's start-up
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
+    toy = "src/toy.py"
+    selector = ("tests/test_toy.py::test_budget_rejects",)
+    killed = mutants.Mutant(toy, "if not count <= budget:", "if not count < budget:", selector)
+    inert = mutants.Mutant(toy, "# Most coupling points", "# The most coupling points", selector)
     assert mutants.main((killed, inert)) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith(f"killed: {core}: 'if not count <= budget:'")
-    assert out[1].startswith(f"survived: {core}: '# Most coupling points'")
+    assert out[0].startswith(f"killed: {toy}: 'if not count <= budget:'")
+    assert out[1].startswith(f"survived: {toy}: '# Most coupling points'")
     assert out[2].startswith("2 mutants, 1 survived, 0 errors")
-    assert out[3:] == [f"survivor: {core}: {inert.old!r} -> {inert.new!r}"]
+    assert out[3:] == [f"survivor: {toy}: {inert.old!r} -> {inert.new!r}"]
