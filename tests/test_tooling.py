@@ -1,6 +1,8 @@
 """The repository's own tooling under .github/."""
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -63,19 +65,31 @@ def test_code_lines_exit_codes(code_lines_module, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("usage:")
 
 
-def test_layer_timing_prints_one_row_per_case_in_each_table(capsys):
-    layer_timing = _load("layer_timing")
-    assert layer_timing.main(["--n-legs", "3", "--steps-per-tau", "16", "--t-max", "2",
-                              "--repeat", "1"]) == 0
-    (march_header, march_columns, march_row,
-     field_header, field_columns, field_row) = capsys.readouterr().out.splitlines()
-    assert march_header == "integrate_beta, us per tau interval (t_max = 2, best of 1)"
-    assert march_columns.split() == ["N", "M", "us"]
-    n_legs, m, us = march_row.split()
+@pytest.fixture(scope="module")
+def layer_timing_tables():
+    """The march table's lines and the field table's lines of one small run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _load("layer_timing").main(["--n-legs", "3", "--steps-per-tau", "16",
+                                           "--t-max", "2", "--repeat", "1"]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 6
+    return lines[:3], lines[3:]
+
+
+def test_march_timing_prints_one_row_per_case(layer_timing_tables):
+    header, columns, *rows = layer_timing_tables[0]
+    assert header == "integrate_beta, us per tau interval (t_max = 2, best of 1)"
+    assert columns.split() == ["N", "M", "us"]
+    [(n_legs, m, us)] = [row.split() for row in rows]
     assert (n_legs, m) == ("3", "16") and float(us) > 0.0
-    assert field_header == "field quadratures, ms per call (t = 1.5, M = 64, best of 1)"
-    assert field_columns.split() == ["N", "cone", "flux"]
-    n_legs, cone, flux = field_row.split()
+
+
+def test_field_timing_prints_one_row_per_case(layer_timing_tables):
+    header, columns, *rows = layer_timing_tables[1]
+    assert header == "field quadratures, ms per call (t = 1.5, M = 64, best of 1)"
+    assert columns.split() == ["N", "cone", "flux"]
+    [(n_legs, cone, flux)] = [row.split() for row in rows]
     assert n_legs == "3" and float(cone) > 0.0 and float(flux) > 0.0
 
 
