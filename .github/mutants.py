@@ -2,7 +2,8 @@
 
 Each entry of MUTANTS names a file, an exact text that must occur there once,
 the text that replaces it, and the pytest selector that should notice.  For
-every entry src, tests and pyproject.toml are copied to a temporary directory.
+every entry src, tests, pyproject.toml and README.md (whose commands
+tests/test_readme.py runs) are copied to a temporary directory.
 An old text that is missing there or occurs more than once is an error, so a
 refactor that moves a line fails loudly instead of passing silently.  The
 selector must pass unmutated (checked once per selector): a red selector is an
@@ -49,18 +50,22 @@ SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the
 
 MUTANTS = (
     # field: the carried rows, the N-row window, the cell's cuts, the probe at
-    # the node in place of the panel's midpoint, Simpson's weights, the
-    # reversed prefix sum of R+ one row off, and the flux table's last node let
-    # out of its interval, so that its stencil reads past the interval's last
-    # sample instead of sitting on it at offset 1
+    # the node in place of the panel's midpoint, Simpson's weights, the mirrored
+    # prefix sums (phi_L) one row off or read without reversing the nodes, a right
+    # panel group that is not the left one mirrored, and the flux table's last
+    # node let out of its interval, so that its stencil reads past the interval's
+    # last sample instead of sitting on it at offset 1
     Mutant(FIELD, "rows[:n_legs - 1] = rows[count:][:n_legs - 1]", "rows[:n_legs - 1] = 0", FLUX),
     Mutant(FIELD, "sliding_window_view(rows, n_legs, axis=0)",
            "sliding_window_view(rows, n_legs - 1, axis=0)", FLUX),
-    Mutant(FIELD, "np.sort([0.0, f, 1.0 - f, 1.0])", "np.sort([0.0, f, 1.0])", CONE),
-    Mutant(FIELD, "sides * np.concatenate(probes)", "sides * np.concatenate(nodes)", CONE),
+    Mutant(FIELD, "a = min(f, 1.0 - f)", "a = f", CONE),
+    Mutant(FIELD, "shifts - np.concatenate(probes) >= 0.0",
+           "shifts - np.concatenate(nodes) >= 0.0", CONE),
     Mutant(FIELD, "np.tile([4.0, 2.0], k // 2)", "np.tile([2.0, 4.0], k // 2)", CONE),
-    Mutant(FIELD, "np.cumsum(rows[n:], axis=0)[::-1]",
-           "np.roll(np.cumsum(rows[n:], axis=0)[::-1], 1, axis=0)", ROW_CONE),
+    Mutant(FIELD, "ends + ends[::-1, ::-1]", "ends + np.roll(ends[::-1, ::-1], 1, axis=0)",
+           ROW_CONE),
+    Mutant(FIELD, "ends + ends[::-1, ::-1]", "ends + ends[::-1]", ROW_CONE),
+    Mutant(FIELD, "(1.0 - a, a)):", "(1.0 - a, 1.0 - (1.0 - a))):", ROW_CONE),
     Mutant(FIELD, "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)",
            "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau + 3)", TRACE_END),
     # dde: the scan's start-value correction, the scan's reach, the interval budget,
@@ -76,9 +81,12 @@ MUTANTS = (
     # dde: the dense output's snap onto a sample
     Mutant(DDE, "np.abs(pos - nearest) <= _GRID_SNAP", "np.abs(pos - nearest) < 0.0",
            ("tests/test_dde.py::TestDenseOutput::test_snapped_grid_hits_bit_identical",)),
-    # cli: beta.csv's |b|^2 from an array form that rounds differently in the last bit
+    # cli: beta.csv's |b|^2 from an array form that rounds differently in the last
+    # bit, and a manifest that leaves out --stride
     Mutant("src/giant_atom/cli.py", "np.float_power(np.hypot(b.real, b.imag), 2)",
            "np.abs(b) ** 2", ("tests/test_cli.py::TestCsvBytes::test_simulate_beta_csv",)),
+    Mutant("src/giant_atom/cli.py", 'if key != "func"},', 'if key not in ("func", "stride")},',
+           ("tests/test_readme.py::test_manifest_params_rerun_the_command",)),
     # spectral: no seed at -(i omega + N gamma/2), the root of F's non-delayed part
     Mutant("src/giant_atom/spectral.py",
            "seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),\n"
@@ -112,7 +120,8 @@ def _copy(dest: Path) -> None:
     junk = shutil.ignore_patterns("__pycache__", "*.egg-info")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=junk)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _passes(work: Path, selector: tuple[str, ...]) -> bool:

@@ -41,9 +41,10 @@ DEFAULT_STEPS_PER_TAU = 256
 # written straight into one complex array at 16 bytes per sample (about 268 MB
 # at this budget).  At the default 256 steps per tau it allows t_max up to 32768.
 # The march's scratch arrays each hold about one interval, 2*steps_per_tau + 1
-# samples, whatever t_max is; that count is held to the same budget.  So is the
-# table of field.waveguide_probability's inside cone, 2(N-1) rows of about 200
-# nodes each, which grows with N alone and is checked before any row is built.
+# samples, whatever t_max is; that count is held to the same budget.  So is
+# field.waveguide_probability's inside cone, N-1 rows of about 200 nodes each
+# and their prefix sums, held at once, which grows with N alone and is checked
+# before any row is built.
 MAX_TRACE_SAMPLES = 2 ** 24
 
 # steps per chunk map: the smallest steps_per_tau, so M = 16 is one chunk and no scan

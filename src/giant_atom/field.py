@@ -21,12 +21,14 @@ e(u) = sum_{l=0}^{N-1} beta(u - l) * Theta(u - l) (the input-output view of a
 cascaded emitter, Gardiner & Collett, PRA 31, 3761, 1985).  Both
 quadratures read beta on rows of nodes at whole-tau shifts of one pattern.
 Inside, every cell [c, c+1] between neighbouring coupling points has the same
-kinks, so one cell's Simpson panels serve all N-1 cells, and 2(N-1) rows of
-beta on that cell's nodes, one per whole distance to a coupling point on
-either side, give phi on every cell by two prefix sums, at a cost that does
-not grow with t.  The flux takes one row of nodes per whole interval of u,
-gathered through one interpolation stencil built per call, and e on interval
-k is the sum of rows k-N+1 .. k.
+kinks, so one cell's Simpson panels, mirror-symmetric about its centre, serve
+all N-1 cells.  N-1 rows of beta on that cell's nodes, one per whole distance
+to a coupling point, give the right-moving part of phi on every cell by one
+prefix sum, and the left-moving part is the same sums mirrored, since the
+coupling points mirror about the atom's centre; the cost does not grow with
+t.  The flux takes one row of nodes per whole interval of u, gathered through
+one interpolation stencil built per call, and e on interval k is the sum of
+rows k-N+1 .. k.
 """
 
 from __future__ import annotations
@@ -119,35 +121,36 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     """Composite Simpson integral of p(x, t) over the atom [0, N-1].
 
     |phi|^2 can kink only where t - |x - x_m| is whole, so every cell [c, c+1]
-    has the same cuts, c + frac(t) and c + 1 - frac(t).  One cell's panels run
-    between them in even numbers of steps of at most DEFAULT_DX.  At x = c + y
-    point m <= c reads beta(t - d - y) with d = c - m, and point m > c reads
-    beta(t - d + y) with d = m - c, so on the cell's nodes y the 2(N-1) rows
-    R-[d] = beta(t - d - y), d = 0 .. N-2, and R+[d] = beta(t - d + y),
-    d = 1 .. N-1, serve every cell: phi on cell c sums R-[0 .. c] and
-    R+[1 .. N-1-c], one prefix sum of each.  A row counts on a whole panel or
-    not at all, by the light cone at the panel's midpoint, so a wavefront end
-    takes beta(0).
+    has the same cuts, c + a and c + 1 - a with a = min(frac(t), 1 - frac(t)).
+    One cell's panels run between them in even numbers of steps of at most
+    DEFAULT_DX, the right group the left one mirrored, so node y's mirror
+    1 - y is a node too.  At x = c + y point m <= c reads beta(t - d - y)
+    with d = c - m, and point m > c reads beta(t - e + y), which is
+    beta(t - (e - 1) - (1 - y)), with e = m - c.  So the N-1 rows
+    R[d] = beta(t - d - y), d = 0 .. N-2, serve every cell: with ends the
+    prefix sums of R, phi_R on cell c is ends[c] and phi_L is ends[N-2-c]
+    read at 1 - y, one prefix sum for both.  A row counts on a whole
+    panel or not at all, by the light cone at the panel's midpoint, so a
+    wavefront end takes beta(0).
     """
     f = t - math.floor(t)
-    cuts = np.sort([0.0, f, 1.0 - f, 1.0])
+    a = min(f, 1.0 - f)
     nodes, probes, weights = [], [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a >= 1e-12:
-            k = _panels(b - a)
-            nodes.append(a + (b - a) / k * np.arange(k + 1))
-            probes.append(np.full(k + 1, 0.5 * (a + b)))
-            weights.append((b - a) / (3.0 * k) * _simpson_weights(k))
+    for start, width in ((0.0, a), (a, (1.0 - a) - a), (1.0 - a, a)):
+        if width >= 1e-12:
+            k = _panels(width)
+            nodes.append(start + width / k * np.arange(k + 1))
+            probes.append(np.full(k + 1, start + 0.5 * width))
+            weights.append(width / (3.0 * k) * _simpson_weights(k))
     n = params.n_legs - 1
+    # the N-1 rows and their prefix sums, held at once
     check_budget(f"the inside cone of {params.n_legs} coupling points",
                  2 * n * sum(map(len, nodes)), "values", MAX_TRACE_SAMPLES)
-    # row i reads beta(t - d + side*y): R-[d] (side -1) for d = 0 .. N-2, then R+[d] (side +1)
-    shifts = t - np.append(np.arange(n), np.arange(1, n + 1))[:, None]
-    sides = np.repeat([-1.0, 1.0], n)[:, None]
-    on = shifts + sides * np.concatenate(probes) >= 0.0
-    lags = np.clip(shifts + sides * np.concatenate(nodes), 0.0, trace.t_max)
-    rows = on * beta_at_many(trace, lags)
-    phi = np.cumsum(rows[:n], axis=0) + np.cumsum(rows[n:], axis=0)[::-1]
+    shifts = t - np.arange(n)[:, None]
+    on = shifts - np.concatenate(probes) >= 0.0
+    rows = on * beta_at_many(trace, np.clip(shifts - np.concatenate(nodes), 0.0, trace.t_max))
+    ends = np.cumsum(rows, axis=0)
+    phi = ends + ends[::-1, ::-1]
     return 0.5 * params.gamma_tau * float(np.sum(np.abs(phi) ** 2 @ np.concatenate(weights)))
 
 
@@ -211,15 +214,17 @@ def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
 def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """Field probability integrated over the light cone [x_1 - t, x_N + t].
 
-    The inside [0, N-1] is composite Simpson on one cell's panels between the
-    closed-form kinks of |phi|^2, with phi on all N-1 cells from 2(N-1) rows
-    of beta on that cell's nodes; the two tails outside it add the outgoing
-    flux gamma * int_0^t |e(u)|^2 du, composite Simpson on each whole interval
-    of u, _BLOCK intervals per gather through one stencil, and on the partial
-    one.  Either part's node arrays are bounded independent of t.  The
-    inside's table of 2(N-1) rows of about 200 nodes grows with N, and a table
-    of more than dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a
-    ValueError before any row is built.
+    The inside [0, N-1] is composite Simpson on one cell's mirror-symmetric
+    panels between the closed-form kinks of |phi|^2, with phi on all N-1 cells
+    from N-1 rows of beta on that cell's nodes, read forwards for the
+    right-moving waves and mirrored for the left-moving ones.  The two tails
+    outside it add the outgoing flux gamma * int_0^t |e(u)|^2 du, composite
+    Simpson on each whole interval of u, _BLOCK intervals per gather through
+    one stencil, and on the partial one.  Either part's node arrays are
+    bounded independent of t.  The inside's N-1 rows of about 200 nodes and
+    their prefix sums, held at once, grow with N, and more than
+    dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a ValueError
+    before any row is built.
     """
     check_trace_times(trace, t)
     t = float(max(t, 0.0))

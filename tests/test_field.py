@@ -384,14 +384,15 @@ def cone_by_cells(params, trace, t):
     it, so a wave counts on the panel by the panel, and a wavefront end reads
     beta(0) to within that shift."""
     f = t - math.floor(t)
-    cuts = np.sort([0.0, f, 1.0 - f, 1.0])
+    a = min(f, 1.0 - f)
     total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a >= 1e-12:
-            ys = np.linspace(a + 1e-13, b - 1e-13, field._panels(b - a) + 1)
+    # three groups between the cuts, the right one the left one mirrored
+    for start, width in ((0.0, a), (a, (1.0 - a) - a), (1.0 - a, a)):
+        if width >= 1e-12:
+            ys = np.linspace(start + 1e-13, start + width - 1e-13, field._panels(width) + 1)
             for c in range(params.n_legs - 1):
                 p = np.abs(field._phi(params, trace, c + ys, t)) ** 2
-                total += field._simpson(p, b - a)
+                total += field._simpson(p, width)
     return total
 
 
@@ -485,7 +486,8 @@ def test_waveguide_probability_memory_does_not_grow_with_t():
 
 
 def test_inside_cone_budget_checked_before_allocation():
-    # at MAX_N_LEGS the cone's table would be 2(N-1) rows of 201 nodes, 26 M values
+    # at MAX_N_LEGS the cone would hold N-1 rows of 201 nodes and their prefix sums,
+    # 26 M values
     params = GiantAtomParams(2 ** 16, 1e-6, 1.0)
     trace = integrate_beta(params, 1.0, 16)
     tracemalloc.start()
@@ -501,7 +503,7 @@ def test_inside_cone_budget_checked_before_allocation():
 
 
 def test_inside_cone_budget_is_exact(monkeypatch):
-    # N = 3 at a whole t: 2(N-1) = 4 rows of one cell's 201 nodes
+    # N = 3 at a whole t: N-1 = 2 rows of one cell's 201 nodes and their 2 prefix sums
     params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
     trace = integrate_beta(params, 2.0, 16)
     ref = total_probability(params, trace, 2.0)
@@ -510,3 +512,19 @@ def test_inside_cone_budget_is_exact(monkeypatch):
         total_probability(params, trace, 2.0)
     monkeypatch.setattr(field, "MAX_TRACE_SAMPLES", 804)
     assert total_probability(params, trace, 2.0) == ref
+
+
+def test_inside_cone_interpolates_one_row_per_distance(monkeypatch):
+    # the left-moving waves read the right-moving rows mirrored, so at N = 3 and a
+    # whole t beta is interpolated on N-1 = 2 rows of one cell's 201 nodes
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    trace = integrate_beta(params, 2.0, 16)
+    asked = []
+
+    def counting(trace, ts):
+        asked.append(np.size(ts))
+        return beta_at_many(trace, ts)
+
+    monkeypatch.setattr(field, "beta_at_many", counting)
+    _cone_integral(params, trace, 2.0)
+    assert asked == [402]

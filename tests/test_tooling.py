@@ -94,9 +94,11 @@ def test_field_timing_prints_one_row_per_case(layer_timing_tables):
 
 
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
-# inert edit touches, and one test that pins the comparison at its boundary
+# inert edit touches, and one test that pins the comparison at its boundary,
+# beside the pyproject.toml and README.md every copy takes
 TOY_TREE = {
     "pyproject.toml": '[tool.pytest.ini_options]\ntestpaths = ["tests"]\n',
+    "README.md": "# toy\n",
     "src/toy.py": (
         "# Most coupling points a job may ask for\n"
         "BUDGET = 100\n\n\n"
