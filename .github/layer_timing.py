@@ -6,7 +6,9 @@ included; the coupling is weak, so every M from 16 up gives a stable step.
 The field table marches one trace per N at gamma_tau = 0.4/N**2,
 omega_tau/2pi = 3.3 and M = 64 up to t_max, untimed, then times one call of
 the inside cone (field._cone_integral) and one of the outgoing flux
-(field._outgoing_flux) at t = t_max - 0.5.  Every time is the best of
+(field._outgoing_flux) at t = t_max - 0.5.  Each run is on a new trace object
+with the same samples, so the flux is walked from u = 0 every time rather
+than resumed where the previous run stopped.  Every time is the best of
 --repeat runs.  BLAS threads are whatever the environment sets.
 
     python .github/layer_timing.py
@@ -18,6 +20,7 @@ Run from the root of the repository.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -55,7 +58,8 @@ def main(argv: list[str]) -> int:
     for n_legs in args.n_legs:
         params = GiantAtomParams(n_legs, 0.4 / n_legs ** 2, 2.0 * math.pi * 3.3)
         trace = integrate_beta(params, t_max, 64)
-        cone, flux = (_best_s(lambda part=part: part(params, trace, t), repeat) * 1e3
+        cone, flux = (_best_s(lambda part=part: part(params, dataclasses.replace(trace), t),
+                              repeat) * 1e3
                       for part in (field._cone_integral, field._outgoing_flux))
         print(f"{n_legs:4d} {cone:10.2f} {flux:10.2f}")
     return 0

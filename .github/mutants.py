@@ -45,6 +45,7 @@ CONE = ("tests/test_field.py::TestConeQuadrature::test_matches_panel_loop",)
 FLUX = ("tests/test_field.py::test_outgoing_flux_against_exact_series",)
 ROW_CONE = ("tests/test_field.py::test_row_cone_matches_phi_cell_by_cell",)
 TRACE_END = ("tests/test_field.py::test_waveguide_probability_at_the_trace_end",)
+RESUME = ("tests/test_field.py::test_resumed_flux_matches_a_cold_walk",)
 MARCH = ("tests/test_dde.py::test_matches_scalar_march",)
 SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the_work",)
 
@@ -68,6 +69,12 @@ MUTANTS = (
     Mutant(FIELD, "(1.0 - a, a)):", "(1.0 - a, 1.0 - (1.0 - a))):", ROW_CONE),
     Mutant(FIELD, "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)",
            "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau + 3)", TRACE_END),
+    # field: the flux walk resumed from a cursor past t, without its carried rows,
+    # from another trace's cursor, and from another N's
+    Mutant(FIELD, "legs == n_legs and done <= whole)", "legs == n_legs)", RESUME),
+    Mutant(FIELD, "rows[:n_legs - 1] = carry", "pass", RESUME),
+    Mutant(FIELD, "(ref() is trace and legs", "(legs", RESUME),
+    Mutant(FIELD, "legs == n_legs and done", "done", RESUME),
     # dde: the scan's start-value correction, the scan's reach, the interval budget,
     # an interval's padded last chunk left out, and the scan's last doubling pass
     Mutant(DDE, "np.subtract(local[:-1, -1], starts, out=carry[1:])",

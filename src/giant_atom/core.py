@@ -177,7 +177,9 @@ class AmplitudeTrace:
 
     dt is the marching step tau/M; samples[k] holds beta(k * dt/2), so the
     stored resolution is twice the marching resolution (see the dde module
-    for why the half steps exist).
+    for why the half steps exist).  A trace's samples must not change after
+    a field quadrature has read them: the outgoing flux keeps the state of
+    its walk per trace object, and dde.integrate_beta returns them read-only.
     """
 
     dt: float

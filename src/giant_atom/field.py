@@ -27,13 +27,16 @@ to a coupling point, give the right-moving part of phi on every cell by one
 prefix sum, and the left-moving part is the same sums mirrored, since the
 coupling points mirror about the atom's centre; the cost does not grow with
 t.  The flux takes one row of nodes per whole interval of u, gathered through
-one interpolation stencil built per call, and e on interval k is the sum of
-rows k-N+1 .. k.
+one interpolation stencil built per walk, and e on interval k is the sum of
+rows k-N+1 .. k.  The walk keeps its N-1 last rows and its running sum,
+O(N * 201) values whatever t is, so a later call on the same trace at a later
+time resumes it instead of walking again from u = 0.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,10 @@ __all__ = [
 DEFAULT_DX = 1.0 / 200.0
 _BLOCK = 16       # whole tau intervals per block of the outgoing flux
 _DARK_TOL = 1e-10  # largest |F(-i Omega_n)| over F's term scale at which index n is dark
+# where the last outgoing-flux walk stopped: its trace (weakly), n_legs, the whole
+# intervals walked, the N-1 rows carried past them and the power summed over them;
+# its arrays are never written in place
+_cursor = (lambda: None, 0, 0, 0.0, 0.0)  # no walk yet
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,14 @@ def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     buffer after the N-1 rows carried from before the block (zero before
     u = 0), and e is a sum over a sliding window of N rows of that buffer; the
     partial interval [floor(t), t] takes rows of its own.
+
+    The walk resumes where the last one stopped (_cursor) when that was on
+    the same trace object and n_legs and at most floor(t) whole intervals in,
+    so calls at ascending times on one trace walk each interval once; any
+    other call walks from u = 0.  The state kept is the N-1 carried rows and
+    power, O(N * 201) values whatever t is.
     """
+    global _cursor
     n_legs, whole = params.n_legs, int(math.floor(t))
     nsub, per_tau, item = _panels(1.0), 2 * trace.steps_per_tau, trace.samples.itemsize
     first, weights = _stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)
@@ -197,13 +211,18 @@ def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     rows = np.zeros((n_legs - 1 + _BLOCK, nsub + 1), dtype=complex)  # N-1 carried, then new
     # windows[i] holds the N rows whose sum is e on the block's interval i
     windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)
-    power = np.zeros(nsub + 1)  # |e|^2 summed over the whole intervals, node by node
-    for start in range(0, whole, _BLOCK):
+    ref, legs, done, carry, power = _cursor
+    if not (ref() is trace and legs == n_legs and done <= whole):
+        done, carry, power = 0, 0.0, 0.0  # the empty state: a walk from u = 0
+    rows[:n_legs - 1] = carry
+    power = np.zeros(nsub + 1) + power  # |e|^2 summed over the whole intervals, node by node
+    for start in range(done, whole, _BLOCK):
         count = min(_BLOCK, whole - start)
         np.einsum("kjs,js->kj", samples[start:start + count, cols], weights,
                   out=rows[n_legs - 1:][:count])
         power += np.sum(np.abs(windows[:count].sum(-1)) ** 2, axis=0)
         rows[:n_legs - 1] = rows[count:][:n_legs - 1]
+    _cursor = (weakref.ref(trace), n_legs, whole, rows[:n_legs - 1].copy(), power)
     frac = t - whole
     nsub = _panels(frac)
     starts = np.arange(max(0, whole - n_legs + 1), whole + 1)[:, None]
@@ -220,11 +239,14 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
     right-moving waves and mirrored for the left-moving ones.  The two tails
     outside it add the outgoing flux gamma * int_0^t |e(u)|^2 du, composite
     Simpson on each whole interval of u, _BLOCK intervals per gather through
-    one stencil, and on the partial one.  Either part's node arrays are
-    bounded independent of t.  The inside's N-1 rows of about 200 nodes and
-    their prefix sums, held at once, grow with N, and more than
-    dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a ValueError
-    before any row is built.
+    one stencil, and on the partial one.  The walk over the whole intervals
+    resumes from the last call's on the same trace object and n_legs when t
+    has not gone back past it, so ascending times on one trace cost one walk
+    in all; what it keeps, the N-1 carried rows and the running sum, is
+    O(N * 201) values.  Either part's node arrays are bounded independent of
+    t.  The inside's N-1 rows of about 200 nodes and their prefix sums, held
+    at once, grow with N, and more than dde.MAX_TRACE_SAMPLES values (from
+    about N = 41,000 on) is a ValueError before any row is built.
     """
     check_trace_times(trace, t)
     t = float(max(t, 0.0))

@@ -161,6 +161,14 @@ def test_initial_condition_and_contractivity(dark_n1_trace_200):
     assert np.abs(dark_n1_trace_200.samples).max() <= 1.0 + 1e-9
 
 
+def test_trace_samples_are_read_only(dark_n1_params):
+    # the field quadratures keep state read off a trace, so its samples stay fixed
+    trace = integrate_beta(dark_n1_params, 2.0, 16)
+    with pytest.raises(ValueError, match="read-only"):
+        trace.samples[0] = 0
+    assert trace.samples[0] == 1.0 + 0.0j
+
+
 def test_pre_delay_exponential(dark_n1_params):
     # before the first delay interval closes, the dynamics is a bare exponential
     tr = integrate_beta(dark_n1_params, 3.0, 256)

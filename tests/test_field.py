@@ -1,5 +1,9 @@
+import dataclasses
+import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -458,16 +462,75 @@ def test_outgoing_flux_against_exact_series(monkeypatch, n_legs):
         assert np.all(errs[256] > 1000.0 * errs[2048])
 
 
+def cold_walk(params, trace, t):
+    """waveguide_probability with the outgoing flux walked from u = 0, on a new
+    object with the trace's samples.  A walk at another N to t_max, on another
+    such object, goes first, so the flux cursor left for this call differs from
+    it in trace object, in N and, below t_max, in position."""
+    other = GiantAtomParams(params.n_legs + 1, params.gamma_tau, params.omega_tau)
+    waveguide_probability(other, dataclasses.replace(trace), trace.t_max)
+    return waveguide_probability(params, dataclasses.replace(trace), t)
+
+
 @pytest.mark.parametrize("block", [1, 2])
 @pytest.mark.parametrize("n_legs", [2, 7])
 def test_flux_blocks_match(monkeypatch, n_legs, block):
-    # at N = 7 the carry of N - 1 rows reaches back across several blocks
+    # at N = 7 the carry of N - 1 rows reaches back across several blocks; both
+    # sides are cold walks, so neither reads a cursor the other left
     params = GiantAtomParams(n_legs, 0.05, TWO_PI * 3.3)
     trace = integrate_beta(params, 40.0, 256)
-    ref = [waveguide_probability(params, trace, t) for t in CONE_TIMES]
+    ref = [cold_walk(params, trace, t) for t in CONE_TIMES]
     monkeypatch.setattr(field, "_BLOCK", block)
-    got = [waveguide_probability(params, trace, t) for t in CONE_TIMES]
+    got = [cold_walk(params, trace, t) for t in CONE_TIMES]
     assert np.abs(np.subtract(got, ref)).max() <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def flux_traces():
+    params = {n: GiantAtomParams(n, 0.05, TWO_PI * 3.3) for n in (2, 7)}
+    return params, [integrate_beta(params[n], 40.0, 256) for n in (2, 7)]
+
+
+RESUME_CALLS = {  # (N, trace, t) in the order called
+    "ascending": [(2, 0, t) for t in CONE_TIMES],
+    "descending": [(2, 0, t) for t in CONE_TIMES[::-1]],
+    "repeated": [(2, 0, t) for t in (16.3, 16.3, 16.0, 33.3, 33.3, 40.0, 40.0)],
+    "n_alternating": [(n, 0, t) for n, t in zip(itertools.cycle((2, 2, 7, 7)), CONE_TIMES)],
+    "traces_interleaved": [(7, i, t) for i, t in zip(itertools.cycle((0, 0, 1, 1)), CONE_TIMES)],
+}
+
+
+@pytest.mark.parametrize("case", RESUME_CALLS)
+def test_resumed_flux_matches_a_cold_walk(flux_traces, case):
+    # a call on the trace object and N of the last flux walk, not before where it
+    # stopped, resumes it; any other call walks from u = 0
+    params, traces = flux_traces
+    calls = [(params[n], traces[i], t) for n, i, t in RESUME_CALLS[case]]
+    cold = [cold_walk(p, trace, t) for p, trace, t in calls]
+    got = [waveguide_probability(p, trace, t) for p, trace, t in calls]
+    assert np.abs(np.subtract(got, cold)).max() <= 1e-14
+
+
+def test_resumed_flux_under_threads(flux_traces):
+    # four threads walk ascending times over and over on one trace and N,
+    # switching every microsecond, so one resumes a cursor while another walks
+    # on from it: a call may only read a published state, never write it
+    params, traces = flux_traces
+    cold = {t: cold_walk(params[2], traces[0], t) for t in CONE_TIMES}
+
+    def walk():
+        return [waveguide_probability(params[2], traces[0], t) - cold[t]
+                for _ in range(8) for t in CONE_TIMES]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(walk) for _ in range(4)]
+            errs = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.abs(errs).max() <= 1e-14
 
 
 def test_waveguide_probability_memory_does_not_grow_with_t():
