@@ -8,8 +8,12 @@ omega_tau/2pi = 3.3 and M = 64 up to t_max, untimed, then times one call of
 the inside cone (field._cone_integral) and one of the outgoing flux
 (field._outgoing_flux) at t = t_max - 0.5.  Each run is on a new trace object
 with the same samples, so the flux is walked from u = 0 every time rather
-than resumed where the previous run stopped.  Every time is the best of
---repeat runs.  BLAS threads are whatever the environment sets.
+than resumed where the previous run stopped.  Its last column, per_tau, is
+the mean time of one field.total_probability call over the whole times
+0 .. floor(t_max) in ascending order on one new trace object: the walk
+resumes from call to call, so this is what a per-tau diagnostic pays, its
+set-up included.  Every time is the best of --repeat runs.  BLAS threads are
+whatever the environment sets.
 
     python .github/layer_timing.py
     python .github/layer_timing.py --n-legs 3 --steps-per-tau 16 --t-max 1000
@@ -54,14 +58,22 @@ def main(argv: list[str]) -> int:
             best = _best_s(lambda m=m: integrate_beta(params, t_max, m), repeat)
             print(f"{n_legs:4d} {m:6d} {best / t_max * 1e6:10.2f}")
     print(f"field quadratures, ms per call (t = {t:g}, M = 64, best of {repeat})")
-    print(f"{'N':>4} {'cone':>10} {'flux':>10}")
+    print(f"{'N':>4} {'cone':>10} {'flux':>10} {'per_tau':>10}")
+    whole = range(int(t_max) + 1)
     for n_legs in args.n_legs:
         params = GiantAtomParams(n_legs, 0.4 / n_legs ** 2, 2.0 * math.pi * 3.3)
         trace = integrate_beta(params, t_max, 64)
         cone, flux = (_best_s(lambda part=part: part(params, dataclasses.replace(trace), t),
                               repeat) * 1e3
                       for part in (field._cone_integral, field._outgoing_flux))
-        print(f"{n_legs:4d} {cone:10.2f} {flux:10.2f}")
+
+        def per_tau(params=params, trace=trace):
+            fresh = dataclasses.replace(trace)
+            for tau in whole:
+                field.total_probability(params, fresh, float(tau))
+
+        each = _best_s(per_tau, repeat) / len(whole) * 1e3
+        print(f"{n_legs:4d} {cone:10.2f} {flux:10.2f} {each:10.3f}")
     return 0
 
 

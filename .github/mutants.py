@@ -46,6 +46,8 @@ FLUX = ("tests/test_field.py::test_outgoing_flux_against_exact_series",)
 ROW_CONE = ("tests/test_field.py::test_row_cone_matches_phi_cell_by_cell",)
 TRACE_END = ("tests/test_field.py::test_waveguide_probability_at_the_trace_end",)
 RESUME = ("tests/test_field.py::test_resumed_flux_matches_a_cold_walk",)
+RESUMES = ("tests/test_field.py::test_flux_walk_resumes_over_ascending_times",)
+SHARED = ("tests/test_field.py::test_cached_patterns_are_shared_safely",)
 MARCH = ("tests/test_dde.py::test_matches_scalar_march",)
 SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the_work",)
 
@@ -55,13 +57,14 @@ MUTANTS = (
     # prefix sums (phi_L) one row off or read without reversing the nodes, a right
     # panel group that is not the left one mirrored, and the flux table's last
     # node let out of its interval, so that its stencil reads past the interval's
-    # last sample instead of sitting on it at offset 1
+    # last sample instead of sitting on it at offset 1, the partial interval
+    # skipped at every t, not only at a whole one, and a cached pattern left
+    # writable
     Mutant(FIELD, "rows[:n_legs - 1] = rows[count:][:n_legs - 1]", "rows[:n_legs - 1] = 0", FLUX),
     Mutant(FIELD, "sliding_window_view(rows, n_legs, axis=0)",
            "sliding_window_view(rows, n_legs - 1, axis=0)", FLUX),
-    Mutant(FIELD, "a = min(f, 1.0 - f)", "a = f", CONE),
-    Mutant(FIELD, "shifts - np.concatenate(probes) >= 0.0",
-           "shifts - np.concatenate(nodes) >= 0.0", CONE),
+    Mutant(FIELD, "_cone_cell(min(f, 1.0 - f))", "_cone_cell(f)", CONE),
+    Mutant(FIELD, "shifts - probes >= 0.0", "shifts - nodes >= 0.0", CONE),
     Mutant(FIELD, "np.tile([4.0, 2.0], k // 2)", "np.tile([2.0, 4.0], k // 2)", CONE),
     Mutant(FIELD, "ends + ends[::-1, ::-1]", "ends + np.roll(ends[::-1, ::-1], 1, axis=0)",
            ROW_CONE),
@@ -69,12 +72,16 @@ MUTANTS = (
     Mutant(FIELD, "(1.0 - a, a)):", "(1.0 - a, 1.0 - (1.0 - a))):", ROW_CONE),
     Mutant(FIELD, "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)",
            "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau + 3)", TRACE_END),
+    Mutant(FIELD, "if not frac:", "if frac < 1.0:", FLUX),
+    Mutant(FIELD, "    array.flags.writeable = False\n", "", SHARED),
     # field: the flux walk resumed from a cursor past t, without its carried rows,
-    # from another trace's cursor, and from another N's
+    # from another trace's cursor, and from another N's; and never resumed
     Mutant(FIELD, "legs == n_legs and done <= whole)", "legs == n_legs)", RESUME),
     Mutant(FIELD, "rows[:n_legs - 1] = carry", "pass", RESUME),
     Mutant(FIELD, "(ref() is trace and legs", "(legs", RESUME),
     Mutant(FIELD, "legs == n_legs and done", "done", RESUME),
+    Mutant(FIELD, "if not (ref() is trace and legs == n_legs and done <= whole):",
+           "if not False:", RESUMES),
     # dde: the scan's start-value correction, the scan's reach, the interval budget,
     # an interval's padded last chunk left out, and the scan's last doubling pass
     Mutant(DDE, "np.subtract(local[:-1, -1], starts, out=carry[1:])",

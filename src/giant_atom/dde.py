@@ -198,8 +198,8 @@ def _stencil(pos: np.ndarray, lo, hi):
     pos = np.where(np.abs(pos - nearest) <= _GRID_SNAP, nearest, pos)
     i0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lo), hi - 3)
     u = pos - i0
-    return i0, (-(u - 1.0) * (u - 2.0) * (u - 3.0) / 6.0, u * (u - 2.0) * (u - 3.0) / 2.0,
-                -u * (u - 1.0) * (u - 3.0) / 2.0, u * (u - 1.0) * (u - 2.0) / 6.0)
+    u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
+    return i0, (-u1 * u2 * u3 / 6.0, u * u2 * u3 / 2.0, -u * u1 * u3 / 2.0, u * u1 * u2 / 6.0)
 
 
 def beta_at(trace: AmplitudeTrace, t: float) -> complex:

@@ -27,14 +27,18 @@ to a coupling point, give the right-moving part of phi on every cell by one
 prefix sum, and the left-moving part is the same sums mirrored, since the
 coupling points mirror about the atom's centre; the cost does not grow with
 t.  The flux takes one row of nodes per whole interval of u, gathered through
-one interpolation stencil built per walk, and e on interval k is the sum of
-rows k-N+1 .. k.  The walk keeps its N-1 last rows and its running sum,
-O(N * 201) values whatever t is, so a later call on the same trace at a later
-time resumes it instead of walking again from u = 0.
+one interpolation stencil built once per steps_per_tau, and e on interval k is
+the sum of rows k-N+1 .. k.  The inside cell's nodes, probes and weights are
+built once per cut and kept, read-only, in small caches beside the stencil.
+The walk keeps its N-1 last rows and its running sum, O(N * 201) values
+whatever t is, so a later call on the same trace at a later time resumes it
+instead of walking again from u = 0.  At a whole t the flux's partial
+interval is empty and is skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -128,10 +132,9 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     """Composite Simpson integral of p(x, t) over the atom [0, N-1].
 
     |phi|^2 can kink only where t - |x - x_m| is whole, so every cell [c, c+1]
-    has the same cuts, c + a and c + 1 - a with a = min(frac(t), 1 - frac(t)).
-    One cell's panels run between them in even numbers of steps of at most
-    DEFAULT_DX, the right group the left one mirrored, so node y's mirror
-    1 - y is a node too.  At x = c + y point m <= c reads beta(t - d - y)
+    has the same cuts, c + a and c + 1 - a with a = min(frac(t), 1 - frac(t)),
+    and one cell's nodes, probes and weights (_cone_cell, built once per a)
+    serve every cell.  At x = c + y point m <= c reads beta(t - d - y)
     with d = c - m, and point m > c reads beta(t - e + y), which is
     beta(t - (e - 1) - (1 - y)), with e = m - c.  So the N-1 rows
     R[d] = beta(t - d - y), d = 0 .. N-2, serve every cell: with ends the
@@ -141,7 +144,34 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     wavefront end takes beta(0).
     """
     f = t - math.floor(t)
-    a = min(f, 1.0 - f)
+    nodes, probes, weights = _cone_cell(min(f, 1.0 - f))
+    n = params.n_legs - 1
+    # the N-1 rows and their prefix sums, held at once
+    check_budget(f"the inside cone of {params.n_legs} coupling points",
+                 2 * n * len(nodes), "values", MAX_TRACE_SAMPLES)
+    shifts = t - np.arange(n)[:, None]
+    on = shifts - probes >= 0.0
+    rows = on * beta_at_many(trace, np.clip(shifts - nodes, 0.0, trace.t_max))
+    ends = np.cumsum(rows, axis=0)
+    phi = ends + ends[::-1, ::-1]
+    return 0.5 * params.gamma_tau * float(np.sum(np.abs(phi) ** 2 @ weights))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only, as every cached pattern is: callers share it."""
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=32)
+def _cone_cell(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One cell's Simpson nodes, the probe of each node's panel and the weights,
+    for cuts at a and 1 - a; built once per a, and read-only.
+
+    The panels run between the cuts in even numbers of steps of at most
+    DEFAULT_DX, the right group the left one mirrored, so node y's mirror
+    1 - y is a node too.  A node's probe is its panel group's midpoint.
+    """
     nodes, probes, weights = [], [], []
     for start, width in ((0.0, a), (a, (1.0 - a) - a), (1.0 - a, a)):
         if width >= 1e-12:
@@ -149,16 +179,7 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
             nodes.append(start + width / k * np.arange(k + 1))
             probes.append(np.full(k + 1, start + 0.5 * width))
             weights.append(width / (3.0 * k) * _simpson_weights(k))
-    n = params.n_legs - 1
-    # the N-1 rows and their prefix sums, held at once
-    check_budget(f"the inside cone of {params.n_legs} coupling points",
-                 2 * n * sum(map(len, nodes)), "values", MAX_TRACE_SAMPLES)
-    shifts = t - np.arange(n)[:, None]
-    on = shifts - np.concatenate(probes) >= 0.0
-    rows = on * beta_at_many(trace, np.clip(shifts - np.concatenate(nodes), 0.0, trace.t_max))
-    ends = np.cumsum(rows, axis=0)
-    phi = ends + ends[::-1, ::-1]
-    return 0.5 * params.gamma_tau * float(np.sum(np.abs(phi) ** 2 @ np.concatenate(weights)))
+    return tuple(_read_only(np.concatenate(part)) for part in (nodes, probes, weights))
 
 
 def _panels(width: float) -> int:
@@ -166,14 +187,28 @@ def _panels(width: float) -> int:
     return max(2, 2 * math.ceil(width / (2.0 * DEFAULT_DX)))
 
 
+@functools.lru_cache(maxsize=128)
 def _simpson_weights(k: int) -> np.ndarray:
-    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 over an even number k of panels."""
-    return np.concatenate([[1.0], np.tile([4.0, 2.0], k // 2)[:-1], [1.0]])
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 over an even number k of
+    panels; built once per k, and read-only."""
+    return _read_only(np.concatenate([[1.0], np.tile([4.0, 2.0], k // 2)[:-1], [1.0]]))
 
 
 def _simpson(values: np.ndarray, width: float) -> float:
     """Composite Simpson integral of an odd number of evenly spaced values across width."""
     return width / (3.0 * (len(values) - 1)) * float(values @ _simpson_weights(len(values) - 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _flux_stencil(per_tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """The outgoing flux's stencil on the nodes j/nsub of one whole interval of
+    per_tau steps: each node's four sample columns within the interval and their
+    four cubic weights; built once per per_tau, and read-only.  The last node
+    sits at offset 1 on the interval's own last sample.
+    """
+    nsub = _panels(1.0)
+    first, weights = _stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)
+    return _read_only(first[:, None] + np.arange(4)), _read_only(np.stack(weights, axis=-1))
 
 
 def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
@@ -184,13 +219,15 @@ def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     interval k is the sum of rows k-N+1 .. k: row k's first node takes copy
     l = k at beta(0), the right limit at the wavefront, and its last node
     leaves copy k+1 out, the left limit.  The nodes sit at one pattern in
-    every whole interval, so their stencil is built once: its first sample
-    within the interval and its four cubic weights, the last node at offset 1
-    on the interval's own last sample.  A block of _BLOCK whole intervals is
-    then one gather of their samples and one weighted sum, written into one
-    buffer after the N-1 rows carried from before the block (zero before
-    u = 0), and e is a sum over a sliding window of N rows of that buffer; the
-    partial interval [floor(t), t] takes rows of its own.
+    every whole interval, so their stencil (_flux_stencil) is built once per
+    steps_per_tau and shared by every call and trace at that step: the four
+    sample columns of each node within the interval and their cubic weights,
+    the last node at offset 1 on the interval's own last sample.  A block of
+    _BLOCK whole intervals is then one gather of their samples and one
+    weighted sum, written into one buffer after the N-1 rows carried from
+    before the block (zero before u = 0), and e is a sum over a sliding window
+    of N rows of that buffer.  The partial interval [floor(t), t] takes rows
+    of its own; at a whole t it is empty and is skipped.
 
     The walk resumes where the last one stopped (_cursor) when that was on
     the same trace object and n_legs and at most floor(t) whole intervals in,
@@ -200,22 +237,21 @@ def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     """
     global _cursor
     n_legs, whole = params.n_legs, int(math.floor(t))
-    nsub, per_tau, item = _panels(1.0), 2 * trace.steps_per_tau, trace.samples.itemsize
-    first, weights = _stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)
-    cols, weights = first[:, None] + np.arange(4), np.stack(weights, axis=-1)
+    per_tau, item = 2 * trace.steps_per_tau, trace.samples.itemsize
+    cols, weights = _flux_stencil(per_tau)
     # row k holds the 2M+1 samples of interval k, for every complete interval (none
     # in a trace shorter than one tau)
     samples = np.lib.stride_tricks.as_strided(
         trace.samples, ((len(trace.samples) - 1) // per_tau, per_tau + 1),
         (per_tau * item, item), writeable=False)
-    rows = np.zeros((n_legs - 1 + _BLOCK, nsub + 1), dtype=complex)  # N-1 carried, then new
+    rows = np.zeros((n_legs - 1 + _BLOCK, len(cols)), dtype=complex)  # N-1 carried, then new
     # windows[i] holds the N rows whose sum is e on the block's interval i
     windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)
     ref, legs, done, carry, power = _cursor
     if not (ref() is trace and legs == n_legs and done <= whole):
         done, carry, power = 0, 0.0, 0.0  # the empty state: a walk from u = 0
     rows[:n_legs - 1] = carry
-    power = np.zeros(nsub + 1) + power  # |e|^2 summed over the whole intervals, node by node
+    power = np.zeros(len(cols)) + power  # |e|^2 summed over the whole intervals, node by node
     for start in range(done, whole, _BLOCK):
         count = min(_BLOCK, whole - start)
         np.einsum("kjs,js->kj", samples[start:start + count, cols], weights,
@@ -224,6 +260,8 @@ def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
         rows[:n_legs - 1] = rows[count:][:n_legs - 1]
     _cursor = (weakref.ref(trace), n_legs, whole, rows[:n_legs - 1].copy(), power)
     frac = t - whole
+    if not frac:  # the partial interval [floor(t), t] is empty and adds nothing
+        return params.gamma_tau * _simpson(power, 1.0)
     nsub = _panels(frac)
     starts = np.arange(max(0, whole - n_legs + 1), whole + 1)[:, None]
     e = beta_at_many(trace, starts + frac / nsub * np.arange(nsub + 1)).sum(axis=0)
@@ -239,14 +277,18 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
     right-moving waves and mirrored for the left-moving ones.  The two tails
     outside it add the outgoing flux gamma * int_0^t |e(u)|^2 du, composite
     Simpson on each whole interval of u, _BLOCK intervals per gather through
-    one stencil, and on the partial one.  The walk over the whole intervals
-    resumes from the last call's on the same trace object and n_legs when t
-    has not gone back past it, so ascending times on one trace cost one walk
-    in all; what it keeps, the N-1 carried rows and the running sum, is
-    O(N * 201) values.  Either part's node arrays are bounded independent of
-    t.  The inside's N-1 rows of about 200 nodes and their prefix sums, held
-    at once, grow with N, and more than dde.MAX_TRACE_SAMPLES values (from
-    about N = 41,000 on) is a ValueError before any row is built.
+    one stencil, and on the partial one when t is not whole.  What depends
+    only on the step or the cut is built once and shared read-only: the
+    flux's stencil per steps_per_tau, the cell's nodes, probes and weights per
+    cut a = min(frac(t), 1 - frac(t)), and the Simpson weights per panel
+    count.  The walk over the whole intervals resumes from the last call's on
+    the same trace object and n_legs when t has not gone back past it, so
+    ascending times on one trace cost one walk in all; what it keeps, the N-1
+    carried rows and the running sum, is O(N * 201) values.  Either part's
+    node arrays are bounded independent of t.  The inside's N-1 rows of about
+    200 nodes and their prefix sums, held at once, grow with N, and more than
+    dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a ValueError
+    before any row is built.
     """
     check_trace_times(trace, t)
     t = float(max(t, 0.0))

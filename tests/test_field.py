@@ -500,6 +500,10 @@ RESUME_CALLS = {  # (N, trace, t) in the order called
 }
 
 
+# the patterns every call shares, built once per step or cut
+CACHED = (field._flux_stencil, field._simpson_weights, field._cone_cell)
+
+
 @pytest.mark.parametrize("case", RESUME_CALLS)
 def test_resumed_flux_matches_a_cold_walk(flux_traces, case):
     # a call on the trace object and N of the last flux walk, not before where it
@@ -514,9 +518,12 @@ def test_resumed_flux_matches_a_cold_walk(flux_traces, case):
 def test_resumed_flux_under_threads(flux_traces):
     # four threads walk ascending times over and over on one trace and N,
     # switching every microsecond, so one resumes a cursor while another walks
-    # on from it: a call may only read a published state, never write it
+    # on from it: a call may only read a published state, never write it; the
+    # cached patterns start empty, so the threads also race to build them
     params, traces = flux_traces
     cold = {t: cold_walk(params[2], traces[0], t) for t in CONE_TIMES}
+    for helper in CACHED:
+        helper.cache_clear()
 
     def walk():
         return [waveguide_probability(params[2], traces[0], t) - cold[t]
@@ -531,6 +538,57 @@ def test_resumed_flux_under_threads(flux_traces):
     finally:
         sys.setswitchinterval(interval)
     assert np.abs(errs).max() <= 1e-14
+
+
+def test_flux_walk_resumes_over_ascending_times(monkeypatch):
+    # each einsum of the walk turns one row per whole interval; 25 ascending whole
+    # times on one trace walk its 98 intervals once, where walks from u = 0 would
+    # take 2 + 6 + ... + 98 = 1,250
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    trace = integrate_beta(params, 98.0, 16)
+    walked = []
+    einsum = np.einsum
+
+    def counting(subscripts, *operands, out=None):
+        walked.append(len(out))
+        return einsum(subscripts, *operands, out=out)
+
+    monkeypatch.setattr(field.np, "einsum", counting)
+    for t in range(2, 99, 4):
+        waveguide_probability(params, trace, float(t))
+    assert sum(walked) == 98
+
+
+def test_cached_patterns_are_shared_safely():
+    # traces at two steps and two N, interleaved at cuts a = 0 and about 0.3, share
+    # the cached stencils, cells and weights; each value must be the one built from
+    # empty caches, and no caller may write into what the caches hold
+    params = {n: GiantAtomParams(n, 0.05, TWO_PI * 3.3) for n in (2, 5)}
+    traces = {(n, m): integrate_beta(params[n], 7.0, m) for n in (2, 5) for m in (256, 2048)}
+    times = (3.0, 3.3, 6.0, 6.3)
+    calls = [(n, m, t) for t in times for n, m in traces]
+
+    def run(clear):
+        # new trace objects, so both runs start from the same flux cursor
+        fresh = {key: dataclasses.replace(trace) for key, trace in traces.items()}
+        values = []
+        for n, m, t in calls:
+            for helper in CACHED if clear else ():
+                helper.cache_clear()
+            values.append(total_probability(params[n], fresh[n, m], t))
+        return values
+
+    for helper in CACHED:
+        helper.cache_clear()
+    shared = run(clear=False)
+    assert all(helper.cache_info().hits for helper in CACHED)
+    assert shared == run(clear=True)
+    cuts = {min(t % 1.0, 1.0 - t % 1.0) for t in times}
+    assert cuts == {0.0, 3.3 % 1.0}
+    for array in (*field._flux_stencil(512), *field._flux_stencil(4096),
+                  field._simpson_weights(200), *itertools.chain(*map(field._cone_cell, cuts))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_waveguide_probability_memory_does_not_grow_with_t():
