@@ -3,7 +3,8 @@
 Each entry of MUTANTS names a file, an exact text that must occur there once,
 the text that replaces it, and the pytest selector that should notice.  For
 every entry src, tests, pyproject.toml and README.md (whose commands
-tests/test_readme.py runs) are copied to a temporary directory.
+tests/test_readme.py runs) are copied to a temporary directory; the copied
+pyproject.toml names the one pytest plugin every run loads, hypothesis's.
 An old text that is missing there or occurs more than once is an error, so a
 refactor that moves a line fails loudly instead of passing silently.  The
 selector must pass unmutated (checked once per selector): a red selector is an
@@ -92,6 +93,9 @@ MUTANTS = (
            "range((n_chunks - 1).bit_length() - 1)", MARCH),
     Mutant(DDE, "max(2.0 * n_steps + 1.0, 2 * m + 1)", "2.0 * n_steps + 1.0",
            ("tests/test_dde.py::test_interval_scratch_checked_before_allocation",)),
+    # core: a trace that leaves the samples it is given writable
+    Mutant("src/giant_atom/core.py", "self.samples.flags.writeable = False", "pass",
+           ("tests/test_dde.py::test_trace_samples_are_read_only",)),
     # dde: the dense output's snap onto a sample
     Mutant(DDE, "np.abs(pos - nearest) <= _GRID_SNAP", "np.abs(pos - nearest) < 0.0",
            ("tests/test_dde.py::TestDenseOutput::test_snapped_grid_hits_bit_identical",)),

@@ -171,20 +171,25 @@ class ComplexFreq:
         return abs(self.re) < tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeTrace:
     """Sampled excited-state amplitude on a half-step grid.
 
     dt is the marching step tau/M; samples[k] holds beta(k * dt/2), so the
     stored resolution is twice the marching resolution (see the dde module
-    for why the half steps exist).  A trace's samples must not change after
-    a field quadrature has read them: the outgoing flux keeps the state of
-    its walk per trace object, and dde.integrate_beta returns them read-only.
+    for why the half steps exist).  A trace makes the samples array it is
+    given read-only, so what a field quadrature reads off a trace object
+    stays true of it: the outgoing flux keeps the state of its walk per
+    trace object.  (A write through another view of the same memory is not
+    caught.)  Traces compare by identity.
     """
 
     dt: float
     samples: np.ndarray
     t_max: float
+
+    def __post_init__(self) -> None:
+        self.samples.flags.writeable = False
 
     @property
     def sample_times(self) -> np.ndarray:
@@ -199,9 +204,10 @@ class AmplitudeTrace:
         return np.abs(self.samples) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldGrid:
-    """Field intensity sampled on a uniform spatial window at one instant."""
+    """Field intensity sampled on a uniform spatial window at one instant;
+    grids compare by identity."""
 
     x_min: float
     x_max: float

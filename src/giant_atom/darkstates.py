@@ -167,9 +167,10 @@ def find_pairs(n_legs: int, p_max: int = 12, q_max: int = 12) -> list[DarkPair]:
                                   for q in range(1, min(p, q_max) + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeLine:
-    """One single-dark-state condition line omega_tau(gamma_tau) at fixed n."""
+    """One single-dark-state condition line omega_tau(gamma_tau) at fixed n;
+    lines compare by identity, and so scans that hold distinct lines differ."""
 
     n: int
     gamma_tau: np.ndarray

@@ -78,9 +78,10 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     over t_max rounded up to a whole step and over at least two steps.
     beta0 scales the initial excited-state amplitude (default: fully excited);
     the dynamics is linear, so the trace scales with it.  The samples are
-    read-only.  Raises ValueError, before allocating anything, when the trace
-    or one interval of the march's scratch would exceed MAX_TRACE_SAMPLES, or
-    when the RK4 step is unstable for the decay rate (|R| >= 1).
+    read-only, as every AmplitudeTrace makes its own.  Raises ValueError,
+    before allocating anything, when the trace or one interval of the march's
+    scratch would exceed MAX_TRACE_SAMPLES, or when the RK4 step is unstable
+    for the decay rate (|R| >= 1).
     """
     check_positive("t_max", t_max)
     m = check_int("steps_per_tau", steps_per_tau, 16)
@@ -114,10 +115,7 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
 
     samples = np.empty(2 * n_steps + 1, dtype=complex)
     samples[0] = beta0
-    # row i is X_i, the 2M+1 samples of interval i, for every complete interval
-    item = samples.itemsize
-    rows = np.lib.stride_tricks.as_strided(samples, (n_steps // m, 2 * m + 1),
-                                           (2 * m * item, item), writeable=False)
+    rows = _intervals(samples, 2 * m)  # row i is X_i, the 2M+1 samples of interval i
     # vb[0] is the interval's start value and vb[1:] its 2M+1 delayed inputs, then zero
     # padding; chunk i reads vb[2Ci : 2Ci+2C+2], so it starts from vb[2Ci].  A partial
     # last interval takes its whole drive and drops the samples past its end.
@@ -144,8 +142,16 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     bad = ~np.isfinite(samples)
     if bad.any():
         raise DivergenceError(f"non-finite amplitude at t = {np.argmax(bad) * 0.5 * h:g}")
-    samples.flags.writeable = False  # the field quadratures keep state read off them
     return AmplitudeTrace(dt=h, samples=samples, t_max=n_steps * h)
+
+
+def _intervals(samples: np.ndarray, per_tau: int) -> np.ndarray:
+    """Read-only view of samples whose row k is the per_tau + 1 samples of the
+    whole interval [k, k+1], for every complete interval (none in a trace
+    shorter than one tau); a row's last sample is the next row's first."""
+    size, item = (len(samples) - 1) // per_tau, samples.itemsize
+    return np.lib.stride_tricks.as_strided(samples, (size, per_tau + 1), (per_tau * item, item),
+                                           writeable=False)
 
 
 def check_trace_times(trace: AmplitudeTrace, ts) -> None:

@@ -32,7 +32,8 @@ the sum of rows k-N+1 .. k.  The inside cell's nodes, probes and weights are
 built once per cut and kept, read-only, in small caches beside the stencil.
 The walk keeps its N-1 last rows and its running sum, O(N * 201) values
 whatever t is, so a later call on the same trace at a later time resumes it
-instead of walking again from u = 0.  At a whole t the flux's partial
+instead of walking again from u = 0; a trace's samples are read-only, so that
+state stays true of the trace object.  At a whole t the flux's partial
 interval is empty and is skipped.
 """
 
@@ -48,7 +49,7 @@ import numpy as np
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams, _term_scale,
                    characteristic_fn, check_budget, check_mode_index, check_positive)
 from .darkstates import _sin2, dark_amplitude, dark_frequency, rwa_check
-from .dde import MAX_TRACE_SAMPLES, _stencil, beta_at, beta_at_many, check_trace_times
+from .dde import MAX_TRACE_SAMPLES, _intervals, _stencil, beta_at, beta_at_many, check_trace_times
 
 __all__ = [
     "DEFAULT_DX",
@@ -233,17 +234,14 @@ def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     the same trace object and n_legs and at most floor(t) whole intervals in,
     so calls at ascending times on one trace walk each interval once; any
     other call walks from u = 0.  The state kept is the N-1 carried rows and
-    power, O(N * 201) values whatever t is.
+    power, O(N * 201) values whatever t is; it cannot go stale, since every
+    AmplitudeTrace holds its samples read-only.
     """
     global _cursor
     n_legs, whole = params.n_legs, int(math.floor(t))
-    per_tau, item = 2 * trace.steps_per_tau, trace.samples.itemsize
+    per_tau = 2 * trace.steps_per_tau
     cols, weights = _flux_stencil(per_tau)
-    # row k holds the 2M+1 samples of interval k, for every complete interval (none
-    # in a trace shorter than one tau)
-    samples = np.lib.stride_tricks.as_strided(
-        trace.samples, ((len(trace.samples) - 1) // per_tau, per_tau + 1),
-        (per_tau * item, item), writeable=False)
+    samples = _intervals(trace.samples, per_tau)  # row k: the 2M+1 samples of interval k
     rows = np.zeros((n_legs - 1 + _BLOCK, len(cols)), dtype=complex)  # N-1 carried, then new
     # windows[i] holds the N rows whose sum is e on the block's interval i
     windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)

@@ -54,12 +54,12 @@ _MAX_WINDING_POINTS = 400_000  # samples bisection may add before the winding co
 MAX_SEEDS = 2 ** 22       # walk samples, companion entries and seeds: 67 MB of complex values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleSet:
     """Deduplicated roots of the characteristic function in a rectangle,
     sorted by (Im, Re), with their residue weights.  flagged_cells holds the
     chain seeds whose Newton run did not converge to a root (the name is kept
-    from an earlier grid of seed cells)."""
+    from an earlier grid of seed cells).  Pole sets compare by identity."""
 
     params: GiantAtomParams
     s: np.ndarray

@@ -22,10 +22,13 @@ from giant_atom import (
     dark_frequency,
     dark_state_record,
     find_pairs,
+    find_poles,
     integrate_beta,
+    intensity_map,
     params_from_physical,
     params_to_physical,
     rwa_check,
+    scan_lattice,
     total_intensity,
 )
 
@@ -264,3 +267,23 @@ class TestDomainTypes:
     def test_field_grid_axis(self):
         g = FieldGrid(x_min=-1.0, x_max=1.0, dx=0.5, values=np.zeros(5), t=2.0)
         assert np.allclose(g.xs, [-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+RECORD_PARAMS = GiantAtomParams(n_legs=3, gamma_tau=0.05, omega_tau=TWO_PI * 3.3)
+ARRAY_RECORDS = {  # each computes one result whose record holds arrays
+    "AmplitudeTrace": lambda: integrate_beta(RECORD_PARAMS, 2.0, 16),
+    "FieldGrid": lambda: intensity_map(RECORD_PARAMS, integrate_beta(RECORD_PARAMS, 2.0, 16),
+                                       GridSpec(-1.0, 3.0, 0.5, times=(1.5,)))[0],
+    "PoleSet": lambda: find_poles(RECORD_PARAMS, re_min=-5.0, im_halfwidth=4.0),
+    "LatticeScan": lambda: scan_lattice(3, TWO_PI * 2.0, TWO_PI * 0.5),
+}
+
+
+@pytest.mark.parametrize("record", ARRAY_RECORDS)
+def test_records_holding_arrays_compare_by_identity(record):
+    # a generated __eq__ over ndarray fields raises on the arrays' ambiguous truth
+    # value; these records compare by identity, and hash
+    first, second = ARRAY_RECORDS[record](), ARRAY_RECORDS[record]()
+    assert type(first).__name__ == record
+    assert first != second
+    assert first == first and hash(first) == hash(first)

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from giant_atom import (
+    AmplitudeTrace,
     GiantAtomParams,
     GridSpec,
     beta_at,
@@ -513,6 +514,20 @@ def test_resumed_flux_matches_a_cold_walk(flux_traces, case):
     cold = [cold_walk(p, trace, t) for p, trace, t in calls]
     got = [waveguide_probability(p, trace, t) for p, trace, t in calls]
     assert np.abs(np.subtract(got, cold)).max() <= 1e-14
+
+
+def test_walked_trace_cannot_change_under_the_flux():
+    # a trace built by hand over a writable array keeps it read-only: halving it
+    # between walks at t = 10 and 12 would leave the flux resuming from the old
+    # samples (0.1742 at t = 12, against 0.0556 on a new object over the halved ones)
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    made = integrate_beta(params, 20.0, 64)
+    trace = AmplitudeTrace(made.dt, made.samples.copy(), made.t_max)
+    waveguide_probability(params, trace, 10.0)
+    with pytest.raises(ValueError, match="read-only"):
+        trace.samples[:] *= 0.5
+    got = waveguide_probability(params, trace, 12.0)
+    assert abs(got - cold_walk(params, trace, 12.0)) <= 1e-14
 
 
 def test_resumed_flux_under_threads(flux_traces):

@@ -3,6 +3,8 @@
 import contextlib
 import importlib.util
 import io
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,9 +97,11 @@ def test_field_timing_prints_one_row_per_case(layer_timing_tables):
 
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
 # inert edit touches, and one test that pins the comparison at its boundary,
-# beside the pyproject.toml and README.md every copy takes
+# beside the pyproject.toml and README.md every copy takes; the toy needs no
+# plugin, and loading the installed ones is most of each run's start-up
 TOY_TREE = {
-    "pyproject.toml": '[tool.pytest.ini_options]\ntestpaths = ["tests"]\n',
+    "pyproject.toml": ('[tool.pytest.ini_options]\ntestpaths = ["tests"]\n'
+                       'addopts = ["--disable-plugin-autoload"]\n'),
     "README.md": "# toy\n",
     "src/toy.py": (
         "# Most coupling points a job may ask for\n"
@@ -114,14 +118,16 @@ TOY_TREE = {
 }
 
 
+def _write_tree(root, tree):
+    for name, text in tree.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+
+
 def test_mutants_reports_the_inert_edit_as_a_survivor(capsys, monkeypatch, tmp_path):
     mutants = _load("mutants")
-    for name, text in TOY_TREE.items():
-        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    _write_tree(tmp_path, TOY_TREE)
     monkeypatch.setattr(mutants, "ROOT", tmp_path)
-    # the toy needs no plugin; loading the installed ones is most of each run's start-up
-    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
     toy = "src/toy.py"
     selector = ("tests/test_toy.py::test_budget_rejects",)
     killed = mutants.Mutant(toy, "if not count <= budget:", "if not count < budget:", selector)
@@ -132,3 +138,29 @@ def test_mutants_reports_the_inert_edit_as_a_survivor(capsys, monkeypatch, tmp_p
     assert out[1].startswith(f"survived: {toy}: '# Most coupling points'")
     assert out[2].startswith("2 mutants, 1 survived, 0 errors")
     assert out[3:] == [f"survivor: {toy}: {inert.old!r} -> {inert.new!r}"]
+
+
+# a failing property test beside a passing one, run under the repository's own
+# pytest settings
+FAILING_GIVEN = {
+    "tests/test_given.py": (
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_property_fails(x):\n"
+        "    assert x < 10\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"),
+}
+
+
+def test_a_failing_given_test_is_reported(tmp_path):
+    # hypothesis imports libcst to explain a failing example, and libcst's import
+    # warning must not turn the report into an INTERNALERROR
+    _write_tree(tmp_path, FAILING_GIVEN)
+    shutil.copy2(ROOT / "pyproject.toml", tmp_path / "pyproject.toml")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout
+    assert "FAILED tests/test_given.py::test_property_fails" in done.stdout
+    assert done.stdout.splitlines()[-1].startswith("1 failed, 1 passed")
