@@ -1,19 +1,18 @@
-"""Print the DDE march's and the two field quadratures' cost against N and M.
+"""Print the DDE march's and the field quadrature's cost against N and M.
 
 The march table times integrate_beta over --t-max at N*gamma_tau = 0.1 and
 omega_tau = 1 and divides by t_max, so set-up (the trace, the chunk map) is
 included; the coupling is weak, so every M from 16 up gives a stable step.
 The field table marches one trace per N at gamma_tau = 0.4/N**2,
 omega_tau/2pi = 3.3 and M = 64 up to t_max, untimed, then times one call of
-the inside cone (field._cone_integral) and one of the outgoing flux
-(field._outgoing_flux) at t = t_max - 0.5.  Each run is on a new trace object
-with the same samples, so the flux is walked from u = 0 every time rather
-than resumed where the previous run stopped.  Its last column, per_tau, is
-the mean time of one field.total_probability call over the whole times
-0 .. floor(t_max) in ascending order on one new trace object: the walk
-resumes from call to call, so this is what a per-tau diagnostic pays, its
-set-up included.  Every time is the best of --repeat runs.  BLAS threads are
-whatever the environment sets.
+field.waveguide_probability at t = t_max - 0.5, the walk column.  Each run is
+on a new trace object with the same samples, so the light-cone walk runs from
+k = 0 every time rather than resuming where the previous run stopped.  The
+last column, per_tau, is the mean time of one field.total_probability call
+over the whole times 0 .. floor(t_max) in ascending order on one new trace
+object: the walk resumes from call to call, so this is what a per-tau
+diagnostic pays, its set-up included.  Every time is the best of --repeat
+runs.  BLAS threads are whatever the environment sets.
 
     python .github/layer_timing.py
     python .github/layer_timing.py --n-legs 3 --steps-per-tau 16 --t-max 1000
@@ -57,15 +56,14 @@ def main(argv: list[str]) -> int:
         for m in args.steps_per_tau:
             best = _best_s(lambda m=m: integrate_beta(params, t_max, m), repeat)
             print(f"{n_legs:4d} {m:6d} {best / t_max * 1e6:10.2f}")
-    print(f"field quadratures, ms per call (t = {t:g}, M = 64, best of {repeat})")
-    print(f"{'N':>4} {'cone':>10} {'flux':>10} {'per_tau':>10}")
+    print(f"field quadrature, ms per call (t = {t:g}, M = 64, best of {repeat})")
+    print(f"{'N':>4} {'walk':>10} {'per_tau':>10}")
     whole = range(int(t_max) + 1)
     for n_legs in args.n_legs:
         params = GiantAtomParams(n_legs, 0.4 / n_legs ** 2, 2.0 * math.pi * 3.3)
         trace = integrate_beta(params, t_max, 64)
-        cone, flux = (_best_s(lambda part=part: part(params, dataclasses.replace(trace), t),
-                              repeat) * 1e3
-                      for part in (field._cone_integral, field._outgoing_flux))
+        walk = _best_s(lambda: field.waveguide_probability(params, dataclasses.replace(trace), t),
+                       repeat) * 1e3
 
         def per_tau(params=params, trace=trace):
             fresh = dataclasses.replace(trace)
@@ -73,7 +71,7 @@ def main(argv: list[str]) -> int:
                 field.total_probability(params, fresh, float(tau))
 
         each = _best_s(per_tau, repeat) / len(whole) * 1e3
-        print(f"{n_legs:4d} {cone:10.2f} {flux:10.2f} {each:10.3f}")
+        print(f"{n_legs:4d} {walk:10.2f} {each:10.3f}")
     return 0
 
 

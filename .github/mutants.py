@@ -45,7 +45,6 @@ DARK = "src/giant_atom/darkstates.py"
 CONE = ("tests/test_field.py::TestConeQuadrature::test_matches_panel_loop",)
 FLUX = ("tests/test_field.py::test_outgoing_flux_against_exact_series",)
 ROW_CONE = ("tests/test_field.py::test_row_cone_matches_phi_cell_by_cell",)
-TRACE_END = ("tests/test_field.py::test_waveguide_probability_at_the_trace_end",)
 RESUME = ("tests/test_field.py::test_resumed_flux_matches_a_cold_walk",)
 RESUMES = ("tests/test_field.py::test_flux_walk_resumes_over_ascending_times",)
 SHARED = ("tests/test_field.py::test_cached_patterns_are_shared_safely",)
@@ -54,34 +53,31 @@ SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the
 
 MUTANTS = (
     # field: the carried rows, the N-row window, the cell's cuts, the probe at
-    # the node in place of the panel's midpoint, Simpson's weights, the mirrored
-    # prefix sums (phi_L) one row off or read without reversing the nodes, a right
-    # panel group that is not the left one mirrored, and the flux table's last
-    # node let out of its interval, so that its stencil reads past the interval's
-    # last sample instead of sitting on it at offset 1, the partial interval
-    # skipped at every t, not only at a whole one, and a cached pattern left
-    # writable
+    # the node in place of the panel's midpoint (which the inside and the tails
+    # both read), Simpson's weights, the mirrored prefix sums (phi_L) one row off
+    # or read without reversing the nodes, a right panel group that is not the
+    # left one mirrored, and a cached pattern left writable
     Mutant(FIELD, "rows[:n_legs - 1] = rows[count:][:n_legs - 1]", "rows[:n_legs - 1] = 0", FLUX),
     Mutant(FIELD, "sliding_window_view(rows, n_legs, axis=0)",
            "sliding_window_view(rows, n_legs - 1, axis=0)", FLUX),
     Mutant(FIELD, "_cone_cell(min(f, 1.0 - f))", "_cone_cell(f)", CONE),
     Mutant(FIELD, "shifts - probes >= 0.0", "shifts - nodes >= 0.0", CONE),
+    Mutant(FIELD, "shifts - probes >= 0.0", "shifts - nodes >= 0.0", FLUX),
     Mutant(FIELD, "np.tile([4.0, 2.0], k // 2)", "np.tile([2.0, 4.0], k // 2)", CONE),
     Mutant(FIELD, "ends + ends[::-1, ::-1]", "ends + np.roll(ends[::-1, ::-1], 1, axis=0)",
            ROW_CONE),
     Mutant(FIELD, "ends + ends[::-1, ::-1]", "ends + ends[::-1]", ROW_CONE),
     Mutant(FIELD, "(1.0 - a, a)):", "(1.0 - a, 1.0 - (1.0 - a))):", ROW_CONE),
-    Mutant(FIELD, "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)",
-           "_stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau + 3)", TRACE_END),
-    Mutant(FIELD, "if not frac:", "if frac < 1.0:", FLUX),
     Mutant(FIELD, "    array.flags.writeable = False\n", "", SHARED),
-    # field: the flux walk resumed from a cursor past t, without its carried rows,
-    # from another trace's cursor, and from another N's; and never resumed
-    Mutant(FIELD, "legs == n_legs and done <= whole)", "legs == n_legs)", RESUME),
+    # field: the walk resumed from a cursor past t, without its carried rows,
+    # from another trace's cursor, from another N's and from another frac(t)'s;
+    # and never resumed
+    Mutant(FIELD, "frac == f and done <= whole + 1)", "frac == f)", RESUME),
     Mutant(FIELD, "rows[:n_legs - 1] = carry", "pass", RESUME),
     Mutant(FIELD, "(ref() is trace and legs", "(legs", RESUME),
-    Mutant(FIELD, "legs == n_legs and done", "done", RESUME),
-    Mutant(FIELD, "if not (ref() is trace and legs == n_legs and done <= whole):",
+    Mutant(FIELD, "legs == n_legs and frac", "frac", RESUME),
+    Mutant(FIELD, "and frac == f and", "and", RESUME),
+    Mutant(FIELD, "if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):",
            "if not False:", RESUMES),
     # dde: the scan's start-value correction, the scan's reach, the interval budget,
     # an interval's padded last chunk left out, and the scan's last doubling pass
@@ -93,9 +89,12 @@ MUTANTS = (
            "range((n_chunks - 1).bit_length() - 1)", MARCH),
     Mutant(DDE, "max(2.0 * n_steps + 1.0, 2 * m + 1)", "2.0 * n_steps + 1.0",
            ("tests/test_dde.py::test_interval_scratch_checked_before_allocation",)),
-    # core: a trace that leaves the samples it is given writable
+    # core: a trace that leaves the samples it is given writable, and one that
+    # keeps a view instead of copying it
     Mutant("src/giant_atom/core.py", "self.samples.flags.writeable = False", "pass",
            ("tests/test_dde.py::test_trace_samples_are_read_only",)),
+    Mutant("src/giant_atom/core.py", 'object.__setattr__(self, "samples", self.samples.copy())',
+           "pass", ("tests/test_field.py::test_trace_over_a_view_cannot_change_under_the_flux",)),
     # dde: the dense output's snap onto a sample
     Mutant(DDE, "np.abs(pos - nearest) <= _GRID_SNAP", "np.abs(pos - nearest) < 0.0",
            ("tests/test_dde.py::TestDenseOutput::test_snapped_grid_hits_bit_identical",)),

@@ -178,10 +178,11 @@ class AmplitudeTrace:
     dt is the marching step tau/M; samples[k] holds beta(k * dt/2), so the
     stored resolution is twice the marching resolution (see the dde module
     for why the half steps exist).  A trace makes the samples array it is
-    given read-only, so what a field quadrature reads off a trace object
-    stays true of it: the outgoing flux keeps the state of its walk per
-    trace object.  (A write through another view of the same memory is not
-    caught.)  Traces compare by identity.
+    given read-only, and first copies one that does not own its memory, so
+    what a field quadrature reads off a trace object stays true of it: the
+    light-cone walk keeps its state per trace object.  (A write through a
+    view made earlier of an array that owns its memory is not caught.)
+    Traces compare by identity.
     """
 
     dt: float
@@ -189,6 +190,8 @@ class AmplitudeTrace:
     t_max: float
 
     def __post_init__(self) -> None:
+        if not self.samples.flags.owndata:  # a view, whose base could still be written
+            object.__setattr__(self, "samples", self.samples.copy())
         self.samples.flags.writeable = False
 
     @property

@@ -171,8 +171,9 @@ def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
     of a sample is snapped onto it, where the cubic weights are one-hot.  The
     four-point stencil is kept inside a single smooth piece [k, k+1)*tau
     whenever possible, so the derivative breakpoints at whole multiples of tau
-    do not degrade accuracy.  Raises ValueError for a trace of fewer than four
-    samples, which has no four-point stencil.
+    do not degrade accuracy; a piece shorter than the stencil takes the four
+    samples that end at the piece's end.  Raises ValueError for a trace of
+    fewer than four samples, which has no four-point stencil.
     """
     ts = np.asarray(ts, dtype=float)
     flat = np.atleast_1d(ts)
@@ -184,28 +185,17 @@ def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
     check_trace_times(trace, flat)
 
     per_tau = 2 * trace.steps_per_tau
-    lo = np.maximum(np.floor(flat).astype(int) * per_tau, 0)
-    i0, (w0, w1, w2, w3) = _stencil(np.clip(flat / step, 0.0, n - 1.0), lo,
-                                    np.minimum(lo + per_tau, n - 1))
-    out = (w0 * samples[i0] + w1 * samples[i0 + 1]
-           + w2 * samples[i0 + 2] + w3 * samples[i0 + 3])
-    return out.reshape(ts.shape)
-
-
-def _stencil(pos: np.ndarray, lo, hi):
-    """First sample i0 and the four cubic weights of the stencil i0 .. i0+3 at
-    positions pos, counted in samples, inside the smooth piece [lo, hi].
-
-    A position within _GRID_SNAP of a sample is snapped onto it, where the
-    weights are one-hot; a piece shorter than the stencil takes the four
-    samples that end at hi.
-    """
+    pos = np.clip(flat / step, 0.0, n - 1.0)  # in samples
     nearest = np.rint(pos)
     pos = np.where(np.abs(pos - nearest) <= _GRID_SNAP, nearest, pos)
+    lo = np.maximum(np.floor(flat).astype(int) * per_tau, 0)  # the smooth piece [lo, hi]
+    hi = np.minimum(lo + per_tau, n - 1)
     i0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lo), hi - 3)
     u = pos - i0
     u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
-    return i0, (-u1 * u2 * u3 / 6.0, u * u2 * u3 / 2.0, -u * u1 * u3 / 2.0, u * u1 * u2 / 6.0)
+    out = (-u1 * u2 * u3 / 6.0 * samples[i0] + u * u2 * u3 / 2.0 * samples[i0 + 1]
+           - u * u1 * u3 / 2.0 * samples[i0 + 2] + u * u1 * u2 / 6.0 * samples[i0 + 3])
+    return out.reshape(ts.shape)
 
 
 def beta_at(trace: AmplitudeTrace, t: float) -> complex:

@@ -18,23 +18,19 @@ The field probability over the whole light cone splits at the outermost
 coupling points.  Outside [0, N-1] every wave is outgoing, so both tails
 together carry the emitted flux gamma * int_0^t |e(u)|^2 du, with
 e(u) = sum_{l=0}^{N-1} beta(u - l) * Theta(u - l) (the input-output view of a
-cascaded emitter, Gardiner & Collett, PRA 31, 3761, 1985).  Both
-quadratures read beta on rows of nodes at whole-tau shifts of one pattern.
-Inside, every cell [c, c+1] between neighbouring coupling points has the same
-kinks, so one cell's Simpson panels, mirror-symmetric about its centre, serve
-all N-1 cells.  N-1 rows of beta on that cell's nodes, one per whole distance
-to a coupling point, give the right-moving part of phi on every cell by one
-prefix sum, and the left-moving part is the same sums mirrored, since the
-coupling points mirror about the atom's centre; the cost does not grow with
-t.  The flux takes one row of nodes per whole interval of u, gathered through
-one interpolation stencil built once per steps_per_tau, and e on interval k is
-the sum of rows k-N+1 .. k.  The inside cell's nodes, probes and weights are
-built once per cut and kept, read-only, in small caches beside the stencil.
-The walk keeps its N-1 last rows and its running sum, O(N * 201) values
-whatever t is, so a later call on the same trace at a later time resumes it
-instead of walking again from u = 0; a trace's samples are read-only, so that
-state stays true of the trace object.  At a whole t the flux's partial
-interval is empty and is skipped.
+cascaded emitter, Gardiner & Collett, PRA 31, 3761, 1985).  |phi|^2 can kink
+only where t - |x - x_m| is whole, so every unit cell inside and every unit
+step outward has the same cuts, and one cell's Simpson nodes y, mirror-
+symmetric about its centre, serve them all.  Every delay is whole, so one walk
+over the rows beta(k + f - y), k = 0 .. floor(t) and f = frac(t), serves both
+parts: e at distance c + y outside is the sum of the N rows ending at
+k = floor(t) - c, and phi on all N-1 cells inside is one prefix sum over the
+last N-1 rows, mirrored for the left-moving waves.  The cell's nodes, probes
+and weights are built once per cut and kept, read-only.  The walk keeps its
+N-1 last rows and its running sum, O(N * 201) values whatever t is, so a later
+call on the same trace at the same N and frac(t) and a later time resumes it
+instead of walking again from k = 0; a trace's samples are read-only, so that
+state stays true of the trace object.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import numpy as np
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams, _term_scale,
                    characteristic_fn, check_budget, check_mode_index, check_positive)
 from .darkstates import _sin2, dark_amplitude, dark_frequency, rwa_check
-from .dde import MAX_TRACE_SAMPLES, _intervals, _stencil, beta_at, beta_at_many, check_trace_times
+from .dde import MAX_TRACE_SAMPLES, beta_at, beta_at_many, check_trace_times
 
 __all__ = [
     "DEFAULT_DX",
@@ -65,12 +61,12 @@ __all__ = [
 ]
 
 DEFAULT_DX = 1.0 / 200.0
-_BLOCK = 16       # whole tau intervals per block of the outgoing flux
+_BLOCK = 16       # rows of beta per block of the light-cone walk
 _DARK_TOL = 1e-10  # largest |F(-i Omega_n)| over F's term scale at which index n is dark
-# where the last outgoing-flux walk stopped: its trace (weakly), n_legs, the whole
-# intervals walked, the N-1 rows carried past them and the power summed over them;
-# its arrays are never written in place
-_cursor = (lambda: None, 0, 0, 0.0, 0.0)  # no walk yet
+# where the last light-cone walk stopped: its trace (weakly), n_legs, frac(t), the
+# rows walked, the N-1 rows carried past them and the power summed over them; its
+# arrays are never written in place
+_cursor = (lambda: None, 0, 0.0, 0, 0.0, 0.0)  # no walk yet
 
 
 @dataclass(frozen=True)
@@ -129,33 +125,60 @@ def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
             for t in grid.times]
 
 
-def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
-    """Composite Simpson integral of p(x, t) over the atom [0, N-1].
+def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
+                t: float) -> tuple[float, float]:
+    """The field probability inside [0, N-1] and in both tails outside it,
+    from one walk over rows of beta on one cell's nodes.
 
-    |phi|^2 can kink only where t - |x - x_m| is whole, so every cell [c, c+1]
-    has the same cuts, c + a and c + 1 - a with a = min(frac(t), 1 - frac(t)),
-    and one cell's nodes, probes and weights (_cone_cell, built once per a)
-    serve every cell.  At x = c + y point m <= c reads beta(t - d - y)
-    with d = c - m, and point m > c reads beta(t - e + y), which is
-    beta(t - (e - 1) - (1 - y)), with e = m - c.  So the N-1 rows
-    R[d] = beta(t - d - y), d = 0 .. N-2, serve every cell: with ends the
-    prefix sums of R, phi_R on cell c is ends[c] and phi_L is ends[N-2-c]
-    read at 1 - y, one prefix sum for both.  A row counts on a whole
-    panel or not at all, by the light cone at the panel's midpoint, so a
-    wavefront end takes beta(0).
+    With f = frac(t), row k = 0 .. floor(t) is beta(k + f - y) on the nodes y
+    of _cone_cell(min(f, 1 - f)), counted on a panel only when the panel's
+    probe is inside the light cone, so a wavefront end takes beta(0).  Tail
+    cell c past an outer coupling point reads e(t - c - y), the sum of the N
+    rows ending at k = floor(t) - c, so both tails hold gamma * sum_k
+    |window_k|^2 integrated over y.  Inside, cell c reads the rows
+    R[d] = beta(t - d - y) of the coupling points d cells to its left, the
+    last N-1 rows reversed, and those d + 1 cells to its right at 1 - y: with
+    ends the prefix sums of R, phi_R on cell c is ends[c] and phi_L is
+    ends[N-2-c] mirrored.  The rows run in _BLOCK blocks after the N-1 rows
+    carried from before (zero before k = 0).  The walk resumes where the last
+    one stopped (_cursor) when that was on the same trace object, N and f and
+    not past floor(t); any other call walks from k = 0.
     """
-    f = t - math.floor(t)
+    global _cursor
+    n_legs, whole = params.n_legs, int(math.floor(t))
+    f = t - whole
     nodes, probes, weights = _cone_cell(min(f, 1.0 - f))
-    n = params.n_legs - 1
-    # the N-1 rows and their prefix sums, held at once
-    check_budget(f"the inside cone of {params.n_legs} coupling points",
-                 2 * n * len(nodes), "values", MAX_TRACE_SAMPLES)
-    shifts = t - np.arange(n)[:, None]
-    on = shifts - probes >= 0.0
-    rows = on * beta_at_many(trace, np.clip(shifts - nodes, 0.0, trace.t_max))
-    ends = np.cumsum(rows, axis=0)
+    # the inside's N-1 rows and their prefix sums, held at once
+    check_budget(f"the inside cone of {n_legs} coupling points",
+                 2 * (n_legs - 1) * len(nodes), "values", MAX_TRACE_SAMPLES)
+    rows = np.zeros((n_legs - 1 + _BLOCK, len(nodes)), dtype=complex)  # N-1 carried, then new
+    # windows[i] holds the N rows whose sum is e on the block's row i
+    windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)
+    ref, legs, frac, done, carry, power = _cursor
+    if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):
+        done, carry, power = 0, 0.0, 0.0  # the empty state: a walk from k = 0
+    rows[:n_legs - 1] = carry
+    power = np.zeros(len(nodes)) + power  # |e|^2 summed over the rows walked, node by node
+    for start in range(done, whole + 1, _BLOCK):
+        count = min(_BLOCK, whole + 1 - start)
+        shifts = np.arange(start, start + count)[:, None] + f
+        on = shifts - probes >= 0.0
+        rows[n_legs - 1:][:count] = on * beta_at_many(trace, np.clip(shifts - nodes, 0.0,
+                                                                     trace.t_max))
+        power += np.sum(np.abs(windows[:count].sum(-1)) ** 2, axis=0)
+        rows[:n_legs - 1] = rows[count:][:n_legs - 1]
+    carry = rows[:n_legs - 1]  # not written again once published
+    _cursor = (weakref.ref(trace), n_legs, f, whole + 1, carry, power)
+    ends = np.cumsum(carry[::-1], axis=0)
     phi = ends + ends[::-1, ::-1]
-    return 0.5 * params.gamma_tau * float(np.sum(np.abs(phi) ** 2 @ weights))
+    return (0.5 * params.gamma_tau * float(np.sum(np.abs(phi) ** 2 @ weights)),
+            params.gamma_tau * float(power @ weights))
+
+
+def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
+    """Composite Simpson integral of p(x, t) over the atom [0, N-1]: the inside
+    half of _light_cone, which reads no rows of its own."""
+    return _light_cone(params, trace, t)[0]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -179,7 +202,9 @@ def _cone_cell(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             k = _panels(width)
             nodes.append(start + width / k * np.arange(k + 1))
             probes.append(np.full(k + 1, start + 0.5 * width))
-            weights.append(width / (3.0 * k) * _simpson_weights(k))
+            # composite Simpson: 1, 4, 2, ..., 2, 4, 1
+            weights.append(width / (3.0 * k)
+                           * np.concatenate([[1.0], np.tile([4.0, 2.0], k // 2)[:-1], [1.0]]))
     return tuple(_read_only(np.concatenate(part)) for part in (nodes, probes, weights))
 
 
@@ -188,109 +213,26 @@ def _panels(width: float) -> int:
     return max(2, 2 * math.ceil(width / (2.0 * DEFAULT_DX)))
 
 
-@functools.lru_cache(maxsize=128)
-def _simpson_weights(k: int) -> np.ndarray:
-    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 over an even number k of
-    panels; built once per k, and read-only."""
-    return _read_only(np.concatenate([[1.0], np.tile([4.0, 2.0], k // 2)[:-1], [1.0]]))
-
-
-def _simpson(values: np.ndarray, width: float) -> float:
-    """Composite Simpson integral of an odd number of evenly spaced values across width."""
-    return width / (3.0 * (len(values) - 1)) * float(values @ _simpson_weights(len(values) - 1))
-
-
-@functools.lru_cache(maxsize=8)
-def _flux_stencil(per_tau: int) -> tuple[np.ndarray, np.ndarray]:
-    """The outgoing flux's stencil on the nodes j/nsub of one whole interval of
-    per_tau steps: each node's four sample columns within the interval and their
-    four cubic weights; built once per per_tau, and read-only.  The last node
-    sits at offset 1 on the interval's own last sample.
-    """
-    nsub = _panels(1.0)
-    first, weights = _stencil(np.arange(nsub + 1) / nsub * per_tau, 0, per_tau)
-    return _read_only(first[:, None] + np.arange(4)), _read_only(np.stack(weights, axis=-1))
-
-
-def _outgoing_flux(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
-    """gamma * int_0^t |e(u)|^2 du, the probability both tails hold at time t.
-
-    beta is interpolated once per node, on one row of nodes k + j/nsub,
-    j = 0 .. nsub, per interval [k, k+1].  Every delay is whole, so e on
-    interval k is the sum of rows k-N+1 .. k: row k's first node takes copy
-    l = k at beta(0), the right limit at the wavefront, and its last node
-    leaves copy k+1 out, the left limit.  The nodes sit at one pattern in
-    every whole interval, so their stencil (_flux_stencil) is built once per
-    steps_per_tau and shared by every call and trace at that step: the four
-    sample columns of each node within the interval and their cubic weights,
-    the last node at offset 1 on the interval's own last sample.  A block of
-    _BLOCK whole intervals is then one gather of their samples and one
-    weighted sum, written into one buffer after the N-1 rows carried from
-    before the block (zero before u = 0), and e is a sum over a sliding window
-    of N rows of that buffer.  The partial interval [floor(t), t] takes rows
-    of its own; at a whole t it is empty and is skipped.
-
-    The walk resumes where the last one stopped (_cursor) when that was on
-    the same trace object and n_legs and at most floor(t) whole intervals in,
-    so calls at ascending times on one trace walk each interval once; any
-    other call walks from u = 0.  The state kept is the N-1 carried rows and
-    power, O(N * 201) values whatever t is; it cannot go stale, since every
-    AmplitudeTrace holds its samples read-only.
-    """
-    global _cursor
-    n_legs, whole = params.n_legs, int(math.floor(t))
-    per_tau = 2 * trace.steps_per_tau
-    cols, weights = _flux_stencil(per_tau)
-    samples = _intervals(trace.samples, per_tau)  # row k: the 2M+1 samples of interval k
-    rows = np.zeros((n_legs - 1 + _BLOCK, len(cols)), dtype=complex)  # N-1 carried, then new
-    # windows[i] holds the N rows whose sum is e on the block's interval i
-    windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)
-    ref, legs, done, carry, power = _cursor
-    if not (ref() is trace and legs == n_legs and done <= whole):
-        done, carry, power = 0, 0.0, 0.0  # the empty state: a walk from u = 0
-    rows[:n_legs - 1] = carry
-    power = np.zeros(len(cols)) + power  # |e|^2 summed over the whole intervals, node by node
-    for start in range(done, whole, _BLOCK):
-        count = min(_BLOCK, whole - start)
-        np.einsum("kjs,js->kj", samples[start:start + count, cols], weights,
-                  out=rows[n_legs - 1:][:count])
-        power += np.sum(np.abs(windows[:count].sum(-1)) ** 2, axis=0)
-        rows[:n_legs - 1] = rows[count:][:n_legs - 1]
-    _cursor = (weakref.ref(trace), n_legs, whole, rows[:n_legs - 1].copy(), power)
-    frac = t - whole
-    if not frac:  # the partial interval [floor(t), t] is empty and adds nothing
-        return params.gamma_tau * _simpson(power, 1.0)
-    nsub = _panels(frac)
-    starts = np.arange(max(0, whole - n_legs + 1), whole + 1)[:, None]
-    e = beta_at_many(trace, starts + frac / nsub * np.arange(nsub + 1)).sum(axis=0)
-    return params.gamma_tau * (_simpson(power, 1.0) + _simpson(np.abs(e) ** 2, frac))
-
-
 def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """Field probability integrated over the light cone [x_1 - t, x_N + t].
 
-    The inside [0, N-1] is composite Simpson on one cell's mirror-symmetric
-    panels between the closed-form kinks of |phi|^2, with phi on all N-1 cells
-    from N-1 rows of beta on that cell's nodes, read forwards for the
-    right-moving waves and mirrored for the left-moving ones.  The two tails
-    outside it add the outgoing flux gamma * int_0^t |e(u)|^2 du, composite
-    Simpson on each whole interval of u, _BLOCK intervals per gather through
-    one stencil, and on the partial one when t is not whole.  What depends
-    only on the step or the cut is built once and shared read-only: the
-    flux's stencil per steps_per_tau, the cell's nodes, probes and weights per
-    cut a = min(frac(t), 1 - frac(t)), and the Simpson weights per panel
-    count.  The walk over the whole intervals resumes from the last call's on
-    the same trace object and n_legs when t has not gone back past it, so
-    ascending times on one trace cost one walk in all; what it keeps, the N-1
-    carried rows and the running sum, is O(N * 201) values.  Either part's
-    node arrays are bounded independent of t.  The inside's N-1 rows of about
-    200 nodes and their prefix sums, held at once, grow with N, and more than
-    dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a ValueError
-    before any row is built.
+    One walk (_light_cone) reads beta on rows k + f - y, k = 0 .. floor(t),
+    f = frac(t), on one cell's mirror-symmetric Simpson nodes y between the
+    closed-form kinks of |phi|^2.  The inside [0, N-1] is the prefix sums of
+    its last N-1 rows, read forwards for the right-moving waves and mirrored
+    for the left-moving ones; the two tails outside it add the outgoing flux
+    gamma * int_0^t |e(u)|^2 du, one sliding window of N rows per unit step
+    outward.  The cell's nodes, probes and weights are built once per cut
+    a = min(f, 1 - f) and shared read-only.  The walk resumes from the last
+    call's on the same trace object, N and f when t has not gone back past
+    it, so ascending times on one trace cost one walk in all; what it keeps,
+    the N-1 carried rows and the running sum, is O(N * 201) values.  The
+    inside's N-1 rows and their prefix sums, held at once, grow with N, and
+    more than dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a
+    ValueError before any row is built.
     """
     check_trace_times(trace, t)
-    t = float(max(t, 0.0))
-    return _cone_integral(params, trace, t) + _outgoing_flux(params, trace, t)
+    return sum(_light_cone(params, trace, float(max(t, 0.0))))
 
 
 def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:

@@ -397,7 +397,7 @@ def cone_by_cells(params, trace, t):
             ys = np.linspace(start + 1e-13, start + width - 1e-13, field._panels(width) + 1)
             for c in range(params.n_legs - 1):
                 p = np.abs(field._phi(params, trace, c + ys, t)) ** 2
-                total += field._simpson(p, width)
+                total += simpson(p, dx=width / (len(ys) - 1))
     return total
 
 
@@ -464,10 +464,10 @@ def test_outgoing_flux_against_exact_series(monkeypatch, n_legs):
 
 
 def cold_walk(params, trace, t):
-    """waveguide_probability with the outgoing flux walked from u = 0, on a new
+    """waveguide_probability with the light-cone walk run from k = 0, on a new
     object with the trace's samples.  A walk at another N to t_max, on another
-    such object, goes first, so the flux cursor left for this call differs from
-    it in trace object, in N and, below t_max, in position."""
+    such object, goes first, so the cursor left for this call differs from it
+    in trace object, in N and, below t_max, in position."""
     other = GiantAtomParams(params.n_legs + 1, params.gamma_tau, params.omega_tau)
     waveguide_probability(other, dataclasses.replace(trace), trace.t_max)
     return waveguide_probability(params, dataclasses.replace(trace), t)
@@ -492,17 +492,23 @@ def flux_traces():
     return params, [integrate_beta(params[n], 40.0, 256) for n in (2, 7)]
 
 
+WHOLE_TIMES = (1.0, 2.0, 5.0, 16.0, 33.0, 40.0)
 RESUME_CALLS = {  # (N, trace, t) in the order called
     "ascending": [(2, 0, t) for t in CONE_TIMES],
     "descending": [(2, 0, t) for t in CONE_TIMES[::-1]],
     "repeated": [(2, 0, t) for t in (16.3, 16.3, 16.0, 33.3, 33.3, 40.0, 40.0)],
     "n_alternating": [(n, 0, t) for n, t in zip(itertools.cycle((2, 2, 7, 7)), CONE_TIMES)],
     "traces_interleaved": [(7, i, t) for i, t in zip(itertools.cycle((0, 0, 1, 1)), CONE_TIMES)],
+    # at whole times only: every call shares frac(t) = 0, so a walk is told apart
+    # from the last one by its trace, N and position alone
+    "descending_whole": [(2, 0, t) for t in WHOLE_TIMES[::-1]],
+    "n_alternating_whole": [(n, 0, t) for n, t in zip(itertools.cycle((2, 7)), WHOLE_TIMES)],
+    "traces_interleaved_whole": [(7, i, t) for i, t in zip(itertools.cycle((0, 1)), WHOLE_TIMES)],
 }
 
 
-# the patterns every call shares, built once per step or cut
-CACHED = (field._flux_stencil, field._simpson_weights, field._cone_cell)
+# the patterns every call shares, built once per cut
+CACHED = (field._cone_cell,)
 
 
 @pytest.mark.parametrize("case", RESUME_CALLS)
@@ -528,6 +534,25 @@ def test_walked_trace_cannot_change_under_the_flux():
         trace.samples[:] *= 0.5
     got = waveguide_probability(params, trace, 12.0)
     assert abs(got - cold_walk(params, trace, 12.0)) <= 1e-14
+
+
+def test_trace_over_a_view_cannot_change_under_the_flux():
+    # a trace built over a view of a writable array copies it, so halving the
+    # base between walks at t = 10 and 12 leaves t = 12 as a cold walk over the
+    # unhalved samples reads it (a trace that kept the view read 0.1742, against
+    # 0.0556 on a new object over the halved samples); the traces integrate_beta
+    # and dataclasses.replace build own their samples and copy nothing
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    made = integrate_beta(params, 20.0, 64)
+    base = made.samples.copy()
+    trace = AmplitudeTrace(made.dt, base[:], made.t_max)
+    waveguide_probability(params, trace, 10.0)
+    base *= 0.5
+    got = waveguide_probability(params, trace, 12.0)
+    assert abs(got - cold_walk(params, made, 12.0)) <= 1e-14
+    assert not np.shares_memory(trace.samples, base)
+    assert made.samples.flags.owndata
+    assert dataclasses.replace(made).samples is made.samples
 
 
 def test_resumed_flux_under_threads(flux_traces):
@@ -556,28 +581,27 @@ def test_resumed_flux_under_threads(flux_traces):
 
 
 def test_flux_walk_resumes_over_ascending_times(monkeypatch):
-    # each einsum of the walk turns one row per whole interval; 25 ascending whole
-    # times on one trace walk its 98 intervals once, where walks from u = 0 would
-    # take 2 + 6 + ... + 98 = 1,250
+    # each block of the walk hands beta_at_many one row of nodes per k; 25
+    # ascending whole times on one trace walk its rows k = 0 .. 98 once, where
+    # walks from k = 0 would take 3 + 7 + ... + 99 = 1,275
     params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
     trace = integrate_beta(params, 98.0, 16)
     walked = []
-    einsum = np.einsum
 
-    def counting(subscripts, *operands, out=None):
-        walked.append(len(out))
-        return einsum(subscripts, *operands, out=out)
+    def counting(trace, ts):
+        walked.append(len(ts))
+        return beta_at_many(trace, ts)
 
-    monkeypatch.setattr(field.np, "einsum", counting)
+    monkeypatch.setattr(field, "beta_at_many", counting)
     for t in range(2, 99, 4):
         waveguide_probability(params, trace, float(t))
-    assert sum(walked) == 98
+    assert sum(walked) == 99
 
 
 def test_cached_patterns_are_shared_safely():
     # traces at two steps and two N, interleaved at cuts a = 0 and about 0.3, share
-    # the cached stencils, cells and weights; each value must be the one built from
-    # empty caches, and no caller may write into what the caches hold
+    # the cached cells; each value must be the one built from empty caches, and no
+    # caller may write into what the caches hold
     params = {n: GiantAtomParams(n, 0.05, TWO_PI * 3.3) for n in (2, 5)}
     traces = {(n, m): integrate_beta(params[n], 7.0, m) for n in (2, 5) for m in (256, 2048)}
     times = (3.0, 3.3, 6.0, 6.3)
@@ -600,8 +624,7 @@ def test_cached_patterns_are_shared_safely():
     assert shared == run(clear=True)
     cuts = {min(t % 1.0, 1.0 - t % 1.0) for t in times}
     assert cuts == {0.0, 3.3 % 1.0}
-    for array in (*field._flux_stencil(512), *field._flux_stencil(4096),
-                  field._simpson_weights(200), *itertools.chain(*map(field._cone_cell, cuts))):
+    for array in itertools.chain(*map(field._cone_cell, cuts)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -650,9 +673,10 @@ def test_inside_cone_budget_is_exact(monkeypatch):
     assert total_probability(params, trace, 2.0) == ref
 
 
-def test_inside_cone_interpolates_one_row_per_distance(monkeypatch):
-    # the left-moving waves read the right-moving rows mirrored, so at N = 3 and a
-    # whole t beta is interpolated on N-1 = 2 rows of one cell's 201 nodes
+def test_inside_cone_interpolates_no_rows_of_its_own(monkeypatch):
+    # the inside reads the last N-1 rows of the walk the tails take, so at N = 3
+    # and t = 2 beta is interpolated only on the walk's rows k = 0, 1, 2 of one
+    # cell's 201 nodes, and later calls at the same t interpolate nothing
     params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
     trace = integrate_beta(params, 2.0, 16)
     asked = []
@@ -663,4 +687,7 @@ def test_inside_cone_interpolates_one_row_per_distance(monkeypatch):
 
     monkeypatch.setattr(field, "beta_at_many", counting)
     _cone_integral(params, trace, 2.0)
-    assert asked == [402]
+    assert asked == [603]
+    _cone_integral(params, trace, 2.0)
+    waveguide_probability(params, trace, 2.0)
+    assert asked == [603]

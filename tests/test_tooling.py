@@ -89,10 +89,10 @@ def test_march_timing_prints_one_row_per_case(layer_timing_tables):
 
 def test_field_timing_prints_one_row_per_case(layer_timing_tables):
     header, columns, *rows = layer_timing_tables[1]
-    assert header == "field quadratures, ms per call (t = 1.5, M = 64, best of 1)"
-    assert columns.split() == ["N", "cone", "flux", "per_tau"]
-    [(n_legs, cone, flux, per_tau)] = [row.split() for row in rows]
-    assert n_legs == "3" and float(cone) > 0.0 and float(flux) > 0.0 and float(per_tau) > 0.0
+    assert header == "field quadrature, ms per call (t = 1.5, M = 64, best of 1)"
+    assert columns.split() == ["N", "walk", "per_tau"]
+    [(n_legs, walk, per_tau)] = [row.split() for row in rows]
+    assert n_legs == "3" and float(walk) > 0.0 and float(per_tau) > 0.0
 
 
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
