@@ -57,7 +57,7 @@ MUTANTS = (
     # both read), Simpson's weights, the mirrored prefix sums (phi_L) one row off
     # or read without reversing the nodes, a right panel group that is not the
     # left one mirrored, and a cached pattern left writable
-    Mutant(FIELD, "rows[:n_legs - 1] = rows[count:][:n_legs - 1]", "rows[:n_legs - 1] = 0", FLUX),
+    Mutant(FIELD, "carry = rows[1 - n_legs:]", "carry = 0.0 * rows[1 - n_legs:]", FLUX),
     Mutant(FIELD, "sliding_window_view(rows, n_legs, axis=0)",
            "sliding_window_view(rows, n_legs - 1, axis=0)", FLUX),
     Mutant(FIELD, "_cone_cell(min(f, 1.0 - f))", "_cone_cell(f)", CONE),
@@ -68,12 +68,12 @@ MUTANTS = (
            ROW_CONE),
     Mutant(FIELD, "ends + ends[::-1, ::-1]", "ends + ends[::-1]", ROW_CONE),
     Mutant(FIELD, "(1.0 - a, a)):", "(1.0 - a, 1.0 - (1.0 - a))):", ROW_CONE),
-    Mutant(FIELD, "    array.flags.writeable = False\n", "", SHARED),
+    Mutant(FIELD, "array.flags.writeable = False", "array.flags.writeable = True", SHARED),
     # field: the walk resumed from a cursor past t, without its carried rows,
     # from another trace's cursor, from another N's and from another frac(t)'s;
     # and never resumed
     Mutant(FIELD, "frac == f and done <= whole + 1)", "frac == f)", RESUME),
-    Mutant(FIELD, "rows[:n_legs - 1] = carry", "pass", RESUME),
+    Mutant(FIELD, "whole + 1, carry, power)", "whole + 1, 0.0 * carry, power)", RESUME),
     Mutant(FIELD, "(ref() is trace and legs", "(legs", RESUME),
     Mutant(FIELD, "legs == n_legs and frac", "frac", RESUME),
     Mutant(FIELD, "and frac == f and", "and", RESUME),
@@ -89,12 +89,15 @@ MUTANTS = (
            "range((n_chunks - 1).bit_length() - 1)", MARCH),
     Mutant(DDE, "max(2.0 * n_steps + 1.0, 2 * m + 1)", "2.0 * n_steps + 1.0",
            ("tests/test_dde.py::test_interval_scratch_checked_before_allocation",)),
-    # core: a trace that leaves the samples it is given writable, and one that
-    # keeps a view instead of copying it
+    # core: a trace that leaves the samples it is given writable, one that keeps
+    # a view instead of copying it, and one that keeps a writable array it owns
     Mutant("src/giant_atom/core.py", "self.samples.flags.writeable = False", "pass",
-           ("tests/test_dde.py::test_trace_samples_are_read_only",)),
+           ("tests/test_field.py::test_walked_trace_cannot_change_under_the_flux",)),
     Mutant("src/giant_atom/core.py", 'object.__setattr__(self, "samples", self.samples.copy())',
            "pass", ("tests/test_field.py::test_trace_over_a_view_cannot_change_under_the_flux",)),
+    Mutant("src/giant_atom/core.py", "if self.samples.flags.writeable or not",
+           "if not", ("tests/test_field.py::"
+                      "test_trace_over_an_array_with_an_earlier_view_cannot_change_under_the_flux",)),
     # dde: the dense output's snap onto a sample
     Mutant(DDE, "np.abs(pos - nearest) <= _GRID_SNAP", "np.abs(pos - nearest) < 0.0",
            ("tests/test_dde.py::TestDenseOutput::test_snapped_grid_hits_bit_identical",)),

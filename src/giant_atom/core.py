@@ -177,12 +177,14 @@ class AmplitudeTrace:
 
     dt is the marching step tau/M; samples[k] holds beta(k * dt/2), so the
     stored resolution is twice the marching resolution (see the dde module
-    for why the half steps exist).  A trace makes the samples array it is
-    given read-only, and first copies one that does not own its memory, so
+    for why the half steps exist).  A trace holds its samples read-only, so
     what a field quadrature reads off a trace object stays true of it: the
-    light-cone walk keeps its state per trace object.  (A write through a
-    view made earlier of an array that owns its memory is not caught.)
-    Traces compare by identity.
+    light-cone walk keeps its state per trace object.  It copies the samples
+    array it is given when that array is writable or does not own its memory,
+    since a view of it or its base could still be written.  An array that is
+    already read-only and owns its memory is taken as is, so the caller must
+    not write it through a view made before it was made read-only.  Traces
+    compare by identity.
     """
 
     dt: float
@@ -190,7 +192,7 @@ class AmplitudeTrace:
     t_max: float
 
     def __post_init__(self) -> None:
-        if not self.samples.flags.owndata:  # a view, whose base could still be written
+        if self.samples.flags.writeable or not self.samples.flags.owndata:
             object.__setattr__(self, "samples", self.samples.copy())
         self.samples.flags.writeable = False
 

@@ -78,10 +78,10 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     over t_max rounded up to a whole step and over at least two steps.
     beta0 scales the initial excited-state amplitude (default: fully excited);
     the dynamics is linear, so the trace scales with it.  The samples are
-    read-only, as every AmplitudeTrace makes its own.  Raises ValueError,
-    before allocating anything, when the trace or one interval of the march's
-    scratch would exceed MAX_TRACE_SAMPLES, or when the RK4 step is unstable
-    for the decay rate (|R| >= 1).
+    made read-only before the trace is built, so it takes them without a
+    copy.  Raises ValueError, before allocating anything, when the trace or
+    one interval of the march's scratch would exceed MAX_TRACE_SAMPLES, or
+    when the RK4 step is unstable for the decay rate (|R| >= 1).
     """
     check_positive("t_max", t_max)
     m = check_int("steps_per_tau", steps_per_tau, 16)
@@ -142,6 +142,7 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     bad = ~np.isfinite(samples)
     if bad.any():
         raise DivergenceError(f"non-finite amplitude at t = {np.argmax(bad) * 0.5 * h:g}")
+    samples.flags.writeable = False
     return AmplitudeTrace(dt=h, samples=samples, t_max=n_steps * h)
 
 

@@ -21,16 +21,21 @@ e(u) = sum_{l=0}^{N-1} beta(u - l) * Theta(u - l) (the input-output view of a
 cascaded emitter, Gardiner & Collett, PRA 31, 3761, 1985).  |phi|^2 can kink
 only where t - |x - x_m| is whole, so every unit cell inside and every unit
 step outward has the same cuts, and one cell's Simpson nodes y, mirror-
-symmetric about its centre, serve them all.  Every delay is whole, so one walk
-over the rows beta(k + f - y), k = 0 .. floor(t) and f = frac(t), serves both
-parts: e at distance c + y outside is the sum of the N rows ending at
-k = floor(t) - c, and phi on all N-1 cells inside is one prefix sum over the
-last N-1 rows, mirrored for the left-moving waves.  The cell's nodes, probes
-and weights are built once per cut and kept, read-only.  The walk keeps its
-N-1 last rows and its running sum, O(N * 201) values whatever t is, so a later
-call on the same trace at the same N and frac(t) and a later time resumes it
-instead of walking again from k = 0; a trace's samples are read-only, so that
-state stays true of the trace object.
+symmetric about its centre, serve them all.  The cell's nodes, panel probes
+and weights are built once per cut and kept, read-only.
+
+Every delay is whole, so one walk over the rows beta(k + f - y),
+k = 0 .. floor(t) and f = frac(t), serves both parts (_light_cone maps rows to
+cells).  The rows run in blocks of _BLOCK.  Each block builds a new array: the
+N-1 rows carried from before (zero before k = 0), then its own rows.  Its
+windows, the N rows ending at each of its own rows, sum to e there, and |e|^2
+is added to a running sum.  The block's last N-1 rows are the next block's
+carry, and after the last block the inside reads them.  The carry and the
+running sum, O(N * 201) values whatever t is, are kept with the walk's trace
+object (weakly), N, frac(t) and the rows done.  A later call with the same
+trace object, N and frac(t), at a time not before where the walk stopped,
+resumes from them instead of walking again from k = 0.  A trace's samples are
+read-only, so that state stays true of the trace object.
 """
 
 from __future__ import annotations
@@ -64,8 +69,7 @@ DEFAULT_DX = 1.0 / 200.0
 _BLOCK = 16       # rows of beta per block of the light-cone walk
 _DARK_TOL = 1e-10  # largest |F(-i Omega_n)| over F's term scale at which index n is dark
 # where the last light-cone walk stopped: its trace (weakly), n_legs, frac(t), the
-# rows walked, the N-1 rows carried past them and the power summed over them; its
-# arrays are never written in place
+# rows walked, the N-1 rows carried past them and the power summed over them
 _cursor = (lambda: None, 0, 0.0, 0, 0.0, 0.0)  # no walk yet
 
 
@@ -128,7 +132,8 @@ def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
 def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
                 t: float) -> tuple[float, float]:
     """The field probability inside [0, N-1] and in both tails outside it,
-    from one walk over rows of beta on one cell's nodes.
+    from one walk over rows of beta on one cell's nodes (see the module
+    docstring for the walk).
 
     With f = frac(t), row k = 0 .. floor(t) is beta(k + f - y) on the nodes y
     of _cone_cell(min(f, 1 - f)), counted on a panel only when the panel's
@@ -139,10 +144,7 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
     R[d] = beta(t - d - y) of the coupling points d cells to its left, the
     last N-1 rows reversed, and those d + 1 cells to its right at 1 - y: with
     ends the prefix sums of R, phi_R on cell c is ends[c] and phi_L is
-    ends[N-2-c] mirrored.  The rows run in _BLOCK blocks after the N-1 rows
-    carried from before (zero before k = 0).  The walk resumes where the last
-    one stopped (_cursor) when that was on the same trace object, N and f and
-    not past floor(t); any other call walks from k = 0.
+    ends[N-2-c] mirrored.
     """
     global _cursor
     n_legs, whole = params.n_legs, int(math.floor(t))
@@ -151,23 +153,16 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
     # the inside's N-1 rows and their prefix sums, held at once
     check_budget(f"the inside cone of {n_legs} coupling points",
                  2 * (n_legs - 1) * len(nodes), "values", MAX_TRACE_SAMPLES)
-    rows = np.zeros((n_legs - 1 + _BLOCK, len(nodes)), dtype=complex)  # N-1 carried, then new
-    # windows[i] holds the N rows whose sum is e on the block's row i
-    windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)
     ref, legs, frac, done, carry, power = _cursor
     if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):
-        done, carry, power = 0, 0.0, 0.0  # the empty state: a walk from k = 0
-    rows[:n_legs - 1] = carry
-    power = np.zeros(len(nodes)) + power  # |e|^2 summed over the rows walked, node by node
+        done, carry, power = 0, np.zeros((n_legs - 1, len(nodes))), 0.0  # a walk from k = 0
     for start in range(done, whole + 1, _BLOCK):
-        count = min(_BLOCK, whole + 1 - start)
-        shifts = np.arange(start, start + count)[:, None] + f
-        on = shifts - probes >= 0.0
-        rows[n_legs - 1:][:count] = on * beta_at_many(trace, np.clip(shifts - nodes, 0.0,
-                                                                     trace.t_max))
-        power += np.sum(np.abs(windows[:count].sum(-1)) ** 2, axis=0)
-        rows[:n_legs - 1] = rows[count:][:n_legs - 1]
-    carry = rows[:n_legs - 1]  # not written again once published
+        shifts = np.arange(start, min(start + _BLOCK, whole + 1))[:, None] + f
+        beta = beta_at_many(trace, np.clip(shifts - nodes, 0.0, trace.t_max))
+        rows = np.concatenate([carry, (shifts - probes >= 0.0) * beta])  # probe in the light cone
+        windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)
+        power = power + np.sum(np.abs(windows.sum(-1)) ** 2, axis=0)
+        carry = rows[1 - n_legs:]
     _cursor = (weakref.ref(trace), n_legs, f, whole + 1, carry, power)
     ends = np.cumsum(carry[::-1], axis=0)
     phi = ends + ends[::-1, ::-1]
@@ -181,55 +176,43 @@ def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> 
     return _light_cone(params, trace, t)[0]
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """array, made read-only, as every cached pattern is: callers share it."""
-    array.flags.writeable = False
-    return array
-
-
 @functools.lru_cache(maxsize=32)
 def _cone_cell(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One cell's Simpson nodes, the probe of each node's panel and the weights,
     for cuts at a and 1 - a; built once per a, and read-only.
 
-    The panels run between the cuts in even numbers of steps of at most
-    DEFAULT_DX, the right group the left one mirrored, so node y's mirror
-    1 - y is a node too.  A node's probe is its panel group's midpoint.
+    The panels run between the cuts in even numbers (at least 2) of steps of
+    at most DEFAULT_DX, the right group the left one mirrored, so node y's
+    mirror 1 - y is a node too.  A node's probe is its panel group's midpoint.
     """
     nodes, probes, weights = [], [], []
     for start, width in ((0.0, a), (a, (1.0 - a) - a), (1.0 - a, a)):
         if width >= 1e-12:
-            k = _panels(width)
+            k = max(2, 2 * math.ceil(width / (2.0 * DEFAULT_DX)))
             nodes.append(start + width / k * np.arange(k + 1))
             probes.append(np.full(k + 1, start + 0.5 * width))
             # composite Simpson: 1, 4, 2, ..., 2, 4, 1
             weights.append(width / (3.0 * k)
                            * np.concatenate([[1.0], np.tile([4.0, 2.0], k // 2)[:-1], [1.0]]))
-    return tuple(_read_only(np.concatenate(part)) for part in (nodes, probes, weights))
-
-
-def _panels(width: float) -> int:
-    """Even number of Simpson panels of at most DEFAULT_DX across width (at least 2)."""
-    return max(2, 2 * math.ceil(width / (2.0 * DEFAULT_DX)))
+    cell = tuple(np.concatenate(part) for part in (nodes, probes, weights))
+    for array in cell:
+        array.flags.writeable = False  # every caller shares it
+    return cell
 
 
 def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """Field probability integrated over the light cone [x_1 - t, x_N + t].
 
-    One walk (_light_cone) reads beta on rows k + f - y, k = 0 .. floor(t),
-    f = frac(t), on one cell's mirror-symmetric Simpson nodes y between the
-    closed-form kinks of |phi|^2.  The inside [0, N-1] is the prefix sums of
-    its last N-1 rows, read forwards for the right-moving waves and mirrored
-    for the left-moving ones; the two tails outside it add the outgoing flux
-    gamma * int_0^t |e(u)|^2 du, one sliding window of N rows per unit step
-    outward.  The cell's nodes, probes and weights are built once per cut
-    a = min(f, 1 - f) and shared read-only.  The walk resumes from the last
-    call's on the same trace object, N and f when t has not gone back past
-    it, so ascending times on one trace cost one walk in all; what it keeps,
-    the N-1 carried rows and the running sum, is O(N * 201) values.  The
-    inside's N-1 rows and their prefix sums, held at once, grow with N, and
-    more than dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a
-    ValueError before any row is built.
+    The inside [0, N-1] and the two tails outside it, which hold the outgoing
+    flux gamma * int_0^t |e(u)|^2 du, by composite Simpson on one cell's nodes
+    between the closed-form kinks of |phi|^2.  Calls on one trace object at
+    one N and frac(t), at ascending times, resume one walk over the rows of
+    beta and so read each row once in all; the walk is keyed on the trace
+    object, N, frac(t) and the rows done, and any other call walks from the
+    start.  What it keeps between calls is O(N * 201) values.  The inside's
+    N-1 rows and their prefix sums, held at once, grow with N, and more than
+    dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a ValueError
+    before any row is built.
     """
     check_trace_times(trace, t)
     return sum(_light_cone(params, trace, float(max(t, 0.0))))
