@@ -11,8 +11,12 @@ k = 0 every time rather than resuming where the previous run stopped.  The
 last column, per_tau, is the mean time of one field.total_probability call
 over the whole times 0 .. floor(t_max) in ascending order on one new trace
 object: the walk resumes from call to call, so this is what a per-tau
-diagnostic pays, its set-up included.  Every time is the best of --repeat
-runs.  BLAS threads are whatever the environment sets.
+diagnostic pays, its set-up included.  The csv table times cli._write_csv
+alone, per row, on the blocks `simulate` writes at README's point (N = 3,
+gamma_tau/2pi = 0.018, omega_tau/2pi = 0.3177449, M = 256) up to t_max:
+beta.csv's (102,401 rows at t_max = 200) and pxt.csv's, 201 frames of 441
+rows, both built untimed first.  Every time is the best of --repeat runs.
+BLAS threads are whatever the environment sets.
 
     python .github/layer_timing.py
     python .github/layer_timing.py --n-legs 3 --steps-per-tau 16 --t-max 1000
@@ -25,11 +29,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
+import tempfile
 import time
 
+import numpy as np
+
 sys.path.insert(0, "src")
-from giant_atom import GiantAtomParams, field, integrate_beta  # noqa: E402
+from giant_atom import GiantAtomParams, cli, field, integrate_beta  # noqa: E402
 
 
 def _best_s(call, repeat: int) -> float:
@@ -72,6 +80,20 @@ def main(argv: list[str]) -> int:
 
         each = _best_s(per_tau, repeat) / len(whole) * 1e3
         print(f"{n_legs:4d} {walk:10.2f} {each:10.3f}")
+    params = GiantAtomParams(3, 2.0 * math.pi * 0.018, 2.0 * math.pi * 0.3177449)
+    trace = integrate_beta(params, t_max)
+    grid = field.GridSpec(-10.0, 12.0, 0.05, times=tuple(
+        float(tau) for tau in np.linspace(0.0, trace.t_max, 201)))
+    tables = {"beta": (["t", "re_beta", "im_beta", "prob"], list(cli._beta_blocks(trace, 1))),
+              "pxt": (["t", "x", "p"], list(cli._pxt_blocks(params, trace, grid)))}
+    print(f"csv writer, us per row (t_max = {t_max:g}, best of {repeat})")
+    print(f"{'table':>6} {'rows':>8} {'us':>8}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (header, blocks) in tables.items():
+            path = os.path.join(tmp, f"{name}.csv")
+            rows = sum(len(block[0]) for block in blocks)
+            best = _best_s(lambda: cli._write_csv(path, header, blocks), repeat)
+            print(f"{name:>6} {rows:8d} {best / rows * 1e6:8.3f}")
     return 0
 
 

@@ -50,6 +50,7 @@ RESUMES = ("tests/test_field.py::test_flux_walk_resumes_over_ascending_times",)
 SHARED = ("tests/test_field.py::test_cached_patterns_are_shared_safely",)
 MARCH = ("tests/test_dde.py::test_matches_scalar_march",)
 SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the_work",)
+CSV = ("tests/test_cli.py::TestCsvBytes",)
 
 MUTANTS = (
     # field: the carried rows, the N-row window, the cell's cuts, the probe at
@@ -107,6 +108,14 @@ MUTANTS = (
            "np.abs(b) ** 2", ("tests/test_cli.py::TestCsvBytes::test_simulate_beta_csv",)),
     Mutant("src/giant_atom/cli.py", 'if key != "func"},', 'if key not in ("func", "stride")},',
            ("tests/test_readme.py::test_manifest_params_rerun_the_command",)),
+    # cli: the float kernel rounding half up instead of half to even, taking k from
+    # log10 without its exact correction, and the scientific layout from k < -5
+    Mutant("src/giant_atom/cli.py", "rounded = np.rint(lo)", "rounded = np.floor(lo + 0.5)",
+           CSV),
+    Mutant("src/giant_atom/cli.py",
+           "row += (a >= ceil10[row + 1]).view(np.int8) - (a < ceil10[row]).view(np.int8)",
+           "pass", CSV),
+    Mutant("src/giant_atom/cli.py", "fixed = -4 <= k < 17", "fixed = -5 <= k < 17", CSV),
     # spectral: no seed at -(i omega + N gamma/2), the root of F's non-delayed part
     Mutant("src/giant_atom/spectral.py",
            "seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),\n"

@@ -2,11 +2,12 @@
 
 Each subcommand computes its tables and hands them to one writer, which makes
 the output directory, writes every table as an RFC-4180-style CSV (header row,
-UTF-8, LF line endings, 17 significant digits for floats), then a
-manifest.json recording the input parameters, tool version, creation time, a
-sha256 checksum of each output and the command's derived values, and prints
-one line, "<command>: <summary>, wrote <files> to <dir>".  A result directory
-is therefore self-describing and re-runnable.
+UTF-8, LF line endings; floats as C's %.17g, bit for bit, produced by numpy
+array operations rather than one Python call per value), then a manifest.json
+recording the input parameters, tool version, creation time, a sha256
+checksum of each output and the command's derived values, and prints one
+line, "<command>: <summary>, wrote <files> to <dir>".  A result directory is
+therefore self-describing and re-runnable.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error, 3
 structural impossibility (e.g. a dark-pair search with two coupling points),
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -48,47 +50,215 @@ _EXIT_CODES = {StructuralImpossibilityError: EXIT_STRUCTURAL, ValueError: EXIT_U
                OSError: EXIT_IO, SolverError: EXIT_SOLVER}
 
 
-# rows per block of beta.csv; each block is formatted by one string operation
-CSV_BLOCK_ROWS = 4096
+# rows the CSV writer formats at once (beta.csv's blocks have this many): it
+# joins consecutive short blocks and cuts long ones, so its working memory,
+# about 0.7 MB for four float columns, does not grow with the table
+CSV_BLOCK_ROWS = 2048
 
 # Largest sampling grid a command builds in one piece: a profile's x
 # positions or a heatmap's x-by-t points (scan lines are held to
-# darkstates.MAX_LATTICE_POINTS instead).  A profile is formatted as one CSV
-# block, about 200 MB per 2**20 rows, so a profile at this budget needs about
-# 0.8 GB.
+# darkstates.MAX_LATTICE_POINTS instead).  The CSV writer formats a profile in
+# pieces of CSV_BLOCK_ROWS rows, so the grid's own arrays, 8 bytes per point
+# and column, are what this bounds.
 MAX_GRID_SAMPLES = 2 ** 22
 
+# A float's CSV field is 32 bytes, four little-endian words: the sign and the
+# "0.000" lead of 1e-4 <= |x| < 1 (word 0), the 17 digits with the point among
+# them (18 bytes), the exponent suffix (5 bytes) and the separator.  Bytes a
+# value does not use are NUL, and the writer drops every NUL.
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
+_SCALE = 2.0 ** 128   # |x| * 2**128 times 10**n / 2**128, finite up to n = 325
+_K0 = 309             # index of 10**0 in the tables over decimal exponents k
 
-def _column(values: np.ndarray) -> tuple[str, list]:
-    """printf spec and Python values of one CSV column, chosen by dtype."""
-    kind = values.dtype.kind
-    if kind == "b":
-        return "%s", ["true" if v else "false" for v in values.tolist()]
-    return ("%d" if kind in "iu" else "%.17g"), values.tolist()
+
+def _two_product(a, b):
+    """hi, lo with hi + lo == a * b exactly (Dekker, Numer. Math. 18, 224, 1971)."""
+    hi = a * b
+    c = _SPLIT * a
+    a1 = c - (c - a)
+    c = _SPLIT * b
+    b1 = c - (c - b)
+    a2, b2 = a - a1, b - b1
+    return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _ascii8(v):
+    """The 8 ASCII digits of each uint64 below 10**8, the leading one in the low
+    byte: 4-, 2- and 1-digit halves side by side in one word (SWAR)."""
+    hi = v // 10000
+    v = hi | (v - 10000 * hi) << 32
+    hi = (v * 10486 >> 20) & 0x7F0000007F           # // 100 in each 32-bit lane
+    v = hi | (v - 100 * hi) << 16
+    hi = (v * 103 >> 10) & 0xF000F000F000F          # // 10 in each 16-bit lane
+    return (hi | (v - 10 * hi) << 8) + 0x3030303030303030
+
+
+@functools.cache
+def _decimal_tables():
+    """The float kernel's tables; those over the decimal exponent k, -309 <= k
+    <= 17, are indexed by k + _K0."""
+    ceil10 = []     # the least double >= 10**k: a >= 10**k exactly iff a >= ceil10
+    lead = []       # word 0 for x > 0, x < 0: [-], then "0." and -k-1 zeros if -4 <= k < 0
+    suffix = []     # "e-05" in bytes 2-6 of the last digit word, none for -4 <= k < 17
+    mask_rows = []  # the row of masks for each count of significant digits, ndig
+    for k in range(-_K0, 18):
+        c = 10 ** k if k >= 0 else 1 / 10 ** -k  # int / int rounds correctly
+        num, den = float(c).as_integer_ratio()
+        ceil10.append(float(c) if num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0)
+                      else math.nextafter(c, math.inf))
+        fixed = -4 <= k < 17
+        zeros = -k if fixed and k < 0 else 0
+        point = 17 if zeros else k + 1 if fixed else 1  # digits before the point
+        text = b"0." + b"0" * (zeros - 1) if zeros else b""
+        lead += [text, b"-" + text]
+        suffix.append(b"" if fixed else b"e%+03d" % k)
+        mask_rows.append([point * 19 + (ndig if zeros else max(ndig, point) + (ndig > point))
+                          for ndig in range(18)])
+    hi, lo = [], []  # 10**(16 - k) / 2**128 as hi + lo, exact while 16 - k <= 22
+    for n in range(16 + _K0, -1, -1):
+        hi.append(10 ** n / 2 ** 128)
+        num, den = hi[-1].as_integer_ratio()
+        lo.append((10 ** n * den - num * 2 ** 128) / (2 ** 128 * den))
+    # by point * 19 + keep: the digit words' masks for the bytes before the
+    # point and after it (taken from the digits shifted by one byte), and the
+    # point itself, each cut after keep bytes
+    masks = np.zeros((18, 19, 3, 24), np.uint8)
+    for point in range(18):
+        for keep in range(19):
+            masks[point, keep, 0, :min(point, keep)] = 0xFF
+            masks[point, keep, 1, point + 1:keep] = 0xFF
+            masks[point, keep, 2, point:min(point + 1, keep)] = ord(".")
+    tables = (np.array(ceil10), np.array(hi), np.array(lo),
+              np.array(lead, "S8").view(np.uint64), np.array(suffix, "S8").view(np.uint64) << 16,
+              np.array(mask_rows).ravel(), masks.reshape(18 * 19, 9 * 8).view(np.uint64).T.copy())
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _significands(a: np.ndarray):
+    """Decimal exponent and 17-digit significand of each normal double a < 1e16.
+
+    Returns row = k + _K0, with 10**k <= a < 10**(k + 1) from log10 corrected
+    by exact comparisons; q, the integer a * 10**(16 - k) rounded half to
+    even, 10**17 carried into k + 1; and near_tie.  While 10**(16 - k) is a
+    double (16 - k <= 22), one Dekker two-product makes q exact.  Beyond, the
+    power is a double-double and the unrounded q is within 1e-13 of a unit,
+    so q may be wrong only within 1e-13 of a tie: near_tie marks those.
+    """
+    ceil10, power_hi, power_lo = _decimal_tables()[:3]
+    row = np.floor(np.log10(a)).astype(np.intp) + _K0
+    row += (a >= ceil10[row + 1]).view(np.int8) - (a < ceil10[row]).view(np.int8)
+    a = a * _SCALE
+    hi, lo = _two_product(a, power_hi[row])
+    lo += a * power_lo[row]
+    rounded = np.rint(lo)
+    near_tie = (row < _K0 - 6) & (np.abs(np.abs(lo - rounded) - 0.5) < 1e-13)
+    q = hi.astype(np.int64) + rounded.astype(np.int64)
+    carry = q == 10 ** 17
+    q[carry] = 10 ** 16
+    return row + carry, q, near_tie
+
+
+def _digit_words(q: np.ndarray, zero: np.ndarray):
+    """The 17 ASCII digits of each q as 3 words (bytes 0-16; "0" where zero),
+    the same shifted up one byte, and the count of significant digits."""
+    first = q // 10 ** 16
+    q = q - first * 10 ** 16
+    high = q // 10 ** 8
+    rest = _ascii8(np.stack([high, q - high * 10 ** 8]).view(np.uint64))  # digits 2-9, 10-17
+    # significant digits: the bit length of each digit word counts its bytes
+    bits = np.frexp((rest ^ 0x3030303030303030).astype(np.float64))[1]
+    ndig = 1 + np.where(bits[1] > 0, 8 + (bits[1] + 7) // 8, (bits[0] + 7) // 8)
+    digits = np.empty((3, len(q)), np.uint64)
+    digits[0] = ord("0") + first * ~zero
+    digits[1:] = rest >> 56
+    digits[:2] |= rest << 8
+    shifted = digits << 8
+    shifted[1:] |= digits[:2] >> 56
+    return digits, shifted, ndig
+
+
+def _float_fields(x: np.ndarray, words: np.ndarray) -> None:
+    """Write C's %.17g of each float64 into its row of words, (n, 4) uint64,
+    laid out as above.  Subnormals, |x| >= 1e16, inf, nan and _significands'
+    near ties take CPython's own %.17g."""
+    lead, suffix, mask_rows, masks = _decimal_tables()[3:]
+    a = np.abs(x)
+    direct = (a >= sys.float_info.min) & (a < 1e16)
+    zero = a == 0.0
+    row, q, near_tie = _significands(np.where(direct, a, 1.0))
+    digits, shifted, ndig = _digit_words(q, zero)
+    mask = np.take(masks, np.take(mask_rows, row * 18 + ndig), axis=1)
+    segment = digits & mask[:3]
+    segment |= shifted & mask[3:6]
+    segment |= mask[6:]
+    segment[2] |= np.take(suffix, row)
+    words[:, 0] = np.take(lead, 2 * row + np.signbit(x))
+    words[:, 1:] = segment.T
+    for i in np.flatnonzero(~(direct | zero) | near_tie).tolist():
+        words[i] = np.frombuffer((b"%.17g" % x[i]).ljust(32, b"\0"), np.uint64)
+
+
+def _csv_rows(columns) -> np.ndarray:
+    """The CSV bytes of equal-length columns, one row per element.
+
+    Each value becomes a NUL-padded field of fixed width per column, ending in
+    its separator; one mask drops the NULs.  Floats are C's %.17g
+    (_float_fields), integers astype("S"), which is %d for every integer
+    dtype, and bools "true"/"false".
+    """
+    texts = []
+    for values in map(np.asarray, columns):
+        kind = values.dtype.kind
+        texts.append(np.where(values, b"true", b"false") if kind == "b"
+                     else values.astype("S") if kind in "iu"
+                     else values.astype(np.float64, copy=False))
+    widths = [32 if t.dtype.kind == "f" else t.itemsize // 8 * 8 + 8 for t in texts]
+    buf = np.zeros((len(texts[0]), sum(widths)), np.uint8)
+    end = 0
+    for text, width in zip(texts, widths):
+        field = buf[:, end:end + width]
+        end += width
+        if text.dtype.kind == "f":
+            _float_fields(text, field.view(np.uint64))
+        else:
+            field[:, :text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
+        field[:, -1] = ord(",")
+    buf[:, -1] = ord("\n")
+    flat = buf.ravel()
+    return flat[flat != 0]
+
+
+def _pieces(blocks):
+    """The rows of blocks, joined and cut into pieces of CSV_BLOCK_ROWS rows
+    (the last may be shorter)."""
+    columns = None
+    for block in blocks:
+        columns = block if columns is None else list(map(np.concatenate, zip(columns, block)))
+        while len(columns[0]) >= CSV_BLOCK_ROWS:
+            yield [column[:CSV_BLOCK_ROWS] for column in columns]
+            columns = [column[CSV_BLOCK_ROWS:] for column in columns]
+    if columns is not None and len(columns[0]):
+        yield columns
 
 
 def _write_csv(path: str, header: list[str], blocks) -> str:
     """Write a CSV from column blocks and return the sha256 of its bytes.
 
-    Each block is a list of equal-length arrays, one per header column; every
-    column's printf spec follows its dtype (bool, integer, else float).
+    Each block is a list of equal-length arrays, one per header column, and
+    the blocks of one table agree on each column's dtype; every column's
+    format follows its dtype (bool, integer, else float).
     """
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def put(text: str) -> None:
-            data = text.encode("utf-8")
+        def put(data) -> None:
             digest.update(data)
             fh.write(data)
 
-        put(",".join(header) + "\n")
-        width = len(header)
-        for block in blocks:
-            rows = len(block[0])
-            specs, columns = zip(*map(_column, block))
-            flat = [None] * (rows * width)
-            for i, values in enumerate(columns):
-                flat[i::width] = values
-            put((",".join(specs) + "\n") * rows % tuple(flat))
+        put((",".join(header) + "\n").encode("utf-8"))
+        for columns in _pieces(blocks):
+            put(_csv_rows(columns))
     return digest.hexdigest()
 
 
@@ -116,15 +286,18 @@ def _write_results(args, tables: dict, derived: dict | None, summary: str) -> No
     print(f"{args.command}: {summary}, wrote {', '.join(tables)} to {args.out_dir}")
 
 
-def _beta_blocks(times: np.ndarray, samples: np.ndarray):
-    """beta.csv columns in blocks of CSV_BLOCK_ROWS rows."""
-    for start in range(0, len(samples), CSV_BLOCK_ROWS):
-        b = samples[start:start + CSV_BLOCK_ROWS]
+def _beta_blocks(trace, stride: int):
+    """beta.csv columns of every stride-th sample, in blocks of CSV_BLOCK_ROWS
+    rows; each block's times are trace.sample_times' product on its own indices."""
+    for start in range(0, len(trace.samples), CSV_BLOCK_ROWS * stride):
+        stop = start + CSV_BLOCK_ROWS * stride
+        b = trace.samples[start:stop:stride]
         # bit for bit what abs(b) ** 2 gives on each complex scalar: hypot, then
         # libm pow, which float_power calls per element.  np.abs(b), np.power
         # and array ** 2 square or take a SIMD path, and differ in the last bit.
         prob = np.float_power(np.hypot(b.real, b.imag), 2)
-        yield [times[start:start + CSV_BLOCK_ROWS], b.real, b.imag, prob]
+        yield [0.5 * trace.dt * np.arange(start, min(stop, len(trace.samples)), stride),
+               b.real, b.imag, prob]
 
 
 def _pxt_blocks(params: GiantAtomParams, trace, grid: field.GridSpec):
@@ -177,8 +350,7 @@ def _cmd_simulate(args):
         grid = _grid("the heatmap", x_min, x_max, args.pxt_dx, args.pxt_t_count)
     trace = dde.integrate_beta(params, args.t_max, steps_per_tau=args.steps_per_tau)
     tables = {"beta.csv": (["t", "re_beta", "im_beta", "prob"],
-                           _beta_blocks(trace.sample_times[::args.stride],
-                                        trace.samples[::args.stride]))}
+                           _beta_blocks(trace, args.stride))}
     if args.pxt:
         snap_times = np.linspace(0.0, trace.t_max, args.pxt_t_count)
         tables["pxt.csv"] = (["t", "x", "p"], _pxt_blocks(params, trace, dataclasses.replace(

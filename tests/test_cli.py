@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,48 @@ class TestCsvBytes:
         edges = [0, 5, 5, CSV_BLOCK_ROWS + 5, n]
         blocks = [[xs[a:b], ks[a:b]] for a, b in zip(edges, edges[1:])]
         self.check(tmp_path, ["x", "k"], list(zip(xs, ks)), blocks)
+
+    def test_float_edges(self, tmp_path):
+        # signed zeros; each side of the -4 <= k < 17 fixed-layout bounds and of
+        # decade bounds that log10 can floor wrongly; 1e-14 and 1e-70, doubles
+        # below their powers of ten whose 17 digits round up to 10**17 (the
+        # carry); 17 digits just below 1e-06; an exact tie, rounded to even
+        # (...12); the far path's near-ties x * 10**23 = j + 1/2 -+ 2**-51, from
+        # M * 5**23 = 2**50 -+ 1 (mod 2**51); subnormals, the least normal, inf, nan
+        inverse = pow(5 ** 23, -1, 2 ** 51)
+        near_ties = [math.ldexp((2 ** 50 + d) * inverse % 2 ** 51 + 2 ** 52, -74) for d in (-1, 1)]
+        bounds = [v for b in (1e-5, 1e-4, 1e16, 1e17, 1e-100, 1e100)
+                  for v in (b, math.nextafter(b, 0.0), math.nextafter(b, math.inf))]
+        values = [0.0, -0.0, *bounds, *(-v for v in bounds), 1e-14, 1e-70, 9.9999999999999995e-07,
+                  100000000000000.125, *near_ties, 5e-324, -1e-310, 2.2250738585072014e-308,
+                  math.inf, -math.inf, math.nan, 1.0, 1000.0, 123456789012345.6, 0.5]
+        assert format(100000000000000.125, ".17g") == "100000000000000.12"
+        assert format(1e-14, ".17g") == "1e-14" and 1e-14 < Fraction(1, 10 ** 14)
+        self.check(tmp_path, ["x"], [[v] for v in values], [[np.array(values)]])
+
+    def test_random_bit_patterns(self, tmp_path):
+        # x: any 64-bit pattern; y: the same mantissas and signs with exponents
+        # drawn over 2**-100 .. 2**66, both two-product paths and |y| >= 1e16
+        rng = np.random.default_rng(29)
+        bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False)
+        exponents = rng.integers(1023 - 100, 1023 + 67, len(bits), dtype=np.uint64)
+        xs = bits.view(np.float64)
+        ys = (bits & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)).view(np.float64)
+        self.check(tmp_path, ["x", "y"], list(zip(xs, ys)), [[xs, ys]])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=50))
+    def test_any_floats(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(Path(tmp), ["x"], [[v] for v in values], [[np.array(values)]])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_ints_of_every_dtype(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        values = np.array([info.min, info.max, 0, 1, info.max // 3, info.min // 7], dtype)
+        self.check(tmp_path, ["k", "x"], [(int(k), float(k)) for k in values],
+                   [[values, values.astype(np.float64)]])
 
     @pytest.mark.parametrize("stride", [1, 7])
     def test_simulate_beta_csv(self, tmp_path, stride):

@@ -69,14 +69,15 @@ def test_code_lines_exit_codes(code_lines_module, monkeypatch, capsys):
 
 @pytest.fixture(scope="module")
 def layer_timing_tables():
-    """The march table's lines and the field table's lines of one small run."""
+    """The march table's, the field table's and the csv table's lines of one
+    small run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert _load("layer_timing").main(["--n-legs", "3", "--steps-per-tau", "16",
                                            "--t-max", "2", "--repeat", "1"]) == 0
     lines = out.getvalue().splitlines()
-    assert len(lines) == 6
-    return lines[:3], lines[3:]
+    assert len(lines) == 10
+    return lines[:3], lines[3:6], lines[6:]
 
 
 def test_march_timing_prints_one_row_per_case(layer_timing_tables):
@@ -93,6 +94,15 @@ def test_field_timing_prints_one_row_per_case(layer_timing_tables):
     assert columns.split() == ["N", "walk", "per_tau"]
     [(n_legs, walk, per_tau)] = [row.split() for row in rows]
     assert n_legs == "3" and float(walk) > 0.0 and float(per_tau) > 0.0
+
+
+def test_csv_timing_prints_one_row_per_table(layer_timing_tables):
+    header, columns, *rows = layer_timing_tables[2]
+    assert header == "csv writer, us per row (t_max = 2, best of 1)"
+    assert columns.split() == ["table", "rows", "us"]
+    # beta.csv: 2 * 256 * t_max + 1 samples; pxt.csv: 201 frames of 441 points
+    assert [row.split()[:2] for row in rows] == [["beta", "1025"], ["pxt", "88641"]]
+    assert all(float(row.split()[2]) > 0.0 for row in rows)
 
 
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
