@@ -80,16 +80,26 @@ MUTANTS = (
     Mutant(FIELD, "and frac == f and", "and", RESUME),
     Mutant(FIELD, "if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):",
            "if not False:", RESUMES),
-    # dde: the scan's start-value correction, the scan's reach, the interval budget,
-    # an interval's padded last chunk left out, and the scan's last doubling pass
+    # dde: the scan's start-value correction, the scan's reach, an interval's padded
+    # last chunk left out, the scan's last doubling pass and an interval's start value
+    # read one sample late; a budget that counts the trace alone, and one that counts
+    # one interval but not the last one's overrun; the overrun left on the trace, and
+    # a cut that a tracer's snapshot of the locals refuses
     Mutant(DDE, "np.subtract(local[:-1, -1], starts, out=carry[1:])",
            "np.copyto(carry[1:], local[:-1, -1])", MARCH),
     Mutant(DDE, "if n_chunks > 1:", "if n_chunks > 2:", MARCH),
     Mutant(DDE, "n_chunks = -(-m // _CHUNK)", "n_chunks = m // _CHUNK", MARCH),
     Mutant(DDE, "range((n_chunks - 1).bit_length())",
            "range((n_chunks - 1).bit_length() - 1)", MARCH),
-    Mutant(DDE, "max(2.0 * n_steps + 1.0, 2 * m + 1)", "2.0 * n_steps + 1.0",
+    Mutant(DDE, "vb[0] = samples[2 * m * j]", "vb[0] = samples[2 * m * j + 1]", MARCH),
+    Mutant(DDE, 'per tau", size,', 'per tau", 2.0 * n_steps + 1.0,',
            ("tests/test_dde.py::test_interval_scratch_checked_before_allocation",)),
+    Mutant(DDE, 'per tau", size,', 'per tau", max(2.0 * n_steps + 1.0, 2 * m + 1),',
+           ("tests/test_dde.py::test_budget_counts_the_last_intervals_overrun",)),
+    Mutant(DDE, "samples.resize(2 * n_steps + 1, refcheck=False)", "pass",
+           ("tests/test_dde.py::test_trace_is_cut_to_its_own_samples",)),
+    Mutant(DDE, ", refcheck=False)", ")",
+           ("tests/test_dde.py::test_trace_is_cut_under_a_tracer_that_reads_locals",)),
     # core: a trace that leaves the samples it is given writable, one that keeps
     # a view instead of copying it, and one that keeps a writable array it owns
     Mutant("src/giant_atom/core.py", "self.samples.flags.writeable = False", "pass",

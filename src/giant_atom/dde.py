@@ -19,7 +19,11 @@ drive.  One buffer holds the interval's start value followed by v_j, so chunk
 i's window of 2C+2 entries opens with the entry just before its inputs: the
 true start value for chunk 0, the drive value s_i for the others.  One matrix
 product of all these windows by the map gives every chunk from the start value
-it read; when there are several chunks, doubling passes solve
+it read, written straight into the trace: interval j's chunks are the samples
+after its start value 2Mj.  A padded chunk's samples past the interval's end
+are overwritten by the next interval, and the last interval's overrun is cut
+off the trace once the march is done.  When there are several chunks,
+doubling passes solve
 d_i = R**C * d_{i-1} + (end of chunk i-1) - s_i, d_0 = 0, for each chunk's
 error in its start value, and d_i times the start-value response is added
 back.  A step with |R| >= 1 is refused, so every power of R is bounded by 1.
@@ -40,8 +44,11 @@ DEFAULT_STEPS_PER_TAU = 256
 # Largest trace integrate_beta will build: 2*t_max*steps_per_tau + 1 samples,
 # written straight into one complex array at 16 bytes per sample (about 268 MB
 # at this budget).  At the default 256 steps per tau it allows t_max up to 32768.
-# The march's scratch arrays each hold about one interval, 2*steps_per_tau + 1
-# samples, whatever t_max is; that count is held to the same budget.  So is
+# Until the march is done, that array also holds what the last tau interval
+# writes past the trace's end (the rest of a partial interval and its padded last
+# chunk), so it is at least one interval, 2*steps_per_tau + 1 samples, whatever
+# t_max is; the whole array is held to this budget.  The march's only scratch,
+# vb, holds about one interval.  The same budget holds
 # field.waveguide_probability's inside cone, N-1 rows of about 200 nodes each
 # and their prefix sums, held at once, which grows with N alone and is checked
 # before any row is built.
@@ -79,9 +86,12 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     beta0 scales the initial excited-state amplitude (default: fully excited);
     the dynamics is linear, so the trace scales with it.  The samples are
     made read-only before the trace is built, so it takes them without a
-    copy.  Raises ValueError, before allocating anything, when the trace or
-    one interval of the march's scratch would exceed MAX_TRACE_SAMPLES, or
-    when the RK4 step is unstable for the decay rate (|R| >= 1).
+    copy.  Each interval's chunk products are written straight into the
+    samples, so the array is allocated with room for what the last interval
+    writes past t_max and cut to the trace in place when the march is done.
+    Raises ValueError, before allocating anything, when that array would
+    exceed MAX_TRACE_SAMPLES, or when the RK4 step is unstable for the decay
+    rate (|R| >= 1).
     """
     check_positive("t_max", t_max)
     m = check_int("steps_per_tau", steps_per_tau, 16)
@@ -92,8 +102,13 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     # at least two steps, so the trace holds the 4 samples dense output needs
     n_steps = max(2.0, np.ceil(t_max / h - 1e-12) if h else np.inf)
     steps = m if m <= 2 ** 53 else "over 2**53"  # a huge m in full would flood the message
-    check_budget(f"t_max = {t_max:g} at {steps} steps per tau",
-                 max(2.0 * n_steps + 1.0, 2 * m + 1), "samples", MAX_TRACE_SAMPLES)
+    n_chunks = -(-m // _CHUNK)
+    n_int = -(-int(n_steps) // m) if n_steps < np.inf else 0  # intervals, the last maybe partial
+    # interval j writes the 2C*n_chunks samples after its start value 2Mj, so the last
+    # one runs past the trace's 2*n_steps + 1 samples by its remainder and its padding
+    size = 2 * m * (n_int - 1) + 1 + 2 * _CHUNK * n_chunks if n_int else np.inf
+    check_budget(f"t_max = {t_max:g} at {steps} steps per tau", size,
+                 "samples", MAX_TRACE_SAMPLES)
     n_steps = int(n_steps)
     decay = -1j * params.omega_tau - 0.5 * n * params.gamma_tau
     # the chunk map, read off unit inputs: row 0 is the start value, rows 1.. the
@@ -108,40 +123,43 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     if abs(r_end) >= 1.0:
         raise ValueError(f"steps_per_tau = {m} is too coarse for this decay rate: each RK4 "
                          f"step grows the bare amplitude by |R| = {abs(r_end):.6g} >= 1")
-    n_chunks = -(-m // _CHUNK)
     passes = [(s, k_y[-1] ** s) for s in (1 << p for p in range((n_chunks - 1).bit_length()))]
     # gamma*(N-l) for l = N-1 down to 1, the order of the rows below
-    weights = params.gamma_tau * np.arange(1, n)
+    weights = params.gamma_tau * np.arange(1, n, dtype=complex)
 
-    samples = np.empty(2 * n_steps + 1, dtype=complex)
+    samples = np.empty(size, dtype=complex)
     samples[0] = beta0
     rows = _intervals(samples, 2 * m)  # row i is X_i, the 2M+1 samples of interval i
+    # row j is interval j's n_chunks chunks of 2C new samples, written in place; the
+    # padding past the interval's end is overwritten by the next interval
+    item = samples.itemsize
+    chunks = np.lib.stride_tricks.as_strided(samples[1:], (n_int, n_chunks, 2 * _CHUNK),
+                                             (2 * m * item, 2 * _CHUNK * item, item))
     # vb[0] is the interval's start value and vb[1:] its 2M+1 delayed inputs, then zero
-    # padding; chunk i reads vb[2Ci : 2Ci+2C+2], so it starts from vb[2Ci].  A partial
-    # last interval takes its whole drive and drops the samples past its end.
+    # padding; chunk i reads vb[2Ci : 2Ci+2C+2], so it starts from vb[2Ci]
     vb = np.zeros(2 * _CHUNK * n_chunks + 2, dtype=complex)
     drive = vb[1:2 * m + 2]
     starts = vb[2 * _CHUNK:-2:2 * _CHUNK]  # s_i, the start value chunk i >= 1 reads
     windows = np.lib.stride_tricks.sliding_window_view(vb, 2 * _CHUNK + 2)[::2 * _CHUNK]
-    local = np.empty((n_chunks, 2 * _CHUNK), dtype=complex)
-    flat = local.reshape(-1)
     carry = np.zeros(n_chunks, dtype=complex)  # d_0 = 0: chunk 0 starts from its true value
-    for j, start in enumerate(range(0, 2 * n_steps, 2 * m)):
+    for j, local in enumerate(chunks):
         lag = min(j, n - 1)
         np.dot(weights[n - 1 - lag:], rows[j - lag:j], out=drive)
-        vb[0] = samples[start]
-        np.matmul(windows, chunk_map, out=local)
+        vb[0] = samples[2 * m * j]
+        np.dot(windows, chunk_map, out=local)
         if n_chunks > 1:  # d_i = c_i - vb[2Ci] = R**C * d_{i-1} + end of chunk i-1 - vb[2Ci]
             np.subtract(local[:-1, -1], starts, out=carry[1:])
             for s, power in passes:
                 carry[s:] += power * carry[:-s]
             local += carry[:, None] * k_y
-        k = min(2 * m, 2 * n_steps - start)  # half-steps in this interval
-        samples[start + 1:start + k + 1] = flat[:k]
+    # no view of samples may outlive the cut, which can move its data; refcheck would
+    # also count a debugger's snapshot of these locals, which holds samples itself
+    del rows, chunks, local
+    samples.resize(2 * n_steps + 1, refcheck=False)
 
-    bad = ~np.isfinite(samples)
-    if bad.any():
-        raise DivergenceError(f"non-finite amplitude at t = {np.argmax(bad) * 0.5 * h:g}")
+    finite = np.isfinite(samples)
+    if not finite.all():
+        raise DivergenceError(f"non-finite amplitude at t = {np.argmin(finite) * 0.5 * h:g}")
     samples.flags.writeable = False
     return AmplitudeTrace(dt=h, samples=samples, t_max=n_steps * h)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -156,6 +157,18 @@ def test_interval_scratch_checked_before_allocation(monkeypatch):
     assert len(integrate_beta(p, 1 / 64, steps_per_tau=64).samples) == 5
 
 
+def test_budget_counts_the_last_intervals_overrun(monkeypatch):
+    # t_max = 1.5 at 17 steps per tau is a 53-sample trace, but its second
+    # interval writes two padded chunks of 32 samples from sample 34: the march
+    # allocates 99 samples before cutting the trace
+    p = GiantAtomParams(3, 0.1, 1.0)
+    monkeypatch.setattr(dde, "MAX_TRACE_SAMPLES", 98)
+    with pytest.raises(ValueError, match="needs 99 samples, above the budget of 98$"):
+        integrate_beta(p, 1.5, steps_per_tau=17)
+    monkeypatch.setattr(dde, "MAX_TRACE_SAMPLES", 99)
+    assert len(integrate_beta(p, 1.5, steps_per_tau=17).samples) == 53
+
+
 def test_initial_condition_and_contractivity(dark_n1_trace_200):
     assert dark_n1_trace_200.samples[0] == 1.0 + 0.0j
     assert np.abs(dark_n1_trace_200.samples).max() <= 1.0 + 1e-9
@@ -307,6 +320,34 @@ def test_matches_scalar_march(n_legs, steps_per_tau):
     tr = integrate_beta(p, t_max, steps_per_tau)
     assert len(tr.samples) == len(ref)
     assert np.abs(tr.samples - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("t_max", [3.0, 3.7], ids=["whole", "partial"])
+@pytest.mark.parametrize("steps_per_tau", [16, 17, 24, 2048])
+def test_trace_is_cut_to_its_own_samples(steps_per_tau, t_max):
+    # the chunks are written into the trace, and the last interval's overrun
+    # (its remainder past t_max and its padded last chunk) is cut off in place
+    p = GiantAtomParams(3, 0.5 / 3, 2.0)
+    tr = integrate_beta(p, t_max, steps_per_tau)
+    assert len(tr.samples) == 2 * math.ceil(t_max * steps_per_tau - 1e-12) + 1
+    assert tr.samples.base is None and not tr.samples.flags.writeable
+    assert np.abs(tr.samples - scalar_march(p, t_max, steps_per_tau)).max() <= 1e-10
+
+
+def test_trace_is_cut_under_a_tracer_that_reads_locals():
+    # a debugger's tracer keeps a snapshot of the frame's locals, samples among
+    # them; that reference must not stop the cut of the last interval's overrun
+    def tracer(frame, event, arg):
+        frame.f_locals
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        tr = integrate_beta(GiantAtomParams(3, 0.1, 1.0), 2.7, 17)
+    finally:
+        sys.settrace(previous)
+    assert len(tr.samples) == 2 * 46 + 1 and tr.samples.base is None
 
 
 @pytest.mark.parametrize("steps_per_tau", [16, 17])
