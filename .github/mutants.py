@@ -10,13 +10,16 @@ refactor that moves a line fails loudly instead of passing silently.  The
 selector must pass unmutated (checked once per selector): a red selector is an
 error, not a kill, since it would fail whatever the edit did.  Then the edit
 is applied and the selector is run with -x -q; a failure kills the mutant, and
-a mutant whose selector still passes survives.
+a mutant whose selector still passes survives.  The entries are judged on every
+core at once, each in its own tree and its own pytest process; two entries may
+check one selector at the same time, which costs a run but changes no outcome.
 
     python .github/mutants.py
 
-prints one line per mutant, then the survivors, and exits 0 when every mutant
-is killed, 1 when any survives and 2 on an error.  It uses only the standard
-library and pytest, and copies from the repository this file sits in.
+prints one line per mutant, in table order once all are judged, then the
+survivors, and exits 0 when every mutant is killed, 1 when any survives and 2
+on an error.  It uses only the standard library and pytest, and copies from the
+repository this file sits in.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,9 +86,10 @@ MUTANTS = (
            "if not False:", RESUMES),
     # dde: the scan's start-value correction, the scan's reach, an interval's padded
     # last chunk left out, the scan's last doubling pass and an interval's start value
-    # read one sample late; a budget that counts the trace alone, and one that counts
-    # one interval but not the last one's overrun; the overrun left on the trace, and
-    # a cut that a tracer's snapshot of the locals refuses
+    # read one sample late; a trace allocated one sample short; a budget that counts
+    # the trace alone, and one that counts one interval but not the last one's
+    # overrun; the overrun left on the trace, and a cut that a tracer's snapshot of
+    # the locals refuses
     Mutant(DDE, "np.subtract(local[:-1, -1], starts, out=carry[1:])",
            "np.copyto(carry[1:], local[:-1, -1])", MARCH),
     Mutant(DDE, "if n_chunks > 1:", "if n_chunks > 2:", MARCH),
@@ -92,6 +97,8 @@ MUTANTS = (
     Mutant(DDE, "range((n_chunks - 1).bit_length())",
            "range((n_chunks - 1).bit_length() - 1)", MARCH),
     Mutant(DDE, "vb[0] = samples[2 * m * j]", "vb[0] = samples[2 * m * j + 1]", MARCH),
+    Mutant(DDE, "size = 2 * m * (n_int - 1) + 1 + 2 * _CHUNK * n_chunks",
+           "size = 2 * m * (n_int - 1) + 2 * _CHUNK * n_chunks", MARCH),
     Mutant(DDE, 'per tau", size,', 'per tau", 2.0 * n_steps + 1.0,',
            ("tests/test_dde.py::test_interval_scratch_checked_before_allocation",)),
     Mutant(DDE, 'per tau", size,', 'per tau", max(2.0 * n_steps + 1.0, 2 * m + 1),',
@@ -186,16 +193,21 @@ def _run(mutant: Mutant, clean: dict[tuple[str, ...], bool]) -> str:
         return "survived" if _passes(work, mutant.selector) else "killed"
 
 
+def _timed(mutant: Mutant, clean: dict[tuple[str, ...], bool]) -> tuple[str, float]:
+    start = time.perf_counter()
+    return _run(mutant, clean), time.perf_counter() - start
+
+
 def main(table: tuple[Mutant, ...] = MUTANTS) -> int:
     clean: dict[tuple[str, ...], bool] = {}
     survivors, errors = [], 0
     begin = time.perf_counter()
-    for mutant in table:
-        start = time.perf_counter()
-        outcome = _run(mutant, clean)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        judged = list(pool.map(lambda mutant: _timed(mutant, clean), table))
+    for mutant, (outcome, seconds) in zip(table, judged):
         old, new = (" ".join(text.split()) for text in (mutant.old, mutant.new))
         label = f"{mutant.path}: {old!r} -> {new!r}"
-        print(f"{outcome}: {label} ({time.perf_counter() - start:.1f} s)", flush=True)
+        print(f"{outcome}: {label} ({seconds:.1f} s)")
         if outcome == "survived":
             survivors.append(label)
         errors += outcome.startswith("error")

@@ -20,10 +20,12 @@ i's window of 2C+2 entries opens with the entry just before its inputs: the
 true start value for chunk 0, the drive value s_i for the others.  One matrix
 product of all these windows by the map gives every chunk from the start value
 it read, written straight into the trace: interval j's chunks are the samples
-after its start value 2Mj.  A padded chunk's samples past the interval's end
-are overwritten by the next interval, and the last interval's overrun is cut
-off the trace once the march is done.  When there are several chunks,
-doubling passes solve
+after its start value 2Mj.  The interval rows X_i and the chunk slots are both
+bounds-checked windows of the trace, one every 2M samples, so a trace too short
+for them raises ValueError instead of being written past.  A padded chunk's
+samples past the interval's end are overwritten by the next interval, and the
+last interval's overrun is cut off the trace once the march is done.  When
+there are several chunks, doubling passes solve
 d_i = R**C * d_{i-1} + (end of chunk i-1) - s_i, d_0 = 0, for each chunk's
 error in its start value, and d_i times the start-value response is added
 back.  A step with |R| >= 1 is refused, so every power of R is bounded by 1.
@@ -91,7 +93,9 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     writes past t_max and cut to the trace in place when the march is done.
     Raises ValueError, before allocating anything, when that array would
     exceed MAX_TRACE_SAMPLES, or when the RK4 step is unstable for the decay
-    rate (|R| >= 1).
+    rate (|R| >= 1).  The samples are bit-reproducible at a fixed BLAS library
+    and thread count: the matrix products may round differently on another
+    thread count, as they do at N = 10, M = 256 between one and two threads.
     """
     check_positive("t_max", t_max)
     m = check_int("steps_per_tau", steps_per_tau, 16)
@@ -129,18 +133,20 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
 
     samples = np.empty(size, dtype=complex)
     samples[0] = beta0
-    rows = _intervals(samples, 2 * m)  # row i is X_i, the 2M+1 samples of interval i
+    # both views take every 2M-th window of the trace, so a size too small for them
+    # raises here instead of reaching past the array
+    window = np.lib.stride_tricks.sliding_window_view
+    rows = window(samples, 2 * m + 1)[::2 * m]  # row i is X_i, the 2M+1 samples of interval i
     # row j is interval j's n_chunks chunks of 2C new samples, written in place; the
     # padding past the interval's end is overwritten by the next interval
-    item = samples.itemsize
-    chunks = np.lib.stride_tricks.as_strided(samples[1:], (n_int, n_chunks, 2 * _CHUNK),
-                                             (2 * m * item, 2 * _CHUNK * item, item))
+    chunks = window(samples[1:], 2 * _CHUNK * n_chunks, writeable=True)[::2 * m].reshape(
+        n_int, n_chunks, 2 * _CHUNK)
     # vb[0] is the interval's start value and vb[1:] its 2M+1 delayed inputs, then zero
     # padding; chunk i reads vb[2Ci : 2Ci+2C+2], so it starts from vb[2Ci]
     vb = np.zeros(2 * _CHUNK * n_chunks + 2, dtype=complex)
     drive = vb[1:2 * m + 2]
     starts = vb[2 * _CHUNK:-2:2 * _CHUNK]  # s_i, the start value chunk i >= 1 reads
-    windows = np.lib.stride_tricks.sliding_window_view(vb, 2 * _CHUNK + 2)[::2 * _CHUNK]
+    windows = window(vb, 2 * _CHUNK + 2)[::2 * _CHUNK]
     carry = np.zeros(n_chunks, dtype=complex)  # d_0 = 0: chunk 0 starts from its true value
     for j, local in enumerate(chunks):
         lag = min(j, n - 1)
@@ -162,15 +168,6 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
         raise DivergenceError(f"non-finite amplitude at t = {np.argmin(finite) * 0.5 * h:g}")
     samples.flags.writeable = False
     return AmplitudeTrace(dt=h, samples=samples, t_max=n_steps * h)
-
-
-def _intervals(samples: np.ndarray, per_tau: int) -> np.ndarray:
-    """Read-only view of samples whose row k is the per_tau + 1 samples of the
-    whole interval [k, k+1], for every complete interval (none in a trace
-    shorter than one tau); a row's last sample is the next row's first."""
-    size, item = (len(samples) - 1) // per_tau, samples.itemsize
-    return np.lib.stride_tricks.as_strided(samples, (size, per_tau + 1), (per_tau * item, item),
-                                           writeable=False)
 
 
 def check_trace_times(trace: AmplitudeTrace, ts) -> None:

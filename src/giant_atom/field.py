@@ -170,12 +170,6 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
             params.gamma_tau * float(power @ weights))
 
 
-def _cone_integral(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
-    """Composite Simpson integral of p(x, t) over the atom [0, N-1]: the inside
-    half of _light_cone, which reads no rows of its own."""
-    return _light_cone(params, trace, t)[0]
-
-
 @functools.lru_cache(maxsize=32)
 def _cone_cell(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One cell's Simpson nodes, the probe of each node's panel and the weights,

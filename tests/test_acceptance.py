@@ -237,6 +237,6 @@ def test_criterion_10_pair_conservation(pair_551, pair_551_params, pair_trace_13
 
 def _intensity_inside_atom(params, trace, t):
     """Field probability between the outermost coupling points only."""
-    from giant_atom.field import _cone_integral
+    from giant_atom.field import _light_cone
 
-    return _cone_integral(params, trace, t)
+    return _light_cone(params, trace, t)[0]

@@ -30,7 +30,7 @@ from giant_atom import (
 )
 from giant_atom import field
 from giant_atom.dde import beta_at_many
-from giant_atom.field import DEFAULT_DX, _cone_integral
+from giant_atom.field import DEFAULT_DX, _light_cone
 from test_dde import exact_beta
 
 TWO_PI = 2.0 * math.pi
@@ -385,7 +385,7 @@ class TestConeQuadrature:
 
 def cone_by_cells(params, trace, t):
     """The inside integral from _phi, one cell and one panel at a time, on the
-    panels _cone_integral builds: each panel's nodes are pulled 1e-13 inside
+    panels _light_cone(...)[0] builds: each panel's nodes are pulled 1e-13 inside
     it, so a wave counts on the panel by the panel, and a wavefront end reads
     beta(0) to within that shift."""
     f = t - math.floor(t)
@@ -415,7 +415,7 @@ def test_row_cone_matches_phi_cell_by_cell(n30_case, t):
     params, trace = n30_case
     ref = cone_by_cells(params, trace, t)
     assert ref > 0.0
-    assert abs(_cone_integral(params, trace, t) - ref) <= 1e-11
+    assert abs(_light_cone(params, trace, t)[0] - ref) <= 1e-11
 
 
 @pytest.mark.parametrize("t_max", [200.0, 200.3, 0.7])
@@ -458,7 +458,7 @@ def test_outgoing_flux_against_exact_series(monkeypatch, n_legs):
         for m in (256, 2048):
             trace = integrate_beta(params, 3.0, m)
             errs[m] = np.array([abs(waveguide_probability(params, trace, t)
-                                    - _cone_integral(params, trace, t) - ref)
+                                    - _light_cone(params, trace, t)[0] - ref)
                                 for t, ref in zip(times, exact)])
         assert errs[2048].max() <= 1e-9
         assert np.all(errs[256] > 1000.0 * errs[2048])
@@ -704,8 +704,8 @@ def test_inside_cone_interpolates_no_rows_of_its_own(monkeypatch):
         return beta_at_many(trace, ts)
 
     monkeypatch.setattr(field, "beta_at_many", counting)
-    _cone_integral(params, trace, 2.0)
+    _light_cone(params, trace, 2.0)
     assert asked == [603]
-    _cone_integral(params, trace, 2.0)
+    _light_cone(params, trace, 2.0)
     waveguide_probability(params, trace, 2.0)
     assert asked == [603]
