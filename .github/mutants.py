@@ -74,6 +74,10 @@ MUTANTS = (
     Mutant(FIELD, "ends + ends[::-1, ::-1]", "ends + ends[::-1]", ROW_CONE),
     Mutant(FIELD, "(1.0 - a, a)):", "(1.0 - a, 1.0 - (1.0 - a))):", ROW_CONE),
     Mutant(FIELD, "array.flags.writeable = False", "array.flags.writeable = True", SHARED),
+    # field: the heatmap's frame block one frame short
+    Mutant(FIELD, "block = times[start:start + _FRAMES]",
+           "block = times[start:start + _FRAMES - 1]",
+           ("tests/test_field.py::TestIntensityMap::test_frames_match_phi_frame_by_frame",)),
     # field: the walk resumed from a cursor past t, without its carried rows,
     # from another trace's cursor, from another N's and from another frac(t)'s;
     # and never resumed
@@ -125,6 +129,10 @@ MUTANTS = (
            "np.abs(b) ** 2", ("tests/test_cli.py::TestCsvBytes::test_simulate_beta_csv",)),
     Mutant("src/giant_atom/cli.py", 'if key != "func"},', 'if key not in ("func", "stride")},',
            ("tests/test_readme.py::test_manifest_params_rerun_the_command",)),
+    # cli: pxt.csv's t column formatted from the frame times rounded to float32
+    Mutant("src/giant_atom/cli.py", "_float_text([f.t for f in frames])",
+           "_float_text(np.float32([f.t for f in frames]))",
+           ("tests/test_cli.py::TestCsvBytes::test_simulate_pxt_csv",)),
     # cli: the float kernel rounding half up instead of half to even, taking k from
     # log10 without its exact correction, and the scientific layout from k < -5
     Mutant("src/giant_atom/cli.py", "rounded = np.rint(lo)", "rounded = np.floor(lo + 0.5)",

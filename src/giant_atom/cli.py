@@ -3,7 +3,8 @@
 Each subcommand computes its tables and hands them to one writer, which makes
 the output directory, writes every table as an RFC-4180-style CSV (header row,
 UTF-8, LF line endings; floats as C's %.17g, bit for bit, produced by numpy
-array operations rather than one Python call per value), then a manifest.json
+array operations rather than one Python call per value, and a bytes column,
+such as pxt.csv's x and t formatted once, as it is), then a manifest.json
 recording the input parameters, tool version, creation time, a sha256
 checksum of each output and the command's derived values, and prints one
 line, "<command>: <summary>, wrote <files> to <dir>".  A result directory is
@@ -200,19 +201,29 @@ def _float_fields(x: np.ndarray, words: np.ndarray) -> None:
         words[i] = np.frombuffer((b"%.17g" % x[i]).ljust(32, b"\0"), np.uint64)
 
 
+def _float_text(x) -> np.ndarray:
+    """_float_fields of each float as one S32 value, for a column formatted once
+    and written many times."""
+    x = np.asarray(x, np.float64)
+    words = np.zeros((len(x), 4), np.uint64)
+    _float_fields(x, words)
+    return words.view("S32").ravel()
+
+
 def _csv_rows(columns) -> np.ndarray:
     """The CSV bytes of equal-length columns, one row per element.
 
     Each value becomes a NUL-padded field of fixed width per column, ending in
     its separator; one mask drops the NULs.  Floats are C's %.17g
     (_float_fields), integers astype("S"), which is %d for every integer
-    dtype, and bools "true"/"false".
+    dtype, bools "true"/"false", and bytes (dtype S, such as _float_text's) are
+    written as they are.
     """
     texts = []
     for values in map(np.asarray, columns):
         kind = values.dtype.kind
         texts.append(np.where(values, b"true", b"false") if kind == "b"
-                     else values.astype("S") if kind in "iu"
+                     else values.astype("S", copy=False) if kind in "iuS"
                      else values.astype(np.float64, copy=False))
     widths = [32 if t.dtype.kind == "f" else t.itemsize // 8 * 8 + 8 for t in texts]
     buf = np.zeros((len(texts[0]), sum(widths)), np.uint8)
@@ -248,7 +259,7 @@ def _write_csv(path: str, header: list[str], blocks) -> str:
 
     Each block is a list of equal-length arrays, one per header column, and
     the blocks of one table agree on each column's dtype; every column's
-    format follows its dtype (bool, integer, else float).
+    format follows its dtype (bool, integer, bytes, else float).
     """
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -302,9 +313,12 @@ def _beta_blocks(trace, stride: int):
 
 def _pxt_blocks(params: GiantAtomParams, trace, grid: field.GridSpec):
     """pxt.csv columns, one block per frame; the frames are sampled only once
-    beta.csv is written, so the two never sit in memory together."""
-    for f in field.intensity_map(params, trace, grid):
-        yield [np.full(len(f.values), f.t), f.xs, f.values]
+    beta.csv is written, so the two never sit in memory together.  The x and t
+    columns are formatted once (_float_text), the frames' p values per block."""
+    frames = field.intensity_map(params, trace, grid)
+    xs, times = _float_text(grid.xs), _float_text([f.t for f in frames])
+    for i, f in enumerate(frames):
+        yield [times[i:i + 1].repeat(len(xs)), xs, f.values]
 
 
 def _pair_table(pairs, *names: str) -> tuple[list[str], list]:

@@ -67,6 +67,7 @@ __all__ = [
 
 DEFAULT_DX = 1.0 / 200.0
 _BLOCK = 16       # rows of beta per block of the light-cone walk
+_FRAMES = 16      # intensity_map's frames per dense-output call
 _DARK_TOL = 1e-10  # largest |F(-i Omega_n)| over F's term scale at which index n is dark
 # where the last light-cone walk stopped: its trace (weakly), n_legs, frac(t), the
 # rows walked, the N-1 rows carried past them and the power summed over them
@@ -96,17 +97,17 @@ class GridSpec:
         return self.x_min + self.dx * np.arange(count)
 
 
-def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray,
-         t: float) -> np.ndarray:
-    """Field amplitude on an array of positions at one instant.
+def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray, t) -> np.ndarray:
+    """Field amplitude at positions xs and times t, broadcast against each other.
 
     Point m's wave counts at x when t - |x - x_m| >= 0, and reads beta there,
     its retarded time clipped to t_max.
     """
-    total = np.zeros(np.shape(xs), dtype=complex)
+    total = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(t)), dtype=complex)
     for xm in params.coupling_points:
-        on = t - np.abs(xs - xm) >= 0.0
-        total[on] += beta_at_many(trace, np.clip(t - np.abs(xs[on] - xm), 0.0, trace.t_max))
+        delay = t - np.abs(xs - xm)
+        on = delay >= 0.0
+        total[on] += beta_at_many(trace, np.clip(delay[on], 0.0, trace.t_max))
     return (-1j * math.sqrt(0.5 * params.gamma_tau)) * total
 
 
@@ -119,14 +120,23 @@ def field_amplitude(params: GiantAtomParams, trace: AmplitudeTrace,
 
 def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
                   grid: GridSpec) -> list[FieldGrid]:
-    """Sample p(x, t) = |phi|^2 on the grid for every requested instant."""
+    """Sample p(x, t) = |phi|^2 on the grid for every requested instant.
+
+    The frames are sampled 16 (_FRAMES) at a time, in one dense-output call
+    per coupling point for each block of frames, so the work arrays hold 16
+    frames at once.
+    """
     if not grid.times:
         raise ValueError("grid spec lists no sample times")
     check_trace_times(trace, grid.times)
-    xs = grid.xs
-    return [FieldGrid(x_min=grid.x_min, x_max=grid.x_max, dx=grid.dx,
-                      values=np.abs(_phi(params, trace, xs, t)) ** 2, t=t)
-            for t in grid.times]
+    xs, times = grid.xs, np.array(grid.times)
+    frames = []
+    for start in range(0, len(times), _FRAMES):
+        block = times[start:start + _FRAMES]
+        values = np.abs(_phi(params, trace, xs, block[:, None])) ** 2
+        frames += [FieldGrid(x_min=grid.x_min, x_max=grid.x_max, dx=grid.dx, values=row, t=t)
+                   for t, row in zip(grid.times[start:], values)]
+    return frames
 
 
 def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from giant_atom import (DivergenceError, IncompleteSearchError, SearchPlacementError,
                         bound_profile, continuum, continuum_profile, darkstates, dde, field,
                         integrate_beta, spectral)
-from giant_atom.cli import (CSV_BLOCK_ROWS, MAX_GRID_SAMPLES, _write_csv, build_parser,
-                            integer, main)
+from giant_atom.cli import (CSV_BLOCK_ROWS, MAX_GRID_SAMPLES, _float_text, _write_csv,
+                            build_parser, integer, main)
 from conftest import single_dark_params
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +78,22 @@ def reference_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def float_edges():
+    """Floats at the float kernel's edges: signed zeros; each side of the -4 <= k
+    < 17 fixed-layout bounds and of decade bounds that log10 can floor wrongly;
+    1e-14 and 1e-70, doubles below their powers of ten whose 17 digits round up
+    to 10**17 (the carry); 17 digits just below 1e-06; an exact tie, rounded to
+    even (...12); the far path's near-ties x * 10**23 = j + 1/2 -+ 2**-51, from
+    M * 5**23 = 2**50 -+ 1 (mod 2**51); subnormals, the least normal, inf, nan."""
+    inverse = pow(5 ** 23, -1, 2 ** 51)
+    near_ties = [math.ldexp((2 ** 50 + d) * inverse % 2 ** 51 + 2 ** 52, -74) for d in (-1, 1)]
+    bounds = [v for b in (1e-5, 1e-4, 1e16, 1e17, 1e-100, 1e100)
+              for v in (b, math.nextafter(b, 0.0), math.nextafter(b, math.inf))]
+    return [0.0, -0.0, *bounds, *(-v for v in bounds), 1e-14, 1e-70, 9.9999999999999995e-07,
+            100000000000000.125, *near_ties, 5e-324, -1e-310, 2.2250738585072014e-308,
+            math.inf, -math.inf, math.nan, 1.0, 1000.0, 123456789012345.6, 0.5]
+
+
 class TestCsvBytes:
     """The columnar writer reproduces the reference writer byte for byte."""
 
@@ -113,22 +129,25 @@ class TestCsvBytes:
         self.check(tmp_path, ["x", "k"], list(zip(xs, ks)), blocks)
 
     def test_float_edges(self, tmp_path):
-        # signed zeros; each side of the -4 <= k < 17 fixed-layout bounds and of
-        # decade bounds that log10 can floor wrongly; 1e-14 and 1e-70, doubles
-        # below their powers of ten whose 17 digits round up to 10**17 (the
-        # carry); 17 digits just below 1e-06; an exact tie, rounded to even
-        # (...12); the far path's near-ties x * 10**23 = j + 1/2 -+ 2**-51, from
-        # M * 5**23 = 2**50 -+ 1 (mod 2**51); subnormals, the least normal, inf, nan
-        inverse = pow(5 ** 23, -1, 2 ** 51)
-        near_ties = [math.ldexp((2 ** 50 + d) * inverse % 2 ** 51 + 2 ** 52, -74) for d in (-1, 1)]
-        bounds = [v for b in (1e-5, 1e-4, 1e16, 1e17, 1e-100, 1e100)
-                  for v in (b, math.nextafter(b, 0.0), math.nextafter(b, math.inf))]
-        values = [0.0, -0.0, *bounds, *(-v for v in bounds), 1e-14, 1e-70, 9.9999999999999995e-07,
-                  100000000000000.125, *near_ties, 5e-324, -1e-310, 2.2250738585072014e-308,
-                  math.inf, -math.inf, math.nan, 1.0, 1000.0, 123456789012345.6, 0.5]
+        values = float_edges()
         assert format(100000000000000.125, ".17g") == "100000000000000.12"
         assert format(1e-14, ".17g") == "1e-14" and 1e-14 < Fraction(1, 10 ** 14)
         self.check(tmp_path, ["x"], [[v] for v in values], [[np.array(values)]])
+
+    def test_float_text_column(self, tmp_path):
+        # a column formatted once by _float_text is written as the same floats
+        # are, beside a float column and in blocks of every kind of length
+        bits = np.random.default_rng(31).integers(0, 2 ** 64, 10_000, dtype=np.uint64)
+        xs = np.concatenate([float_edges(), bits.view(np.float64)])
+        text = _float_text(xs)
+        assert text.dtype == np.dtype("S32") and text.shape == xs.shape
+        edges = [0, 1, CSV_BLOCK_ROWS + 3, len(xs)]
+        as_floats = _write_csv(str(tmp_path / "floats.csv"), ["x", "y"],
+                               [[xs[a:b], xs[a:b][::-1]] for a, b in zip(edges, edges[1:])])
+        as_text = _write_csv(str(tmp_path / "text.csv"), ["x", "y"],
+                             [[text[a:b], xs[a:b][::-1]] for a, b in zip(edges, edges[1:])])
+        assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "floats.csv").read_bytes()
+        assert as_text == as_floats
 
     def test_random_bit_patterns(self, tmp_path):
         # x: any 64-bit pattern; y: the same mantissas and signs with exponents
@@ -167,6 +186,19 @@ class TestCsvBytes:
         reference_csv(tmp_path / "ref.csv", ["t", "re_beta", "im_beta", "prob"],
                       ((t, b.real, b.imag, abs(b) ** 2) for t, b in zip(times, samples)))
         assert sha256(tmp_path / "beta.csv") == sha256(tmp_path / "ref.csv")
+
+    def test_simulate_pxt_csv(self, tmp_path):
+        # the heatmap against a row-at-a-time writer over frames sampled one at
+        # a time; 40 frames are two blocks of field._FRAMES and a partial one
+        t_max, count = 5.0, 40
+        assert main([*PXT_FLAGS, "--pxt-t-count", str(count), "--out-dir", str(tmp_path)]) == 0
+        params = single_dark_params(3, 1, 0.018)
+        trace = integrate_beta(params, t_max)
+        xs = field.GridSpec(-10.0, 12.0, 0.05).xs
+        rows = ((t, x, p) for t in np.linspace(0.0, trace.t_max, count)
+                for x, p in zip(xs, np.abs(field._phi(params, trace, xs, float(t))) ** 2))
+        reference_csv(tmp_path / "ref.csv", ["t", "x", "p"], rows)
+        assert sha256(tmp_path / "pxt.csv") == sha256(tmp_path / "ref.csv")
 
 
 class TestSimulate:

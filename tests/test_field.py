@@ -36,7 +36,27 @@ from test_dde import exact_beta
 TWO_PI = 2.0 * math.pi
 
 
+def phi_at_one_time(params, trace, xs, t):
+    """phi at one instant, each point's positions inside its light cone read in
+    one dense-output call: the sum _phi makes, written out for a scalar t."""
+    total = np.zeros(len(xs), dtype=complex)
+    for xm in params.coupling_points:
+        on = t - np.abs(xs - xm) >= 0.0
+        total[on] += beta_at_many(trace, np.clip(t - np.abs(xs[on] - xm), 0.0, trace.t_max))
+    return (-1j * math.sqrt(0.5 * params.gamma_tau)) * total
+
+
 class TestFieldAmplitude:
+    def test_matches_the_sum_at_one_time(self, dark_n1_params, dark_n1_trace_200):
+        # before any wavefront, on and between the coupling points, far out,
+        # and at t_max
+        xs = np.array([-12.0, -0.3, 0.0, 0.5, 1.0, 1.75, 2.0, 9.9, 30.0])
+        for t in (0.0, 0.4, 1.3, 10.0, 77.7, 200.0):
+            ref = phi_at_one_time(dark_n1_params, dark_n1_trace_200, xs, t)
+            got = [field_amplitude(dark_n1_params, dark_n1_trace_200, x, t) for x in xs]
+            assert np.array(got).tobytes() == ref.tobytes()
+            assert np.abs(ref).max() > 0.0
+
     def test_causality_before_wavefront(self, dark_n1_params, dark_n1_trace_200):
         assert field_amplitude(dark_n1_params, dark_n1_trace_200, 30.0, 10.0) == 0j
 
@@ -89,6 +109,24 @@ class TestIntensityMap:
         grid = GridSpec(-3.013, 4.987, 0.25, times=(0.0,))
         frame = intensity_map(dark_n1_params, dark_n1_trace_200, grid)[0]
         assert np.all(frame.values == 0.0)
+
+    @pytest.mark.parametrize("count", [1, 16, 17, 201])
+    def test_frames_match_phi_frame_by_frame(self, dark_n1_params, dark_n1_trace_200, count):
+        # a whole number of _FRAMES-frame blocks only at 16; from t_max down to
+        # 0 on squares, so the early frames, where the wavefronts have not yet
+        # reached the window's ends, are many
+        t_max = dark_n1_trace_200.t_max
+        times = tuple(float(t) for t in t_max * np.linspace(1.0, 0.0, count) ** 2)
+        assert times[0] == t_max and (count == 1 or sum(t < 10.0 for t in times) >= 2)
+        grid = GridSpec(-10.0, 12.0, 0.05, times=times)
+        frames = intensity_map(dark_n1_params, dark_n1_trace_200, grid)
+        assert [f.t for f in frames] == list(times)
+        for f in frames:
+            phi = field._phi(dark_n1_params, dark_n1_trace_200, grid.xs, f.t)
+            assert phi.tobytes() == phi_at_one_time(dark_n1_params, dark_n1_trace_200,
+                                                    grid.xs, f.t).tobytes()
+            assert (f.x_min, f.x_max, f.dx) == (grid.x_min, grid.x_max, grid.dx)
+            assert f.values.tobytes() == (np.abs(phi) ** 2).tobytes()
 
     def test_grid_validation(self, dark_n1_params, dark_n1_trace_200):
         with pytest.raises(ValueError):

@@ -98,11 +98,35 @@ def test_field_timing_prints_one_row_per_case(layer_timing_tables):
 
 def test_csv_timing_prints_one_row_per_table(layer_timing_tables):
     header, columns, *rows = layer_timing_tables[2]
-    assert header == "csv writer, us per row (t_max = 2, best of 1)"
+    assert header == "csv export, us per row (t_max = 2, best of 1)"
     assert columns.split() == ["table", "rows", "us"]
     # beta.csv: 2 * 256 * t_max + 1 samples; pxt.csv: 201 frames of 441 points
     assert [row.split()[:2] for row in rows] == [["beta", "1025"], ["pxt", "88641"]]
     assert all(float(row.split()[2]) > 0.0 for row in rows)
+
+
+def test_timing_against_a_revision_prints_both_sides_and_their_ratio():
+    # HEAD's package beside the work tree's, each cell alternating between them
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _load("layer_timing").main(["--n-legs", "3", "--steps-per-tau", "16",
+                                           "--t-max", "2", "--repeat", "2",
+                                           "--against", "HEAD"]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 10
+    assert lines[0] == ("integrate_beta, us per tau interval (t_max = 2, "
+                        "2 alternating calls per side, HEAD against the work tree)")
+    parts = ["ref_min", "ref_med", "min", "med", "ratio"]
+    tables = {1: (["N", "M"], ["us"]), 4: (["N"], ["walk", "per_tau"]),
+              7: (["table", "rows"], ["us"])}
+    for at, (keys, names) in tables.items():
+        assert lines[at - 1].endswith("2 alternating calls per side, HEAD against the work tree)")
+        assert lines[at].split() == keys + [f"{n}:{p}" for n in names for p in parts]
+        rows = lines[at + 1:at + 3] if at == 7 else [lines[at + 1]]
+        for row in rows:
+            values = [float(v) for v in row.split()[len(keys):]]
+            assert len(values) == 5 * len(names) and all(v > 0.0 for v in values)
+    assert "giant_atom_ref" not in sys.modules
 
 
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
