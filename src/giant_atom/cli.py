@@ -3,8 +3,10 @@
 Each subcommand computes its tables and hands them to one writer, which makes
 the output directory, writes every table as an RFC-4180-style CSV (header row,
 UTF-8, LF line endings; floats as C's %.17g, bit for bit, produced by numpy
-array operations rather than one Python call per value, and a bytes column,
-such as pxt.csv's x and t formatted once, as it is), then a manifest.json
+array operations rather than one Python call per value, one call for all the
+float columns of each piece of CSV_BLOCK_ROWS rows, and a bytes column, such
+as pxt.csv's x and t formatted once, as it is; each piece's fields are
+NUL-padded and bytes.translate drops the NULs), then a manifest.json
 recording the input parameters, tool version, creation time, a sha256
 checksum of each output and the command's derived values, and prints one
 line, "<command>: <summary>, wrote <files> to <dir>".  A result directory is
@@ -53,7 +55,8 @@ _EXIT_CODES = {StructuralImpossibilityError: EXIT_STRUCTURAL, ValueError: EXIT_U
 
 # rows the CSV writer formats at once (beta.csv's blocks have this many): it
 # joins consecutive short blocks and cuts long ones, so its working memory,
-# about 0.7 MB for four float columns, does not grow with the table
+# about 2 MB for four float columns (8,192 values in one kernel call), does
+# not grow with the table
 CSV_BLOCK_ROWS = 2048
 
 # Largest sampling grid a command builds in one piece: a profile's x
@@ -202,22 +205,23 @@ def _float_fields(x: np.ndarray, words: np.ndarray) -> None:
 
 
 def _float_text(x) -> np.ndarray:
-    """_float_fields of each float as one S32 value, for a column formatted once
-    and written many times."""
+    """_float_fields of each float as one S31 value, the field without its
+    separator byte, for a column formatted once and written many times."""
     x = np.asarray(x, np.float64)
     words = np.zeros((len(x), 4), np.uint64)
     _float_fields(x, words)
-    return words.view("S32").ravel()
+    return words.view("S32").ravel().astype("S31")
 
 
-def _csv_rows(columns) -> np.ndarray:
+def _csv_rows(columns) -> bytes:
     """The CSV bytes of equal-length columns, one row per element.
 
     Each value becomes a NUL-padded field of fixed width per column, ending in
-    its separator; one mask drops the NULs.  Floats are C's %.17g
-    (_float_fields), integers astype("S"), which is %d for every integer
-    dtype, bools "true"/"false", and bytes (dtype S, such as _float_text's) are
-    written as they are.
+    its separator, and bytes.translate drops the NULs.  Floats are C's %.17g,
+    every float column of the piece formatted in one _float_fields call;
+    integers astype("S"), which is %d for every integer dtype, bools
+    "true"/"false", and bytes (dtype S, such as _float_text's) are written as
+    they are.
     """
     texts = []
     for values in map(np.asarray, columns):
@@ -225,20 +229,22 @@ def _csv_rows(columns) -> np.ndarray:
         texts.append(np.where(values, b"true", b"false") if kind == "b"
                      else values.astype("S", copy=False) if kind in "iuS"
                      else values.astype(np.float64, copy=False))
+    floats = [text for text in texts if text.dtype.kind == "f"]
+    words = np.empty((len(floats), len(texts[0]), 4), np.uint64)
+    _float_fields(np.array(floats).ravel(), words.reshape(-1, 4))
+    fields = iter(words.view(np.uint8))
     widths = [32 if t.dtype.kind == "f" else t.itemsize // 8 * 8 + 8 for t in texts]
     buf = np.zeros((len(texts[0]), sum(widths)), np.uint8)
     end = 0
     for text, width in zip(texts, widths):
         field = buf[:, end:end + width]
         end += width
-        if text.dtype.kind == "f":
-            _float_fields(text, field.view(np.uint64))
-        else:
-            field[:, :text.itemsize] = text.view(np.uint8).reshape(len(text), -1)
+        source = (next(fields) if text.dtype.kind == "f"
+                  else text.view(np.uint8).reshape(len(text), -1))
+        field[:, :source.shape[1]] = source
         field[:, -1] = ord(",")
     buf[:, -1] = ord("\n")
-    flat = buf.ravel()
-    return flat[flat != 0]
+    return buf.tobytes().translate(None, b"\0")
 
 
 def _pieces(blocks):

@@ -67,6 +67,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, bytes):
+        return value.decode("ascii")
     return format(float(value), ".17g")
 
 
@@ -140,7 +142,7 @@ class TestCsvBytes:
         bits = np.random.default_rng(31).integers(0, 2 ** 64, 10_000, dtype=np.uint64)
         xs = np.concatenate([float_edges(), bits.view(np.float64)])
         text = _float_text(xs)
-        assert text.dtype == np.dtype("S32") and text.shape == xs.shape
+        assert text.dtype == np.dtype("S31") and text.shape == xs.shape
         edges = [0, 1, CSV_BLOCK_ROWS + 3, len(xs)]
         as_floats = _write_csv(str(tmp_path / "floats.csv"), ["x", "y"],
                                [[xs[a:b], xs[a:b][::-1]] for a, b in zip(edges, edges[1:])])
@@ -158,6 +160,31 @@ class TestCsvBytes:
         xs = bits.view(np.float64)
         ys = (bits & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)).view(np.float64)
         self.check(tmp_path, ["x", "y"], list(zip(xs, ys)), [[xs, ys]])
+
+    def test_float_columns_split_by_other_columns(self, tmp_path):
+        # dots.csv's column order: the piece's float columns are formatted
+        # together, and each must come back to its own place among the others
+        rng = np.random.default_rng(37)
+        n = 2 * CSV_BLOCK_ROWS + 9
+        bits = rng.integers(0, 2 ** 64, (3, n), dtype=np.uint64)
+        a, b, c = bits.view(np.float64)
+        edges = float_edges()
+        a[:len(edges)], b[1:len(edges) + 1], c[2:len(edges) + 2] = edges, edges, edges
+        ks, ms = rng.integers(-10 ** 6, 10 ** 6, n), rng.integers(0, 50, n)
+        flags = rng.integers(0, 2, n).astype(bool)
+        cuts = [0, 7, CSV_BLOCK_ROWS - 3, CSV_BLOCK_ROWS + 40, n]
+        blocks = [[a[i:j], b[i:j], ks[i:j], ms[i:j], c[i:j], flags[i:j]]
+                  for i, j in zip(cuts, cuts[1:])]
+        self.check(tmp_path, ["a", "b", "k", "m", "c", "flag"],
+                   list(zip(a, b, ks, ms, c, flags)), blocks)
+
+    def test_table_without_floats(self, tmp_path):
+        n = CSV_BLOCK_ROWS + 11
+        ks = np.arange(n, dtype=np.int64) * 7919 - 10 ** 9
+        flags = np.arange(n) % 3 == 0
+        labels = np.array([b"w%d" % (i % 1000) for i in range(n)])
+        self.check(tmp_path, ["k", "flag", "label"], list(zip(ks, flags, labels)),
+                   [[ks, flags, labels]])
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(values=st.lists(st.floats(), min_size=1, max_size=50))
