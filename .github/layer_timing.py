@@ -11,13 +11,17 @@ k = 0 every time rather than resuming where the previous run stopped.  The
 last column, per_tau, is the mean time of one field.total_probability call
 over the whole times 0 .. floor(t_max) in ascending order on one new trace
 object: the walk resumes from call to call, so this is what a per-tau
-diagnostic pays, its set-up included.  The csv table times each table the
-way `simulate` writes it, per row, at README's point (N = 3, gamma_tau/2pi =
-0.018, omega_tau/2pi = 0.3177449, M = 256) up to t_max: cli._write_csv on
-the blocks of cli._beta_blocks (102,401 rows at t_max = 200) and of
-cli._pxt_blocks (201 frames of 441 rows, sampled by field.intensity_map),
-the blocks made inside the timed call; the trace is marched untimed.  BLAS
-threads are whatever the environment sets.
+diagnostic pays, its set-up included.  Each of the two is followed by its
+minor page faults per call (ru_minflt, the median over the timed runs), since
+memory that glibc hands back to the system between calls is faulted back in
+by the next one, which moves the time from one run order to another.  The
+csv table times each table the way `simulate` writes it, per row, at
+README's point (N = 3, gamma_tau/2pi = 0.018, omega_tau/2pi = 0.3177449,
+M = 256) up to t_max: cli._write_csv on the blocks of cli._beta_blocks
+(102,401 rows at t_max = 200) and of cli._pxt_blocks (201 frames of 441
+rows, sampled by field.intensity_map), the blocks made inside the timed
+call; the trace is marched untimed.  BLAS threads are whatever the
+environment sets.
 
 Every cell is timed --repeat times and prints the best.  With --against REF
 the package at git revision REF (git archive REF src/giant_atom, imported as
@@ -42,6 +46,7 @@ import importlib
 import importlib.util
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -74,32 +79,48 @@ def _load_ref(ref: str, tmp: str):
     return package
 
 
-def _cell(calls, scale: float, repeat: int) -> list[float]:
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _cell(calls, scale: float, repeat: int, count: int = 0) -> list[float]:
     """Time calls, one per package, alternating between them repeat times: the
     best, scaled, or with two packages the min and median of each and the
-    ratio of the medians."""
+    ratio of the medians.  With count, each package's median minor page
+    faults (ru_minflt) per call follow, a timed call making count calls."""
     seconds = [[] for _ in calls]
+    faults = [[] for _ in calls]
     for _ in range(repeat):
-        for call, side in zip(calls, seconds):
+        for call, side, flt in zip(calls, seconds, faults):
+            before = _minflt()
             start = time.perf_counter()
             call()
             side.append(time.perf_counter() - start)
+            flt.append(_minflt() - before)
+    per_call = [statistics.median(flt) / count for flt in faults] if count else []
     if len(calls) == 1:
-        return [min(seconds[0]) * scale]
+        return [min(seconds[0]) * scale] + per_call
     ref, head = ([min(side) * scale, statistics.median(side) * scale] for side in seconds)
-    return ref + head + [head[1] / ref[1]]
+    return ref + head + [head[1] / ref[1]] + per_call
 
 
-def _table(title: str, keys: list[str], names: list[str], rows, packages, repeat: int) -> None:
+def _table(title: str, keys: list[str], names: list[str], rows, packages, repeat: int,
+           counts: list[int] | None = None) -> None:
     """Print a table.  Each row is its key values, a factory that makes a
-    package's calls, one per name, and the scale of each name's times."""
-    if len(packages) > 1:
-        names = [f"{name}:{part}" for name in names for part in PARTS]
+    package's calls, one per name, and the scale of each name's times.  With
+    counts, the calls each name's timed call makes, each name's columns end
+    with each package's minor page faults per call."""
+    parts = list(PARTS) if len(packages) > 1 else [""]
+    if counts:
+        parts += ["ref_flt", "flt"] if len(packages) > 1 else ["flt"]
+    counts = counts or [0] * len(names)
+    names = [f"{name}:{part}" if part else name for name in names for part in parts]
     print(title)
     print(" ".join([f"{key:>6}" for key in keys] + [f"{name:>10}" for name in names]))
     for key, factory, scales in rows:
         columns = zip(*(factory(package) for package in packages))
-        values = [v for calls, scale in zip(columns, scales) for v in _cell(calls, scale, repeat)]
+        values = [v for calls, scale, count in zip(columns, scales, counts)
+                  for v in _cell(calls, scale, repeat, count)]
         print(" ".join([f"{k:>6}" for k in key] + [f"{v:10.3f}" for v in values]))
 
 
@@ -168,7 +189,8 @@ def main(argv: list[str]) -> int:
             _table(f"field quadrature, ms per call (t = {t_max - 0.5:g}, M = 64, {how})",
                    ["N"], ["walk", "per_tau"],
                    [((n,), lambda p, n=n: _field_calls(p, n, t_max),
-                     [1e3, 1e3 / (int(t_max) + 1)]) for n in args.n_legs], packages, repeat)
+                     [1e3, 1e3 / (int(t_max) + 1)]) for n in args.n_legs], packages, repeat,
+                   counts=[1, int(t_max) + 1])
             points = {p: _readme_point(p, t_max) for p in packages}
             _, trace, grid = points[giant_atom]
             path = os.path.join(tmp, "table.csv")

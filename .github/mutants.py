@@ -51,20 +51,22 @@ FLUX = ("tests/test_field.py::test_outgoing_flux_against_exact_series",)
 ROW_CONE = ("tests/test_field.py::test_row_cone_matches_phi_cell_by_cell",)
 RESUME = ("tests/test_field.py::test_resumed_flux_matches_a_cold_walk",)
 RESUMES = ("tests/test_field.py::test_flux_walk_resumes_over_ascending_times",)
+TOTAL = ("tests/test_field.py::test_total_probability_is_beta_squared_plus_the_field",)
 SHARED = ("tests/test_field.py::test_cached_patterns_are_shared_safely",)
 MARCH = ("tests/test_dde.py::test_matches_scalar_march",)
 SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the_work",)
 CSV = ("tests/test_cli.py::TestCsvBytes",)
 
 MUTANTS = (
-    # field: the carried rows, the N-row window, the cell's cuts, the probe at
-    # the node in place of the panel's midpoint (which the inside and the tails
-    # both read), Simpson's weights, the mirrored prefix sums (phi_L) one row off
-    # or read without reversing the nodes, a right panel group that is not the
-    # left one mirrored, and a cached pattern left writable
+    # field: the carried rows, the N-row window one row short and stepping along
+    # the nodes in place of the rows, the cell's cuts, the probe at the node in
+    # place of the panel's midpoint (which the inside and the tails both read),
+    # Simpson's weights, the mirrored prefix sums (phi_L) one row off or read
+    # without reversing the nodes, a right panel group that is not the left one
+    # mirrored, and a cached pattern left writable
     Mutant(FIELD, "carry = rows[1 - n_legs:]", "carry = 0.0 * rows[1 - n_legs:]", FLUX),
-    Mutant(FIELD, "sliding_window_view(rows, n_legs, axis=0)",
-           "sliding_window_view(rows, n_legs - 1, axis=0)", FLUX),
+    Mutant(FIELD, "len(nodes), n_legs), rows.dtype", "len(nodes), n_legs - 1), rows.dtype", FLUX),
+    Mutant(FIELD, "(s0, s1, s0))", "(s0, s1, s1))", FLUX),
     Mutant(FIELD, "_cone_cell(min(f, 1.0 - f))", "_cone_cell(f)", CONE),
     Mutant(FIELD, "shifts - probes >= 0.0", "shifts - nodes >= 0.0", CONE),
     Mutant(FIELD, "shifts - probes >= 0.0", "shifts - nodes >= 0.0", FLUX),
@@ -88,6 +90,11 @@ MUTANTS = (
     Mutant(FIELD, "and frac == f and", "and", RESUME),
     Mutant(FIELD, "if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):",
            "if not False:", RESUMES),
+    # field: total_probability's beta(t) read from the wrong point of the walk's
+    # call, and interpolated alone even when the walk has new rows
+    Mutant(FIELD, "complex(beta[-1])", "complex(beta[-2])", TOTAL),
+    Mutant(FIELD, "complex(beta[-1]), None,", "complex(beta[-1]), at,",
+           ("tests/test_field.py::test_total_probability_makes_one_dense_output_call",)),
     # dde: the scan's start-value correction, the scan's reach, an interval's padded
     # last chunk left out, the scan's last doubling pass and an interval's start value
     # read one sample late; a trace allocated one sample short; a budget that counts

@@ -201,16 +201,25 @@ def beta_at_many(trace: AmplitudeTrace, ts) -> np.ndarray:
     check_trace_times(trace, flat)
 
     per_tau = 2 * trace.steps_per_tau
-    pos = np.clip(flat / step, 0.0, n - 1.0)  # in samples
+    pos = np.minimum(np.maximum(flat / step, 0.0), n - 1.0)  # in samples
     nearest = np.rint(pos)
     pos = np.where(np.abs(pos - nearest) <= _GRID_SNAP, nearest, pos)
-    lo = np.maximum(np.floor(flat).astype(int) * per_tau, 0)  # the smooth piece [lo, hi]
-    hi = np.minimum(lo + per_tau, n - 1)
-    i0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lo), hi - 3)
+    # sample indices as exact float integers, made int once: the stencil's first
+    # sample min(max(floor(pos) - 1, lo), hi - 3) in the smooth piece [lo, hi],
+    # lo = max(floor(t) * per_tau, 0) and hi = min(lo + per_tau, n - 1)
+    lo = np.maximum(np.floor(flat) * per_tau, 0.0)
+    i0 = np.minimum(np.maximum(np.floor(pos) - 1.0, lo), np.minimum(lo + (per_tau - 3.0), n - 4.0))
     u = pos - i0
     u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
-    out = (-u1 * u2 * u3 / 6.0 * samples[i0] + u * u2 * u3 / 2.0 * samples[i0 + 1]
-           - u * u1 * u3 / 2.0 * samples[i0 + 2] + u * u1 * u2 / 6.0 * samples[i0 + 3])
+    uu1 = u * u1
+    # the cubic weights -u1*u2*u3/6, u*u2*u3/2, u*u1*u3/2 and u*u1*u2/6, each in
+    # that order (a sign flip is exact), on samples i0 .. i0 + 3: one index into
+    # the samples from 0, 1, 2 and 3 on
+    at = i0.astype(np.intp)
+    out = u1 * u2 * u3 / -6.0 * samples[at]
+    out += u * u2 * u3 / 2.0 * samples[1:][at]
+    out -= uu1 * u3 / 2.0 * samples[2:][at]
+    out += uu1 * u2 / 6.0 * samples[3:][at]
     return out.reshape(ts.shape)
 
 

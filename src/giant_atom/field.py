@@ -35,7 +35,10 @@ running sum, O(N * 201) values whatever t is, are kept with the walk's trace
 object (weakly), N, frac(t) and the rows done.  A later call with the same
 trace object, N and frac(t), at a time not before where the walk stopped,
 resumes from them instead of walking again from k = 0.  A trace's samples are
-read-only, so that state stays true of the trace object.
+read-only, so that state stays true of the trace object.  total_probability
+needs beta(t) as well: t rides on the walk's first dense-output call, after
+that block's rows, so a resumed call with 1 to 16 new rows makes one
+dense-output call in all, and one with none interpolates t alone.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import numpy as np
 from .core import (AmplitudeTrace, DarkPair, DarkState, FieldGrid, GiantAtomParams, _term_scale,
                    characteristic_fn, check_budget, check_mode_index, check_positive)
 from .darkstates import _sin2, dark_amplitude, dark_frequency, rwa_check
-from .dde import MAX_TRACE_SAMPLES, beta_at, beta_at_many, check_trace_times
+from .dde import MAX_TRACE_SAMPLES, beta_at_many, check_trace_times
 
 __all__ = [
     "DEFAULT_DX",
@@ -139,11 +142,11 @@ def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
     return frames
 
 
-def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
-                t: float) -> tuple[float, float]:
+def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
+                at: float | None = None) -> tuple[float, float, complex | None]:
     """The field probability inside [0, N-1] and in both tails outside it,
     from one walk over rows of beta on one cell's nodes (see the module
-    docstring for the walk).
+    docstring for the walk), and beta(at) when at is given (else None).
 
     With f = frac(t), row k = 0 .. floor(t) is beta(k + f - y) on the nodes y
     of _cone_cell(min(f, 1 - f)), counted on a panel only when the panel's
@@ -154,7 +157,9 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
     R[d] = beta(t - d - y) of the coupling points d cells to its left, the
     last N-1 rows reversed, and those d + 1 cells to its right at 1 - y: with
     ends the prefix sums of R, phi_R on cell c is ends[c] and phi_L is
-    ends[N-2-c] mirrored.
+    ends[N-2-c] mirrored.  beta(at) is interpolated in the walk's first
+    dense-output call, after that block's rows, and alone only when the walk
+    resumes with no new rows.
     """
     global _cursor
     n_legs, whole = params.n_legs, int(math.floor(t))
@@ -166,18 +171,30 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
     ref, legs, frac, done, carry, power = _cursor
     if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):
         done, carry, power = 0, np.zeros((n_legs - 1, len(nodes))), 0.0  # a walk from k = 0
+    beta_t = None
     for start in range(done, whole + 1, _BLOCK):
         shifts = np.arange(start, min(start + _BLOCK, whole + 1))[:, None] + f
-        beta = beta_at_many(trace, np.clip(shifts - nodes, 0.0, trace.t_max))
+        times = np.clip(shifts - nodes, 0.0, trace.t_max)
+        if at is None:
+            beta = beta_at_many(trace, times)
+        else:  # beta(at) rides on the walk's first call
+            beta = beta_at_many(trace, np.concatenate((times.ravel(), [at])))
+            beta_t, at, beta = complex(beta[-1]), None, beta[:-1].reshape(times.shape)
         rows = np.concatenate([carry, (shifts - probes >= 0.0) * beta])  # probe in the light cone
-        windows = np.lib.stride_tricks.sliding_window_view(rows, n_legs, axis=0)
+        # window k is the N rows from row k on: sliding_window_view(rows, N, axis=0)'s
+        # shape and strides without its set-up, still checked against rows's buffer
+        s0, s1 = rows.strides
+        windows = np.ndarray((len(rows) + 1 - n_legs, len(nodes), n_legs), rows.dtype, rows, 0,
+                             (s0, s1, s0))
         power = power + np.sum(np.abs(windows.sum(-1)) ** 2, axis=0)
         carry = rows[1 - n_legs:]
+    if at is not None:  # no new rows: beta(at) alone
+        beta_t = complex(beta_at_many(trace, [at])[0])
     _cursor = (weakref.ref(trace), n_legs, f, whole + 1, carry, power)
     ends = np.cumsum(carry[::-1], axis=0)
     phi = ends + ends[::-1, ::-1]
     return (0.5 * params.gamma_tau * float(np.sum(np.abs(phi) ** 2 @ weights)),
-            params.gamma_tau * float(power @ weights))
+            params.gamma_tau * float(power @ weights), beta_t)
 
 
 @functools.lru_cache(maxsize=32)
@@ -216,21 +233,33 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
     start.  What it keeps between calls is O(N * 201) values.  The inside's
     N-1 rows and their prefix sums, held at once, grow with N, and more than
     dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a ValueError
-    before any row is built.
+    before any row is built.  A resumed call with new rows interpolates them
+    in one dense-output call per 16 rows, and one without new rows
+    interpolates nothing.
     """
     check_trace_times(trace, t)
-    return sum(_light_cone(params, trace, float(max(t, 0.0))))
+    inside, tails, _ = _light_cone(params, trace, float(max(t, 0.0)))
+    return inside + tails
 
 
 def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """|beta(t)|^2 plus waveguide_probability, the integral of |phi|^2 over the light cone.
+
+    Both come from the one walk waveguide_probability takes, and t's range is
+    checked once: beta(t) is interpolated in the walk's first dense-output
+    call, beside its new rows, so a resumed call such as one per tau makes
+    one dense-output call in all (beta(t) alone when the walk has no new
+    rows).  The value is bit for bit abs(beta_at(trace, t))**2 +
+    waveguide_probability(params, trace, t) on the same walk.
 
     phi sums the right- and left-moving waves, so inside [0, N-1] the density
     keeps their cross term 2 Re(phi_R* phi_L).  The sum is 1 only where that
     term averages away (omega_tau >> 1); at N = 3, gamma_tau/2pi = 0.018,
     omega_tau/2pi = 0.3177449 it reads 1.031 from t = 5 on at any fine step.
     """
-    return abs(beta_at(trace, t)) ** 2 + waveguide_probability(params, trace, t)
+    check_trace_times(trace, t)
+    inside, tails, beta = _light_cone(params, trace, float(max(t, 0.0)), t)
+    return abs(beta) ** 2 + (inside + tails)
 
 
 def _denominator(params: GiantAtomParams, s2: float) -> float:

@@ -407,3 +407,47 @@ def test_exact_series_sweep(n_legs, drive, omega_tau, t_max):
             assert err[m] < 1.25e-4 * (16 / m) ** 4
         for m in (16, 32, 64, 128):
             assert err[m] / err[2 * m] >= 14.0
+
+
+def dense_output_reference(trace, ts):
+    """beta_at_many as one expression on integer indices, the form the
+    fewer-pass version must match bit for bit."""
+    ts = np.asarray(ts, dtype=float)
+    flat = np.atleast_1d(ts)
+    samples = trace.samples
+    n = len(samples)
+    per_tau = 2 * trace.steps_per_tau
+    pos = np.clip(flat / (0.5 * trace.dt), 0.0, n - 1.0)
+    nearest = np.rint(pos)
+    pos = np.where(np.abs(pos - nearest) <= dde._GRID_SNAP, nearest, pos)
+    lo = np.maximum(np.floor(flat).astype(int) * per_tau, 0)
+    hi = np.minimum(lo + per_tau, n - 1)
+    i0 = np.minimum(np.maximum(np.floor(pos).astype(int) - 1, lo), hi - 3)
+    u = pos - i0
+    u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
+    out = (-u1 * u2 * u3 / 6.0 * samples[i0] + u * u2 * u3 / 2.0 * samples[i0 + 1]
+           - u * u1 * u3 / 2.0 * samples[i0 + 2] + u * u1 * u2 / 6.0 * samples[i0 + 3])
+    return out.reshape(ts.shape)
+
+
+@pytest.mark.parametrize("steps_per_tau", [16, 17, 256])
+def test_dense_output_matches_the_one_expression_bit_for_bit(steps_per_tau):
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    tr = integrate_beta(params, 12.3, steps_per_tau)
+    step, n = 0.5 * tr.dt, len(tr.samples)
+    k = np.arange(n)
+    whole = np.arange(1.0, math.floor(tr.t_max) + 1.0)
+    ts = np.concatenate([
+        k * step,  # grid hits
+        (k + 0.5 * dde._GRID_SNAP) * step, (k - 0.5 * dde._GRID_SNAP) * step,  # snapped
+        whole, np.nextafter(whole, 0.0), whole - step / 3.0,  # whole-tau piece ends
+        (n - 1 - np.array([0.0, 0.25, 1.0, 1.5, 2.0, 2.75])) * step,  # the last 3 samples
+        [-1e-12, 0.0, tr.t_max],
+        np.random.default_rng(steps_per_tau).uniform(0.0, tr.t_max, 5000),
+    ])
+    ts = np.clip(ts, -1e-12, tr.t_max)
+    got, want = beta_at_many(tr, ts), dense_output_reference(tr, ts)
+    assert got.tobytes() == want.tobytes()
+    for t in (-1e-12, 0.0, 2.0, 7.3, tr.t_max):  # 0-d in, 0-d out
+        got = beta_at_many(tr, np.float64(t))
+        assert got.shape == () and got.tobytes() == dense_output_reference(tr, t).tobytes()

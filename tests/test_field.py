@@ -747,3 +747,52 @@ def test_inside_cone_interpolates_no_rows_of_its_own(monkeypatch):
     _light_cone(params, trace, 2.0)
     waveguide_probability(params, trace, 2.0)
     assert asked == [603]
+
+
+# one t repeated; t_max = 8 (M = 64), 7.25 the one quarter cut
+TOTAL_TIMES = (0.0, 1e-13, 0.2, 0.5, 2.5, 3.0, 3.0, 7.25, 8.0)
+
+
+@pytest.mark.parametrize("order", ["ascending", "by_frac"])
+@pytest.mark.parametrize("n_legs", [2, 3, 10, 30, 100])
+def test_total_probability_is_beta_squared_plus_the_field(n_legs, order):
+    # bit for bit, on a walk resumed where the times share frac(t) and ascend,
+    # on cold walks, and at a repeated t, whose walk has no new rows; beta(t)
+    # rides on the walk's own dense-output call, or is interpolated alone
+    params = GiantAtomParams(n_legs, 0.4 / n_legs ** 2, TWO_PI * 3.3)
+    trace = integrate_beta(params, 8.0, 64)
+    times = TOTAL_TIMES if order == "ascending" else sorted(TOTAL_TIMES, key=lambda t: (t % 1.0, t))
+    beta2 = [abs(beta_at(trace, t)) ** 2 for t in times]
+    # each side walks its own new trace object, so neither resumes the other's walk
+    walked = dataclasses.replace(trace)
+    got = [total_probability(params, walked, t) for t in times]
+    walked = dataclasses.replace(trace)
+    assert got == [b + waveguide_probability(params, walked, t) for b, t in zip(beta2, times)]
+    cold = [total_probability(params, dataclasses.replace(trace), t) for t in times]
+    assert cold == [b + waveguide_probability(params, dataclasses.replace(trace), t)
+                    for b, t in zip(beta2, times)]
+
+
+def test_total_probability_makes_one_dense_output_call(monkeypatch):
+    # 25 ascending whole times on one trace: each call interpolates its new rows
+    # of 201 nodes and t itself in one call, t last, so the rows k = 0 .. 98 are
+    # read once; a repeated t has no new rows and interpolates t alone
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    trace = integrate_beta(params, 98.0, 16)
+    calls = []
+
+    def counting(trace, ts):
+        calls[-1].append(np.array(ts, dtype=float).ravel())
+        return beta_at_many(trace, ts)
+
+    monkeypatch.setattr(field, "beta_at_many", counting)
+    for t in [*range(2, 99, 4), 98]:
+        calls.append([])
+        total_probability(params, trace, float(t))
+    assert [len(asked) for asked in calls] == [1] * 26
+    asked = [points for points, in calls]
+    assert [points[-1] for points in asked] == [*range(2, 99, 4), 98]
+    assert [(len(points) - 1) // 201 for points in asked] == [3] + [4] * 24 + [0]
+    assert all((len(points) - 1) % 201 == 0 for points in asked)
+    rows = np.concatenate([points[:-1] for points in asked]).reshape(99, 201)
+    assert np.array_equal(rows[:, 0], np.arange(99.0))  # node y = 0 of row k is k

@@ -91,9 +91,11 @@ def test_march_timing_prints_one_row_per_case(layer_timing_tables):
 def test_field_timing_prints_one_row_per_case(layer_timing_tables):
     header, columns, *rows = layer_timing_tables[1]
     assert header == "field quadrature, ms per call (t = 1.5, M = 64, best of 1)"
-    assert columns.split() == ["N", "walk", "per_tau"]
-    [(n_legs, walk, per_tau)] = [row.split() for row in rows]
+    # each time is followed by its minor page faults per call
+    assert columns.split() == ["N", "walk", "walk:flt", "per_tau", "per_tau:flt"]
+    [(n_legs, walk, walk_flt, per_tau, per_tau_flt)] = [row.split() for row in rows]
     assert n_legs == "3" and float(walk) > 0.0 and float(per_tau) > 0.0
+    assert float(walk_flt) >= 0.0 and float(per_tau_flt) >= 0.0
 
 
 def test_csv_timing_prints_one_row_per_table(layer_timing_tables):
@@ -117,15 +119,19 @@ def test_timing_against_a_revision_prints_both_sides_and_their_ratio():
     assert lines[0] == ("integrate_beta, us per tau interval (t_max = 2, "
                         "2 alternating calls per side, HEAD against the work tree)")
     parts = ["ref_min", "ref_med", "min", "med", "ratio"]
-    tables = {1: (["N", "M"], ["us"]), 4: (["N"], ["walk", "per_tau"]),
-              7: (["table", "rows"], ["us"])}
-    for at, (keys, names) in tables.items():
+    # the field table's times are each followed by both sides' page faults per call
+    tables = {1: (["N", "M"], ["us"], []), 4: (["N"], ["walk", "per_tau"], ["ref_flt", "flt"]),
+              7: (["table", "rows"], ["us"], [])}
+    for at, (keys, names, faults) in tables.items():
         assert lines[at - 1].endswith("2 alternating calls per side, HEAD against the work tree)")
-        assert lines[at].split() == keys + [f"{n}:{p}" for n in names for p in parts]
+        assert lines[at].split() == keys + [f"{n}:{p}" for n in names for p in parts + faults]
         rows = lines[at + 1:at + 3] if at == 7 else [lines[at + 1]]
         for row in rows:
             values = [float(v) for v in row.split()[len(keys):]]
-            assert len(values) == 5 * len(names) and all(v > 0.0 for v in values)
+            assert len(values) == (5 + len(faults)) * len(names)
+            for name in range(len(names)):
+                cell = values[name * (5 + len(faults)):(name + 1) * (5 + len(faults))]
+                assert all(v > 0.0 for v in cell[:5]) and all(v >= 0.0 for v in cell[5:])
     assert "giant_atom_ref" not in sys.modules
 
 
