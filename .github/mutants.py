@@ -97,17 +97,20 @@ MUTANTS = (
            ("tests/test_field.py::test_total_probability_makes_one_dense_output_call",)),
     # dde: the scan's start-value correction, the scan's reach, an interval's padded
     # last chunk left out, the scan's last doubling pass and an interval's start value
-    # read one sample late; a trace allocated one sample short; a budget that counts
-    # the trace alone, and one that counts one interval but not the last one's
-    # overrun; the overrun left on the trace, and a cut that a tracer's snapshot of
-    # the locals refuses
+    # read one sample late; the first delayed input carried without the term that
+    # switches on at a ramp interval, and carried from the wrong entry; a trace
+    # allocated one sample short; a budget that counts the trace alone, and one that
+    # counts one interval but not the last one's overrun; the overrun left on the
+    # trace, and a cut that a tracer's snapshot of the locals refuses
     Mutant(DDE, "np.subtract(local[:-1, -1], starts, out=carry[1:])",
            "np.copyto(carry[1:], local[:-1, -1])", MARCH),
     Mutant(DDE, "if n_chunks > 1:", "if n_chunks > 2:", MARCH),
     Mutant(DDE, "n_chunks = -(-m // _CHUNK)", "n_chunks = m // _CHUNK", MARCH),
     Mutant(DDE, "range((n_chunks - 1).bit_length())",
            "range((n_chunks - 1).bit_length() - 1)", MARCH),
-    Mutant(DDE, "vb[0] = samples[2 * m * j]", "vb[0] = samples[2 * m * j + 1]", MARCH),
+    Mutant(DDE, "heads = samples[::2 * m]", "heads = samples[1::2 * m]", MARCH),
+    Mutant(DDE, "vb[1] = vb[last] + weights[n - 1 - j] * heads[0]", "vb[1] = vb[last]", MARCH),
+    Mutant(DDE, "vb[1] = vb[last]\n", "vb[1] = vb[last - 1]\n", MARCH),
     Mutant(DDE, "size = 2 * m * (n_int - 1) + 1 + 2 * _CHUNK * n_chunks",
            "size = 2 * m * (n_int - 1) + 2 * _CHUNK * n_chunks", MARCH),
     Mutant(DDE, 'per tau", size,', 'per tau", 2.0 * n_steps + 1.0,',

@@ -12,20 +12,26 @@ whole tau, so with X_i the 2M+1 half-step samples of interval [i, i+1], the
 delayed stage inputs of all M steps of interval j are one weighted sum
 v_j = sum_{l=1}^{min(j, N-1)} gamma*(N-l) * X_{j-l}: no history is
 interpolated, and a term stays off for the step at whose right end it turns
-on.  Given v_j, a chunk of C = 16 steps is one linear map, read once off the
-stage formulas, from its start value and 2C+1 entries of v_j to its 2C new
-samples.  An interval is ceil(M/C) chunks, the last one padded with zero
-drive.  One buffer holds the interval's start value followed by v_j, so chunk
-i's window of 2C+2 entries opens with the entry just before its inputs: the
-true start value for chunk 0, the drive value s_i for the others.  One matrix
-product of all these windows by the map gives every chunk from the start value
-it read, written straight into the trace: interval j's chunks are the samples
-after its start value 2Mj.  The interval rows X_i and the chunk slots are both
-bounds-checked windows of the trace, one every 2M samples, so a trace too short
-for them raises ValueError instead of being written past.  A padded chunk's
-samples past the interval's end are overwritten by the next interval, and the
-last interval's overrun is cut off the trace once the march is done.  When
-there are several chunks, doubling passes solve
+on.  v_j's entries 1..2M are one matrix-vector product over the tail rows
+X_i[1:], the 2M samples after each start value: contiguous, disjoint rows of
+the trace, read in place.  Its entry 0 reads the samples X_{j-l}[0] =
+X_{j-1-l}[2M] that the last interval's entry 2M read, at the same weights, so
+it is carried from there, plus, on the ramp 0 < j < N, the term
+gamma*(N-j) * beta(0) that switches on at interval j.  Given v_j, a chunk of
+C = 16 steps is one linear map, read once off the stage formulas, from its
+start value and 2C+1 entries of v_j to its 2C new samples.  An interval is
+ceil(M/C) chunks, the last one padded with zero drive.  One buffer holds the
+interval's start value followed by v_j, so chunk i's window of 2C+2 entries
+opens with the entry just before its inputs: the true start value for chunk
+0, the drive value s_i for the others.  One matrix product of all these
+windows by the map gives every chunk from the start value it read, written
+straight into the trace: interval j's chunks are the samples after its start
+value 2Mj.  The tail rows are a reshape of the trace and the chunk slots a
+bounds-checked window of it, one every 2M samples, so a trace too short for
+them raises ValueError instead of being read or written past.  A padded
+chunk's samples past the interval's end are overwritten by the next interval,
+and the last interval's overrun is cut off the trace once the march is done.
+When there are several chunks, doubling passes solve
 d_i = R**C * d_{i-1} + (end of chunk i-1) - s_i, d_0 = 0, for each chunk's
 error in its start value, and d_i times the start-value response is added
 back.  A step with |R| >= 1 is refused, so every power of R is bounded by 1.
@@ -50,10 +56,11 @@ DEFAULT_STEPS_PER_TAU = 256
 # writes past the trace's end (the rest of a partial interval and its padded last
 # chunk), so it is at least one interval, 2*steps_per_tau + 1 samples, whatever
 # t_max is; the whole array is held to this budget.  The march's only scratch,
-# vb, holds about one interval.  The same budget holds
-# field.waveguide_probability's inside cone, N-1 rows of about 200 nodes each
-# and their prefix sums, held at once, which grows with N alone and is checked
-# before any row is built.
+# vb, holds about one interval whatever t_max is: the drive's product reads the
+# trace's own tail rows in place, and its first entry is carried in vb.  The
+# same budget holds field.waveguide_probability's inside cone, N-1 rows of
+# about 200 nodes each and their prefix sums, held at once, which grows with N
+# alone and is checked before any row is built.
 MAX_TRACE_SAMPLES = 2 ** 24
 
 # steps per chunk map: the smallest steps_per_tau, so M = 16 is one chunk and no scan
@@ -94,8 +101,9 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     Raises ValueError, before allocating anything, when that array would
     exceed MAX_TRACE_SAMPLES, or when the RK4 step is unstable for the decay
     rate (|R| >= 1).  The samples are bit-reproducible at a fixed BLAS library
-    and thread count: the matrix products may round differently on another
-    thread count, as they do at N = 10, M = 256 between one and two threads.
+    and thread count.  On OpenBLAS they were the same on one and two threads in
+    every case checked (N up to 100, M up to 4096), but another library or
+    thread count may round the matrix products differently.
     """
     check_positive("t_max", t_max)
     m = check_int("steps_per_tau", steps_per_tau, 16)
@@ -133,10 +141,12 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
 
     samples = np.empty(size, dtype=complex)
     samples[0] = beta0
-    # both views take every 2M-th window of the trace, so a size too small for them
-    # raises here instead of reaching past the array
+    heads = samples[::2 * m]  # heads[j] is interval j's start value X_j[0]
+    # row i is X_i[1:], the 2M samples after interval i's start value: contiguous and
+    # disjoint, so the drive's product reads them in place; a trace too short for them
+    # fails the reshape instead of being read past
+    tails = samples[1:1 + 2 * m * n_int].reshape(n_int, 2 * m)
     window = np.lib.stride_tricks.sliding_window_view
-    rows = window(samples, 2 * m + 1)[::2 * m]  # row i is X_i, the 2M+1 samples of interval i
     # row j is interval j's n_chunks chunks of 2C new samples, written in place; the
     # padding past the interval's end is overwritten by the next interval
     chunks = window(samples[1:], 2 * _CHUNK * n_chunks, writeable=True)[::2 * m].reshape(
@@ -144,15 +154,22 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
     # vb[0] is the interval's start value and vb[1:] its 2M+1 delayed inputs, then zero
     # padding; chunk i reads vb[2Ci : 2Ci+2C+2], so it starts from vb[2Ci]
     vb = np.zeros(2 * _CHUNK * n_chunks + 2, dtype=complex)
-    drive = vb[1:2 * m + 2]
+    last = 2 * m + 1  # drive entry 2M, which reads X_{j-l}[2M] = X_{j+1-l}[0]
+    ahead = vb[2:last + 1]  # drive entries 1..2M, one product over the tail rows
     starts = vb[2 * _CHUNK:-2:2 * _CHUNK]  # s_i, the start value chunk i >= 1 reads
     windows = window(vb, 2 * _CHUNK + 2)[::2 * _CHUNK]
     carry = np.zeros(n_chunks, dtype=complex)  # d_0 = 0: chunk 0 starts from its true value
     for j, local in enumerate(chunks):
-        lag = min(j, n - 1)
-        np.dot(weights[n - 1 - lag:], rows[j - lag:j], out=drive)
-        vb[0] = samples[2 * m * j]
-        np.dot(windows, chunk_map, out=local)
+        vb[0] = heads[j]
+        # drive entry 0 is the last interval's entry 2M, the same samples at the same
+        # weights, plus on the ramp 0 < j < N the l = j term, which switches on here
+        if j >= n:
+            vb[1] = vb[last]
+            weights.dot(tails[j + 1 - n:j], out=ahead)
+        elif j:
+            vb[1] = vb[last] + weights[n - 1 - j] * heads[0]
+            weights[n - 1 - j:].dot(tails[:j], out=ahead)
+        windows.dot(chunk_map, out=local)
         if n_chunks > 1:  # d_i = c_i - vb[2Ci] = R**C * d_{i-1} + end of chunk i-1 - vb[2Ci]
             np.subtract(local[:-1, -1], starts, out=carry[1:])
             for s, power in passes:
@@ -160,11 +177,14 @@ def integrate_beta(params: GiantAtomParams, t_max: float,
             local += carry[:, None] * k_y
     # no view of samples may outlive the cut, which can move its data; refcheck would
     # also count a debugger's snapshot of these locals, which holds samples itself
-    del rows, chunks, local
+    del heads, tails, chunks, local
     samples.resize(2 * n_steps + 1, refcheck=False)
 
-    finite = np.isfinite(samples)
-    if not finite.all():
+    # a nan or inf anywhere makes the sum non-finite; only then is the first one looked
+    # for, and a sum that overflows on finite samples raises nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = samples.sum()
+    if not np.isfinite(total) and not (finite := np.isfinite(samples)).all():
         raise DivergenceError(f"non-finite amplitude at t = {np.argmin(finite) * 0.5 * h:g}")
     samples.flags.writeable = False
     return AmplitudeTrace(dt=h, samples=samples, t_max=n_steps * h)

@@ -133,6 +133,13 @@ def test_divergence_reports_first_non_finite_time():
             integrate_beta(p, 3.0, 16, beta0=complex("nan"))
 
 
+def test_finite_samples_whose_sum_overflows_are_returned():
+    # the divergence check sums the samples before it looks for a non-finite one;
+    # 17 finite samples near 1e308 overflow that sum, and the trace is returned
+    tr = integrate_beta(GiantAtomParams(3, 0.1, 1.0), 0.5, 16, beta0=1e308)
+    assert len(tr.samples) == 17 and np.isfinite(tr.samples).all()
+
+
 def test_sample_budget_checked_before_allocation(monkeypatch):
     p = GiantAtomParams(3, 0.1, 1.0)
     for t_max in (1e12, 1e308):
@@ -318,6 +325,24 @@ def test_matches_scalar_march(n_legs, steps_per_tau):
     t_max = n_legs + 0.37
     ref = scalar_march(p, t_max, steps_per_tau)
     tr = integrate_beta(p, t_max, steps_per_tau)
+    assert len(tr.samples) == len(ref)
+    assert np.abs(tr.samples - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("beta0", [1.0 + 0.0j, 0.3 - 0.4j])
+@pytest.mark.parametrize("end", [lambda n: 0.01, lambda n: 2.5, lambda n: n - 1.5],
+                         ids=["0.01", "2.5", "N-1.5"])
+@pytest.mark.parametrize("steps_per_tau", [16, 17, 2048])
+@pytest.mark.parametrize("n_legs", [10, 30])
+def test_matches_scalar_march_through_the_ramp(n_legs, steps_per_tau, end, beta0):
+    # traces that end while the delay terms still switch on, one per interval, so
+    # fewer than N intervals are marched; an interval's first delayed input is the
+    # last interval's final one plus the newly live term's weight times beta(0), and
+    # a beta0 off the real axis checks that this term reads the start value.  The
+    # reference runs to the trace's own t_max, which is at least two steps
+    p = GiantAtomParams(n_legs, 0.5 / n_legs, 2.0)
+    tr = integrate_beta(p, end(n_legs), steps_per_tau, beta0=beta0)
+    ref = scalar_march(p, tr.t_max, steps_per_tau, beta0)
     assert len(tr.samples) == len(ref)
     assert np.abs(tr.samples - ref).max() <= 1e-10
 
