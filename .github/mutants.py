@@ -64,7 +64,8 @@ MUTANTS = (
     # Simpson's weights, the mirrored prefix sums (phi_L) one row off or read
     # without reversing the nodes, a right panel group that is not the left one
     # mirrored, and a cached pattern left writable
-    Mutant(FIELD, "carry = rows[1 - n_legs:]", "carry = 0.0 * rows[1 - n_legs:]", FLUX),
+    Mutant(FIELD, "carry, beta_t = rows[1 - n_legs:],", "carry, beta_t = 0.0 * rows[1 - n_legs:],",
+           FLUX),
     Mutant(FIELD, "len(nodes), n_legs), rows.dtype", "len(nodes), n_legs - 1), rows.dtype", FLUX),
     Mutant(FIELD, "(s0, s1, s0))", "(s0, s1, s1))", FLUX),
     Mutant(FIELD, "_cone_cell(min(f, 1.0 - f))", "_cone_cell(f)", CONE),
@@ -84,17 +85,20 @@ MUTANTS = (
     # from another trace's cursor, from another N's and from another frac(t)'s;
     # and never resumed
     Mutant(FIELD, "frac == f and done <= whole + 1)", "frac == f)", RESUME),
-    Mutant(FIELD, "whole + 1, carry, power)", "whole + 1, 0.0 * carry, power)", RESUME),
+    Mutant(FIELD, "whole + 1, carry, power, beta_t)", "whole + 1, 0.0 * carry, power, beta_t)",
+           RESUME),
     Mutant(FIELD, "(ref() is trace and legs", "(legs", RESUME),
     Mutant(FIELD, "legs == n_legs and frac", "frac", RESUME),
     Mutant(FIELD, "and frac == f and", "and", RESUME),
     Mutant(FIELD, "if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):",
            "if not False:", RESUMES),
-    # field: total_probability's beta(t) read from the wrong point of the walk's
-    # call, and interpolated alone even when the walk has new rows
-    Mutant(FIELD, "complex(beta[-1])", "complex(beta[-2])", TOTAL),
-    Mutant(FIELD, "complex(beta[-1]), None,", "complex(beta[-1]), at,",
-           ("tests/test_field.py::test_total_probability_makes_one_dense_output_call",)),
+    # field: total_probability's beta(t) read from the block's first row in place of
+    # its last, and from node 1 in place of y = 0; a cut within 1e-12 of a cell end
+    # not snapped onto it, which leaves the cell without its node y = 0
+    Mutant(FIELD, "complex(beta[-1, 0])", "complex(beta[0, 0])", TOTAL),
+    Mutant(FIELD, "complex(beta[-1, 0])", "complex(beta[-1, 1])", TOTAL),
+    Mutant(FIELD, "a if a >= 1e-12 else 0.0", "a",
+           ("tests/test_field.py::test_total_probability_reads_beta_at_t_near_a_whole_tau",)),
     # dde: the scan's start-value correction, the scan's reach, an interval's padded
     # last chunk left out, the scan's last doubling pass and an interval's start value
     # read one sample late; the first delayed input carried without the term that

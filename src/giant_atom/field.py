@@ -36,9 +36,9 @@ object (weakly), N, frac(t) and the rows done.  A later call with the same
 trace object, N and frac(t), at a time not before where the walk stopped,
 resumes from them instead of walking again from k = 0.  A trace's samples are
 read-only, so that state stays true of the trace object.  total_probability
-needs beta(t) as well: t rides on the walk's first dense-output call, after
-that block's rows, so a resumed call with 1 to 16 new rows makes one
-dense-output call in all, and one with none interpolates t alone.
+needs beta(t) as well, and the walk holds it: node y = 0 of row floor(t) is
+beta(floor(t) + f) = beta(t).  The walk keeps it with its cursor, so a resumed
+call with no new rows makes no dense-output call at all.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ _BLOCK = 16       # rows of beta per block of the light-cone walk
 _FRAMES = 16      # intensity_map's frames per dense-output call
 _DARK_TOL = 1e-10  # largest |F(-i Omega_n)| over F's term scale at which index n is dark
 # where the last light-cone walk stopped: its trace (weakly), n_legs, frac(t), the
-# rows walked, the N-1 rows carried past them and the power summed over them
-_cursor = (lambda: None, 0, 0.0, 0, 0.0, 0.0)  # no walk yet
+# rows walked, the N-1 rows carried past them, the power summed over them and beta(t)
+_cursor = (lambda: None, 0, 0.0, 0, 0.0, 0.0, 0j)  # no walk yet
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,12 @@ def intensity_map(params: GiantAtomParams, trace: AmplitudeTrace,
     return frames
 
 
-def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
-                at: float | None = None) -> tuple[float, float, complex | None]:
-    """The field probability inside [0, N-1] and in both tails outside it,
-    from one walk over rows of beta on one cell's nodes (see the module
-    docstring for the walk), and beta(at) when at is given (else None).
+def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
+                t: float) -> tuple[float, float, complex]:
+    """The field probability inside [0, N-1], that in both tails outside it
+    and beta(t), from one walk over rows of beta on one cell's nodes (see the
+    module docstring for the walk); t is checked against the trace's range,
+    and a t rounded below 0 is read as 0.
 
     With f = frac(t), row k = 0 .. floor(t) is beta(k + f - y) on the nodes y
     of _cone_cell(min(f, 1 - f)), counted on a panel only when the panel's
@@ -157,29 +158,25 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
     R[d] = beta(t - d - y) of the coupling points d cells to its left, the
     last N-1 rows reversed, and those d + 1 cells to its right at 1 - y: with
     ends the prefix sums of R, phi_R on cell c is ends[c] and phi_L is
-    ends[N-2-c] mirrored.  beta(at) is interpolated in the walk's first
-    dense-output call, after that block's rows, and alone only when the walk
-    resumes with no new rows.
+    ends[N-2-c] mirrored.  The cell's first node is y = 0, so beta(t) is row
+    floor(t) at that node, read before the probe mask (which zeroes it at
+    t < 1e-12), or the cursor's when the walk resumes with no new rows.
     """
     global _cursor
+    check_trace_times(trace, t)
+    t = float(max(t, 0.0))
     n_legs, whole = params.n_legs, int(math.floor(t))
     f = t - whole
     nodes, probes, weights = _cone_cell(min(f, 1.0 - f))
     # the inside's N-1 rows and their prefix sums, held at once
     check_budget(f"the inside cone of {n_legs} coupling points",
                  2 * (n_legs - 1) * len(nodes), "values", MAX_TRACE_SAMPLES)
-    ref, legs, frac, done, carry, power = _cursor
+    ref, legs, frac, done, carry, power, beta_t = _cursor
     if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):
         done, carry, power = 0, np.zeros((n_legs - 1, len(nodes))), 0.0  # a walk from k = 0
-    beta_t = None
     for start in range(done, whole + 1, _BLOCK):
         shifts = np.arange(start, min(start + _BLOCK, whole + 1))[:, None] + f
-        times = np.clip(shifts - nodes, 0.0, trace.t_max)
-        if at is None:
-            beta = beta_at_many(trace, times)
-        else:  # beta(at) rides on the walk's first call
-            beta = beta_at_many(trace, np.concatenate((times.ravel(), [at])))
-            beta_t, at, beta = complex(beta[-1]), None, beta[:-1].reshape(times.shape)
+        beta = beta_at_many(trace, np.clip(shifts - nodes, 0.0, trace.t_max))
         rows = np.concatenate([carry, (shifts - probes >= 0.0) * beta])  # probe in the light cone
         # window k is the N rows from row k on: sliding_window_view(rows, N, axis=0)'s
         # shape and strides without its set-up, still checked against rows's buffer
@@ -187,10 +184,8 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace, t: float,
         windows = np.ndarray((len(rows) + 1 - n_legs, len(nodes), n_legs), rows.dtype, rows, 0,
                              (s0, s1, s0))
         power = power + np.sum(np.abs(windows.sum(-1)) ** 2, axis=0)
-        carry = rows[1 - n_legs:]
-    if at is not None:  # no new rows: beta(at) alone
-        beta_t = complex(beta_at_many(trace, [at])[0])
-    _cursor = (weakref.ref(trace), n_legs, f, whole + 1, carry, power)
+        carry, beta_t = rows[1 - n_legs:], complex(beta[-1, 0])
+    _cursor = (weakref.ref(trace), n_legs, f, whole + 1, carry, power, beta_t)
     ends = np.cumsum(carry[::-1], axis=0)
     phi = ends + ends[::-1, ::-1]
     return (0.5 * params.gamma_tau * float(np.sum(np.abs(phi) ** 2 @ weights)),
@@ -205,8 +200,10 @@ def _cone_cell(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The panels run between the cuts in even numbers (at least 2) of steps of
     at most DEFAULT_DX, the right group the left one mirrored, so node y's
     mirror 1 - y is a node too.  A node's probe is its panel group's midpoint.
+    An a below 1e-12 is taken as 0, so the first node is always y = 0 exactly.
     """
     nodes, probes, weights = [], [], []
+    a = a if a >= 1e-12 else 0.0
     for start, width in ((0.0, a), (a, (1.0 - a) - a), (1.0 - a, a)):
         if width >= 1e-12:
             k = max(2, 2 * math.ceil(width / (2.0 * DEFAULT_DX)))
@@ -237,19 +234,17 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
     in one dense-output call per 16 rows, and one without new rows
     interpolates nothing.
     """
-    check_trace_times(trace, t)
-    inside, tails, _ = _light_cone(params, trace, float(max(t, 0.0)))
+    inside, tails, _ = _light_cone(params, trace, t)
     return inside + tails
 
 
 def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """|beta(t)|^2 plus waveguide_probability, the integral of |phi|^2 over the light cone.
 
-    Both come from the one walk waveguide_probability takes, and t's range is
-    checked once: beta(t) is interpolated in the walk's first dense-output
-    call, beside its new rows, so a resumed call such as one per tau makes
-    one dense-output call in all (beta(t) alone when the walk has no new
-    rows).  The value is bit for bit abs(beta_at(trace, t))**2 +
+    Both come from the one walk waveguide_probability takes: beta(t) is node
+    y = 0 of the walk's last row, so a resumed call such as one per tau makes
+    one dense-output call in all, and one without new rows makes none.  The
+    value is bit for bit abs(beta_at(trace, t))**2 +
     waveguide_probability(params, trace, t) on the same walk.
 
     phi sums the right- and left-moving waves, so inside [0, N-1] the density
@@ -257,8 +252,7 @@ def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) 
     term averages away (omega_tau >> 1); at N = 3, gamma_tau/2pi = 0.018,
     omega_tau/2pi = 0.3177449 it reads 1.031 from t = 5 on at any fine step.
     """
-    check_trace_times(trace, t)
-    inside, tails, beta = _light_cone(params, trace, float(max(t, 0.0)), t)
+    inside, tails, beta = _light_cone(params, trace, t)
     return abs(beta) ** 2 + (inside + tails)
 
 

@@ -23,12 +23,14 @@ TWO_PI = 2.0 * math.pi
 
 def scalar_march(params, t_max, steps_per_tau, beta0=1.0 + 0.0j):
     """Step-by-step RK4 method of steps, one Python loop iteration per step:
-    the reference the interval-vectorised march must reproduce."""
+    the reference the interval-vectorised march must reproduce.  Like
+    integrate_beta it marches at least two steps, so a reference at any t_max
+    is as long as the trace."""
     m = steps_per_tau
     n = params.n_legs
     gamma = params.gamma_tau
     h = 1.0 / m
-    n_steps = max(1, math.ceil(t_max / h - 1e-12))
+    n_steps = max(2, math.ceil(t_max / h - 1e-12))
     decay = -1j * params.omega_tau - 0.5 * n * gamma
     # (half-index delay, coupling weight, first step index where the term is live)
     terms = [(2 * l * m, gamma * (n - l), l * m) for l in range(1, n)]

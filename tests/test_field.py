@@ -428,6 +428,7 @@ def cone_by_cells(params, trace, t):
     beta(0) to within that shift."""
     f = t - math.floor(t)
     a = min(f, 1.0 - f)
+    a = a if a >= 1e-12 else 0.0  # _cone_cell's snap: a cut this close to a cell end is on it
     total = 0.0
     # three groups between the cuts, the right one the left one mirrored
     for start, width in ((0.0, a), (a, (1.0 - a) - a), (1.0 - a, a)):
@@ -758,7 +759,7 @@ TOTAL_TIMES = (0.0, 1e-13, 0.2, 0.5, 2.5, 3.0, 3.0, 7.25, 8.0)
 def test_total_probability_is_beta_squared_plus_the_field(n_legs, order):
     # bit for bit, on a walk resumed where the times share frac(t) and ascend,
     # on cold walks, and at a repeated t, whose walk has no new rows; beta(t)
-    # rides on the walk's own dense-output call, or is interpolated alone
+    # is node y = 0 of the walk's last row, or the cursor's
     params = GiantAtomParams(n_legs, 0.4 / n_legs ** 2, TWO_PI * 3.3)
     trace = integrate_beta(params, 8.0, 64)
     times = TOTAL_TIMES if order == "ascending" else sorted(TOTAL_TIMES, key=lambda t: (t % 1.0, t))
@@ -774,9 +775,10 @@ def test_total_probability_is_beta_squared_plus_the_field(n_legs, order):
 
 
 def test_total_probability_makes_one_dense_output_call(monkeypatch):
-    # 25 ascending whole times on one trace: each call interpolates its new rows
-    # of 201 nodes and t itself in one call, t last, so the rows k = 0 .. 98 are
-    # read once; a repeated t has no new rows and interpolates t alone
+    # 25 ascending whole times on one trace: each call interpolates only its new
+    # rows of 201 nodes, in one call, so the rows k = 0 .. 98 are read once and
+    # beta(t) is node y = 0 of the last of them; a repeated t has no new rows
+    # and interpolates nothing
     params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
     trace = integrate_beta(params, 98.0, 16)
     calls = []
@@ -789,10 +791,28 @@ def test_total_probability_makes_one_dense_output_call(monkeypatch):
     for t in [*range(2, 99, 4), 98]:
         calls.append([])
         total_probability(params, trace, float(t))
-    assert [len(asked) for asked in calls] == [1] * 26
-    asked = [points for points, in calls]
-    assert [points[-1] for points in asked] == [*range(2, 99, 4), 98]
-    assert [(len(points) - 1) // 201 for points in asked] == [3] + [4] * 24 + [0]
-    assert all((len(points) - 1) % 201 == 0 for points in asked)
-    rows = np.concatenate([points[:-1] for points in asked]).reshape(99, 201)
+    assert [len(asked) for asked in calls] == [1] * 25 + [0]
+    asked = [points for points, in calls[:-1]]
+    assert [len(points) // 201 for points in asked] == [3] + [4] * 24
+    assert all(len(points) % 201 == 0 for points in asked)
+    rows = np.concatenate(asked).reshape(99, 201)
     assert np.array_equal(rows[:, 0], np.arange(99.0))  # node y = 0 of row k is k
+
+
+@pytest.mark.parametrize("a", (0.0, 1e-13, 5e-13, 0.3, 0.5 - 1e-13, 0.5))
+def test_cone_cell_starts_at_y_zero(a):
+    # total_probability reads beta(t) at the cell's first node, so it is y = 0
+    # exactly, also for a cut within 1e-12 of the cell's end
+    assert field._cone_cell(a)[0][0] == 0.0
+
+
+@pytest.mark.parametrize("t", (5e-13, 3.0 - 5e-13, 3.0 + 5e-13))
+def test_total_probability_reads_beta_at_t_near_a_whole_tau(t):
+    # at M = 2048 a sample is 1/4096 apart, so t within 5e-13 of one is past the
+    # dense output's 1e-9-sample snap: beta(t) must be read at node y = 0 itself,
+    # not at the cut a = 5e-13 beside it
+    params = GiantAtomParams(3, 0.05, TWO_PI * 3.3)
+    trace = integrate_beta(params, 4.0, 2048)
+    field_part = waveguide_probability(params, dataclasses.replace(trace), t)
+    want = abs(beta_at(trace, t)) ** 2 + field_part
+    assert total_probability(params, dataclasses.replace(trace), t) == want

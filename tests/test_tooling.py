@@ -180,6 +180,15 @@ def test_mutants_reports_the_inert_edit_as_a_survivor(capsys, monkeypatch, tmp_p
     assert out[3:] == [f"survivor: {toy}: {inert.old!r} -> {inert.new!r}"]
 
 
+def test_every_mutant_old_text_occurs_once():
+    # the gate reports an entry whose line a refactor moved only after copying the
+    # tree for it; reading the files finds the same error at once
+    mutants = _load("mutants")
+    counts = [(m.path, m.old, (ROOT / m.path).read_text(encoding="utf-8").count(m.old))
+              for m in mutants.MUTANTS]
+    assert [entry for entry in counts if entry[2] != 1] == []
+
+
 # a failing property test beside a passing one, run under the repository's own
 # pytest settings
 FAILING_GIVEN = {
