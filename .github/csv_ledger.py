@@ -38,12 +38,13 @@ LEDGER = Path(".github/csv_ledger.txt")
 
 
 def readme_commands() -> list[list[str]]:
-    """README's command lines without the program name, simulate with --pxt."""
-    section = Path("README.md").read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    """README's command lines without the program name, as README gives them."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     block = re.findall(r"^```\n(.*?)^```", section, re.MULTILINE | re.DOTALL)[0]
     commands = [shlex.split(line, comments=True)[1:]
                 for line in block.replace("\\\n", " ").splitlines()]
-    return [argv + ["--pxt"] if argv[0] == "simulate" else argv for argv in commands if argv]
+    return [argv for argv in commands if argv]
 
 
 def run_hashes() -> dict[str, str]:
@@ -51,6 +52,7 @@ def run_hashes() -> dict[str, str]:
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for argv in readme_commands():
+            argv += ["--pxt"] if argv[0] == "simulate" else []
             out_dir = Path(tmp) / argv[0]
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([str(out_dir) if arg == "out/" else arg for arg in argv])

@@ -20,20 +20,28 @@ README's point (N = 3, gamma_tau/2pi = 0.018, omega_tau/2pi = 0.3177449,
 M = 256) up to t_max: cli._write_csv on the blocks of cli._beta_blocks
 (102,401 rows at t_max = 200) and of cli._pxt_blocks (201 frames of 441
 rows, sampled by field.intensity_map), the blocks made inside the timed
-call; the trace is marched untimed.  BLAS threads are whatever the
-environment sets.
+call; the trace is marched untimed.  The readme table times README's
+"Command line" commands as a user runs them, milliseconds per fresh process:
+`python -c pass` (pass), `python -c "import numpy"` (numpy), `python -c
+"import giant_atom.cli"` (cli), then each README command, and simulate with
+--pxt (pxt), as `python -m giant_atom.cli ... --out-dir <tmp>`; the child's
+PYTHONPATH puts the timed package's src directory first.  BLAS threads are
+whatever the environment sets.  --tables picks the tables to print, all four
+by default.
 
 Every cell is timed --repeat times and prints the best.  With --against REF
 the package at git revision REF (git archive REF src/giant_atom, imported as
 giant_atom_ref) is timed beside the work tree's in the same process: each
 cell alternates calls between the two, REF's first, and prints the min and
 median of REF's calls, then of the work tree's, then the ratio of the
-medians, work tree over REF.  The machine's fast and slow phases then fall on
+medians, work tree over REF; the readme table's REF children run the
+extracted archive's package.  The machine's fast and slow phases then fall on
 both sides alike, where two separate runs can differ by 2x.
 
     python .github/layer_timing.py
     python .github/layer_timing.py --n-legs 3 --steps-per-tau 16 --t-max 1000
     python .github/layer_timing.py --against HEAD~1
+    python .github/layer_timing.py --tables readme --repeat 9 --against HEAD~1
 
 Run from the root of the repository.
 """
@@ -57,10 +65,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, "src")
+sys.path[:0] = ["src", str(ROOT / ".github")]
 import giant_atom.cli  # noqa: E402
+from csv_ledger import readme_commands  # noqa: E402
 
 PARTS = ("ref_min", "ref_med", "min", "med", "ratio")
+TABLES = ("march", "field", "csv", "readme")
 
 
 def _load_ref(ref: str, tmp: str):
@@ -115,13 +125,14 @@ def _table(title: str, keys: list[str], names: list[str], rows, packages, repeat
         parts += ["ref_flt", "flt"] if len(packages) > 1 else ["flt"]
     counts = counts or [0] * len(names)
     names = [f"{name}:{part}" if part else name for name in names for part in parts]
+    width = max(6, *(len(str(k)) for key, _, _ in rows for k in key))
     print(title)
-    print(" ".join([f"{key:>6}" for key in keys] + [f"{name:>10}" for name in names]))
+    print(" ".join([f"{key:>{width}}" for key in keys] + [f"{name:>10}" for name in names]))
     for key, factory, scales in rows:
         columns = zip(*(factory(package) for package in packages))
         values = [v for calls, scale, count in zip(columns, scales, counts)
                   for v in _cell(calls, scale, repeat, count)]
-        print(" ".join([f"{k:>6}" for k in key] + [f"{v:10.3f}" for v in values]))
+        print(" ".join([f"{k:>{width}}" for k in key] + [f"{v:10.3f}" for v in values]))
 
 
 def _readme_point(package, t_max: float):
@@ -142,6 +153,27 @@ def _csv_call(package, point, name: str, path: str):
               "pxt": (["t", "x", "p"], lambda: package.cli._pxt_blocks(params, trace, grid))}
     header, make = blocks[name]
     return lambda: package.cli._write_csv(path, header, make())
+
+
+def _readme_rows(out_dir: str) -> list[tuple[str, list[str]]]:
+    """The readme table's row names and interpreter arguments."""
+    commands = readme_commands()
+    commands += [argv + ["--pxt"] for argv in commands if argv[0] == "simulate"]
+    return [("pass", ["-c", "pass"]), ("numpy", ["-c", "import numpy"]),
+            ("cli", ["-c", "import giant_atom.cli"])] + [
+        ("pxt" if "--pxt" in argv else argv[0],
+         ["-m", "giant_atom.cli", *(out_dir if arg == "out/" else arg for arg in argv)])
+        for argv in commands]
+
+
+def _process_call(package, args: list[str], cwd: str):
+    """A fresh interpreter running args with package's src directory first on
+    its PYTHONPATH."""
+    src = str(Path(package.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return lambda: subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True,
+                                  stdout=subprocess.DEVNULL)
 
 
 def _march_call(package, n_legs: int, m: int, t_max: float):
@@ -173,8 +205,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--against", metavar="REF", default=None,
                         help="also time the package at this git revision, alternating calls")
+    parser.add_argument("--tables", nargs="+", choices=TABLES, default=TABLES)
     args = parser.parse_args(argv)
-    t_max, repeat = args.t_max, args.repeat
+    t_max, repeat, tables = args.t_max, args.repeat, args.tables
     with tempfile.TemporaryDirectory() as tmp:
         packages = [giant_atom]
         how = f"best of {repeat}"
@@ -182,24 +215,32 @@ def main(argv: list[str]) -> int:
             packages.insert(0, _load_ref(args.against, tmp))
             how = f"{repeat} alternating calls per side, {args.against} against the work tree"
         try:
-            _table(f"integrate_beta, us per tau interval (t_max = {t_max:g}, {how})",
-                   ["N", "M"], ["us"],
-                   [((n, m), lambda p, n=n, m=m: [_march_call(p, n, m, t_max)], [1e6 / t_max])
-                    for n in args.n_legs for m in args.steps_per_tau], packages, repeat)
-            _table(f"field quadrature, ms per call (t = {t_max - 0.5:g}, M = 64, {how})",
-                   ["N"], ["walk", "per_tau"],
-                   [((n,), lambda p, n=n: _field_calls(p, n, t_max),
-                     [1e3, 1e3 / (int(t_max) + 1)]) for n in args.n_legs], packages, repeat,
-                   counts=[1, int(t_max) + 1])
-            points = {p: _readme_point(p, t_max) for p in packages}
-            _, trace, grid = points[giant_atom]
-            path = os.path.join(tmp, "table.csv")
-            _table(f"csv export, us per row (t_max = {t_max:g}, {how})",
-                   ["table", "rows"], ["us"],
-                   [((name, rows), lambda p, name=name: [_csv_call(p, points[p], name, path)],
-                     [1e6 / rows]) for name, rows in (("beta", len(trace.samples)),
-                                                      ("pxt", len(grid.xs) * len(grid.times)))],
-                   packages, repeat)
+            if "march" in tables:
+                _table(f"integrate_beta, us per tau interval (t_max = {t_max:g}, {how})",
+                       ["N", "M"], ["us"],
+                       [((n, m), lambda p, n=n, m=m: [_march_call(p, n, m, t_max)],
+                         [1e6 / t_max]) for n in args.n_legs for m in args.steps_per_tau],
+                       packages, repeat)
+            if "field" in tables:
+                _table(f"field quadrature, ms per call (t = {t_max - 0.5:g}, M = 64, {how})",
+                       ["N"], ["walk", "per_tau"],
+                       [((n,), lambda p, n=n: _field_calls(p, n, t_max),
+                         [1e3, 1e3 / (int(t_max) + 1)]) for n in args.n_legs], packages,
+                       repeat, counts=[1, int(t_max) + 1])
+            if "csv" in tables:
+                points = {p: _readme_point(p, t_max) for p in packages}
+                _, trace, grid = points[giant_atom]
+                path = os.path.join(tmp, "table.csv")
+                sizes = (("beta", len(trace.samples)), ("pxt", len(grid.xs) * len(grid.times)))
+                _table(f"csv export, us per row (t_max = {t_max:g}, {how})",
+                       ["table", "rows"], ["us"],
+                       [((name, rows), lambda p, name=name: [_csv_call(p, points[p], name, path)],
+                         [1e6 / rows]) for name, rows in sizes], packages, repeat)
+            if "readme" in tables:
+                out_dir = os.path.join(tmp, "out")
+                _table(f"README commands, ms per fresh process ({how})", ["command"], ["ms"],
+                       [((name,), lambda p, child=child: [_process_call(p, child, tmp)], [1e3])
+                        for name, child in _readme_rows(out_dir)], packages, repeat)
         finally:
             for name in [name for name in sys.modules if name.startswith("giant_atom_ref")]:
                 del sys.modules[name]

@@ -155,11 +155,17 @@ MUTANTS = (
            "row += (a >= ceil10[row + 1]).view(np.int8) - (a < ceil10[row]).view(np.int8)",
            "pass", CSV),
     Mutant("src/giant_atom/cli.py", "fixed = -4 <= k < 17", "fixed = -5 <= k < 17", CSV),
-    # cli: a piece's float columns formatted in reverse order, and _float_text's
-    # fields cut to 30 bytes, short of a three-digit exponent's last digit
+    # cli: a piece's float columns formatted in reverse order, _float_text's fields
+    # each taken one place late, a piece that drops the rest of the block it was
+    # cut from, and the digit table with its thousands and hundreds swapped
     Mutant("src/giant_atom/cli.py", "_float_fields(np.array(floats).ravel()",
            "_float_fields(np.array(floats[::-1]).ravel()", CSV),
-    Mutant("src/giant_atom/cli.py", '.astype("S31")', '.astype("S30")', CSV),
+    Mutant("src/giant_atom/cli.py", '.split(b",")[:-1]', '.split(b",")[1:]', CSV),
+    Mutant("src/giant_atom/cli.py", "block = [column[cut:] for column in block]",
+           "block = [column[:0] for column in block]",
+           ("tests/test_cli.py::TestWriterParts::test_pieces_copy_each_row_once",)),
+    Mutant("src/giant_atom/cli.py", "np.array([1000, 100, 10, 1])", "np.array([100, 1000, 10, 1])",
+           CSV),
     # spectral: no seed at -(i omega + N gamma/2), the root of F's non-delayed part
     Mutant("src/giant_atom/spectral.py",
            "seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),\n"

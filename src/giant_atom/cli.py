@@ -5,12 +5,13 @@ the output directory, writes every table as an RFC-4180-style CSV (header row,
 UTF-8, LF line endings; floats as C's %.17g, bit for bit, produced by numpy
 array operations rather than one Python call per value, one call for all the
 float columns of each piece of CSV_BLOCK_ROWS rows, and a bytes column, such
-as pxt.csv's x and t formatted once, as it is; each piece's fields are
-NUL-padded and bytes.translate drops the NULs), then a manifest.json
-recording the input parameters, tool version, creation time, a sha256
-checksum of each output and the command's derived values, and prints one
-line, "<command>: <summary>, wrote <files> to <dir>".  A result directory is
-therefore self-describing and re-runnable.
+as pxt.csv's x and t formatted once into unpadded fields, as it is; each
+piece's fields are NUL-padded and bytes.translate drops the NULs), then a
+manifest.json recording the input parameters, tool version, creation time, a
+sha256 checksum of each output and the command's derived values, and prints
+one line, "<command>: <summary>, wrote <files> to <dir>".  A result directory
+is therefore self-describing and re-runnable.  The argument parser is built
+once per process and shared by every main() call.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error, 3
 structural impossibility (e.g. a dark-pair search with two coupling points),
@@ -62,8 +63,9 @@ CSV_BLOCK_ROWS = 2048
 # Largest sampling grid a command builds in one piece: a profile's x
 # positions or a heatmap's x-by-t points (scan lines are held to
 # darkstates.MAX_LATTICE_POINTS instead).  The CSV writer formats a profile in
-# pieces of CSV_BLOCK_ROWS rows, so the grid's own arrays, 8 bytes per point
-# and column, are what this bounds.
+# pieces of CSV_BLOCK_ROWS rows, and a heatmap's x and t columns once, as
+# unpadded text no wider than their longest field, so the grid's own arrays,
+# 8 bytes per point and column, are what this bounds.
 MAX_GRID_SAMPLES = 2 ** 22
 
 # A float's CSV field is 32 bytes, four little-endian words: the sign and the
@@ -86,15 +88,14 @@ def _two_product(a, b):
     return hi, ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
 
 
-def _ascii8(v):
-    """The 8 ASCII digits of each uint64 below 10**8, the leading one in the low
-    byte: 4-, 2- and 1-digit halves side by side in one word (SWAR)."""
-    hi = v // 10000
-    v = hi | (v - 10000 * hi) << 32
-    hi = (v * 10486 >> 20) & 0x7F0000007F           # // 100 in each 32-bit lane
-    v = hi | (v - 100 * hi) << 16
-    hi = (v * 103 >> 10) & 0xF000F000F000F          # // 10 in each 16-bit lane
-    return (hi | (v - 10 * hi) << 8) + 0x3030303030303030
+@functools.cache
+def _ascii4():
+    """The 4 ASCII digits of each integer below 10**4 as one uint32 word, the
+    leading digit in the low byte; read-only, shared by every call."""
+    digits = np.arange(10 ** 4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    table = digits.astype(np.uint8).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
 
 
 @functools.cache
@@ -166,11 +167,16 @@ def _significands(a: np.ndarray):
 
 def _digit_words(q: np.ndarray, zero: np.ndarray):
     """The 17 ASCII digits of each q as 3 words (bytes 0-16; "0" where zero),
-    the same shifted up one byte, and the count of significant digits."""
+    the same shifted up one byte, and the count of significant digits.  Digits
+    2-17 are four 4-digit groups, each one _ascii4 word: two words to a uint64,
+    the leading digit in the low byte."""
     first = q // 10 ** 16
     q = q - first * 10 ** 16
     high = q // 10 ** 8
-    rest = _ascii8(np.stack([high, q - high * 10 ** 8]).view(np.uint64))  # digits 2-9, 10-17
+    halves = np.stack([high, q - high * 10 ** 8])  # digits 2-9, 10-17
+    groups = halves // 10 ** 4
+    words = np.take(_ascii4(), np.stack([groups, halves - groups * 10 ** 4], axis=-1))
+    rest = words.view(np.uint64)[..., 0]
     # significant digits: the bit length of each digit word counts its bytes
     bits = np.frexp((rest ^ 0x3030303030303030).astype(np.float64))[1]
     ndig = 1 + np.where(bits[1] > 0, 8 + (bits[1] + 7) // 8, (bits[0] + 7) // 8)
@@ -205,12 +211,14 @@ def _float_fields(x: np.ndarray, words: np.ndarray) -> None:
 
 
 def _float_text(x) -> np.ndarray:
-    """_float_fields of each float as one S31 value, the field without its
-    separator byte, for a column formatted once and written many times."""
+    """C's %.17g of each float as bytes without NULs, for a column formatted
+    once and written many times: an S array as wide as the longest field
+    (S1 for no floats)."""
     x = np.asarray(x, np.float64)
     words = np.zeros((len(x), 4), np.uint64)
     _float_fields(x, words)
-    return words.view("S32").ravel().astype("S31")
+    words.view(np.uint8)[:, -1] = ord(",")
+    return np.array(words.tobytes().translate(None, b"\0").split(b",")[:-1], "S")
 
 
 def _csv_rows(columns) -> bytes:
@@ -249,15 +257,22 @@ def _csv_rows(columns) -> bytes:
 
 def _pieces(blocks):
     """The rows of blocks, joined and cut into pieces of CSV_BLOCK_ROWS rows
-    (the last may be shorter)."""
-    columns = None
+    (the last may be shorter).  A piece holds views of the blocks' rows until
+    it is full and then joins them in one concatenate per column, so each row
+    is copied at most once; a piece within one block is a view of it."""
+    held, rows = [], 0
     for block in blocks:
-        columns = block if columns is None else list(map(np.concatenate, zip(columns, block)))
-        while len(columns[0]) >= CSV_BLOCK_ROWS:
-            yield [column[:CSV_BLOCK_ROWS] for column in columns]
-            columns = [column[CSV_BLOCK_ROWS:] for column in columns]
-    if columns is not None and len(columns[0]):
-        yield columns
+        while rows + len(block[0]) >= CSV_BLOCK_ROWS:
+            cut = CSV_BLOCK_ROWS - rows
+            held.append([column[:cut] for column in block])
+            yield held[0] if len(held) == 1 else list(map(np.concatenate, zip(*held)))
+            block = [column[cut:] for column in block]
+            held, rows = [], 0
+        if len(block[0]):
+            held.append(block)
+            rows += len(block[0])
+    if rows:
+        yield held[0] if len(held) == 1 else list(map(np.concatenate, zip(*held)))
 
 
 def _write_csv(path: str, header: list[str], blocks) -> str:
@@ -445,7 +460,11 @@ def _add_system_flags(sub, *flags: str) -> None:
         sub.add_argument(flag, type=table[flag][0], required=True, help=table[flag][1])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned by every
+    later one: main() parses each argv with it, and parse_args keeps nothing
+    on it between calls.  Callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="giant-atom",
         description="Simulate a multi-point emitter in a 1D waveguide and export "
@@ -510,9 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from giant_atom import (DivergenceError, IncompleteSearchError, SearchPlacementError,
                         bound_profile, continuum, continuum_profile, darkstates, dde, field,
                         integrate_beta, spectral)
-from giant_atom.cli import (CSV_BLOCK_ROWS, MAX_GRID_SAMPLES, _float_text, _write_csv,
-                            build_parser, integer, main)
+from giant_atom.cli import (CSV_BLOCK_ROWS, MAX_GRID_SAMPLES, _ascii4, _float_text, _pieces,
+                            _write_csv, build_parser, integer, main)
 from conftest import single_dark_params
 
 TWO_PI = 2.0 * math.pi
@@ -142,7 +142,8 @@ class TestCsvBytes:
         bits = np.random.default_rng(31).integers(0, 2 ** 64, 10_000, dtype=np.uint64)
         xs = np.concatenate([float_edges(), bits.view(np.float64)])
         text = _float_text(xs)
-        assert text.dtype == np.dtype("S31") and text.shape == xs.shape
+        assert (text.dtype.kind == "S" and not any(b"\0" in v for v in text.tolist())
+                and text.shape == xs.shape)
         edges = [0, 1, CSV_BLOCK_ROWS + 3, len(xs)]
         as_floats = _write_csv(str(tmp_path / "floats.csv"), ["x", "y"],
                                [[xs[a:b], xs[a:b][::-1]] for a, b in zip(edges, edges[1:])])
@@ -226,6 +227,55 @@ class TestCsvBytes:
                 for x, p in zip(xs, np.abs(field._phi(params, trace, xs, float(t))) ** 2))
         reference_csv(tmp_path / "ref.csv", ["t", "x", "p"], rows)
         assert sha256(tmp_path / "pxt.csv") == sha256(tmp_path / "ref.csv")
+
+
+class TestWriterParts:
+    """The parts of the CSV writer under the bytes: the digit table, the
+    unpadded text columns and the pieces."""
+
+    def test_digit_table(self):
+        table = _ascii4()
+        assert table.view("S4").tolist() == [b"%04d" % i for i in range(10 ** 4)]
+        assert _ascii4() is table and not table.flags.writeable
+
+    def test_float_text_is_as_wide_as_its_longest_field(self):
+        # README's heatmap: t = 0 .. 200 and x = -10 .. 12 at 0.05
+        times = _float_text(np.linspace(0.0, 200.0, 201))
+        xs = _float_text(field.GridSpec(-10.0, 12.0, 0.05).xs)
+        assert (times.dtype, xs.dtype) == (np.dtype("S3"), np.dtype("S21"))
+        for text in (times, xs, _float_text(float_edges())):
+            assert text.itemsize == max(map(len, text.tolist()))
+        empty = _float_text([])
+        assert empty.dtype.kind == "S" and empty.shape == (0,)
+
+    def test_pieces_copy_each_row_once(self, monkeypatch):
+        # empty blocks, heatmap-sized frames and blocks longer than a piece,
+        # over bytes, int and float columns
+        lengths = [0, 441, 441, 0, 441, 441, 441, 3 * CSV_BLOCK_ROWS + 5, 0, 441, 7,
+                   2 * CSV_BLOCK_ROWS, 441, 0]
+        n = sum(lengths)
+        rng = np.random.default_rng(43)
+        columns = [np.array([b"t%d" % (i % 997) for i in range(n)]),
+                   rng.integers(-10 ** 6, 10 ** 6, n), rng.standard_normal(n)]
+        edges = np.cumsum([0, *lengths])
+        blocks = [[column[a:b] for column in columns] for a, b in zip(edges, edges[1:])]
+        joined = []
+        concatenate = np.concatenate
+
+        def counting(arrays, *args, **kwargs):
+            joined.append(sum(map(len, arrays)))
+            return concatenate(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        pieces = list(_pieces(iter(blocks)))
+        monkeypatch.undo()
+        assert [len(piece[0]) for piece in pieces] == (
+            [CSV_BLOCK_ROWS] * (n // CSV_BLOCK_ROWS) + [n % CSV_BLOCK_ROWS])
+        for parts, column in zip(zip(*pieces), columns):
+            whole = np.concatenate(parts)
+            assert whole.dtype == column.dtype and np.array_equal(whole, column)
+        # each column of a piece is one concatenate over the rows it holds
+        assert joined and sum(joined) <= len(columns) * n
 
 
 class TestSimulate:
@@ -768,6 +818,38 @@ def test_python_m_entry_point(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "profile.csv").exists()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_successive_main_calls_share_no_state(tmp_path):
+    # main's one parser carries no flag, default or failure from one call to
+    # the next: each result directory is the one a first call would write
+    sim = ["simulate", *A1_FLAGS, "--t-max", "3"]
+
+    def run(name, *flags):
+        out = tmp_path / name
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main([*sim, *flags, "--out-dir", str(out)]), out
+
+    def params(out):
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        return {key: value for key, value in manifest["params"].items() if key != "out_dir"}
+
+    first = run("first")
+    assert [run("pxt", "--pxt", "--pxt-t-count", "3")[0], run("stride", "--stride", "7")[0],
+            run("bad", "--stride", "x")[0], run("again")[0]] == [0, 0, 2, 0]
+    assert sorted(p.name for p in (tmp_path / "pxt").iterdir()) == [
+        "beta.csv", "manifest.json", "pxt.csv"]
+    # 2 * 256 * t_max + 1 samples, every 7th written
+    assert len(read_csv(tmp_path / "stride" / "beta.csv")[1]) == len(range(0, 2 * 256 * 3 + 1, 7))
+    assert not (tmp_path / "bad").exists()
+    again = tmp_path / "again"
+    assert sorted(p.name for p in again.iterdir()) == ["beta.csv", "manifest.json"]
+    assert params(again) == params(first[1])
+    assert (again / "beta.csv").read_bytes() == (first[1] / "beta.csv").read_bytes()
 
 
 def test_version_flag(capsys):

@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -74,7 +75,8 @@ def layer_timing_tables():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert _load("layer_timing").main(["--n-legs", "3", "--steps-per-tau", "16",
-                                           "--t-max", "2", "--repeat", "1"]) == 0
+                                           "--t-max", "2", "--repeat", "1",
+                                           "--tables", "march", "field", "csv"]) == 0
     lines = out.getvalue().splitlines()
     assert len(lines) == 10
     return lines[:3], lines[3:6], lines[6:]
@@ -113,7 +115,8 @@ def test_timing_against_a_revision_prints_both_sides_and_their_ratio():
     with contextlib.redirect_stdout(out):
         assert _load("layer_timing").main(["--n-legs", "3", "--steps-per-tau", "16",
                                            "--t-max", "2", "--repeat", "2",
-                                           "--against", "HEAD"]) == 0
+                                           "--against", "HEAD",
+                                           "--tables", "march", "field", "csv"]) == 0
     lines = out.getvalue().splitlines()
     assert len(lines) == 10
     assert lines[0] == ("integrate_beta, us per tau interval (t_max = 2, "
@@ -133,6 +136,48 @@ def test_timing_against_a_revision_prints_both_sides_and_their_ratio():
                 cell = values[name * (5 + len(faults)):(name + 1) * (5 + len(faults))]
                 assert all(v > 0.0 for v in cell[:5]) and all(v >= 0.0 for v in cell[5:])
     assert "giant_atom_ref" not in sys.modules
+
+
+def test_readme_timing_runs_each_command_in_a_fresh_process(monkeypatch):
+    # the interpreter rows run; the README commands, 0.1-0.3 s each, are only
+    # recorded: their argv and the package first on the child's PYTHONPATH
+    run = subprocess.run
+    children = []
+
+    def child(args, **kwargs):
+        if args[0] != sys.executable:  # git archive and tar
+            return run(args, **kwargs)
+        first = Path(kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0])
+        assert (first / "giant_atom" / "cli.py").is_file()
+        children.append((args[1:], first))
+        return run(args, **kwargs) if args[1] == "-c" else subprocess.CompletedProcess(args, 0)
+
+    monkeypatch.setattr(subprocess, "run", child)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _load("layer_timing").main(["--repeat", "1", "--against", "HEAD",
+                                           "--tables", "readme"]) == 0
+    title, columns, *rows = out.getvalue().splitlines()
+    assert title == ("README commands, ms per fresh process "
+                     "(1 alternating calls per side, HEAD against the work tree)")
+    assert columns.split() == ["command", "ms:ref_min", "ms:ref_med", "ms:min", "ms:med",
+                               "ms:ratio"]
+    names = ["pass", "numpy", "cli", "simulate", "poles", "dark-search", "scan", "field",
+             "continuum", "pxt"]
+    assert [row.split()[0] for row in rows] == names
+    assert all(len(row.split()) == 6 and float(row.split()[5]) > 0.0 for row in rows)
+    # one call per row and side, REF's first, each side on its own package
+    assert len(children) == 2 * len(names)
+    ref, tree = children[0][1], children[1][1]
+    assert tree == ROOT / "src" and ref != tree
+    assert [first for _, first in children] == [ref, tree] * len(names)
+    commands = [args for args, _ in children[::2]]
+    assert commands[:3] == [["-c", "pass"], ["-c", "import numpy"],
+                            ["-c", "import giant_atom.cli"]]
+    assert [args[:3] for args in commands[3:]] == [["-m", "giant_atom.cli", name]
+                                                   for name in names[3:-1] + ["simulate"]]
+    assert all(args[args.index("--out-dir") + 1] != "out/" for args in commands[3:])
+    assert commands[-1] == commands[3] + ["--pxt"]
 
 
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
