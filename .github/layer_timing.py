@@ -1,4 +1,4 @@
-"""Print the DDE march's, the field quadrature's and the CSV export's cost.
+"""Print the DDE march's, the field quadrature's, the CSV export's and the root search's cost.
 
 The march table times integrate_beta over --t-max at N*gamma_tau = 0.1 and
 omega_tau = 1 and divides by t_max, so set-up (the trace, the chunk map) is
@@ -25,8 +25,14 @@ call; the trace is marched untimed.  The readme table times README's
 `python -c pass` (pass), `python -c "import numpy"` (numpy), `python -c
 "import giant_atom.cli"` (cli), then each README command, and simulate with
 --pxt (pxt), as `python -m giant_atom.cli ... --out-dir <tmp>`; the child's
-PYTHONPATH puts the timed package's src directory first.  BLAS threads are
-whatever the environment sets.  --tables picks the tables to print, all four
+PYTHONPATH puts the timed package's src directory first.  The poles table
+times characteristic_fn and characteristic_deriv together on 4,096 fixed
+points of [-12, 0.5] x [-100, 100] at N = 3, 10 and 30, in nanoseconds per
+point, and one find_poles call, re_min = -12, in milliseconds at the
+benchmark's spectrum-wide windows (N = 3, 5, 10 with halfwidths 100, 50,
+25) at gamma_tau/2pi = 0.03 and omega_tau/2pi = 0.3; it calls public
+functions only, so any revision's package can be timed.  BLAS threads are
+whatever the environment sets.  --tables picks the tables to print, all five
 by default.
 
 Every cell is timed --repeat times and prints the best.  With --against REF
@@ -42,6 +48,7 @@ both sides alike, where two separate runs can differ by 2x.
     python .github/layer_timing.py --n-legs 3 --steps-per-tau 16 --t-max 1000
     python .github/layer_timing.py --against HEAD~1
     python .github/layer_timing.py --tables readme --repeat 9 --against HEAD~1
+    python .github/layer_timing.py --tables poles --repeat 11 --against HEAD~1
 
 Run from the root of the repository.
 """
@@ -70,7 +77,9 @@ import giant_atom.cli  # noqa: E402
 from csv_ledger import readme_commands  # noqa: E402
 
 PARTS = ("ref_min", "ref_med", "min", "med", "ratio")
-TABLES = ("march", "field", "csv", "readme")
+TABLES = ("march", "field", "csv", "readme", "poles")
+F_LEGS = (3, 10, 30)
+POLE_WINDOWS = ((3, 100.0), (5, 50.0), (10, 25.0))  # perfbench's spectrum-wide
 
 
 def _load_ref(ref: str, tmp: str):
@@ -197,6 +206,21 @@ def _field_calls(package, n_legs: int, t_max: float):
     return walk, per_tau
 
 
+def _poles_params(package, n_legs: int):
+    return package.GiantAtomParams(n_legs, 2.0 * math.pi * 0.03, 2.0 * math.pi * 0.3)
+
+
+def _f_call(package, n_legs: int, s: np.ndarray):
+    """F and F' at the points s, in one timed call."""
+    params = _poles_params(package, n_legs)
+    return lambda: (package.characteristic_fn(params, s), package.characteristic_deriv(params, s))
+
+
+def _poles_call(package, n_legs: int, halfwidth: float):
+    params = _poles_params(package, n_legs)
+    return lambda: package.find_poles(params, re_min=-12.0, im_halfwidth=halfwidth)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n-legs", type=int, nargs="+", default=[3, 10, 30, 100])
@@ -241,6 +265,15 @@ def main(argv: list[str]) -> int:
                 _table(f"README commands, ms per fresh process ({how})", ["command"], ["ms"],
                        [((name,), lambda p, child=child: [_process_call(p, child, tmp)], [1e3])
                         for name, child in _readme_rows(out_dir)], packages, repeat)
+            if "poles" in tables:
+                rng = np.random.default_rng(0)
+                s = rng.uniform(-12.0, 0.5, 4096) + 1j * rng.uniform(-100.0, 100.0, 4096)
+                _table(f"F plus F', ns per point ({len(s)} points, {how})", ["N"], ["ns"],
+                       [((n,), lambda p, n=n: [_f_call(p, n, s)], [1e9 / len(s)])
+                        for n in F_LEGS], packages, repeat)
+                _table(f"find_poles, ms per call (re_min = -12, {how})", ["N", "halfwidth"],
+                       ["ms"], [((n, f"{hw:g}"), lambda p, n=n, hw=hw: [_poles_call(p, n, hw)],
+                                 [1e3]) for n, hw in POLE_WINDOWS], packages, repeat)
         finally:
             for name in [name for name in sys.modules if name.startswith("giant_atom_ref")]:
                 del sys.modules[name]

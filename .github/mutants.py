@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 
 
 FIELD, DDE = "src/giant_atom/field.py", "src/giant_atom/dde.py"
+CORE, SPECTRAL = "src/giant_atom/core.py", "src/giant_atom/spectral.py"
 DARK = "src/giant_atom/darkstates.py"
 CONE = ("tests/test_field.py::TestConeQuadrature::test_matches_panel_loop",)
 FLUX = ("tests/test_field.py::test_outgoing_flux_against_exact_series",)
@@ -56,6 +57,8 @@ SHARED = ("tests/test_field.py::test_cached_patterns_are_shared_safely",)
 MARCH = ("tests/test_dde.py::test_matches_scalar_march",)
 SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the_work",)
 CSV = ("tests/test_cli.py::TestCsvBytes",)
+DELAY_SUMS = ("tests/test_core.py::TestDelaySums",)
+LIPSCHITZ = ("tests/test_spectral.py::TestRecoveryPaths::test_edge_on_dark_root_is_nudged",)
 
 MUTANTS = (
     # field: the carried rows, the N-row window one row short and stepping along
@@ -127,20 +130,23 @@ MUTANTS = (
            ("tests/test_dde.py::test_trace_is_cut_under_a_tracer_that_reads_locals",)),
     # core: a trace that leaves the samples it is given writable, one that keeps
     # a view instead of copying it, and one that keeps a writable array it owns
-    Mutant("src/giant_atom/core.py", "self.samples.flags.writeable = False", "pass",
+    Mutant(CORE, "self.samples.flags.writeable = False", "pass",
            ("tests/test_field.py::test_walked_trace_cannot_change_under_the_flux",)),
-    Mutant("src/giant_atom/core.py", 'object.__setattr__(self, "samples", self.samples.copy())',
-           "pass", ("tests/test_field.py::test_trace_over_a_view_cannot_change_under_the_flux",)),
-    Mutant("src/giant_atom/core.py", "if self.samples.flags.writeable or not",
-           "if not", ("tests/test_field.py::"
-                      "test_trace_over_an_array_with_an_earlier_view_cannot_change_under_the_flux",)),
+    Mutant(CORE, 'object.__setattr__(self, "samples", self.samples.copy())', "pass",
+           ("tests/test_field.py::test_trace_over_a_view_cannot_change_under_the_flux",)),
+    Mutant(CORE, "if self.samples.flags.writeable or not", "if not",
+           ("tests/test_field.py::"
+            "test_trace_over_an_array_with_an_earlier_view_cannot_change_under_the_flux",)),
     # dde: the dense output's snap onto a sample
     Mutant(DDE, "np.abs(pos - nearest) <= _GRID_SNAP", "np.abs(pos - nearest) < 0.0",
            ("tests/test_dde.py::TestDenseOutput::test_snapped_grid_hits_bit_identical",)),
-    # cli: beta.csv's |b|^2 from an array form that rounds differently in the last
-    # bit, and a manifest that leaves out --stride
-    Mutant("src/giant_atom/cli.py", "np.float_power(np.hypot(b.real, b.imag), 2)",
-           "np.abs(b) ** 2", ("tests/test_cli.py::TestCsvBytes::test_simulate_beta_csv",)),
+    # core: the one |b|^2 rule from an array form that rounds differently in the
+    # last bit; cli: beta.csv's prob column not taken from it, and a manifest
+    # that leaves out --stride
+    Mutant(CORE, "np.float_power(np.hypot(b.real, b.imag), 2)", "np.abs(b) ** 2",
+           ("tests/test_cli.py::TestCsvBytes::test_simulate_beta_csv",)),
+    Mutant("src/giant_atom/cli.py", "_abs_squared(b)]", "np.abs(b) ** 2]",
+           ("tests/test_cli.py::TestCsvBytes::test_trace_probabilities_are_the_prob_column",)),
     Mutant("src/giant_atom/cli.py", 'if key != "func"},', 'if key not in ("func", "stride")},',
            ("tests/test_readme.py::test_manifest_params_rerun_the_command",)),
     # cli: pxt.csv's t column formatted from the frame times rounded to float32
@@ -166,19 +172,30 @@ MUTANTS = (
            ("tests/test_cli.py::TestWriterParts::test_pieces_copy_each_row_once",)),
     Mutant("src/giant_atom/cli.py", "np.array([1000, 100, 10, 1])", "np.array([100, 1000, 10, 1])",
            CSV),
+    # core: F's and F''s delay sums, P's weight one too large and Q's without its
+    # factor l; F' with the sign of its delay sum flipped; the term scale without
+    # the rounding of exp(-s); spectral: the winding walk's |F'| bound without
+    # its delay sum
+    Mutant(CORE, "p += n_legs - l\n", "p += n_legs - l + 1\n", DELAY_SUMS),
+    Mutant(CORE, "q += (n_legs - l) * l", "q += n_legs - l", DELAY_SUMS),
+    Mutant(CORE, "1.0 - g * q", "1.0 + g * q",
+           ("tests/test_core.py::TestCharacteristicAccuracy::test_against_mpmath",)),
+    Mutant(CORE, "+ g * p + np.abs(s) * g * q)", "+ g * p)",
+           ("tests/test_core.py::TestCharacteristicAccuracy::test_term_scale_against_mpmath",)),
+    Mutant(SPECTRAL, "lipschitz = 1.0 + params.gamma_tau * q", "lipschitz = 1.0", LIPSCHITZ),
     # spectral: no seed at -(i omega + N gamma/2), the root of F's non-delayed part
-    Mutant("src/giant_atom/spectral.py",
+    Mutant(SPECTRAL,
            "seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),\n"
            "                      -1j * params.omega_tau - 0.5 * params.n_legs * params.gamma_tau)",
            "seeds = _chain_seeds(params, k_lo + np.arange(n_bands))",
            ("tests/test_spectral.py::test_weak_coupling_root_found_off_the_chains",)),
     # every check_budget call site, one unit too lax
-    Mutant("src/giant_atom/core.py", '"coupling points", MAX_N_LEGS)',
+    Mutant(CORE, '"coupling points", MAX_N_LEGS)',
            '"coupling points", MAX_N_LEGS + 1)',
            ("tests/test_core.py::TestInputRules::test_n_legs_bound",)),
     Mutant(DDE, '"samples", MAX_TRACE_SAMPLES)', '"samples", MAX_TRACE_SAMPLES + 1)',
            ("tests/test_dde.py::test_sample_budget_checked_before_allocation",)),
-    Mutant("src/giant_atom/spectral.py", 'seeds", MAX_SEEDS)', 'seeds", MAX_SEEDS + 1)',
+    Mutant(SPECTRAL, 'seeds", MAX_SEEDS)', 'seeds", MAX_SEEDS + 1)',
            ("tests/test_spectral.py::test_seed_budget_counts_walk_companions_and_seeds",)),
     Mutant(DARK, 'q_max),\n                 "lattice points", MAX_LATTICE_POINTS)',
            'q_max),\n                 "lattice points", MAX_LATTICE_POINTS + 1)',

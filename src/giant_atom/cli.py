@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .core import (TWO_PI, GiantAtomParams, SolverError, StructuralImpossibilityError,
-                   check_budget, check_int)
+                   _abs_squared, check_budget, check_int)
 from . import continuum as continuum_mod
 from . import darkstates, dde, field, spectral
 
@@ -324,12 +324,8 @@ def _beta_blocks(trace, stride: int):
     for start in range(0, len(trace.samples), CSV_BLOCK_ROWS * stride):
         stop = start + CSV_BLOCK_ROWS * stride
         b = trace.samples[start:stop:stride]
-        # bit for bit what abs(b) ** 2 gives on each complex scalar: hypot, then
-        # libm pow, which float_power calls per element.  np.abs(b), np.power
-        # and array ** 2 square or take a SIMD path, and differ in the last bit.
-        prob = np.float_power(np.hypot(b.real, b.imag), 2)
         yield [0.5 * trace.dt * np.arange(start, min(stop, len(trace.samples)), stride),
-               b.real, b.imag, prob]
+               b.real, b.imag, _abs_squared(b)]
 
 
 def _pxt_blocks(params: GiantAtomParams, trace, grid: field.GridSpec):

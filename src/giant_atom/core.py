@@ -38,8 +38,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Most coupling points a GiantAtomParams may hold: F(s) and the DDE march build
-# arrays of N - 1 delay weights, far below this, before any other budget applies.
+# Most coupling points a GiantAtomParams may hold: F(s) loops over N - 1 delays
+# and the DDE march builds an array of N - 1 delay weights, far below this,
+# before any other budget applies.
 MAX_N_LEGS = 2 ** 16
 
 
@@ -171,6 +172,15 @@ class ComplexFreq:
         return abs(self.re) < tol
 
 
+def _abs_squared(b: np.ndarray) -> np.ndarray:
+    """|b|^2 of a complex array, bit for bit what abs(b) ** 2 gives on each
+    complex scalar: hypot, then libm pow, which float_power calls per element.
+    np.abs(b), np.power and array ** 2 square or take a SIMD path, and differ
+    in the last bit.  AmplitudeTrace.probabilities and beta.csv's prob column
+    both use it."""
+    return np.float_power(np.hypot(b.real, b.imag), 2)
+
+
 @dataclass(frozen=True, eq=False)
 class AmplitudeTrace:
     """Sampled excited-state amplitude on a half-step grid.
@@ -206,7 +216,7 @@ class AmplitudeTrace:
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.samples) ** 2
+        return _abs_squared(self.samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,32 +290,44 @@ def params_to_physical(params: GiantAtomParams, tau_s: float) -> tuple[float, fl
     return params.omega_tau / scale, params.gamma_tau / scale
 
 
-def _delay_sum(sv, coeffs):
-    """sum_{l=1}^{N-1} coeffs[l-1] * exp(-s*l) by Horner's rule in z = exp(-s).
+def _delay_sums(n_legs: int, z):
+    """P(z) = sum_{l=1}^{N-1} (N - l) z^l and Q(z) = sum_{l=1}^{N-1} (N - l) l z^l.
 
-    One complex exponential per point; z**l is built by multiplication, so
-    its phase error grows like l*eps instead of the |s*l|*eps of exp(-s*l).
+    Both come from one Horner pass over l = N-1 .. 1, in place (acc += c;
+    acc *= z).  At z = exp(-s), F = s + i*omega + N*gamma/2 + gamma*P and,
+    since dP/ds = -Q, F' = 1 - gamma*Q, so one complex exponential serves F
+    and F'; z**l is built by multiplication, so its phase error grows like
+    l*eps instead of the |s*l|*eps of exp(-s*l).  A real z = exp(-Re s) gives
+    the bounds of _term_scale and of the winding walk.  This is the one place
+    the delay weights N - l and (N - l)*l are written.
     """
-    z = np.exp(-sv)
-    acc = coeffs[-1] * z
-    for c in coeffs[-2::-1]:
-        acc += c
-        acc *= z
-    return acc
+    p = q = 0
+    for l in range(n_legs - 1, 0, -1):
+        p += n_legs - l
+        p *= z
+        q += (n_legs - l) * l
+        q *= z
+    return p, q
+
+
+def _f_and_deriv(params: GiantAtomParams, sv):
+    """F(s) and F'(s) at the complex array sv from one exp(-s) and one pass."""
+    p, q = _delay_sums(params.n_legs, np.exp(-sv))
+    g = params.gamma_tau
+    return sv + 1j * params.omega_tau + 0.5 * params.n_legs * g + g * p, 1.0 - g * q
 
 
 def _term_scale(params: GiantAtomParams, s):
-    """Size of F's terms at s, |s| + |omega| + N*gamma/2 + gamma*sum (N-l) e^{-l Re s}
-    + |s|*gamma*sum (N-l) l e^{-l Re s}: the scale against which a residual
-    |F(s)| is judged.  F's terms grow far left, at strong coupling and at large
-    |s|, and so does the rounding of a true root (a backward-error test); the
-    last term is the rounding of exp(-s), relative eps*|s|, carried by F's
-    delayed terms."""
-    n, g = params.n_legs, params.gamma_tau
-    re = np.real(s)
-    return (np.abs(s) + abs(params.omega_tau) + 0.5 * n * g
-            + g * _delay_sum(re, [n - l for l in range(1, n)])
-            + np.abs(s) * g * _delay_sum(re, [(n - l) * l for l in range(1, n)]))
+    """Size of F's terms at s, |s| + |omega| + N*gamma/2 + gamma*P(e^{-Re s})
+    + |s|*gamma*Q(e^{-Re s}) (see _delay_sums): the scale against which a
+    residual |F(s)| is judged.  F's terms grow far left, at strong coupling and
+    at large |s|, and so does the rounding of a true root (a backward-error
+    test); the last term is the rounding of exp(-s), relative eps*|s|, carried
+    by F's delayed terms."""
+    g = params.gamma_tau
+    p, q = _delay_sums(params.n_legs, np.exp(-np.real(s)))
+    return (np.abs(s) + abs(params.omega_tau) + 0.5 * params.n_legs * g
+            + g * p + np.abs(s) * g * q)
 
 
 def characteristic_fn(params: GiantAtomParams, s) -> complex:
@@ -318,9 +340,7 @@ def characteristic_fn(params: GiantAtomParams, s) -> complex:
     complex values (evaluated elementwise).
     """
     sv = np.asarray(s, dtype=complex)  # a ComplexFreq converts through __complex__
-    n, g = params.n_legs, params.gamma_tau
-    acc = _delay_sum(sv, [n - l for l in range(1, n)])
-    out = sv + 1j * params.omega_tau + 0.5 * n * g + g * acc
+    out = _f_and_deriv(params, sv)[0]
     return complex(out) if sv.ndim == 0 else out
 
 
@@ -331,7 +351,5 @@ def characteristic_deriv(params: GiantAtomParams, s) -> complex:
     causal amplitude's pole-series reconstruction.
     """
     sv = np.asarray(s, dtype=complex)
-    n, g = params.n_legs, params.gamma_tau
-    acc = _delay_sum(sv, [(n - l) * l for l in range(1, n)])
-    out = 1.0 - g * acc
+    out = _f_and_deriv(params, sv)[1]
     return complex(out) if sv.ndim == 0 else out

@@ -13,15 +13,13 @@ non-delayed part, finds the one root on no chain when weak coupling leaves it
 far from them.  MAX_SEEDS bounds the complex values built, counted before any
 is: the first boundary walk's samples, each trial's (N-1) x (N-1) companion
 matrix and 3 * (N - 1) seeds, and that seed.
-A Newton final is accepted when its |F| is at most 1e-13 times the size
-of F's terms there, |s| + |omega| + N*gamma/2 + gamma * sum_l (N - l) *
-exp(-l * Re s) + |s| * gamma * sum_l (N - l) * l * exp(-l * Re s) (a
-backward-error test: F's terms grow far left and at strong coupling, and so
-does the rounding of a true root, which exp(-s) adds to at large |s|); the
-accepted finals are deduplicated, and their count must equal the winding
-number of F around the rectangle boundary (argument principle, with samples
-close enough that no root can slip between two); any other count raises
-IncompleteSearchError.  Each root s_n carries the residue weight
+Each Newton step takes F and F' from one exp(-s) and one Horner pass
+(core._f_and_deriv).  A Newton final is accepted when its |F| is at most
+1e-13 times the size of F's terms there, core._term_scale (a backward-error
+test); the accepted finals are deduplicated, and their count must equal the
+winding number of F around the rectangle boundary (argument principle, with
+samples close enough that no root can slip between two); any other count
+raises IncompleteSearchError.  Each root s_n carries the residue weight
 
     w_n = 1 / (1 - gamma_tau * sum_{l=1}^{N-1} (N - l) * l * exp(-s_n * l))
         = 1 / F'(s_n),
@@ -37,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (TWO_PI, ComplexFreq, GiantAtomParams, IncompleteSearchError,
-                   SearchPlacementError, _delay_sum, _term_scale, characteristic_deriv,
-                   characteristic_fn, check_budget, check_positive)
+                   SearchPlacementError, _delay_sums, _f_and_deriv, _term_scale,
+                   characteristic_deriv, characteristic_fn, check_budget, check_positive)
 
 __all__ = ["DEFAULT_RE_MIN", "MAX_SEEDS", "PoleSet", "find_poles", "beta_from_poles"]
 
@@ -93,7 +91,8 @@ def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
         for _ in range(_NEWTON_ITERATIONS):
             if not len(idx):
                 break
-            d = characteristic_fn(params, za) / characteristic_deriv(params, za)
+            f, fp = _f_and_deriv(params, za)
+            d = f / fp
             d = np.where(np.isfinite(d), d, 0.0)
             mag = np.abs(d)
             d = np.where(mag > _MAX_STEP, d * (_MAX_STEP / np.maximum(mag, 1e-300)), d)
@@ -164,7 +163,7 @@ def _winding_number(params, rect, spacing):
     """Winding number of F around the rectangle via adaptive phase tracking.
 
     A segment [a, b] is bisected while L * |b - a| >= max(|F(a)|, |F(b)|), where
-    L = 1 + gamma * sum_l (N - l) * l * exp(-l * min(Re a, Re b)) bounds |F'|
+    L = 1 + gamma * Q(exp(-min(Re a, Re b))) (Q of core._delay_sums) bounds |F'|
     on it.  When no segment needs it, F stays on each in a disk about F(a) or
     F(b) that excludes 0, so it turns by less than pi/2 there, and no root, nor
     a pair of roots, can hide between two samples; the wrapped phase steps then
@@ -172,8 +171,6 @@ def _winding_number(params, rect, spacing):
     1e-9 * (1 + |s|), or when bisection adds more than _MAX_WINDING_POINTS
     samples (or runs 64 passes).
     """
-    n, g = params.n_legs, params.gamma_tau
-    deriv_weights = [(n - l) * l for l in range(1, n)]
     pts = _boundary_points(rect, spacing)
     cap = len(pts) + _MAX_WINDING_POINTS
     for _ in range(64):
@@ -182,8 +179,8 @@ def _winding_number(params, rect, spacing):
         mags = np.abs(vals)
         if mags.min() < 1e-9 * (1.0 + np.abs(closed[np.argmin(mags)])):
             return None
-        lipschitz = 1.0 + g * _delay_sum(np.minimum(closed[:-1].real, closed[1:].real),
-                                         deriv_weights)
+        q = _delay_sums(params.n_legs, np.exp(-np.minimum(closed[:-1].real, closed[1:].real)))[1]
+        lipschitz = 1.0 + params.gamma_tau * q
         bad = lipschitz * np.abs(np.diff(closed)) >= np.maximum(mags[:-1], mags[1:])
         if not bad.any():
             dphi = np.diff(np.angle(vals))

@@ -215,6 +215,17 @@ class TestCsvBytes:
                       ((t, b.real, b.imag, abs(b) ** 2) for t, b in zip(times, samples)))
         assert sha256(tmp_path / "beta.csv") == sha256(tmp_path / "ref.csv")
 
+    def test_trace_probabilities_are_the_prob_column(self, tmp_path):
+        # one |b|^2 rule: %.17g round-trips, so the parsed column is the trace's
+        # probabilities bit for bit (np.abs(b) ** 2 differs in the last bits)
+        t_max = 20.0
+        assert main(["simulate", *A1_FLAGS, "--t-max", str(t_max),
+                     "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "beta.csv", newline="") as fh:
+            prob = np.array([float(row["prob"]) for row in csv.DictReader(fh)])
+        trace = integrate_beta(single_dark_params(3, 1, 0.018), t_max)
+        assert prob.tobytes() == trace.probabilities.tobytes()
+
     def test_simulate_pxt_csv(self, tmp_path):
         # the heatmap against a row-at-a-time writer over frames sampled one at
         # a time; 40 frames are two blocks of field._FRAMES and a partial one

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from giant_atom import (
     total_intensity,
 )
 
-from giant_atom.core import check_budget, check_int, check_positive
+from giant_atom.core import _delay_sums, _term_scale, check_budget, check_int, check_positive
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,6 +222,40 @@ class TestCharacteristicFn:
         assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
 
 
+def exact_delay_sums(n_legs, z):
+    """P(z) = sum (N - l) z^l and Q(z) = sum (N - l) l z^l summed exactly in
+    Fractions, each part rounded once to a float at the end."""
+    re, im = Fraction(complex(z).real), Fraction(complex(z).imag)
+    power, p, q = (Fraction(1), Fraction(0)), [Fraction(0)] * 2, [Fraction(0)] * 2
+    for l in range(1, n_legs):
+        power = (power[0] * re - power[1] * im, power[0] * im + power[1] * re)
+        for part in range(2):
+            p[part] += (n_legs - l) * power[part]
+            q[part] += (n_legs - l) * l * power[part]
+    return complex(*map(float, p)), complex(*map(float, q))
+
+
+class TestDelaySums:
+    """The one evaluator of F's and F''s delay sums against exact sums."""
+
+    REAL_Z = np.array([0.5, -0.75, 1.25, 0.0, 2.0 ** -10])
+    COMPLEX_Z = np.array([0.375 - 1.25j, -1.5 + 0.625j, 0.8125j, 0.96875 + 0.125j])
+
+    @pytest.mark.parametrize("n_legs", range(2, 13))
+    @pytest.mark.parametrize("z", [REAL_Z, COMPLEX_Z], ids=["real", "complex"])
+    def test_against_exact_fractions(self, n_legs, z):
+        p, q = _delay_sums(n_legs, z)
+        assert p.dtype == q.dtype == z.dtype  # a real z gives real sums
+        eps = np.finfo(float).eps
+        for k, zk in enumerate(z):
+            p_ref, q_ref = exact_delay_sums(n_legs, zk)
+            # Horner's error bound: about 2 (N - 1) complex roundings, each
+            # relative to the sum of the terms' magnitudes
+            size = abs(zk) ** np.arange(1, n_legs) * np.arange(n_legs - 1, 0, -1)
+            assert abs(p[k] - p_ref) <= 4 * n_legs * eps * size.sum(), zk
+            assert abs(q[k] - q_ref) <= 4 * n_legs * eps * (size * np.arange(1, n_legs)).sum(), zk
+
+
 class TestCharacteristicAccuracy:
     """F and F' against the same sums evaluated exactly at 40 digits."""
 
@@ -246,6 +281,21 @@ class TestCharacteristicAccuracy:
                     sum(l * abs(t) for l, t in zip(range(1, n_legs), terms)))
                 assert abs(complex(f_ref) - f[k]) <= 1e-14 * scale_f, sk
                 assert abs(complex(fp_ref) - fp[k]) <= 1e-14 * scale_fp, sk
+
+    @pytest.mark.parametrize("n_legs", [2, 3, 10])
+    def test_term_scale_against_mpmath(self, n_legs):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(100 + n_legs)
+        s = rng.uniform(-12.0, 0.5, 40) + 1j * rng.uniform(-800.0, 800.0, 40)
+        p = GiantAtomParams(n_legs=n_legs, gamma_tau=0.3, omega_tau=2.0)
+        scale = _term_scale(p, s)
+        with mpmath.workdps(40):
+            for k, sk in enumerate(s):
+                z = mpmath.exp(-sk.real)
+                ref = (abs(sk) + 2.0 + 0.15 * n_legs
+                       + 0.3 * sum((n_legs - l) * z ** l for l in range(1, n_legs))
+                       + abs(sk) * 0.3 * sum((n_legs - l) * l * z ** l for l in range(1, n_legs)))
+                assert abs(float(ref) - scale[k]) <= 1e-13 * float(ref), sk
 
 
 class TestDomainTypes:

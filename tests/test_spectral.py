@@ -14,6 +14,7 @@ from giant_atom import (
     beta_from_poles,
     characteristic_deriv,
     characteristic_fn,
+    core,
     dark_amplitude,
     dark_frequency,
     find_pairs,
@@ -335,19 +336,42 @@ def test_pole_series_rejects_non_finite_times(dark_n1_params, t):
 
 def test_newton_retires_converged_and_unevaluable_seeds(dark_n1_params, monkeypatch):
     sizes = []
-    fn = spectral.characteristic_fn
+    sums = core._delay_sums
 
-    def counted(params, s):
-        sizes.append(np.size(s))
-        return fn(params, s)
+    def counted(n_legs, z):
+        sizes.append(np.size(z))
+        return sums(n_legs, z)
 
-    monkeypatch.setattr(spectral, "characteristic_fn", counted)
+    monkeypatch.setattr(core, "_delay_sums", counted)
     root = -1j * dark_frequency(3, 1)
     far = complex(-1e4, 0.0)  # exp(-s) overflows, so the step is not finite
     out = spectral._newton(dark_n1_params, np.array([root, far, root + 1e-3]))
     assert out[1] == far
     assert abs(out[0] - root) < 1e-12 and abs(out[2] - root) < 1e-12
     assert sizes[:2] == [3, 1] and len(sizes) < 10
+
+
+def test_newton_step_takes_f_and_fprime_from_one_pass(dark_n1_params, monkeypatch):
+    # one step: one exp(-s) and one evaluator call for all seeds, and the step
+    # F/F' is the public functions' quotient bit for bit
+    sums, exp, calls = core._delay_sums, np.exp, []
+
+    def counted_sums(n_legs, z):
+        calls.append("sums")
+        return sums(n_legs, z)
+
+    def counted_exp(x, *args, **kwargs):
+        calls.append("exp")
+        return exp(x, *args, **kwargs)
+
+    seeds = -1j * dark_frequency(3, 1) + np.array([1e-3, -2e-3j, 0.01 + 0.01j])
+    step = characteristic_fn(dark_n1_params, seeds) / characteristic_deriv(dark_n1_params, seeds)
+    monkeypatch.setattr(core, "_delay_sums", counted_sums)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    monkeypatch.setattr(spectral, "_NEWTON_ITERATIONS", 1)
+    out = spectral._newton(dark_n1_params, seeds)
+    assert calls == ["exp", "sums"]
+    np.testing.assert_array_equal(out, seeds - step)
 
 
 def test_seed_budget_counts_walk_companions_and_seeds(dark_n1_params, monkeypatch):

@@ -180,6 +180,26 @@ def test_readme_timing_runs_each_command_in_a_fresh_process(monkeypatch):
     assert commands[-1] == commands[3] + ["--pxt"]
 
 
+def test_poles_timing_prints_f_and_find_poles_rows():
+    # public functions only, so a revision's package (here HEAD's) times too
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _load("layer_timing").main(["--repeat", "1", "--against", "HEAD",
+                                           "--tables", "poles"]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 10
+    how = "1 alternating calls per side, HEAD against the work tree"
+    assert lines[0] == f"F plus F', ns per point (4096 points, {how})"
+    assert lines[5] == f"find_poles, ms per call (re_min = -12, {how})"
+    parts = ["ref_min", "ref_med", "min", "med", "ratio"]
+    assert lines[1].split() == ["N"] + [f"ns:{p}" for p in parts]
+    assert lines[6].split() == ["N", "halfwidth"] + [f"ms:{p}" for p in parts]
+    keys = [row.split()[:1] for row in lines[2:5]] + [row.split()[:2] for row in lines[7:]]
+    assert keys == [["3"], ["10"], ["30"], ["3", "100"], ["5", "50"], ["10", "25"]]
+    assert all(float(v) > 0.0 for row in lines[2:5] + lines[7:] for v in row.split()[-5:])
+    assert "giant_atom_ref" not in sys.modules
+
+
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
 # inert edit touches, and one test that pins the comparison at its boundary,
 # beside the pyproject.toml and README.md every copy takes; the toy needs no
