@@ -1,4 +1,4 @@
-"""Print the DDE march's, the field quadrature's, the CSV export's and the root search's cost.
+"""Print the DDE march's, field quadrature's, CSV export's, root search's and winding walk's cost.
 
 The march table times integrate_beta over --t-max at N*gamma_tau = 0.1 and
 omega_tau = 1 and divides by t_max, so set-up (the trace, the chunk map) is
@@ -31,9 +31,13 @@ points of [-12, 0.5] x [-100, 100] at N = 3, 10 and 30, in nanoseconds per
 point, and one find_poles call, re_min = -12, in milliseconds at the
 benchmark's spectrum-wide windows (N = 3, 5, 10 with halfwidths 100, 50,
 25) at gamma_tau/2pi = 0.03 and omega_tau/2pi = 0.3; it calls public
-functions only, so any revision's package can be timed.  BLAS threads are
-whatever the environment sets.  --tables picks the tables to print, all five
-by default.
+functions only, so any revision's package can be timed.  The walk table times
+one spectral._winding_number call, in milliseconds, on the first rectangle
+find_poles walks at each of those windows, [-12, gamma_tau] x [-omega_tau +-
+halfwidth] at spacing pi/(4N), with the poles table's gamma_tau and
+omega_tau; it times a revision whose _winding_number takes (params, rect,
+spacing).  BLAS threads are whatever the environment sets.  --tables picks
+the tables to print, all six by default.
 
 Every cell is timed --repeat times and prints the best.  With --against REF
 the package at git revision REF (git archive REF src/giant_atom, imported as
@@ -49,6 +53,7 @@ both sides alike, where two separate runs can differ by 2x.
     python .github/layer_timing.py --against HEAD~1
     python .github/layer_timing.py --tables readme --repeat 9 --against HEAD~1
     python .github/layer_timing.py --tables poles --repeat 11 --against HEAD~1
+    python .github/layer_timing.py --tables walk --repeat 11 --against HEAD~1
 
 Run from the root of the repository.
 """
@@ -77,7 +82,7 @@ import giant_atom.cli  # noqa: E402
 from csv_ledger import readme_commands  # noqa: E402
 
 PARTS = ("ref_min", "ref_med", "min", "med", "ratio")
-TABLES = ("march", "field", "csv", "readme", "poles")
+TABLES = ("march", "field", "csv", "readme", "poles", "walk")
 F_LEGS = (3, 10, 30)
 POLE_WINDOWS = ((3, 100.0), (5, 50.0), (10, 25.0))  # perfbench's spectrum-wide
 
@@ -221,6 +226,14 @@ def _poles_call(package, n_legs: int, halfwidth: float):
     return lambda: package.find_poles(params, re_min=-12.0, im_halfwidth=halfwidth)
 
 
+def _walk_call(package, n_legs: int, halfwidth: float):
+    """One winding walk on find_poles' first rectangle at a spectrum-wide window."""
+    params = _poles_params(package, n_legs)
+    center = -params.omega_tau
+    rect = [-12.0, params.gamma_tau, center - halfwidth, center + halfwidth]
+    return lambda: package.spectral._winding_number(params, rect, math.pi / (4.0 * n_legs))
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n-legs", type=int, nargs="+", default=[3, 10, 30, 100])
@@ -273,6 +286,10 @@ def main(argv: list[str]) -> int:
                         for n in F_LEGS], packages, repeat)
                 _table(f"find_poles, ms per call (re_min = -12, {how})", ["N", "halfwidth"],
                        ["ms"], [((n, f"{hw:g}"), lambda p, n=n, hw=hw: [_poles_call(p, n, hw)],
+                                 [1e3]) for n, hw in POLE_WINDOWS], packages, repeat)
+            if "walk" in tables:
+                _table(f"winding walk, ms per call (re_min = -12, {how})", ["N", "halfwidth"],
+                       ["ms"], [((n, f"{hw:g}"), lambda p, n=n, hw=hw: [_walk_call(p, n, hw)],
                                  [1e3]) for n, hw in POLE_WINDOWS], packages, repeat)
         finally:
             for name in [name for name in sys.modules if name.startswith("giant_atom_ref")]:

@@ -59,6 +59,7 @@ SCAN = ("tests/test_darkstates.py::TestLatticeBudget::test_scan_counts_bound_the
 CSV = ("tests/test_cli.py::TestCsvBytes",)
 DELAY_SUMS = ("tests/test_core.py::TestDelaySums",)
 LIPSCHITZ = ("tests/test_spectral.py::TestRecoveryPaths::test_edge_on_dark_root_is_nudged",)
+WALK = ("tests/test_spectral.py::test_winding_walk_evaluates_each_sample_once",)
 
 MUTANTS = (
     # field: the carried rows, the N-row window one row short and stepping along
@@ -175,7 +176,8 @@ MUTANTS = (
     # core: F's and F''s delay sums, P's weight one too large and Q's without its
     # factor l; F' with the sign of its delay sum flipped; the term scale without
     # the rounding of exp(-s); spectral: the winding walk's |F'| bound without
-    # its delay sum
+    # its delay sum, and the values of a pass's midpoints put in one slot early
+    # or taken at each bisected segment's end in place of its midpoint
     Mutant(CORE, "p += n_legs - l\n", "p += n_legs - l + 1\n", DELAY_SUMS),
     Mutant(CORE, "q += (n_legs - l) * l", "q += n_legs - l", DELAY_SUMS),
     Mutant(CORE, "1.0 - g * q", "1.0 + g * q",
@@ -183,6 +185,9 @@ MUTANTS = (
     Mutant(CORE, "+ g * p + np.abs(s) * g * q)", "+ g * p)",
            ("tests/test_core.py::TestCharacteristicAccuracy::test_term_scale_against_mpmath",)),
     Mutant(SPECTRAL, "lipschitz = 1.0 + params.gamma_tau * q", "lipschitz = 1.0", LIPSCHITZ),
+    Mutant(SPECTRAL, "np.insert(vals, at,", "np.insert(vals, at - 1,", WALK),
+    Mutant(SPECTRAL, "characteristic_fn(params, mid))", "characteristic_fn(params, ring[at]))",
+           WALK),
     # spectral: no seed at -(i omega + N gamma/2), the root of F's non-delayed part
     Mutant(SPECTRAL,
            "seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),\n"

@@ -299,7 +299,7 @@ def _delay_sums(n_legs: int, z):
     and F'; z**l is built by multiplication, so its phase error grows like
     l*eps instead of the |s*l|*eps of exp(-s*l).  A real z = exp(-Re s) gives
     the bounds of _term_scale and of the winding walk.  This is the one place
-    the delay weights N - l and (N - l)*l are written.
+    F's two delay sums are evaluated.
     """
     p = q = 0
     for l in range(n_legs - 1, 0, -1):

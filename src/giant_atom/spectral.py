@@ -150,13 +150,14 @@ def _side_samples(rect, spacing):
 
 
 def _boundary_points(rect, spacing):
+    """The walk's first-pass ring: each side's samples counterclockwise from
+    the bottom left corner, then that corner again, so the ring is closed."""
     re_lo, re_hi, im_lo, im_hi = rect
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi)]
-    pts = []
-    for a, b, count in zip(corners, corners[1:] + corners[:1], _side_samples(rect, spacing)):
-        pts.append(a + (b - a) * np.arange(int(count)) / count)
-    return np.concatenate(pts)
+    sides = zip(corners, corners[1:] + corners[:1], _side_samples(rect, spacing))
+    pts = [a + (b - a) * np.arange(int(count)) / count for a, b, count in sides]
+    return np.concatenate(pts + [pts[0][:1]])
 
 
 def _winding_number(params, rect, spacing):
@@ -167,29 +168,31 @@ def _winding_number(params, rect, spacing):
     on it.  When no segment needs it, F stays on each in a disk about F(a) or
     F(b) that excludes 0, so it turns by less than pi/2 there, and no root, nor
     a pair of roots, can hide between two samples; the wrapped phase steps then
-    sum to a multiple of 2*pi.  Returns None when a sample of F falls below
-    1e-9 * (1 + |s|), or when bisection adds more than _MAX_WINDING_POINTS
-    samples (or runs 64 passes).
+    sum to a multiple of 2*pi.  The closed ring of samples and F's values on it
+    are kept from pass to pass: a pass evaluates F only at the midpoints it
+    inserts, so each sample's F is computed once.  Returns None when a sample
+    of F falls below 1e-9 * (1 + |s|), or when bisection would add more than
+    _MAX_WINDING_POINTS samples (or runs 64 passes).
     """
-    pts = _boundary_points(rect, spacing)
-    cap = len(pts) + _MAX_WINDING_POINTS
+    ring = _boundary_points(rect, spacing)
+    vals = characteristic_fn(params, ring)
+    cap = len(ring) + _MAX_WINDING_POINTS
     for _ in range(64):
-        closed = np.concatenate([pts, pts[:1]])
-        vals = characteristic_fn(params, closed)
         mags = np.abs(vals)
-        if mags.min() < 1e-9 * (1.0 + np.abs(closed[np.argmin(mags)])):
+        if mags.min() < 1e-9 * (1.0 + np.abs(ring[np.argmin(mags)])):
             return None
-        q = _delay_sums(params.n_legs, np.exp(-np.minimum(closed[:-1].real, closed[1:].real)))[1]
+        q = _delay_sums(params.n_legs, np.exp(-np.minimum(ring[:-1].real, ring[1:].real)))[1]
         lipschitz = 1.0 + params.gamma_tau * q
-        bad = lipschitz * np.abs(np.diff(closed)) >= np.maximum(mags[:-1], mags[1:])
+        bad = lipschitz * np.abs(np.diff(ring)) >= np.maximum(mags[:-1], mags[1:])
         if not bad.any():
             dphi = np.diff(np.angle(vals))
             dphi = (dphi + math.pi) % (2.0 * math.pi) - math.pi
             return int(round(dphi.sum() / (2.0 * math.pi)))
-        idx = np.flatnonzero(bad)
-        pts = np.insert(closed[:-1], idx + 1, 0.5 * (closed[idx] + closed[idx + 1]))
-        if len(pts) > cap:
+        at = np.flatnonzero(bad) + 1  # each bisected segment's end, where its midpoint goes
+        if len(ring) + len(at) > cap:
             break
+        mid = 0.5 * (ring[at - 1] + ring[at])
+        ring, vals = np.insert(ring, at, mid), np.insert(vals, at, characteristic_fn(params, mid))
     return None
 
 

@@ -538,14 +538,31 @@ class TestRecoveryPaths:
 
 
 def test_winding_cap_counts_only_bisection_samples(dark_n1_params, monkeypatch):
-    # the boundary starts at 102 samples, above the cap, and settles after
-    # 4 bisection passes that add one sample each
+    # the closed ring starts at 103 samples (the first corner twice), above the
+    # cap, and settles after 5 bisection passes that add 2, 2, 1, 1 and 1
     omega_1 = dark_frequency(3, 1)
     rect = [-5.0, dark_n1_params.gamma_tau, -omega_1 + 0.01, -omega_1 + 8.01]
     spacing = math.pi / 12  # half the N = 3 cell, as find_poles walks it
-    assert len(spectral._boundary_points(rect, spacing)) == 102
+    assert len(spectral._boundary_points(rect, spacing)) == 103
     monkeypatch.setattr(spectral, "_MAX_WINDING_POINTS", 50)
     assert spectral._winding_number(dark_n1_params, rect, spacing) == 2
+
+
+def test_winding_walk_evaluates_each_sample_once(dark_n1_params, monkeypatch):
+    # the window of the test above: the ring's 103 samples, then only the
+    # midpoints each bisection pass inserts (re-evaluating the whole ring on
+    # every pass would take 642 points)
+    omega_1 = dark_frequency(3, 1)
+    rect = [-5.0, dark_n1_params.gamma_tau, -omega_1 + 0.01, -omega_1 + 8.01]
+    evaluate, sizes = spectral.characteristic_fn, []
+
+    def counted(params, s):
+        sizes.append(np.size(s))
+        return evaluate(params, s)
+
+    monkeypatch.setattr(spectral, "characteristic_fn", counted)
+    assert spectral._winding_number(dark_n1_params, rect, math.pi / 12) == 2
+    assert sizes == [103, 2, 2, 1, 1, 1]  # 110 points
 
 
 def test_winding_cap_gives_up_and_placement_fails(dark_n1_params, monkeypatch):

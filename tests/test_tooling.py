@@ -200,6 +200,22 @@ def test_poles_timing_prints_f_and_find_poles_rows():
     assert "giant_atom_ref" not in sys.modules
 
 
+def test_walk_timing_prints_one_row_per_spectrum_wide_window():
+    # a private function, so the timed revision must share its signature (HEAD's does)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _load("layer_timing").main(["--repeat", "1", "--against", "HEAD",
+                                           "--tables", "walk"]) == 0
+    title, columns, *rows = out.getvalue().splitlines()
+    assert title == ("winding walk, ms per call (re_min = -12, "
+                     "1 alternating calls per side, HEAD against the work tree)")
+    assert columns.split() == ["N", "halfwidth"] + [
+        f"ms:{p}" for p in ["ref_min", "ref_med", "min", "med", "ratio"]]
+    assert [row.split()[:2] for row in rows] == [["3", "100"], ["5", "50"], ["10", "25"]]
+    assert all(float(v) > 0.0 for row in rows for v in row.split()[2:])
+    assert "giant_atom_ref" not in sys.modules
+
+
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
 # inert edit touches, and one test that pins the comparison at its boundary,
 # beside the pyproject.toml and README.md every copy takes; the toy needs no
