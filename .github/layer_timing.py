@@ -1,4 +1,4 @@
-"""Print the DDE march's, field quadrature's, CSV export's, root search's and winding walk's cost.
+"""Print the cost of the march, field quadrature, CSV export, root search, walk and pole series.
 
 The march table times integrate_beta over --t-max at N*gamma_tau = 0.1 and
 omega_tau = 1 and divides by t_max, so set-up (the trace, the chunk map) is
@@ -36,8 +36,12 @@ one spectral._winding_number call, in milliseconds, on the first rectangle
 find_poles walks at each of those windows, [-12, gamma_tau] x [-omega_tau +-
 halfwidth] at spacing pi/(4N), with the poles table's gamma_tau and
 omega_tau; it times a revision whose _winding_number takes (params, rect,
-spacing).  BLAS threads are whatever the environment sets.  --tables picks
-the tables to print, all six by default.
+spacing).  The series table times one beta_from_poles call, in milliseconds,
+at the 4,001 times the benchmark's spectrum-wide jobs use, on the pole set of
+each of the six seed-1 spectrum-wide jobs (perfbench/workloads.py's
+parameters, each pole set found untimed by the timed package's find_poles).
+BLAS threads are whatever the environment sets.  --tables picks the tables to
+print, all seven by default.
 
 Every cell is timed --repeat times and prints the best.  With --against REF
 the package at git revision REF (git archive REF src/giant_atom, imported as
@@ -54,6 +58,7 @@ both sides alike, where two separate runs can differ by 2x.
     python .github/layer_timing.py --tables readme --repeat 9 --against HEAD~1
     python .github/layer_timing.py --tables poles --repeat 11 --against HEAD~1
     python .github/layer_timing.py --tables walk --repeat 11 --against HEAD~1
+    python .github/layer_timing.py --tables series --repeat 11 --against HEAD~1
 
 Run from the root of the repository.
 """
@@ -77,12 +82,13 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = ["src", str(ROOT / ".github")]
+sys.path[:0] = ["src", str(ROOT / ".github"), str(ROOT / "perfbench")]
 import giant_atom.cli  # noqa: E402
+import workloads  # noqa: E402
 from csv_ledger import readme_commands  # noqa: E402
 
 PARTS = ("ref_min", "ref_med", "min", "med", "ratio")
-TABLES = ("march", "field", "csv", "readme", "poles", "walk")
+TABLES = ("march", "field", "csv", "readme", "poles", "walk", "series")
 F_LEGS = (3, 10, 30)
 POLE_WINDOWS = ((3, 100.0), (5, 50.0), (10, 25.0))  # perfbench's spectrum-wide
 
@@ -234,6 +240,13 @@ def _walk_call(package, n_legs: int, halfwidth: float):
     return lambda: package.spectral._winding_number(params, rect, math.pi / (4.0 * n_legs))
 
 
+def _series_call(package, inputs: dict, times: np.ndarray):
+    """The pole series at times on a spectrum-wide job's pole set, found untimed."""
+    params = package.GiantAtomParams(inputs["n_legs"], inputs["gamma_tau"], inputs["omega_tau"])
+    poles = package.find_poles(params, re_min=-12.0, im_halfwidth=inputs["im_halfwidth"])
+    return lambda: package.beta_from_poles(poles, times)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n-legs", type=int, nargs="+", default=[3, 10, 30, 100])
@@ -291,6 +304,12 @@ def main(argv: list[str]) -> int:
                 _table(f"winding walk, ms per call (re_min = -12, {how})", ["N", "halfwidth"],
                        ["ms"], [((n, f"{hw:g}"), lambda p, n=n, hw=hw: [_walk_call(p, n, hw)],
                                  [1e3]) for n, hw in POLE_WINDOWS], packages, repeat)
+            if "series" in tables:
+                times = np.linspace(5.0, 60.0, 4001)
+                _table(f"pole series, ms per call ({len(times)} times, {how})", ["job"], ["ms"],
+                       [((job.name,), lambda p, job=job: [_series_call(p, job.inputs, times)],
+                         [1e3]) for job in workloads.build("spectrum-wide", 1, tmp)],
+                       packages, repeat)
         finally:
             for name in [name for name in sys.modules if name.startswith("giant_atom_ref")]:
                 del sys.modules[name]

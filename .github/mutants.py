@@ -60,6 +60,8 @@ CSV = ("tests/test_cli.py::TestCsvBytes",)
 DELAY_SUMS = ("tests/test_core.py::TestDelaySums",)
 LIPSCHITZ = ("tests/test_spectral.py::TestRecoveryPaths::test_edge_on_dark_root_is_nudged",)
 WALK = ("tests/test_spectral.py::test_winding_walk_evaluates_each_sample_once",)
+BOUND = ("tests/test_spectral.py::test_accepted_ring_meets_the_bound_from_scratch",)
+SERIES = ("tests/test_spectral.py::test_pole_series_on_a_time_grid_against_mpmath",)
 
 MUTANTS = (
     # field: the carried rows, the N-row window one row short and stepping along
@@ -177,17 +179,23 @@ MUTANTS = (
     # factor l; F' with the sign of its delay sum flipped; the term scale without
     # the rounding of exp(-s); spectral: the winding walk's |F'| bound without
     # its delay sum, and the values of a pass's midpoints put in one slot early
-    # or taken at each bisected segment's end in place of its midpoint
+    # or taken at each bisected segment's end in place of its midpoint; each
+    # sample's Q put in one slot early, a segment's bound taking the smaller Q of
+    # its ends, and the pole series' tables anchored only every 4096th row
     Mutant(CORE, "p += n_legs - l\n", "p += n_legs - l + 1\n", DELAY_SUMS),
     Mutant(CORE, "q += (n_legs - l) * l", "q += n_legs - l", DELAY_SUMS),
     Mutant(CORE, "1.0 - g * q", "1.0 + g * q",
            ("tests/test_core.py::TestCharacteristicAccuracy::test_against_mpmath",)),
     Mutant(CORE, "+ g * p + np.abs(s) * g * q)", "+ g * p)",
            ("tests/test_core.py::TestCharacteristicAccuracy::test_term_scale_against_mpmath",)),
-    Mutant(SPECTRAL, "lipschitz = 1.0 + params.gamma_tau * q", "lipschitz = 1.0", LIPSCHITZ),
+    Mutant(SPECTRAL, "lipschitz = 1.0 + params.gamma_tau * np.maximum(qs[:-1], qs[1:])",
+           "lipschitz = 1.0", LIPSCHITZ),
     Mutant(SPECTRAL, "np.insert(vals, at,", "np.insert(vals, at - 1,", WALK),
     Mutant(SPECTRAL, "characteristic_fn(params, mid))", "characteristic_fn(params, ring[at]))",
            WALK),
+    Mutant(SPECTRAL, "np.insert(qs, at,", "np.insert(qs, at - 1,", BOUND),
+    Mutant(SPECTRAL, "np.maximum(qs[:-1], qs[1:])", "np.minimum(qs[:-1], qs[1:])", BOUND),
+    Mutant(SPECTRAL, "_ANCHOR = 64 ", "_ANCHOR = 4096 ", SERIES),
     # spectral: no seed at -(i omega + N gamma/2), the root of F's non-delayed part
     Mutant(SPECTRAL,
            "seeds = np.append(_chain_seeds(params, k_lo + np.arange(n_bands)),\n"

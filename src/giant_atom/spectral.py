@@ -50,6 +50,7 @@ _RESIDUAL_TOL = 1e-13     # a Newton final is a root when |F| <= this times _ter
 _SEPARATION = 1e-8        # roots closer than this are one root
 _MAX_WINDING_POINTS = 400_000  # samples bisection may add before the winding count gives up
 MAX_SEEDS = 2 ** 22       # walk samples, companion entries and seeds: 67 MB of complex values
+_ANCHOR = 64              # every 64th row of a pole-series table is its own exponential
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +83,9 @@ class PoleSet:
 def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
     """Damped Newton from every seed, for at most _NEWTON_ITERATIONS steps.
 
-    A seed retires once its step falls to _STEP_TOL * (1 + |z|); a non-finite
-    step is zeroed, so a seed that cannot be evaluated retires where it is.
+    A seed retires once its undamped step |F/F'| falls to _STEP_TOL * (1 + |z|),
+    which decides as the damped step would while |z| < 1e16; a non-finite step
+    is zeroed, so a seed that cannot be evaluated retires where it is.
     """
     z = seeds.astype(complex)
     za, idx = z.copy(), np.arange(len(z))
@@ -95,10 +97,10 @@ def _newton(params: GiantAtomParams, seeds: np.ndarray) -> np.ndarray:
             d = f / fp
             d = np.where(np.isfinite(d), d, 0.0)
             mag = np.abs(d)
-            d = np.where(mag > _MAX_STEP, d * (_MAX_STEP / np.maximum(mag, 1e-300)), d)
+            np.multiply(d, _MAX_STEP / mag, out=d, where=mag > _MAX_STEP)
             za = za - d
             z[idx] = za
-            moving = np.abs(d) > _STEP_TOL * (1.0 + np.abs(za))
+            moving = mag > _STEP_TOL * (1.0 + np.abs(za))
             idx, za = idx[moving], za[moving]
     return z
 
@@ -168,21 +170,22 @@ def _winding_number(params, rect, spacing):
     on it.  When no segment needs it, F stays on each in a disk about F(a) or
     F(b) that excludes 0, so it turns by less than pi/2 there, and no root, nor
     a pair of roots, can hide between two samples; the wrapped phase steps then
-    sum to a multiple of 2*pi.  The closed ring of samples and F's values on it
-    are kept from pass to pass: a pass evaluates F only at the midpoints it
-    inserts, so each sample's F is computed once.  Returns None when a sample
+    sum to a multiple of 2*pi.  The closed ring of samples, F's values on it
+    and each sample's Q(exp(-Re s)) are kept from pass to pass: a pass
+    evaluates F and Q only at the midpoints it inserts, so each sample's are
+    computed once, and a segment's bound takes the larger Q of its two ends,
+    which is Q at the smaller real part.  Returns None when a sample
     of F falls below 1e-9 * (1 + |s|), or when bisection would add more than
     _MAX_WINDING_POINTS samples (or runs 64 passes).
     """
     ring = _boundary_points(rect, spacing)
-    vals = characteristic_fn(params, ring)
+    vals, qs = characteristic_fn(params, ring), _delay_sums(params.n_legs, np.exp(-ring.real))[1]
     cap = len(ring) + _MAX_WINDING_POINTS
     for _ in range(64):
         mags = np.abs(vals)
         if mags.min() < 1e-9 * (1.0 + np.abs(ring[np.argmin(mags)])):
             return None
-        q = _delay_sums(params.n_legs, np.exp(-np.minimum(ring[:-1].real, ring[1:].real)))[1]
-        lipschitz = 1.0 + params.gamma_tau * q
+        lipschitz = 1.0 + params.gamma_tau * np.maximum(qs[:-1], qs[1:])
         bad = lipschitz * np.abs(np.diff(ring)) >= np.maximum(mags[:-1], mags[1:])
         if not bad.any():
             dphi = np.diff(np.angle(vals))
@@ -193,6 +196,7 @@ def _winding_number(params, rect, spacing):
             break
         mid = 0.5 * (ring[at - 1] + ring[at])
         ring, vals = np.insert(ring, at, mid), np.insert(vals, at, characteristic_fn(params, mid))
+        qs = np.insert(qs, at, _delay_sums(params.n_legs, np.exp(-mid.real))[1])
     return None
 
 
@@ -260,6 +264,21 @@ def find_poles(params: GiantAtomParams, re_min: float = DEFAULT_RE_MIN,
                    winding=w, flagged_cells=tuple(complex(z) for z in seeds[~ok]))
 
 
+def _exp_table(s, start, step, count, scale):
+    """The (count, len(s)) table of rows scale * exp((start + k * step) * s).
+
+    Every _ANCHOR-th row is its own exponential; the rows between come from an
+    in-place cumulative product of exp(step * s) over each _ANCHOR-row block,
+    so the table costs ceil(count / _ANCHOR) + 1 exponentials per pole, and no
+    entry is more than _ANCHOR - 1 products from its anchor.  The table is
+    built padded to whole blocks and returned as a view of its first rows.
+    """
+    table = np.empty((-(-count // _ANCHOR), _ANCHOR, len(s)), dtype=complex)
+    table[:, 0] = scale * np.exp((start + step * np.arange(0, count, _ANCHOR))[:, None] * s)
+    table[:, 1:] = np.exp(step * s)
+    return np.cumprod(table, axis=1, out=table).reshape(-1, len(s))[:count]
+
+
 def beta_from_poles(pole_set: PoleSet, t):
     """Residue-series amplitude sum_n w_n exp(s_n t) for finite t > 0.
 
@@ -267,18 +286,21 @@ def beta_from_poles(pole_set: PoleSet, t):
     included, raises ValueError.  More than two evenly spaced ascending
     times (in flattened order, t_k = t_0 + k * dt with dt >= 0, to within
     4 eps |t_k|) are summed from two exponential tables and one matrix
-    product: with B = ceil(sqrt(n)) and k = a * B + b,
+    product: with B = ceil(sqrt(n)), A = ceil(n / B) and k = a * B + b,
 
         beta(t_k) = sum_n [w_n exp(s_n a B dt)] * exp(s_n (t_0 + b dt)),
 
-    (A + B) * len(pole_set) exponentials in place of n * len(pole_set) (the
-    sqrt(n) splitting of Paterson & Stockmeyer, SIAM J. Comput. 2, 1973),
-    whenever the two tables fit in MAX_SEEDS complex values.  With dt >= 0 and
-    Re s_n <= 0 neither table grows; a descending grid would need
-    exp(-s_n a B dt), which overflows for deep poles over a long span.  Other
-    times are summed over blocks of at most MAX_SEEDS // len(pole_set) times,
-    so the times-by-poles matrix stays within MAX_SEEDS complex values however
-    many times are asked for.
+    (the sqrt(n) splitting of Paterson & Stockmeyer, SIAM J. Comput. 2, 1973),
+    whenever the two tables, padded to whole _ANCHOR-row blocks, fit in
+    MAX_SEEDS complex values.  _exp_table builds each table from one
+    exponential per pole for every _ANCHOR-th row and one for its step, the
+    other rows by multiplication: (2 + ceil(A / 64) + ceil(B / 64)) *
+    len(pole_set) exponentials in place of n * len(pole_set), 4 per pole at
+    n = 4,001.  With dt >= 0 and Re s_n <= 0 neither table grows; a
+    descending grid would need exp(-s_n a B dt), which overflows for deep
+    poles over a long span.  Other times are summed over blocks of at most
+    MAX_SEEDS // len(pole_set) times, so the times-by-poles matrix stays
+    within MAX_SEEDS complex values however many times are asked for.
     """
     if len(pole_set) == 0:
         raise ValueError("cannot reconstruct the amplitude from an empty pole set")
@@ -289,12 +311,13 @@ def beta_from_poles(pole_set: PoleSet, t):
     n = flat.size
     cols = math.isqrt(max(n - 1, 0)) + 1  # B = ceil(sqrt(n))
     rows = -(-n // cols)  # A
-    if n > 2 and (rows + cols) * len(pole_set) <= MAX_SEEDS:
+    padded = -(-rows // _ANCHOR) * _ANCHOR + -(-cols // _ANCHOR) * _ANCHOR
+    if n > 2 and padded * len(pole_set) <= MAX_SEEDS:
         step = (flat[-1] - flat[0]) / (n - 1)
         grid = flat[0] + step * np.arange(n)
         if step >= 0 and np.all(np.abs(flat - grid) <= 4.0 * np.finfo(float).eps * flat):  # t > 0
-            small = np.exp(grid[:cols, None] * pole_set.s)
-            big = np.exp((cols * step) * np.arange(rows)[:, None] * pole_set.s) * pole_set.weights
+            small = _exp_table(pole_set.s, flat[0], step, cols, 1.0)
+            big = _exp_table(pole_set.s, 0.0, cols * step, rows, pole_set.weights)
             return (big @ small.T).ravel()[:n].reshape(ts.shape)
     block = max(1, MAX_SEEDS // len(pole_set))
     vals = np.empty(flat.size, dtype=complex)

@@ -247,16 +247,21 @@ def test_pole_series_in_blocks_matches_one_shot(dark_n1_params, monkeypatch):
     assert np.all(np.abs(blocked - one_shot) <= 1e-15 * np.abs(one_shot))
 
 
-@pytest.mark.parametrize("params, halfwidth",
-                         [(single_dark_params(3, 1, 0.018), 100.0),
-                          (single_dark_params(10, 3, 0.03), 25.0)], ids=["N3", "N10"])
-def test_pole_series_on_a_time_grid_against_mpmath(params, halfwidth):
+@pytest.mark.parametrize("params, halfwidth, n", [
+    (single_dark_params(3, 1, 0.018), 100.0, 4001),
+    (single_dark_params(10, 3, 0.03), 25.0, 4001),
+    (single_dark_params(3, 1, 0.018), 100.0, 250_001),
+    (single_dark_params(10, 3, 0.03), 25.0, 250_001),
+], ids=["N3", "N10", "N3-250001", "N10-250001"])
+def test_pole_series_on_a_time_grid_against_mpmath(params, halfwidth, n):
     # Evenly spaced times take the two exponential tables, a shuffle of them the
     # blocked loop; both are judged against a 40-digit sum of the same (s, w)
-    # at 42 of the times, the errors scaled by sum |w|.  Over the 18
-    # spectrum-wide windows of seeds 7-9 the ratio was 1.17-2.17.
+    # at 42 of the times, the errors scaled by sum |w|.  The ratio read 1.48
+    # and 1.45 at 4,001 times (N = 3, 10), and 1.77 and 1.71 at 250,001, where
+    # a table row is up to 63 products from its anchor; tables built by
+    # products from their first row alone read 2.14 and 5.12 there.
     ps = find_poles(params, re_min=-12.0, im_halfwidth=halfwidth)
-    ts = np.linspace(5.0, 60.0, 4001)
+    ts = np.linspace(5.0, 60.0, n)
     perm = np.random.default_rng(0).permutation(ts.size)
     shuffled = np.empty(ts.size, dtype=complex)
     shuffled[perm] = beta_from_poles(ps, ts[perm])
@@ -285,8 +290,10 @@ def test_pole_series_on_a_time_grid_against_mpmath(params, halfwidth):
 ], ids=["linspace", "shuffled", "2-D", "descending", "constant", "two-times", "scalar",
         "one-time-moved"])
 def test_pole_series_path_and_edge_cases(dark_n1_params, monkeypatch, times, factored):
-    # evenly spaced ascending times build (A + B) * P exponentials, B = ceil(sqrt(n))
-    # and A = ceil(n / B); any other times build n * P; both match the one-shot sum
+    # evenly spaced ascending times build (2 + ceil(A / 64) + ceil(B / 64)) * P
+    # exponentials, B = ceil(sqrt(n)) and A = ceil(n / B): each table one per pole
+    # for every 64th row and one for its step; any other times build n * P; both
+    # match the one-shot sum
     ps = find_poles(dark_n1_params, re_min=-8.0, im_halfwidth=25.0)
     one_shot = np.exp(times[..., None] * ps.s) @ ps.weights
     sizes = []
@@ -300,7 +307,9 @@ def test_pole_series_path_and_edge_cases(dark_n1_params, monkeypatch, times, fac
     got = beta_from_poles(ps, times)
     n = np.size(times)
     b = math.isqrt(n - 1) + 1
-    assert sum(sizes) == ((-(-n // b) + b) * len(ps) if factored else n * len(ps))
+    a = -(-n // b)
+    assert sum(sizes) == ((2 + -(-a // 64) + -(-b // 64)) * len(ps) if factored
+                          else n * len(ps))
     assert np.shape(got) == np.shape(times)
     assert np.all(np.abs(got - one_shot) <= 1e-13 * np.abs(one_shot))
 
@@ -563,6 +572,39 @@ def test_winding_walk_evaluates_each_sample_once(dark_n1_params, monkeypatch):
     monkeypatch.setattr(spectral, "characteristic_fn", counted)
     assert spectral._winding_number(dark_n1_params, rect, math.pi / 12) == 2
     assert sizes == [103, 2, 2, 1, 1, 1]  # 110 points
+
+
+@pytest.mark.parametrize("n_legs, halfwidth", [(3, 100.0), (10, 25.0)], ids=["N3", "N10"])
+def test_accepted_ring_meets_the_bound_from_scratch(n_legs, halfwidth, monkeypatch):
+    # find_poles' first walk at two spectrum-wide windows: the ring whose phases
+    # the walk sums, read back from its values, must satisfy L |b - a| <
+    # max(|F(a)|, |F(b)|) on every segment, with L = 1 + gamma Q recomputed term
+    # by term at the segment's smaller real part
+    params = GiantAtomParams(n_legs, TWO_PI * 0.03, TWO_PI * 0.3)
+    rect = [-12.0, params.gamma_tau, -params.omega_tau - halfwidth, -params.omega_tau + halfwidth]
+    evaluate, angle, points, accepted = spectral.characteristic_fn, np.angle, {}, []
+
+    def recorded(params, s):
+        vals = evaluate(params, s)
+        points.update(zip(vals.tolist(), s.tolist()))
+        return vals
+
+    def captured(vals):
+        accepted.append(vals)
+        return angle(vals)
+
+    monkeypatch.setattr(spectral, "characteristic_fn", recorded)
+    monkeypatch.setattr(np, "angle", captured)
+    spacing = math.pi / (4.0 * n_legs)
+    assert spectral._winding_number(params, rect, spacing) is not None
+    [vals] = accepted
+    ring = np.array([points[v] for v in vals.tolist()])
+    assert len(ring) > len(spectral._boundary_points(rect, spacing))  # it bisected
+    a, b = ring[:-1], ring[1:]
+    x = np.minimum(a.real, b.real)
+    q = sum((n_legs - l) * l * np.exp(-l * x) for l in range(1, n_legs))
+    lipschitz = 1.0 + params.gamma_tau * q
+    assert np.all(lipschitz * np.abs(b - a) < np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))
 
 
 def test_winding_cap_gives_up_and_placement_fails(dark_n1_params, monkeypatch):

@@ -216,6 +216,23 @@ def test_walk_timing_prints_one_row_per_spectrum_wide_window():
     assert "giant_atom_ref" not in sys.modules
 
 
+def test_series_timing_prints_one_row_per_spectrum_wide_job():
+    # public functions only, on the pole sets of the benchmark's seed-1 jobs
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _load("layer_timing").main(["--repeat", "1", "--against", "HEAD",
+                                           "--tables", "series"]) == 0
+    title, columns, *rows = out.getvalue().splitlines()
+    assert title == ("pole series, ms per call (4001 times, "
+                     "1 alternating calls per side, HEAD against the work tree)")
+    assert columns.split() == ["job"] + [
+        f"ms:{p}" for p in ["ref_min", "ref_med", "min", "med", "ratio"]]
+    assert [row.split()[0] for row in rows] == [
+        f"poles-N{n}-{k}" for n in (3, 5, 10) for k in range(2)]
+    assert all(float(v) > 0.0 for row in rows for v in row.split()[1:])
+    assert "giant_atom_ref" not in sys.modules
+
+
 # a two-file tree for mutants.py to copy: a budget comparison, the comment the
 # inert edit touches, and one test that pins the comparison at its boundary,
 # beside the pyproject.toml and README.md every copy takes; the toy needs no
