@@ -25,7 +25,11 @@ call; the trace is marched untimed.  The readme table times README's
 `python -c pass` (pass), `python -c "import numpy"` (numpy), `python -c
 "import giant_atom.cli"` (cli), then each README command, and simulate with
 --pxt (pxt), as `python -m giant_atom.cli ... --out-dir <tmp>`; the child's
-PYTHONPATH puts the timed package's src directory first.  The poles table
+PYTHONPATH puts the timed package's src directory first.  The children run on
+bytecode, as an installed package does: PYTHONPYCACHEPREFIX points them at a
+temporary directory, PYTHONDONTWRITEBYTECODE is dropped from their
+environment, and each row makes one untimed warm run per side before its timed
+runs, so no timed run compiles a module.  The poles table
 times characteristic_fn and characteristic_deriv together on 4,096 fixed
 points of [-12, 0.5] x [-100, 100] at N = 3, 10 and 30, in nanoseconds per
 point, and one find_poles call, re_min = -12, in milliseconds at the
@@ -186,14 +190,21 @@ def _readme_rows(out_dir: str) -> list[tuple[str, list[str]]]:
         for argv in commands]
 
 
-def _process_call(package, args: list[str], cwd: str):
+def _process_call(package, args: list[str], cwd: str, pycache: str):
     """A fresh interpreter running args with package's src directory first on
-    its PYTHONPATH."""
+    its PYTHONPATH, reading and writing bytecode under pycache; it runs once,
+    untimed, before it is returned, so that the timed runs read bytecode."""
     src = str(Path(package.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return lambda: subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True,
-                                  stdout=subprocess.DEVNULL)
+        filter(None, [src, os.environ.get("PYTHONPATH")])), PYTHONPYCACHEPREFIX=pycache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+
+    def call():
+        subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+
+    call()
+    return call
 
 
 def _march_call(package, n_legs: int, m: int, t_max: float):
@@ -287,10 +298,11 @@ def main(argv: list[str]) -> int:
                        [((name, rows), lambda p, name=name: [_csv_call(p, points[p], name, path)],
                          [1e6 / rows]) for name, rows in sizes], packages, repeat)
             if "readme" in tables:
-                out_dir = os.path.join(tmp, "out")
-                _table(f"README commands, ms per fresh process ({how})", ["command"], ["ms"],
-                       [((name,), lambda p, child=child: [_process_call(p, child, tmp)], [1e3])
-                        for name, child in _readme_rows(out_dir)], packages, repeat)
+                out_dir, pycache = os.path.join(tmp, "out"), os.path.join(tmp, "pycache")
+                _table(f"README commands, ms per fresh process on bytecode (one untimed warm "
+                       f"run per side, {how})", ["command"], ["ms"],
+                       [((name,), lambda p, child=child: [_process_call(p, child, tmp, pycache)],
+                         [1e3]) for name, child in _readme_rows(out_dir)], packages, repeat)
             if "poles" in tables:
                 rng = np.random.default_rng(0)
                 s = rng.uniform(-12.0, 0.5, 4096) + 1j * rng.uniform(-100.0, 100.0, 4096)

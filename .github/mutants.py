@@ -46,7 +46,7 @@ class Mutant(NamedTuple):
 
 FIELD, DDE = "src/giant_atom/field.py", "src/giant_atom/dde.py"
 CORE, SPECTRAL = "src/giant_atom/core.py", "src/giant_atom/spectral.py"
-DARK = "src/giant_atom/darkstates.py"
+DARK, CONTINUUM = "src/giant_atom/darkstates.py", "src/giant_atom/continuum.py"
 CONE = ("tests/test_field.py::TestConeQuadrature::test_matches_panel_loop",)
 FLUX = ("tests/test_field.py::test_outgoing_flux_against_exact_series",)
 ROW_CONE = ("tests/test_field.py::test_row_cone_matches_phi_cell_by_cell",)
@@ -179,22 +179,20 @@ MUTANTS = (
     # factor l; F' with the sign of its delay sum flipped; the term scale without
     # the rounding of exp(-s); spectral: the winding walk's |F'| bound without
     # its delay sum, and the values of a pass's midpoints put in one slot early
-    # or taken at each bisected segment's end in place of its midpoint; each
-    # sample's Q put in one slot early, a segment's bound taking the smaller Q of
-    # its ends, and the pole series' tables anchored only every 4096th row
+    # or taken at each bisected segment's end in place of its midpoint; a
+    # segment's bound taken at the larger real part of its ends, and the pole
+    # series' tables anchored only every 4096th row
     Mutant(CORE, "p += n_legs - l\n", "p += n_legs - l + 1\n", DELAY_SUMS),
     Mutant(CORE, "q += (n_legs - l) * l", "q += n_legs - l", DELAY_SUMS),
     Mutant(CORE, "1.0 - g * q", "1.0 + g * q",
            ("tests/test_core.py::TestCharacteristicAccuracy::test_against_mpmath",)),
     Mutant(CORE, "+ g * p + np.abs(s) * g * q)", "+ g * p)",
            ("tests/test_core.py::TestCharacteristicAccuracy::test_term_scale_against_mpmath",)),
-    Mutant(SPECTRAL, "lipschitz = 1.0 + params.gamma_tau * np.maximum(qs[:-1], qs[1:])",
-           "lipschitz = 1.0", LIPSCHITZ),
+    Mutant(SPECTRAL, "lipschitz = 1.0 + params.gamma_tau * q", "lipschitz = 1.0", LIPSCHITZ),
     Mutant(SPECTRAL, "np.insert(vals, at,", "np.insert(vals, at - 1,", WALK),
     Mutant(SPECTRAL, "characteristic_fn(params, mid))", "characteristic_fn(params, ring[at]))",
            WALK),
-    Mutant(SPECTRAL, "np.insert(qs, at,", "np.insert(qs, at - 1,", BOUND),
-    Mutant(SPECTRAL, "np.maximum(qs[:-1], qs[1:])", "np.minimum(qs[:-1], qs[1:])", BOUND),
+    Mutant(SPECTRAL, "np.minimum(ring[:-1].real", "np.maximum(ring[:-1].real", BOUND),
     Mutant(SPECTRAL, "_ANCHOR = 64 ", "_ANCHOR = 4096 ", SERIES),
     # spectral: no seed at -(i omega + N gamma/2), the root of F's non-delayed part
     Mutant(SPECTRAL,
@@ -202,6 +200,41 @@ MUTANTS = (
            "                      -1j * params.omega_tau - 0.5 * params.n_legs * params.gamma_tau)",
            "seeds = _chain_seeds(params, k_lo + np.arange(n_bands))",
            ("tests/test_spectral.py::test_weak_coupling_root_found_off_the_chains",)),
+    # darkstates: a pair's beat at half its value, the RWA cut at 0.2, pairs ordered
+    # by (omega, n, gamma), and the dark line's cotangent taken at the full index;
+    # continuum: the trapped intensity's 3/2 as 1.4, the profile's sin^4 as sin^2,
+    # the comb limit 0.1% high, mode_offset_from_Gamma from sin in place of tan,
+    # and the integer-root tolerance at 1e-6; field: total_intensity's shape
+    # term over 2 n pi in place of 4 n pi, the pair's field beat off in phase by
+    # 1e-3, and the dark-record tolerance at 1e-6
+    Mutant(DARK, "beat = TWO_PI * (n1 - n2) / n_legs", "beat = math.pi * (n1 - n2) / n_legs",
+           ("tests/test_darkstates.py::TestFindPairs::test_pair_551",)),
+    Mutant(DARK, "DEFAULT_RWA_THRESHOLD = 0.1", "DEFAULT_RWA_THRESHOLD = 0.2",
+           ("tests/test_darkstates.py::TestRwaCheck::test_huge_gamma_fails",)),
+    Mutant(DARK, "key=lambda pr: (pr.omega_tau, pr.gamma_tau, pr.n)",
+           "key=lambda pr: (pr.omega_tau, pr.n, pr.gamma_tau)",
+           ("tests/test_darkstates.py::TestFindPairs::test_pairs_in_documented_order",)),
+    Mutant(DARK, "arg = n % n_legs * math.pi", "arg = n * math.pi",
+           ("tests/test_darkstates.py::test_lattice_pair_at_large_p_meets_its_dark_condition",)),
+    Mutant(CONTINUUM, "1.5 * u / den", "1.4 * u / den",
+           ("tests/test_continuum.py::TestProfile::test_peak_bound",)),
+    Mutant(CONTINUUM, "/ L) ** 4", "/ L) ** 2",
+           ("tests/test_continuum.py::TestProfile::test_integral_closed_form",)),
+    Mutant(CONTINUUM, "Gamma_T_limit=(2.0 * n * math.pi) ** 2",
+           "Gamma_T_limit=1.001 * (2.0 * n * math.pi) ** 2",
+           ("tests/test_continuum.py::TestCombPair::test_limit_record_n1",)),
+    Mutant(CONTINUUM, "2.0 * n_legs * math.tan(", "2.0 * n_legs * math.sin(",
+           ("tests/test_continuum.py::TestCombPair::"
+            "test_mode_offset_from_gamma_is_gamma_t_over_2n_pi",)),
+    Mutant(CONTINUUM, "INTEGER_ROOT_TOL = 1e-9", "INTEGER_ROOT_TOL = 1e-6",
+           ("tests/test_continuum.py::TestDarkIndices::test_root_1e8_off_an_integer_rejected",)),
+    Mutant(FIELD, "(big_n / (4.0 * n * math.pi))", "(big_n / (2.0 * n * math.pi))",
+           ("tests/test_field.py::TestTotalIntensity::test_quadrature_agreement",)),
+    Mutant(FIELD, "np.cos((w1 - w2) * ts)", "np.cos((w1 - w2) * ts + 1e-3)",
+           ("tests/test_field.py::TestOscillatingIntensity::"
+            "test_conservation_with_energy_matching",)),
+    Mutant(FIELD, "_DARK_TOL = 1e-10", "_DARK_TOL = 1e-6",
+           ("tests/test_field.py::TestDarkStateRecord::test_large_index_judged_on_term_scale",)),
     # every check_budget call site, one unit too lax
     Mutant(CORE, '"coupling points", MAX_N_LEGS)',
            '"coupling points", MAX_N_LEGS + 1)',

@@ -53,15 +53,16 @@ MAX_LATTICE_POINTS = 2 ** 20
 
 
 def _sin2(n_legs: int, n: int) -> float:
-    """sin^2(n pi/N); exactly 0.0 when n is a multiple of N, where the sine of
-    the rounded argument would leave a rounding residue."""
-    return math.sin(n * math.pi / n_legs) ** 2 if n % n_legs else 0.0
+    """sin^2(n pi/N), taken at n mod N (sin^2 has period N in n), so a large n
+    loses no digits to the rounded argument and a multiple of N gives 0.0."""
+    return math.sin(n % n_legs * math.pi / n_legs) ** 2
 
 
 def _dark_line(n_legs: int, n: int, gamma_tau):
     """omega_tau = 2*n*pi/N - (N*gamma_tau/2) * cot(n*pi/N) at a float or an
-    array of gamma_tau; n is not a multiple of N."""
-    arg = n * math.pi / n_legs
+    array of gamma_tau; n is not a multiple of N.  The cotangent is taken at
+    n mod N (it has period N in n), so a large n loses no digits to it."""
+    arg = n % n_legs * math.pi / n_legs
     cot = math.cos(arg) / math.sin(arg)
     return TWO_PI * n / n_legs - 0.5 * n_legs * gamma_tau * cot
 

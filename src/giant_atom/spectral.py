@@ -170,22 +170,22 @@ def _winding_number(params, rect, spacing):
     on it.  When no segment needs it, F stays on each in a disk about F(a) or
     F(b) that excludes 0, so it turns by less than pi/2 there, and no root, nor
     a pair of roots, can hide between two samples; the wrapped phase steps then
-    sum to a multiple of 2*pi.  The closed ring of samples, F's values on it
-    and each sample's Q(exp(-Re s)) are kept from pass to pass: a pass
-    evaluates F and Q only at the midpoints it inserts, so each sample's are
-    computed once, and a segment's bound takes the larger Q of its two ends,
-    which is Q at the smaller real part.  Returns None when a sample
-    of F falls below 1e-9 * (1 + |s|), or when bisection would add more than
+    sum to a multiple of 2*pi.  The closed ring of samples and F's values on it
+    are kept from pass to pass: a pass evaluates F only at the midpoints it
+    inserts, so each sample's F is computed once, and bounds each segment by Q
+    at its smaller real part.  Returns None when a sample of F falls below
+    1e-9 * (1 + |s|), or when bisection would add more than
     _MAX_WINDING_POINTS samples (or runs 64 passes).
     """
     ring = _boundary_points(rect, spacing)
-    vals, qs = characteristic_fn(params, ring), _delay_sums(params.n_legs, np.exp(-ring.real))[1]
+    vals = characteristic_fn(params, ring)
     cap = len(ring) + _MAX_WINDING_POINTS
     for _ in range(64):
         mags = np.abs(vals)
         if mags.min() < 1e-9 * (1.0 + np.abs(ring[np.argmin(mags)])):
             return None
-        lipschitz = 1.0 + params.gamma_tau * np.maximum(qs[:-1], qs[1:])
+        q = _delay_sums(params.n_legs, np.exp(-np.minimum(ring[:-1].real, ring[1:].real)))[1]
+        lipschitz = 1.0 + params.gamma_tau * q
         bad = lipschitz * np.abs(np.diff(ring)) >= np.maximum(mags[:-1], mags[1:])
         if not bad.any():
             dphi = np.diff(np.angle(vals))
@@ -196,7 +196,6 @@ def _winding_number(params, rect, spacing):
             break
         mid = 0.5 * (ring[at - 1] + ring[at])
         ring, vals = np.insert(ring, at, mid), np.insert(vals, at, characteristic_fn(params, mid))
-        qs = np.insert(qs, at, _delay_sums(params.n_legs, np.exp(-mid.real))[1])
     return None
 
 

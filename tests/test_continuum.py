@@ -36,6 +36,11 @@ class TestDarkIndices:
         for k in found:
             assert TWO_PI * k - gamma_T / (TWO_PI * k) == pytest.approx(omega_T, abs=1e-12)
 
+    def test_root_1e8_off_an_integer_rejected(self):
+        gamma_T, root = 17.0, 2.0 + 1e-8
+        omega_T = TWO_PI * root - gamma_T / (TWO_PI * root)
+        assert continuum_dark_indices(omega_T, gamma_T) == []
+
     def test_never_two_positive_solutions(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -151,6 +156,12 @@ class TestCombPair:
         gdevs = [abs(comb_pair_limit(1, m).Gamma_T - comb_pair_limit(1, m).Gamma_T_limit)
                  for m in (8, 16, 32, 64, 128)]
         assert all(a > b for a, b in zip(gdevs, gdevs[1:]))
+
+    @pytest.mark.parametrize("n, n_legs", [(1, 3), (1, 5), (2, 5), (1, 16), (3, 64), (5, 1000)])
+    def test_mode_offset_from_gamma_is_gamma_t_over_2n_pi(self, n, n_legs):
+        rec = comb_pair_limit(n, n_legs)
+        assert rec.mode_offset_from_Gamma == pytest.approx(rec.Gamma_T / (2.0 * n * math.pi),
+                                                           rel=1e-15)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):

@@ -185,6 +185,36 @@ class TestFindPairs:
                   if p.n1 <= 60 and p.n2 <= 60}
         assert brute == closed
 
+    def test_pairs_in_documented_order(self):
+        # N = 5 has two indices n per (p, q); ordering by (omega, n, gamma) in
+        # place of (omega, gamma, n) moves 35 of these 156 pairs
+        keys = [(pr.omega_tau, pr.gamma_tau, pr.n) for pr in find_pairs(5, 12, 12)]
+        assert len(keys) == 156
+        assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n_legs, p", [(3, 83_456), (5, 83_443), (6, 83_452),
+                                       (3, 10 ** 6), (5, 10 ** 6), (6, 10 ** 6)])
+def test_lattice_pair_at_large_p_meets_its_dark_condition(n_legs, p):
+    # the first three p at q = n = 1 where cot(n1 pi / N), taken at the full index
+    # n1 = p N + 1, loses enough digits to fail the pair's own dark-condition
+    # check; cot has period N in n, so the index is reduced mod N first
+    pair = darkstates._lattice_pair(n_legs, p, 1, 1)
+    assert (pair.n1, pair.n2) == (p * n_legs + 1, n_legs - 1)
+
+
+def test_large_index_trig_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    n, gamma_tau = 3 * 10 ** 6 + 1, 100.0
+    with mpmath.workdps(40):
+        arg = n * mpmath.pi / 3
+        sin2 = float(mpmath.sin(arg) ** 2)
+        omega = float(2 * arg - 1.5 * gamma_tau * mpmath.cot(arg))
+    # taken at the full index, sin^2 is off by 5.4e-11 relative and omega by 6.7 eps
+    assert darkstates._sin2(3, n) == pytest.approx(sin2, rel=2 * np.finfo(float).eps)
+    assert darkstates._sin2(3, 3 * 10 ** 6) == 0.0
+    assert abs(dark_condition_omega_tau(3, n, gamma_tau) - omega) <= np.finfo(float).eps * omega
+
 
 class TestScanLattice:
     def test_window_periodicity(self):

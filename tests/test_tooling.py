@@ -140,38 +140,52 @@ def test_timing_against_a_revision_prints_both_sides_and_their_ratio():
 
 def test_readme_timing_runs_each_command_in_a_fresh_process(monkeypatch):
     # the interpreter rows run; the README commands, 0.1-0.3 s each, are only
-    # recorded: their argv and the package first on the child's PYTHONPATH
+    # recorded: their argv and the package first on the child's PYTHONPATH.
+    # Every child reads and writes bytecode under one prefix: after the cli
+    # row's runs, the prefix holds the bytecode of each side's cli module
     run = subprocess.run
-    children = []
+    children, prefixes, compiled = [], set(), []
 
     def child(args, **kwargs):
         if args[0] != sys.executable:  # git archive and tar
             return run(args, **kwargs)
-        first = Path(kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0])
+        env = kwargs["env"]
+        first = Path(env["PYTHONPATH"].split(os.pathsep)[0])
         assert (first / "giant_atom" / "cli.py").is_file()
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        prefixes.add(env["PYTHONPYCACHEPREFIX"])
         children.append((args[1:], first))
-        return run(args, **kwargs) if args[1] == "-c" else subprocess.CompletedProcess(args, 0)
+        if args[1] != "-c":
+            return subprocess.CompletedProcess(args, 0)
+        done = run(args, **kwargs)
+        if args[2] == "import giant_atom.cli":
+            cached = Path(env["PYTHONPYCACHEPREFIX"], *first.parts[1:], "giant_atom")
+            compiled.append(len(list(cached.glob("cli.*.pyc"))))
+        return done
 
     monkeypatch.setattr(subprocess, "run", child)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert _load("layer_timing").main(["--repeat", "1", "--against", "HEAD",
                                            "--tables", "readme"]) == 0
+    assert len(prefixes) == 1 and compiled == [1, 1, 1, 1]
     title, columns, *rows = out.getvalue().splitlines()
-    assert title == ("README commands, ms per fresh process "
-                     "(1 alternating calls per side, HEAD against the work tree)")
+    assert title == ("README commands, ms per fresh process on bytecode (one untimed warm run "
+                     "per side, 1 alternating calls per side, HEAD against the work tree)")
     assert columns.split() == ["command", "ms:ref_min", "ms:ref_med", "ms:min", "ms:med",
                                "ms:ratio"]
     names = ["pass", "numpy", "cli", "simulate", "poles", "dark-search", "scan", "field",
              "continuum", "pxt"]
     assert [row.split()[0] for row in rows] == names
     assert all(len(row.split()) == 6 and float(row.split()[5]) > 0.0 for row in rows)
-    # one call per row and side, REF's first, each side on its own package
-    assert len(children) == 2 * len(names)
+    # per row and side one warm run, then one timed call, REF's first, each
+    # side on its own package
+    assert len(children) == 4 * len(names)
     ref, tree = children[0][1], children[1][1]
     assert tree == ROOT / "src" and ref != tree
-    assert [first for _, first in children] == [ref, tree] * len(names)
-    commands = [args for args, _ in children[::2]]
+    assert [first for _, first in children] == [ref, tree] * 2 * len(names)
+    assert [args for args, _ in children[::2]] == [args for args, _ in children[1::2]]
+    commands = [args for args, _ in children[::4]]
     assert commands[:3] == [["-c", "pass"], ["-c", "import numpy"],
                             ["-c", "import giant_atom.cli"]]
     assert [args[:3] for args in commands[3:]] == [["-m", "giant_atom.cli", name]
