@@ -87,16 +87,17 @@ MUTANTS = (
     Mutant(FIELD, "block = times[start:start + _FRAMES]",
            "block = times[start:start + _FRAMES - 1]",
            ("tests/test_field.py::TestIntensityMap::test_frames_match_phi_frame_by_frame",)),
-    # field: the walk resumed from a cursor past t, without its carried rows,
-    # from another trace's cursor, from another N's and from another frac(t)'s;
-    # and never resumed
+    # field: the walk resumed from past t, without its carried rows, from
+    # another trace's walk, from another N's and from another frac(t)'s; and
+    # never resumed
     Mutant(FIELD, "frac == f and done <= whole + 1)", "frac == f)", RESUME),
     Mutant(FIELD, "whole + 1, carry, power, beta_t)", "whole + 1, 0.0 * carry, power, beta_t)",
            RESUME),
-    Mutant(FIELD, "(ref() is trace and legs", "(legs", RESUME),
+    Mutant(FIELD, "_walks.get(trace,", "_walks.get(next(iter(_walks), trace),",
+           (*RESUME, "tests/test_field.py::test_calls_on_other_traces_leave_a_walk_alone")),
     Mutant(FIELD, "legs == n_legs and frac", "frac", RESUME),
     Mutant(FIELD, "and frac == f and", "and", RESUME),
-    Mutant(FIELD, "if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):",
+    Mutant(FIELD, "if not (legs == n_legs and frac == f and done <= whole + 1):",
            "if not False:", RESUMES),
     # field: total_probability's beta(t) read from the block's first row in place of
     # its last, and from node 1 in place of y = 0; a cut within 1e-12 of a cell end
@@ -205,8 +206,9 @@ MUTANTS = (
     # continuum: the trapped intensity's 3/2 as 1.4, the profile's sin^4 as sin^2,
     # the comb limit 0.1% high, mode_offset_from_Gamma from sin in place of tan,
     # and the integer-root tolerance at 1e-6; field: total_intensity's shape
-    # term over 2 n pi in place of 4 n pi, the pair's field beat off in phase by
-    # 1e-3, and the dark-record tolerance at 1e-6
+    # term over 2 n pi in place of 4 n pi, bound_profile's sines taken at the
+    # full index, the pair's field beat off in phase by 1e-3, and the
+    # dark-record tolerance at 1e-6
     Mutant(DARK, "beat = TWO_PI * (n1 - n2) / n_legs", "beat = math.pi * (n1 - n2) / n_legs",
            ("tests/test_darkstates.py::TestFindPairs::test_pair_551",)),
     Mutant(DARK, "DEFAULT_RWA_THRESHOLD = 0.1", "DEFAULT_RWA_THRESHOLD = 0.2",
@@ -230,6 +232,9 @@ MUTANTS = (
            ("tests/test_continuum.py::TestDarkIndices::test_root_1e8_off_an_integer_rejected",)),
     Mutant(FIELD, "(big_n / (4.0 * n * math.pi))", "(big_n / (2.0 * n * math.pi))",
            ("tests/test_field.py::TestTotalIntensity::test_quadrature_agreement",)),
+    Mutant(FIELD, "k = n % big_n", "k = n",
+           ("tests/test_field.py::TestBoundProfile::"
+            "test_large_index_at_the_coupling_points_against_mpmath",)),
     Mutant(FIELD, "np.cos((w1 - w2) * ts)", "np.cos((w1 - w2) * ts + 1e-3)",
            ("tests/test_field.py::TestOscillatingIntensity::"
             "test_conservation_with_energy_matching",)),

@@ -31,14 +31,16 @@ N-1 rows carried from before (zero before k = 0), then its own rows.  Its
 windows, the N rows ending at each of its own rows, sum to e there, and |e|^2
 is added to a running sum.  The block's last N-1 rows are the next block's
 carry, and after the last block the inside reads them.  The carry and the
-running sum, O(N * 201) values whatever t is, are kept with the walk's trace
-object (weakly), N, frac(t) and the rows done.  A later call with the same
-trace object, N and frac(t), at a time not before where the walk stopped,
-resumes from them instead of walking again from k = 0.  A trace's samples are
-read-only, so that state stays true of the trace object.  total_probability
-needs beta(t) as well, and the walk holds it: node y = 0 of row floor(t) is
-beta(floor(t) + f) = beta(t).  The walk keeps it with its cursor, so a resumed
-call with no new rows makes no dense-output call at all.
+running sum, O(N * 201) values whatever t is, are kept with N, frac(t) and
+the rows done as the trace object's walk.  Each trace object keeps its own
+walk for as long as it lives, and a call on another trace leaves it alone, so
+the walks hold O(N * 201) values per live trace that has been walked.  A later
+call on the same trace object at the same N and frac(t), at a time not before
+where its walk stopped, resumes from them instead of walking again from
+k = 0.  A trace's samples are read-only, so that state stays true of the trace
+object.  total_probability needs beta(t) as well, and the walk holds it: node
+y = 0 of row floor(t) is beta(floor(t) + f) = beta(t).  The walk keeps it too,
+so a resumed call with no new rows makes no dense-output call at all.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ DEFAULT_DX = 1.0 / 200.0
 _BLOCK = 16       # rows of beta per block of the light-cone walk
 _FRAMES = 16      # intensity_map's frames per dense-output call
 _DARK_TOL = 1e-10  # largest |F(-i Omega_n)| over F's term scale at which index n is dark
-# where the last light-cone walk stopped: its trace (weakly), n_legs, frac(t), the
+# each live trace object's light-cone walk, dropped with it: n_legs, frac(t), the
 # rows walked, the N-1 rows carried past them, the power summed over them and beta(t)
-_cursor = (lambda: None, 0, 0.0, 0, 0.0, 0.0, 0j)  # no walk yet
+_walks = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,9 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
     ends the prefix sums of R, phi_R on cell c is ends[c] and phi_L is
     ends[N-2-c] mirrored.  The cell's first node is y = 0, so beta(t) is row
     floor(t) at that node, read before the probe mask (which zeroes it at
-    t < 1e-12), or the cursor's when the walk resumes with no new rows.
+    t < 1e-12), or the walk's own when it resumes with no new rows.  Each
+    trace object keeps its walk, and a call reads and replaces only its own.
     """
-    global _cursor
     check_trace_times(trace, t)
     t = float(max(t, 0.0))
     n_legs, whole = params.n_legs, int(math.floor(t))
@@ -171,8 +173,8 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
     # the inside's N-1 rows and their prefix sums, held at once
     check_budget(f"the inside cone of {n_legs} coupling points",
                  2 * (n_legs - 1) * len(nodes), "values", MAX_TRACE_SAMPLES)
-    ref, legs, frac, done, carry, power, beta_t = _cursor
-    if not (ref() is trace and legs == n_legs and frac == f and done <= whole + 1):
+    legs, frac, done, carry, power, beta_t = _walks.get(trace, (0,) * 6)  # N = 0: no walk
+    if not (legs == n_legs and frac == f and done <= whole + 1):
         done, carry, power = 0, np.zeros((n_legs - 1, len(nodes))), 0.0  # a walk from k = 0
     for start in range(done, whole + 1, _BLOCK):
         shifts = np.arange(start, min(start + _BLOCK, whole + 1))[:, None] + f
@@ -185,7 +187,7 @@ def _light_cone(params: GiantAtomParams, trace: AmplitudeTrace,
                              (s0, s1, s0))
         power = power + np.sum(np.abs(windows.sum(-1)) ** 2, axis=0)
         carry, beta_t = rows[1 - n_legs:], complex(beta[-1, 0])
-    _cursor = (weakref.ref(trace), n_legs, f, whole + 1, carry, power, beta_t)
+    _walks[trace] = (n_legs, f, whole + 1, carry, power, beta_t)
     ends = np.cumsum(carry[::-1], axis=0)
     phi = ends + ends[::-1, ::-1]
     return (0.5 * params.gamma_tau * float(np.sum(np.abs(phi) ** 2 @ weights)),
@@ -224,10 +226,12 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
     The inside [0, N-1] and the two tails outside it, which hold the outgoing
     flux gamma * int_0^t |e(u)|^2 du, by composite Simpson on one cell's nodes
     between the closed-form kinks of |phi|^2.  Calls on one trace object at
-    one N and frac(t), at ascending times, resume one walk over the rows of
-    beta and so read each row once in all; the walk is keyed on the trace
-    object, N, frac(t) and the rows done, and any other call walks from the
-    start.  What it keeps between calls is O(N * 201) values.  The inside's
+    one N and frac(t), at ascending times, resume that trace's walk over the
+    rows of beta and so read each row once in all, whatever calls on other
+    traces come between them; a call at another N or frac(t), or before where
+    the walk stopped, walks that trace from the start.  Each trace object keeps
+    its own walk for as long as it lives, O(N * 201) values per live walked
+    trace.  The inside's
     N-1 rows and their prefix sums, held at once, grow with N, and more than
     dde.MAX_TRACE_SAMPLES values (from about N = 41,000 on) is a ValueError
     before any row is built.  A resumed call with new rows interpolates them
@@ -241,10 +245,11 @@ def waveguide_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: flo
 def total_probability(params: GiantAtomParams, trace: AmplitudeTrace, t: float) -> float:
     """|beta(t)|^2 plus waveguide_probability, the integral of |phi|^2 over the light cone.
 
-    Both come from the one walk waveguide_probability takes: beta(t) is node
-    y = 0 of the walk's last row, so a resumed call such as one per tau makes
-    one dense-output call in all, and one without new rows makes none.  The
-    value is bit for bit abs(beta_at(trace, t))**2 +
+    Both come from the one walk waveguide_probability takes, kept with the
+    trace object: beta(t) is node y = 0 of the walk's last row, so a resumed
+    call such as one per tau makes one dense-output call in all, and one
+    without new rows makes none, whatever calls on other traces come
+    between.  The value is bit for bit abs(beta_at(trace, t))**2 +
     waveguide_probability(params, trace, t) on the same walk.
 
     phi sums the right- and left-moving waves, so inside [0, N-1] the density
@@ -270,20 +275,26 @@ def bound_profile(params: GiantAtomParams, n: int, x):
     """Stationary trapped-field profile p_n(x); zero outside [0, N-1].
 
     Accepts a scalar position or an ndarray.  Indices that are multiples of N
-    give the identically zero profile.
+    give the identically zero profile.  sin^2 has period pi, so the whole
+    parts of both sines' arguments, n m' pi/N and n (m' - 1) pi/N, are taken
+    at n m' and n (m' - 1) mod N, exactly: a large n loses no digits to them,
+    and p_n is 0.0 at x = N-1.  The 2 n pi lambda/N term is kept whole, so
+    off the coupling points the error is about x's own conditioning,
+    4 pi n x eps/N relative times |cot| of the second sine's argument.
     """
     check_mode_index(n)
     xs = np.asarray(x, dtype=float)
     big_n, g = params.n_legs, params.gamma_tau
     inside = (xs >= 0.0) & (xs <= big_n - 1)  # evaluated only there: far outside it overflows
-    mprime = np.floor(xs[inside]) + 1.0
-    lam = xs[inside] - (mprime - 1.0)
+    m = np.floor(xs[inside])  # m' - 1
+    lam = xs[inside] - m
     s2 = _sin2(big_n, n)
     # at s2 = 0 the formula is 0 but (N g)^2 may underflow to 0 or overflow
     pref = 8.0 * g * s2 / _denominator(params, s2) if s2 else 0.0
     out = np.zeros(xs.shape)
-    out[inside] = pref * (np.sin(n * math.pi * mprime / big_n) ** 2
-                          * np.sin(n * math.pi * (mprime + 2.0 * lam - 1.0) / big_n) ** 2)
+    k = n % big_n
+    out[inside] = pref * (np.sin(math.pi * (k * (m + 1.0) % big_n) / big_n) ** 2
+                          * np.sin(math.pi * (k * m % big_n + 2.0 * n * lam) / big_n) ** 2)
     return float(out) if xs.shape == () else out
 
 

@@ -164,6 +164,27 @@ class TestBoundProfile:
         direct = abs(field_amplitude(dark_n1_params, dark_n1_trace_200, x, 200.0)) ** 2
         assert direct == pytest.approx(bound_profile(dark_n1_params, 1, x), rel=0.01)
 
+    @pytest.mark.parametrize("n", [1, 3 * 10 ** 6 + 1, 3 * 10 ** 9 + 1, 2 ** 53 - 1])
+    @pytest.mark.parametrize("n_legs", [3, 5])
+    def test_large_index_at_the_coupling_points_against_mpmath(self, n_legs, n):
+        # at x = 0 .. N-1 the sines' arguments are whole multiples of pi/N, taken
+        # mod N; at the full index the error read 5.4e-11 (N = 3) and 3.2e-10
+        # (N = 5) of the peak at n = 3e6 + 1, 2.7e-7 and 5.8e-7 at 3e9 + 1, and
+        # p(N-1) was not 0; 2**53 - 1 (1 mod 3 and mod 5) is the CLI's largest
+        # index, where n m' itself is no longer exact in a float
+        mpmath = pytest.importorskip("mpmath")
+        p = GiantAtomParams(n_legs, 0.1, 1.0)
+        xs = np.arange(float(n_legs))
+        with mpmath.workdps(60):
+            g, s2 = mpmath.mpf(p.gamma_tau), mpmath.sin(n * mpmath.pi / n_legs) ** 2
+            pref = 8 * g * s2 / (2 * s2 + n_legs * g) ** 2
+            exact = np.array([float(pref * mpmath.sin(n * mpmath.pi * (m + 1) / n_legs) ** 2
+                                    * mpmath.sin(n * mpmath.pi * m / n_legs) ** 2)
+                              for m in range(n_legs)])
+        got = bound_profile(p, n, xs)
+        assert np.abs(got - exact).max() <= 4 * np.finfo(float).eps * exact.max()
+        assert got[-1] == 0.0
+
     def test_invalid_index(self, dark_n1_params):
         with pytest.raises(ValueError):
             bound_profile(dark_n1_params, 0, 0.5)
@@ -505,9 +526,9 @@ def test_outgoing_flux_against_exact_series(monkeypatch, n_legs):
 
 def cold_walk(params, trace, t):
     """waveguide_probability with the light-cone walk run from k = 0, on a new
-    object with the trace's samples.  A walk at another N to t_max, on another
-    such object, goes first, so the cursor left for this call differs from it
-    in trace object, in N and, below t_max, in position."""
+    object with the trace's samples, which has no walk of its own yet.  A walk
+    at another N to t_max, on another such object, goes first; a call reads
+    only its own trace's walk, so that one changes nothing here."""
     other = GiantAtomParams(params.n_legs + 1, params.gamma_tau, params.omega_tau)
     waveguide_probability(other, dataclasses.replace(trace), trace.t_max)
     return waveguide_probability(params, dataclasses.replace(trace), t)
@@ -517,7 +538,7 @@ def cold_walk(params, trace, t):
 @pytest.mark.parametrize("n_legs", [2, 7])
 def test_flux_blocks_match(monkeypatch, n_legs, block):
     # at N = 7 the carry of N - 1 rows reaches back across several blocks; both
-    # sides are cold walks, so neither reads a cursor the other left
+    # sides are cold walks, so neither reads a walk the other left
     params = GiantAtomParams(n_legs, 0.05, TWO_PI * 3.3)
     trace = integrate_beta(params, 40.0, 256)
     ref = [cold_walk(params, trace, t) for t in CONE_TIMES]
@@ -614,7 +635,7 @@ def test_trace_over_an_array_with_an_earlier_view_cannot_change_under_the_flux()
 
 def test_resumed_flux_under_threads(flux_traces):
     # four threads walk ascending times over and over on one trace and N,
-    # switching every microsecond, so one resumes a cursor while another walks
+    # switching every microsecond, so one resumes the walk while another walks
     # on from it: a call may only read a published state, never write it; the
     # cached patterns start empty, so the threads also race to build them
     params, traces = flux_traces
@@ -655,6 +676,44 @@ def test_flux_walk_resumes_over_ascending_times(monkeypatch):
     assert sum(walked) == 99
 
 
+def test_interleaved_traces_each_resume_their_own_walk(monkeypatch):
+    # traces at N = 3 and 4, called in turn at 25 ascending whole times, each
+    # walk their rows k = 0 .. 98 once, 198 rows in all; with one walk shared by
+    # all traces, each call walked its trace from k = 0, 2 * 1,275 = 2,550 rows
+    traces = []
+    for n_legs in (3, 4):
+        params = GiantAtomParams(n_legs, 0.05, TWO_PI * 3.3)
+        traces.append((params, integrate_beta(params, 98.0, 16)))
+    walked = []
+
+    def counting(trace, ts):
+        walked.append(len(ts))
+        return beta_at_many(trace, ts)
+
+    monkeypatch.setattr(field, "beta_at_many", counting)
+    for t in range(2, 99, 4):
+        for params, trace in traces:
+            waveguide_probability(params, trace, float(t))
+    assert sum(walked) == 198
+
+
+def test_calls_on_other_traces_leave_a_walk_alone(flux_traces):
+    # total_probability at whole times 1 .. 40 on new objects of the N = 2 and
+    # 7 traces reads the same bits whether the two are called in turn or one
+    # after the other; with one walk shared by all traces, the calls in turn
+    # each walked from k = 0 and differed by up to 2.2e-16
+    params, traces = flux_traces
+    pairs = [(params[n], trace) for n, trace in zip((2, 7), traces)]
+    times = np.arange(1.0, 41.0)
+    fresh = [(p, dataclasses.replace(trace)) for p, trace in pairs]
+    in_turn = [[total_probability(p, trace, t) for p, trace in fresh] for t in times]
+    alone = []
+    for p, trace in pairs:
+        fresh = dataclasses.replace(trace)
+        alone.append([total_probability(p, fresh, t) for t in times])
+    assert np.array_equal(np.transpose(in_turn), alone)
+
+
 def test_cached_patterns_are_shared_safely():
     # traces at two steps and two N, interleaved at cuts a = 0 and about 0.3, share
     # the cached cells; each value must be the one built from empty caches, and no
@@ -665,7 +724,7 @@ def test_cached_patterns_are_shared_safely():
     calls = [(n, m, t) for t in times for n, m in traces]
 
     def run(clear):
-        # new trace objects, so both runs start from the same flux cursor
+        # new trace objects, so both runs start with no walk to resume
         fresh = {key: dataclasses.replace(trace) for key, trace in traces.items()}
         values = []
         for n, m, t in calls:
@@ -759,7 +818,7 @@ TOTAL_TIMES = (0.0, 1e-13, 0.2, 0.5, 2.5, 3.0, 3.0, 7.25, 8.0)
 def test_total_probability_is_beta_squared_plus_the_field(n_legs, order):
     # bit for bit, on a walk resumed where the times share frac(t) and ascend,
     # on cold walks, and at a repeated t, whose walk has no new rows; beta(t)
-    # is node y = 0 of the walk's last row, or the cursor's
+    # is node y = 0 of the walk's last row, or the one the walk kept
     params = GiantAtomParams(n_legs, 0.4 / n_legs ** 2, TWO_PI * 3.3)
     trace = integrate_beta(params, 8.0, 64)
     times = TOTAL_TIMES if order == "ascending" else sorted(TOTAL_TIMES, key=lambda t: (t % 1.0, t))
