@@ -83,10 +83,13 @@ MUTANTS = (
     Mutant(FIELD, "ends + ends[::-1, ::-1]", "ends + ends[::-1]", ROW_CONE),
     Mutant(FIELD, "(1.0 - a, a)):", "(1.0 - a, 1.0 - (1.0 - a))):", ROW_CONE),
     Mutant(FIELD, "array.flags.writeable = False", "array.flags.writeable = True", SHARED),
-    # field: the heatmap's frame block one frame short
+    # field: the heatmap's frame block one frame short, and a wave counted on
+    # its light cone's edge as if it had not yet arrived
     Mutant(FIELD, "block = times[start:start + _FRAMES]",
            "block = times[start:start + _FRAMES - 1]",
            ("tests/test_field.py::TestIntensityMap::test_frames_match_phi_frame_by_frame",)),
+    Mutant(FIELD, "(delay >= 0.0) *", "(delay > 0.0) *",
+           ("tests/test_field.py::TestFieldAmplitude::test_matches_the_sum_at_one_time",)),
     # field: the walk resumed from past t, without its carried rows, from
     # another trace's walk, from another N's and from another frac(t)'s; and
     # never resumed
@@ -153,10 +156,13 @@ MUTANTS = (
            ("tests/test_cli.py::TestCsvBytes::test_trace_probabilities_are_the_prob_column",)),
     Mutant("src/giant_atom/cli.py", 'if key != "func"},', 'if key not in ("func", "stride")},',
            ("tests/test_readme.py::test_manifest_params_rerun_the_command",)),
-    # cli: pxt.csv's t column formatted from the frame times rounded to float32
+    # cli: pxt.csv's t column formatted from the frame times rounded to float32,
+    # and a short last block of frames given a full block's x column
     Mutant("src/giant_atom/cli.py", "_float_text([f.t for f in frames])",
            "_float_text(np.float32([f.t for f in frames]))",
            ("tests/test_cli.py::TestCsvBytes::test_simulate_pxt_csv",)),
+    Mutant("src/giant_atom/cli.py", "np.tile(xs, len(frames[i:i + k]))", "np.tile(xs, k)",
+           ("tests/test_cli.py::TestWriterParts::test_pxt_blocks_are_whole_frames",)),
     # cli: the float kernel rounding half up instead of half to even, taking k from
     # log10 without its exact correction, and the scientific layout from k < -5
     Mutant("src/giant_atom/cli.py", "rounded = np.rint(lo)", "rounded = np.floor(lo + 0.5)",
@@ -166,14 +172,13 @@ MUTANTS = (
            "pass", CSV),
     Mutant("src/giant_atom/cli.py", "fixed = -4 <= k < 17", "fixed = -5 <= k < 17", CSV),
     # cli: a piece's float columns formatted in reverse order, _float_text's fields
-    # each taken one place late, a piece that drops the rest of the block it was
-    # cut from, and the digit table with its thousands and hundreds swapped
+    # each taken one place late, a piece cut one row short of the next one's
+    # start, and the digit table with its thousands and hundreds swapped
     Mutant("src/giant_atom/cli.py", "_float_fields(np.array(floats).ravel()",
            "_float_fields(np.array(floats[::-1]).ravel()", CSV),
-    Mutant("src/giant_atom/cli.py", '.split(b",")[:-1]', '.split(b",")[1:]', CSV),
-    Mutant("src/giant_atom/cli.py", "block = [column[cut:] for column in block]",
-           "block = [column[:0] for column in block]",
-           ("tests/test_cli.py::TestWriterParts::test_pieces_copy_each_row_once",)),
+    Mutant("src/giant_atom/cli.py", '.split(b"\\n")[:-1]', '.split(b"\\n")[1:]', CSV),
+    Mutant("src/giant_atom/cli.py", "start + CSV_BLOCK_ROWS]", "start + CSV_BLOCK_ROWS - 1]",
+           CSV),
     Mutant("src/giant_atom/cli.py", "np.array([1000, 100, 10, 1])", "np.array([100, 1000, 10, 1])",
            CSV),
     # core: F's and F''s delay sums, P's weight one too large and Q's without its

@@ -4,9 +4,11 @@ Each subcommand computes its tables and hands them to one writer, which makes
 the output directory, writes every table as an RFC-4180-style CSV (header row,
 UTF-8, LF line endings; floats as C's %.17g, bit for bit, produced by numpy
 array operations rather than one Python call per value, one call for all the
-float columns of each piece of CSV_BLOCK_ROWS rows, and a bytes column, such
-as pxt.csv's x and t formatted once into unpadded fields, as it is; each
-piece's fields are NUL-padded and bytes.translate drops the NULs), then a
+float columns of each piece of at most CSV_BLOCK_ROWS rows, and a bytes
+column, such as pxt.csv's x and t formatted once into unpadded fields, as it
+is; each piece's fields are NUL-padded and bytes.translate drops the NULs;
+the writer only cuts each block it is given into pieces, so each command
+hands over whole tables or blocks of about a piece's size), then a
 manifest.json recording the input parameters, tool version, creation time, a
 sha256 checksum of each output and the command's derived values, and prints
 one line, "<command>: <summary>, wrote <files> to <dir>".  A result directory
@@ -54,10 +56,10 @@ _EXIT_CODES = {StructuralImpossibilityError: EXIT_STRUCTURAL, ValueError: EXIT_U
                OSError: EXIT_IO, SolverError: EXIT_SOLVER}
 
 
-# rows the CSV writer formats at once (beta.csv's blocks have this many): it
-# joins consecutive short blocks and cuts long ones, so its working memory,
-# about 2 MB for four float columns (8,192 values in one kernel call), does
-# not grow with the table
+# most rows the CSV writer formats at once: it cuts each block into pieces of
+# at most this many rows (beta.csv's blocks have this many, pxt.csv's are
+# whole frames up to it), so its working memory, about 2 MB for four float
+# columns (8,192 values in one kernel call), does not grow with the table
 CSV_BLOCK_ROWS = 2048
 
 # Largest sampling grid a command builds in one piece: a profile's x
@@ -210,17 +212,6 @@ def _float_fields(x: np.ndarray, words: np.ndarray) -> None:
         words[i] = np.frombuffer((b"%.17g" % x[i]).ljust(32, b"\0"), np.uint64)
 
 
-def _float_text(x) -> np.ndarray:
-    """C's %.17g of each float as bytes without NULs, for a column formatted
-    once and written many times: an S array as wide as the longest field
-    (S1 for no floats)."""
-    x = np.asarray(x, np.float64)
-    words = np.zeros((len(x), 4), np.uint64)
-    _float_fields(x, words)
-    words.view(np.uint8)[:, -1] = ord(",")
-    return np.array(words.tobytes().translate(None, b"\0").split(b",")[:-1], "S")
-
-
 def _csv_rows(columns) -> bytes:
     """The CSV bytes of equal-length columns, one row per element.
 
@@ -255,24 +246,19 @@ def _csv_rows(columns) -> bytes:
     return buf.tobytes().translate(None, b"\0")
 
 
+def _float_text(x) -> np.ndarray:
+    """C's %.17g of each float as bytes without NULs, for a column formatted
+    once and written many times: the one-column CSV rows of x, split at their
+    line ends, as an S array as wide as the longest field (S1 for no floats)."""
+    return np.array(_csv_rows([x]).split(b"\n")[:-1], "S")
+
+
 def _pieces(blocks):
-    """The rows of blocks, joined and cut into pieces of CSV_BLOCK_ROWS rows
-    (the last may be shorter).  A piece holds views of the blocks' rows until
-    it is full and then joins them in one concatenate per column, so each row
-    is copied at most once; a piece within one block is a view of it."""
-    held, rows = [], 0
+    """The rows of blocks cut into pieces of at most CSV_BLOCK_ROWS rows, each
+    piece a view of the block it comes from; no rows are held across blocks."""
     for block in blocks:
-        while rows + len(block[0]) >= CSV_BLOCK_ROWS:
-            cut = CSV_BLOCK_ROWS - rows
-            held.append([column[:cut] for column in block])
-            yield held[0] if len(held) == 1 else list(map(np.concatenate, zip(*held)))
-            block = [column[cut:] for column in block]
-            held, rows = [], 0
-        if len(block[0]):
-            held.append(block)
-            rows += len(block[0])
-    if rows:
-        yield held[0] if len(held) == 1 else list(map(np.concatenate, zip(*held)))
+        for start in range(0, len(block[0]), CSV_BLOCK_ROWS):
+            yield [column[start:start + CSV_BLOCK_ROWS] for column in block]
 
 
 def _write_csv(path: str, header: list[str], blocks) -> str:
@@ -329,13 +315,16 @@ def _beta_blocks(trace, stride: int):
 
 
 def _pxt_blocks(params: GiantAtomParams, trace, grid: field.GridSpec):
-    """pxt.csv columns, one block per frame; the frames are sampled only once
-    beta.csv is written, so the two never sit in memory together.  The x and t
-    columns are formatted once (_float_text), the frames' p values per block."""
+    """pxt.csv columns in blocks of whole frames, CSV_BLOCK_ROWS // len(xs)
+    frames each (at least one); the frames are sampled only once beta.csv is
+    written, so the two never sit in memory together.  The x and t columns are
+    formatted once (_float_text), each block's p values joined from its frames."""
     frames = field.intensity_map(params, trace, grid)
     xs, times = _float_text(grid.xs), _float_text([f.t for f in frames])
-    for i, f in enumerate(frames):
-        yield [times[i:i + 1].repeat(len(xs)), xs, f.values]
+    k = max(1, CSV_BLOCK_ROWS // len(xs))
+    for i in range(0, len(frames), k):
+        yield [times[i:i + k].repeat(len(xs)), np.tile(xs, len(frames[i:i + k])),
+               np.concatenate([f.values for f in frames[i:i + k]])]
 
 
 def _pair_table(pairs, *names: str) -> tuple[list[str], list]:
@@ -416,9 +405,12 @@ def _cmd_scan(args):
     tables = {
         "dots.csv": _pair_table(scan.dots, "omega_tau_2pi", "gamma_tau_2pi", "n1", "n2",
                                 "osc_amplitude", "rwa_ok"),
-        "lines.csv": (["n", "omega_tau_2pi", "gamma_tau_2pi"],
-                      ([np.full(len(line.gamma_tau), line.n), line.omega_tau / TWO_PI,
-                        line.gamma_tau / TWO_PI] for line in scan.lines)),
+        # every line in one block; the leading [] gives a window without
+        # lines its empty float columns
+        "lines.csv": (["n", "omega_tau_2pi", "gamma_tau_2pi"], [[
+            np.repeat([ln.n for ln in scan.lines], [len(ln.gamma_tau) for ln in scan.lines]),
+            np.concatenate([[], *(ln.omega_tau for ln in scan.lines)]) / TWO_PI,
+            np.concatenate([[], *(ln.gamma_tau for ln in scan.lines)]) / TWO_PI]]),
     }
     return (tables, {"n_dots": len(scan.dots), "n_lines": len(scan.lines)},
             f"{len(scan.dots)} pair dots and {len(scan.lines)} condition lines")

@@ -105,20 +105,22 @@ class GridSpec:
 def _phi(params: GiantAtomParams, trace: AmplitudeTrace, xs: np.ndarray, t) -> np.ndarray:
     """Field amplitude at positions xs and times t, broadcast against each other.
 
-    Point m's wave counts at x when t - |x - x_m| >= 0, and reads beta there,
-    its retarded time clipped to t_max.
+    Point m's wave reads beta at every x, its retarded time t - |x - x_m|
+    clipped to [0, t_max], and counts times its light-cone factor, 1 where
+    t - |x - x_m| >= 0 and 0 elsewhere.  A nan position raises ValueError
+    from the dense output's time check.
     """
     total = np.zeros(np.broadcast_shapes(np.shape(xs), np.shape(t)), dtype=complex)
     for xm in params.coupling_points:
         delay = t - np.abs(xs - xm)
-        on = delay >= 0.0
-        total[on] += beta_at_many(trace, np.clip(delay[on], 0.0, trace.t_max))
+        total += (delay >= 0.0) * beta_at_many(trace, np.clip(delay, 0.0, trace.t_max))
     return (-1j * math.sqrt(0.5 * params.gamma_tau)) * total
 
 
 def field_amplitude(params: GiantAtomParams, trace: AmplitudeTrace,
                     x: float, t: float) -> complex:
-    """Retarded-sum field amplitude phi(x, t); zero before any wavefront arrives."""
+    """Retarded-sum field amplitude phi(x, t); zero before any wavefront arrives
+    and at x = +-inf.  x = nan raises ValueError (the dense output's time check)."""
     check_trace_times(trace, t)
     return complex(_phi(params, trace, np.asarray([float(x)]), t)[0])
 

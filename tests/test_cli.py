@@ -22,8 +22,9 @@ from giant_atom import (DivergenceError, IncompleteSearchError, SearchPlacementE
                         bound_profile, continuum, continuum_profile, darkstates, dde, field,
                         integrate_beta, spectral)
 from giant_atom.cli import (CSV_BLOCK_ROWS, MAX_GRID_SAMPLES, _ascii4, _float_text, _pieces,
-                            _write_csv, build_parser, integer, main)
+                            _pxt_blocks, _write_csv, build_parser, integer, main)
 from conftest import single_dark_params
+from test_field import phi_at_one_time
 
 TWO_PI = 2.0 * math.pi
 
@@ -235,7 +236,7 @@ class TestCsvBytes:
         trace = integrate_beta(params, t_max)
         xs = field.GridSpec(-10.0, 12.0, 0.05).xs
         rows = ((t, x, p) for t in np.linspace(0.0, trace.t_max, count)
-                for x, p in zip(xs, np.abs(field._phi(params, trace, xs, float(t))) ** 2))
+                for x, p in zip(xs, np.abs(phi_at_one_time(params, trace, xs, float(t))) ** 2))
         reference_csv(tmp_path / "ref.csv", ["t", "x", "p"], rows)
         assert sha256(tmp_path / "pxt.csv") == sha256(tmp_path / "ref.csv")
 
@@ -259,9 +260,9 @@ class TestWriterParts:
         empty = _float_text([])
         assert empty.dtype.kind == "S" and empty.shape == (0,)
 
-    def test_pieces_copy_each_row_once(self, monkeypatch):
+    def test_pieces_are_views_within_one_block(self, monkeypatch):
         # empty blocks, heatmap-sized frames and blocks longer than a piece,
-        # over bytes, int and float columns
+        # over bytes, int and float columns: each block is cut on its own
         lengths = [0, 441, 441, 0, 441, 441, 441, 3 * CSV_BLOCK_ROWS + 5, 0, 441, 7,
                    2 * CSV_BLOCK_ROWS, 441, 0]
         n = sum(lengths)
@@ -270,23 +271,53 @@ class TestWriterParts:
                    rng.integers(-10 ** 6, 10 ** 6, n), rng.standard_normal(n)]
         edges = np.cumsum([0, *lengths])
         blocks = [[column[a:b] for column in columns] for a, b in zip(edges, edges[1:])]
-        joined = []
-        concatenate = np.concatenate
+        taken = []
 
-        def counting(arrays, *args, **kwargs):
-            joined.append(sum(map(len, arrays)))
-            return concatenate(arrays, *args, **kwargs)
+        def feed():
+            for i, block in enumerate(blocks):
+                taken.append(i)
+                yield block
 
-        monkeypatch.setattr(np, "concatenate", counting)
-        pieces = list(_pieces(iter(blocks)))
+        def refused(*args, **kwargs):
+            raise AssertionError("the pieces joined rows")
+
+        monkeypatch.setattr(np, "concatenate", refused)
+        pieces = [(taken[-1], piece) for piece in _pieces(feed())]
         monkeypatch.undo()
-        assert [len(piece[0]) for piece in pieces] == (
-            [CSV_BLOCK_ROWS] * (n // CSV_BLOCK_ROWS) + [n % CSV_BLOCK_ROWS])
-        for parts, column in zip(zip(*pieces), columns):
+        assert taken == list(range(len(blocks)))
+        for i, block in enumerate(blocks):
+            own = [piece for owner, piece in pieces if owner == i]
+            assert all(0 < len(piece[0]) <= CSV_BLOCK_ROWS for piece in own)
+            assert len(own) == -(-len(block[0]) // CSV_BLOCK_ROWS)
+            for parts, column in zip(zip(*own), block):
+                assert all(np.shares_memory(part, column) for part in parts)
+                assert np.array_equal(np.concatenate(parts), column)
+        for parts, column in zip(zip(*(piece for _, piece in pieces)), columns):
             whole = np.concatenate(parts)
             assert whole.dtype == column.dtype and np.array_equal(whole, column)
-        # each column of a piece is one concatenate over the rows it holds
-        assert joined and sum(joined) <= len(columns) * n
+
+    @pytest.mark.parametrize("x_max, dx, count", [(12.0, 0.05, 11), (12.0, 0.05, 8),
+                                                  (12.0, 0.0075, 3), (-9.0, 0.5, 5)])
+    def test_pxt_blocks_are_whole_frames(self, x_max, dx, count):
+        # README's 441 x positions (four frames a block, a short last block or
+        # none), more positions than a piece holds (one frame a block), and
+        # three positions (every frame in one block)
+        params = single_dark_params(3, 1, 0.018)
+        trace = integrate_beta(params, 5.0)
+        grid = field.GridSpec(-10.0, x_max, dx,
+                              times=tuple(float(t) for t in np.linspace(0.0, 5.0, count)))
+        xs = grid.xs
+        blocks = list(_pxt_blocks(params, trace, grid))
+        for block in blocks:
+            rows = len(block[0])
+            assert [len(column) for column in block] == [rows] * 3
+            assert rows % len(xs) == 0 and 0 < rows <= max(CSV_BLOCK_ROWS, len(xs))
+        assert len(blocks) == -(-count // max(1, CSV_BLOCK_ROWS // len(xs)))
+        t, x, p = map(np.concatenate, zip(*blocks))
+        frames = field.intensity_map(params, trace, grid)
+        assert np.array_equal(t, _float_text(grid.times).repeat(len(xs)))
+        assert np.array_equal(x, np.tile(_float_text(xs), count))
+        assert p.tobytes() == np.concatenate([f.values for f in frames]).tobytes()
 
 
 class TestSimulate:
@@ -409,6 +440,23 @@ class TestScan:
                            for o2, g2 in dots)
         _, line_rows = read_csv(tmp_path / "lines.csv")
         assert line_rows
+
+    @pytest.mark.parametrize("window", [["6", "1"], ["0.05", "0.01"]], ids=["lines", "empty"])
+    def test_lines_csv_is_one_block(self, tmp_path, window):
+        # every line in one block, written as a line-by-line writer writes them;
+        # the empty window is the header alone
+        argv = ["scan", "--n-legs", "3", "--omega-tau-2pi-max", window[0],
+                "--gamma-tau-2pi-max", window[1], "--out-dir", str(tmp_path)]
+        args = build_parser().parse_args(argv)
+        header, blocks = args.func(args)[0]["lines.csv"]
+        scan = darkstates.scan_lattice(3, TWO_PI * float(window[0]), TWO_PI * float(window[1]))
+        rows = [(line.n, omega / TWO_PI, gamma / TWO_PI) for line in scan.lines
+                for omega, gamma in zip(line.omega_tau, line.gamma_tau)]
+        assert len(blocks) == 1 and [len(column) for column in blocks[0]] == [len(rows)] * 3
+        assert main(argv) == 0
+        reference_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert bool(rows) == (window[0] == "6")
 
 
 class TestFieldCmd:

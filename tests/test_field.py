@@ -38,7 +38,8 @@ TWO_PI = 2.0 * math.pi
 
 def phi_at_one_time(params, trace, xs, t):
     """phi at one instant, each point's positions inside its light cone read in
-    one dense-output call: the sum _phi makes, written out for a scalar t."""
+    one dense-output call and added by mask: the sum _phi makes with its
+    light-cone factor, written out for a scalar t."""
     total = np.zeros(len(xs), dtype=complex)
     for xm in params.coupling_points:
         on = t - np.abs(xs - xm) >= 0.0
@@ -59,6 +60,15 @@ class TestFieldAmplitude:
 
     def test_causality_before_wavefront(self, dark_n1_params, dark_n1_trace_200):
         assert field_amplitude(dark_n1_params, dark_n1_trace_200, 30.0, 10.0) == 0j
+
+    def test_infinite_position_is_dark_and_nan_is_refused(self, dark_n1_params,
+                                                          dark_n1_trace_200):
+        # x = +-inf lies outside every light cone; x = nan has no retarded time,
+        # and the dense output's time check refuses it
+        for x in (math.inf, -math.inf):
+            assert field_amplitude(dark_n1_params, dark_n1_trace_200, x, 10.0) == 0j
+        with pytest.raises(ValueError):
+            field_amplitude(dark_n1_params, dark_n1_trace_200, math.nan, 10.0)
 
     def test_outside_atom_vanishes_long_time(self, dark_n1_params, dark_n1_trace_200):
         # outside the outermost coupling points the dark-mode phasors cancel
@@ -122,9 +132,9 @@ class TestIntensityMap:
         frames = intensity_map(dark_n1_params, dark_n1_trace_200, grid)
         assert [f.t for f in frames] == list(times)
         for f in frames:
-            phi = field._phi(dark_n1_params, dark_n1_trace_200, grid.xs, f.t)
-            assert phi.tobytes() == phi_at_one_time(dark_n1_params, dark_n1_trace_200,
-                                                    grid.xs, f.t).tobytes()
+            phi = phi_at_one_time(dark_n1_params, dark_n1_trace_200, grid.xs, f.t)
+            assert field._phi(dark_n1_params, dark_n1_trace_200, grid.xs,
+                              f.t).tobytes() == phi.tobytes()
             assert (f.x_min, f.x_max, f.dx) == (grid.x_min, grid.x_max, grid.dx)
             assert f.values.tobytes() == (np.abs(phi) ** 2).tobytes()
 

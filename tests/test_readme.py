@@ -26,11 +26,17 @@ def test_library_example_runs(capsys):
     assert abs(printed - target) <= 0.01 * target
 
 
-def test_command_line_block_runs(tmp_path, capsys):
+def _command_block() -> list[list[str]]:
+    """The command lines of README's "Command line" block, each split as a
+    shell would, continuation lines joined and comments and blanks left out."""
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     block = _blocks(section)[0].replace("\\\n", " ")
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
-    commands = [argv for argv in commands if argv]
+    return [argv for argv in commands if argv]
+
+
+def test_command_line_block_runs(tmp_path, capsys):
+    commands = _command_block()
     assert commands and all(argv[0] == "giant-atom" for argv in commands)
     for i, argv in enumerate(commands):
         out_dir = tmp_path / f"{i}-{argv[1]}"
@@ -52,11 +58,8 @@ def test_command_line_block_runs(tmp_path, capsys):
 def _readme_commands() -> list[list[str]]:
     """README's command lines without giant-atom and --out-dir, plus a short
     simulate that also writes the heatmap at non-default settings."""
-    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
-    lines = _blocks(section)[0].replace("\\\n", " ").splitlines()
-    commands = [shlex.split(line, comments=True) for line in lines]
     commands = [[arg for arg in argv[1:] if arg not in ("--out-dir", "out/")]
-                for argv in commands if argv]
+                for argv in _command_block()]
     simulate = next(argv for argv in commands if argv[0] == "simulate")
     t_max = simulate.index("--t-max") + 1
     return commands + [[*simulate[:t_max], "5", *simulate[t_max + 1:], "--stride", "3",
